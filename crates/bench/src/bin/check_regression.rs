@@ -5,117 +5,199 @@
 //! ```text
 //! check_regression <baseline.json> <current.json>
 //!                  [--hpwl-pct 2.0] [--time-pct 5.0] [--launches-pct 2.0]
-//!                  [--inject-hpwl-pct X]
+//!                  [--wall-warn-pct 50.0] [--inject SECTION=PCT]
 //! ```
 //!
-//! Single-run [`RunReport`]s, batch [`BatchReport`]s, bare spectral
-//! reports (`spectral_bench` output), bare scaling reports
-//! (`scaling_bench` output) and bare explore reports (`explore_bench`
-//! output) are accepted; the kind is auto-detected (a batch report is
-//! an object with a `jobs` array, a spectral report one with a
-//! top-level `grids` array, a scaling report one with a top-level
-//! `points` array, an explore report one with a top-level
-//! `winner_lineage` array). Both sides must be the same kind, except
-//! that a spectral, scaling or explore *current* may be gated against
+//! Single-run [`RunReport`]s, batch [`BatchReport`]s and bare
+//! [`GatedSection`] files — spectral (`spectral_bench` output), scaling
+//! (`scaling_bench` output) and explore (`explore_bench` output) — are
+//! accepted; the kind is auto-detected (a batch report is an object with
+//! a `jobs` array, a bare section one with its marker key: a top-level
+//! `grids`, `points` or `winner_lineage` array). Both sides must be the
+//! same kind, except that a bare section *current* may be gated against
 //! the matching section of a run-report *baseline* — the CI smoke paths
 //! against `BENCH_baseline.json`. Deterministic quantities (final HPWL,
 //! modeled GP time, kernel launch count, iteration count, run structure
 //! — per job, for batches; per-grid modeled transform ns for spectral
 //! sections; per-cell modeled ns for scaling points; winner HPWL,
 //! lineage and total modeled cost for explore sections) hard-fail
-//! beyond tolerance; wall-clock drift only warns. `--inject-hpwl-pct`
-//! inflates the current report's HPWL by X percent *after loading*
-//! (every completed job of a batch), `--inject-spectral-pct` does the
-//! same to the per-grid modeled transform times,
-//! `--inject-scaling-pct` to the per-point modeled GP times, and
-//! `--inject-explore-pct` to the population winner's HPWL — self-test
-//! hooks CI uses to prove the gate actually fails on a regression.
+//! beyond tolerance; wall-clock drift beyond `--wall-warn-pct` only
+//! warns.
+//!
+//! `--inject SECTION=PCT` is the self-test hook CI uses to prove the gate
+//! actually fails on a regression: it inflates the current report by PCT
+//! percent *after loading*. SECTION `hpwl` inflates the final HPWL (of
+//! every completed job, for a batch); `spectral`, `scaling` and `explore`
+//! apply that section's [`GatedSection::inject`] — per-grid modeled
+//! transform time, per-point modeled GP time, winner HPWL — to a bare
+//! section file or to the section of a run report. An unknown SECTION
+//! exits 2.
 
-use xplace_bench::argv_parse;
+use std::any::Any;
+use xplace_bench::{argv_flag, argv_parse};
 use xplace_telemetry::{
-    compare_batch_reports, compare_explore, compare_reports, compare_scaling, compare_spectral,
-    BatchReport, Comparison, ExploreMetrics, FromJson, Json, RunReport, ScalingMetrics,
-    SpectralMetrics, Tolerances,
+    compare_batch_reports, compare_reports, BatchReport, Comparison, ExploreMetrics, FromJson,
+    GatedSection, Json, JsonError, RunReport, ScalingMetrics, SpectralMetrics, Tolerances,
 };
 
 enum Loaded {
     Run(RunReport),
     Batch(BatchReport),
-    Spectral(SpectralMetrics),
-    Scaling(ScalingMetrics),
-    Explore(ExploreMetrics),
+    /// A bare gated-section file: its [`SECTIONS`] entry and its value.
+    Bare(&'static Section, Box<dyn Any>),
 }
 
 impl Loaded {
-    fn kind(&self) -> &'static str {
+    fn kind(&self) -> String {
         match self {
-            Loaded::Run(_) => "run report",
-            Loaded::Batch(_) => "batch report",
-            Loaded::Spectral(_) => "spectral report",
-            Loaded::Scaling(_) => "scaling report",
-            Loaded::Explore(_) => "explore report",
+            Loaded::Run(_) => "run report".into(),
+            Loaded::Batch(_) => "batch report".into(),
+            Loaded::Bare(section, _) => format!("{} report", section.key),
         }
     }
 }
 
+/// The gate's entry points for one [`GatedSection`] impl.
+struct Section {
+    key: &'static str,
+    marker: &'static str,
+    parse: fn(&Json) -> Result<Box<dyn Any>, JsonError>,
+    inject: fn(&mut Loaded, f64) -> Result<(), String>,
+    compare: fn(&Loaded, &Loaded, &Tolerances) -> Result<Comparison, String>,
+}
+
+impl Section {
+    const fn of<S: GatedSection + 'static>() -> Section {
+        Section {
+            key: S::KEY,
+            marker: S::MARKER,
+            parse: parse_bare::<S>,
+            inject: inject_section::<S>,
+            compare: compare_bare::<S>,
+        }
+    }
+}
+
+static SECTIONS: [Section; 3] = [
+    Section::of::<SpectralMetrics>(),
+    Section::of::<ScalingMetrics>(),
+    Section::of::<ExploreMetrics>(),
+];
+
+fn parse_bare<S: GatedSection + 'static>(json: &Json) -> Result<Box<dyn Any>, JsonError> {
+    Ok(Box::new(S::from_json(json)?))
+}
+
+/// Applies [`GatedSection::inject`] to a bare `S` file or to the `S`
+/// section of a run report.
+fn inject_section<S: GatedSection + 'static>(
+    current: &mut Loaded,
+    factor: f64,
+) -> Result<(), String> {
+    let wrong_kind = || format!("--inject {0} only applies to {0} and run reports", S::KEY);
+    let section = match current {
+        Loaded::Run(report) => S::of_mut(report).as_mut().ok_or_else(|| {
+            format!(
+                "current run report has no {} section to inject into",
+                S::KEY
+            )
+        })?,
+        Loaded::Bare(_, value) => value.downcast_mut::<S>().ok_or_else(wrong_kind)?,
+        Loaded::Batch(_) => return Err(wrong_kind()),
+    };
+    section.inject(factor);
+    Ok(())
+}
+
+/// Gates a bare `S` current against a bare `S` baseline or against the
+/// `S` section of a run-report baseline.
+fn compare_bare<S: GatedSection + 'static>(
+    baseline: &Loaded,
+    current: &Loaded,
+    tol: &Tolerances,
+) -> Result<Comparison, String> {
+    fn of<S: GatedSection + 'static>(loaded: &Loaded) -> Option<&S> {
+        match loaded {
+            Loaded::Run(report) => S::of(report),
+            Loaded::Bare(_, value) => value.downcast_ref(),
+            Loaded::Batch(_) => None,
+        }
+    }
+    let base =
+        of::<S>(baseline).ok_or_else(|| format!("has no {} section to gate against", S::KEY))?;
+    let cur = of::<S>(current).expect("the current file is a bare section of this kind");
+    let mut cmp = Comparison::default();
+    S::compare(base, cur, tol, &mut cmp);
+    Ok(cmp)
+}
+
+/// The `hpwl` self-test hook: inflates the final HPWL of a run report, or
+/// of every completed job of a batch.
+fn inject_hpwl(current: &mut Loaded, factor: f64) -> Result<(), String> {
+    let reports: Vec<&mut RunReport> = match current {
+        Loaded::Run(report) => vec![report],
+        Loaded::Batch(batch) => batch
+            .jobs
+            .iter_mut()
+            .filter_map(|job| job.report.as_mut())
+            .collect(),
+        Loaded::Bare(..) => {
+            return Err("--inject hpwl only applies to run and batch reports".into())
+        }
+    };
+    for report in reports {
+        report.gp.final_hpwl *= factor;
+        if let Some(lg) = report.lg.as_mut() {
+            lg.final_hpwl *= factor;
+        }
+        if let Some(dp) = report.dp.as_mut() {
+            dp.final_hpwl *= factor;
+        }
+    }
+    Ok(())
+}
+
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
 fn load(path: &str) -> Loaded {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2)
-    });
-    let json = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path} is not valid JSON: {e}");
-        std::process::exit(2)
-    });
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    let json =
+        Json::parse(&text).unwrap_or_else(|e| fail(format!("{path} is not valid JSON: {e}")));
     let result = if json.get("jobs").is_some() {
         BatchReport::from_json(&json).map(Loaded::Batch)
-    } else if json.get("grids").is_some() {
-        SpectralMetrics::from_json(&json).map(Loaded::Spectral)
-    } else if json.get("points").is_some() {
-        ScalingMetrics::from_json(&json).map(Loaded::Scaling)
-    } else if json.get("winner_lineage").is_some() {
-        ExploreMetrics::from_json(&json).map(Loaded::Explore)
+    } else if let Some(section) = SECTIONS.iter().find(|s| json.get(s.marker).is_some()) {
+        (section.parse)(&json).map(|value| Loaded::Bare(section, value))
     } else {
         RunReport::from_json(&json).map(Loaded::Run)
     };
-    result.unwrap_or_else(|e| {
-        eprintln!("error: {path} is not a valid report: {e}");
-        std::process::exit(2)
-    })
+    result.unwrap_or_else(|e| fail(format!("{path} is not a valid report: {e}")))
 }
 
-/// Self-test hook: fake a quality regression so CI can verify the gate
-/// fails when it should.
-fn inject_hpwl(report: &mut RunReport, factor: f64) {
-    report.gp.final_hpwl *= factor;
-    if let Some(lg) = report.lg.as_mut() {
-        lg.final_hpwl *= factor;
+/// Parses `--inject SECTION=PCT`, rejecting malformed values and unknown
+/// sections.
+fn inject_arg(args: &[String]) -> Option<(String, f64)> {
+    if !args.iter().any(|a| a == "--inject") {
+        return None;
     }
-    if let Some(dp) = report.dp.as_mut() {
-        dp.final_hpwl *= factor;
+    let arg = argv_flag("--inject").unwrap_or_default();
+    let parsed = arg
+        .split_once('=')
+        .and_then(|(name, pct)| Some((name, pct.parse::<f64>().ok()?)));
+    let Some((name, pct)) = parsed else {
+        fail(format!(
+            "invalid value '{arg}' for --inject: expected SECTION=PCT"
+        ))
+    };
+    if name != "hpwl" && !SECTIONS.iter().any(|s| s.key == name) {
+        fail(format!(
+            "unknown --inject section '{name}' (hpwl|spectral|scaling|explore)"
+        ));
     }
-}
-
-/// Self-test hook for the spectral gate: fake a modeled-transform-time
-/// regression on every grid.
-fn inject_spectral(spectral: &mut SpectralMetrics, factor: f64) {
-    for grid in &mut spectral.grids {
-        grid.modeled_ns = (grid.modeled_ns as f64 * factor) as u64;
-    }
-}
-
-/// Self-test hook for the scaling gate: fake a per-cell modeled-cost
-/// regression on every point.
-fn inject_scaling(scaling: &mut ScalingMetrics, factor: f64) {
-    for point in &mut scaling.points {
-        point.modeled_ns = (point.modeled_ns as f64 * factor) as u64;
-    }
-}
-
-/// Self-test hook for the explore gate: fake a population-quality
-/// regression on the winner's HPWL.
-fn inject_explore(explore: &mut ExploreMetrics, factor: f64) {
-    explore.winner_hpwl *= factor;
+    Some((name.to_string(), pct))
 }
 
 fn main() {
@@ -137,9 +219,8 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: check_regression <baseline.json> <current.json> \
-                 [--hpwl-pct X] [--time-pct X] [--launches-pct X] \
-                 [--inject-hpwl-pct X] [--inject-spectral-pct X] \
-                 [--inject-scaling-pct X] [--inject-explore-pct X]"
+                 [--hpwl-pct X] [--time-pct X] [--launches-pct X] [--wall-warn-pct X] \
+                 [--inject hpwl|spectral|scaling|explore=PCT]"
             );
             std::process::exit(2)
         }
@@ -151,165 +232,35 @@ fn main() {
         launches_pct: argv_parse("--launches-pct", 2.0),
         wall_warn_pct: argv_parse("--wall-warn-pct", 50.0),
     };
+    let inject = inject_arg(&args);
 
     let baseline = load(baseline_path);
     let mut current = load(current_path);
 
-    let inject: f64 = argv_parse("--inject-hpwl-pct", 0.0);
-    if inject != 0.0 {
-        let f = 1.0 + inject / 100.0;
-        match &mut current {
-            Loaded::Run(report) => inject_hpwl(report, f),
-            Loaded::Batch(batch) => {
-                for job in &mut batch.jobs {
-                    if let Some(report) = job.report.as_mut() {
-                        inject_hpwl(report, f);
-                    }
-                }
-            }
-            Loaded::Spectral(_) | Loaded::Scaling(_) | Loaded::Explore(_) => {
-                eprintln!("error: --inject-hpwl-pct only applies to run and batch reports");
-                std::process::exit(2)
-            }
-        }
-        eprintln!("(self-test: injected {inject:+.1}% HPWL into the current report)");
-    }
-
-    let inject_sp: f64 = argv_parse("--inject-spectral-pct", 0.0);
-    if inject_sp != 0.0 {
-        let f = 1.0 + inject_sp / 100.0;
-        match &mut current {
-            Loaded::Spectral(spectral) => inject_spectral(spectral, f),
-            Loaded::Run(report) => match report.spectral.as_mut() {
-                Some(spectral) => inject_spectral(spectral, f),
-                None => {
-                    eprintln!("error: current run report has no spectral section to inject into");
-                    std::process::exit(2)
-                }
-            },
-            Loaded::Batch(_) | Loaded::Scaling(_) | Loaded::Explore(_) => {
-                eprintln!("error: --inject-spectral-pct only applies to spectral and run reports");
-                std::process::exit(2)
-            }
-        }
-        eprintln!(
-            "(self-test: injected {inject_sp:+.1}% modeled transform time into the current \
-             spectral report)"
-        );
-    }
-
-    let inject_sc: f64 = argv_parse("--inject-scaling-pct", 0.0);
-    if inject_sc != 0.0 {
-        let f = 1.0 + inject_sc / 100.0;
-        match &mut current {
-            Loaded::Scaling(scaling) => inject_scaling(scaling, f),
-            Loaded::Run(report) => match report.scaling.as_mut() {
-                Some(scaling) => inject_scaling(scaling, f),
-                None => {
-                    eprintln!("error: current run report has no scaling section to inject into");
-                    std::process::exit(2)
-                }
-            },
-            Loaded::Batch(_) | Loaded::Spectral(_) | Loaded::Explore(_) => {
-                eprintln!("error: --inject-scaling-pct only applies to scaling and run reports");
-                std::process::exit(2)
-            }
-        }
-        eprintln!(
-            "(self-test: injected {inject_sc:+.1}% modeled GP time into the current \
-             scaling report)"
-        );
-    }
-
-    let inject_ex: f64 = argv_parse("--inject-explore-pct", 0.0);
-    if inject_ex != 0.0 {
-        let f = 1.0 + inject_ex / 100.0;
-        match &mut current {
-            Loaded::Explore(explore) => inject_explore(explore, f),
-            Loaded::Run(report) => match report.explore.as_mut() {
-                Some(explore) => inject_explore(explore, f),
-                None => {
-                    eprintln!("error: current run report has no explore section to inject into");
-                    std::process::exit(2)
-                }
-            },
-            Loaded::Batch(_) | Loaded::Spectral(_) | Loaded::Scaling(_) => {
-                eprintln!("error: --inject-explore-pct only applies to explore and run reports");
-                std::process::exit(2)
-            }
-        }
-        eprintln!(
-            "(self-test: injected {inject_ex:+.1}% winner HPWL into the current \
-             explore report)"
-        );
+    if let Some((name, pct)) = &inject {
+        let factor = 1.0 + pct / 100.0;
+        let injected = match SECTIONS.iter().find(|s| s.key == name) {
+            Some(section) => (section.inject)(&mut current, factor),
+            None => inject_hpwl(&mut current, factor),
+        };
+        injected.unwrap_or_else(|e| fail(e));
+        eprintln!("(self-test: injected {pct:+.1}% {name} regression into the current report)");
     }
 
     let cmp: Comparison = match (&baseline, &current) {
         (Loaded::Run(b), Loaded::Run(c)) => compare_reports(b, c, &tol),
         (Loaded::Batch(b), Loaded::Batch(c)) => compare_batch_reports(b, c, &tol),
-        (Loaded::Spectral(b), Loaded::Spectral(c)) => {
-            let mut cmp = Comparison::default();
-            compare_spectral(b, c, &tol, &mut cmp);
-            cmp
+        (b, Loaded::Bare(section, _))
+            if matches!(b, Loaded::Run(_)) || b.kind() == current.kind() =>
+        {
+            (section.compare)(&baseline, &current, &tol)
+                .unwrap_or_else(|e| fail(format!("baseline {baseline_path} {e}")))
         }
-        (Loaded::Scaling(b), Loaded::Scaling(c)) => {
-            let mut cmp = Comparison::default();
-            compare_scaling(b, c, &tol, &mut cmp);
-            cmp
-        }
-        // CI smoke path: a bare spectral_bench report gated against the
-        // spectral section of the committed run-report baseline.
-        (Loaded::Run(b), Loaded::Spectral(c)) => match b.spectral.as_ref() {
-            Some(base) => {
-                let mut cmp = Comparison::default();
-                compare_spectral(base, c, &tol, &mut cmp);
-                cmp
-            }
-            None => {
-                eprintln!(
-                    "error: baseline {baseline_path} has no spectral section to gate against"
-                );
-                std::process::exit(2)
-            }
-        },
-        // Same smoke path for a bare scaling_bench report.
-        (Loaded::Run(b), Loaded::Scaling(c)) => match b.scaling.as_ref() {
-            Some(base) => {
-                let mut cmp = Comparison::default();
-                compare_scaling(base, c, &tol, &mut cmp);
-                cmp
-            }
-            None => {
-                eprintln!("error: baseline {baseline_path} has no scaling section to gate against");
-                std::process::exit(2)
-            }
-        },
-        (Loaded::Explore(b), Loaded::Explore(c)) => {
-            let mut cmp = Comparison::default();
-            compare_explore(b, c, &tol, &mut cmp);
-            cmp
-        }
-        // Same smoke path for a bare explore_bench report.
-        (Loaded::Run(b), Loaded::Explore(c)) => match b.explore.as_ref() {
-            Some(base) => {
-                let mut cmp = Comparison::default();
-                compare_explore(base, c, &tol, &mut cmp);
-                cmp
-            }
-            None => {
-                eprintln!("error: baseline {baseline_path} has no explore section to gate against");
-                std::process::exit(2)
-            }
-        },
-        (b, c) => {
-            eprintln!(
-                "error: report kind mismatch: {baseline_path} is a {} but {current_path} \
-                 is a {}",
-                b.kind(),
-                c.kind()
-            );
-            std::process::exit(2)
-        }
+        (b, c) => fail(format!(
+            "report kind mismatch: {baseline_path} is a {} but {current_path} is a {}",
+            b.kind(),
+            c.kind()
+        )),
     };
     print!("{}", cmp.render());
     if cmp.passed() {

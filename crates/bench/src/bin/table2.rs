@@ -12,9 +12,7 @@
 //! Environment: `XPLACE_SCALE` (default 0.004), `XPLACE_MAX_ITERS`
 //! (default 1500).
 
-use xplace_bench::{
-    fmt, max_iters_from_env, report_from_flow, run_flow, scale_from_env, write_reports, TextTable,
-};
+use xplace_bench::{fmt, max_iters_from_env, run_flow, scale_from_env, write_reports, TextTable};
 use xplace_core::XplaceConfig;
 use xplace_db::suites::ispd2005_like;
 use xplace_nn::{train, DataConfig, Fno, FnoConfig, FnoGuidance, TrainConfig};
@@ -79,9 +77,7 @@ fn main() {
         let xp = run_flow(entry, cfg_xp.clone(), None).expect("xplace flow");
         let guidance = FnoGuidance::new(fno.clone());
         let nn = run_flow(entry, cfg_nn.clone(), Some(Box::new(guidance))).expect("xplace-nn flow");
-        reports.push(report_from_flow(&cfg_base, &base));
-        reports.push(report_from_flow(&cfg_xp, &xp));
-        reports.push(report_from_flow(&cfg_nn, &nn));
+        reports.extend([base.report.clone(), xp.report.clone(), nn.report.clone()]);
 
         let cells = [
             base.hpwl(),

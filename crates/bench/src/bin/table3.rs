@@ -14,7 +14,7 @@
 //!
 //! Environment: `XPLACE_SCALE` (default 0.02), `XPLACE_ABLATION_ITERS`.
 
-use xplace_bench::{default_workers, fmt, parallel_map, scale_from_env, TextTable};
+use xplace_bench::{default_workers, fmt, scale_from_env, TextTable};
 use xplace_core::{GlobalPlacer, XplaceConfig};
 use xplace_db::suites::ispd2005_like;
 use xplace_db::synthesis::synthesize;
@@ -60,7 +60,8 @@ fn main() {
         jobs.len(),
         default_workers()
     );
-    let results = parallel_map(&jobs, default_workers(), |&(ri, di)| {
+    let results = xplace_parallel::global().run(jobs.len(), default_workers(), |j| {
+        let (ri, di) = jobs[j];
         run_config(&suite[di], rows[ri].1.clone(), iters)
     });
     let mut ms: Vec<Vec<f64>> = vec![vec![0.0; suite.len()]; rows.len()];

@@ -11,12 +11,10 @@
 //! (default 1500).
 
 use xplace_bench::{
-    default_workers, fmt, max_iters_from_env, parallel_map, report_from_flow, run_flow,
-    scale_from_env, write_reports, TextTable,
+    default_workers, fmt, max_iters_from_env, run_flow, scale_from_env, write_reports, TextTable,
 };
 use xplace_core::XplaceConfig;
 use xplace_db::suites::ispd2015_like;
-use xplace_route::{estimate_congestion, RouteConfig};
 
 fn main() {
     let scale = scale_from_env(0.004);
@@ -41,31 +39,21 @@ fn main() {
         suite.len(),
         default_workers()
     );
-    let per_design = parallel_map(&suite, default_workers(), |entry| {
+    let per_design = xplace_parallel::global().run(suite.len(), default_workers(), |i| {
+        let entry = &suite[i];
         let mut cfg_base = XplaceConfig::dreamplace_like();
         cfg_base.schedule.max_iterations = max_iters;
         let mut cfg_xp = XplaceConfig::xplace();
         cfg_xp.schedule.max_iterations = max_iters;
 
-        let base = run_flow(entry, cfg_base.clone(), None).expect("baseline flow");
-        let xp = run_flow(entry, cfg_xp.clone(), None).expect("xplace flow");
-        let route_cfg = RouteConfig::default();
-        let base_ovfl = estimate_congestion(&base.design, &route_cfg).top_overflow(0.05);
-        let xp_ovfl = estimate_congestion(&xp.design, &route_cfg).top_overflow(0.05);
-        let reports = vec![
-            report_from_flow(&cfg_base, &base),
-            report_from_flow(&cfg_xp, &xp),
-        ];
-        (base, base_ovfl, xp, xp_ovfl, reports)
+        let base = run_flow(entry, cfg_base, None).expect("baseline flow");
+        let xp = run_flow(entry, cfg_xp, None).expect("xplace flow");
+        (base, xp)
     });
 
-    let mut reports = Vec::new();
-    let per_design: Vec<_> = per_design
-        .into_iter()
-        .map(|(base, base_ovfl, xp, xp_ovfl, rs)| {
-            reports.extend(rs);
-            (base, base_ovfl, xp, xp_ovfl)
-        })
+    let reports: Vec<_> = per_design
+        .iter()
+        .flat_map(|(base, xp)| [base.report.clone(), xp.report.clone()])
         .collect();
     let reports_path = std::path::Path::new("results/table4_reports.json");
     match write_reports(reports_path, &reports) {
@@ -73,7 +61,11 @@ fn main() {
         Err(e) => eprintln!("warning: cannot write {}: {e}", reports_path.display()),
     }
 
-    for (entry, (base, base_ovfl, xp, xp_ovfl)) in suite.iter().zip(per_design) {
+    let top5 = |flow: &xplace_bench::FlowResult| {
+        flow.report.route.as_ref().map_or(0.0, |r| r.top5_overflow)
+    };
+    for (entry, (base, xp)) in suite.iter().zip(&per_design) {
+        let (base_ovfl, xp_ovfl) = (top5(base), top5(xp));
         let cells = [
             base.hpwl(),
             base_ovfl,

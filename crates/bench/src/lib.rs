@@ -15,10 +15,8 @@ pub mod spectral;
 use xplace_core::{GlobalPlacer, PlacementReport, XplaceConfig};
 use xplace_db::suites::SuiteEntry;
 use xplace_db::synthesis::synthesize;
-use xplace_db::{DbError, Design};
-use xplace_legal::{check_legality, detailed_place, legalize, DpConfig, DpReport, LegalizeReport};
-use xplace_route::{estimate_congestion, RouteConfig};
-use xplace_telemetry::{DpMetrics, LgMetrics, RouteMetrics, RunReport, ToJson};
+use xplace_db::Design;
+use xplace_telemetry::{RunReport, ToJson};
 
 /// Result of one complete placement flow on one design.
 #[derive(Debug)]
@@ -27,16 +25,15 @@ pub struct FlowResult {
     pub design: Design,
     /// Global-placement report.
     pub gp: PlacementReport,
-    /// Legalization report.
-    pub lg: LegalizeReport,
-    /// Detailed-placement report.
-    pub dp: DpReport,
+    /// The run summary built by [`xplace_sched::finish_flow`] (LG, DP
+    /// and routability sections filled).
+    pub report: RunReport,
 }
 
 impl FlowResult {
     /// Final (post-DP) HPWL.
     pub fn hpwl(&self) -> f64 {
-        self.dp.final_hpwl
+        self.report.final_hpwl()
     }
 
     /// Modeled GP seconds (the paper's GP/s column).
@@ -46,13 +43,15 @@ impl FlowResult {
 
     /// LG + DP wall-clock seconds (the paper's DP/s column).
     pub fn dp_seconds(&self) -> f64 {
-        self.lg.wall_seconds + self.dp.wall_seconds
+        let lg = self.report.lg.as_ref().map_or(0.0, |lg| lg.wall_seconds);
+        let dp = self.report.dp.as_ref().map_or(0.0, |dp| dp.wall_seconds);
+        lg + dp
     }
 }
 
-/// Runs the full flow (synthesize -> GP -> legalize -> DP -> legality
-/// check) for one suite entry under one placer configuration, optionally
-/// with a neural guidance.
+/// Runs the full flow (synthesize -> GP -> [`xplace_sched::finish_flow`])
+/// for one suite entry under one placer configuration, optionally with a
+/// neural guidance.
 ///
 /// # Errors
 ///
@@ -64,52 +63,13 @@ pub fn run_flow(
     guidance: Option<Box<dyn xplace_core::DensityGuidance>>,
 ) -> Result<FlowResult, Box<dyn std::error::Error>> {
     let mut design = synthesize(&entry.spec)?;
-    let mut placer = GlobalPlacer::new(config);
+    let mut placer = GlobalPlacer::new(config.clone());
     if let Some(g) = guidance {
         placer = placer.with_guidance(g);
     }
     let gp = placer.place(&mut design)?;
-    let lg = legalize(&mut design)?;
-    let dp = detailed_place(&mut design, &DpConfig::default());
-    check_legality(&design)?;
-    Ok(FlowResult { design, gp, lg, dp })
-}
-
-/// Builds the machine-readable [`RunReport`] for one completed flow
-/// (routability estimated on the final placement with default settings).
-pub fn report_from_flow(config: &XplaceConfig, flow: &FlowResult) -> RunReport {
-    let congestion = estimate_congestion(&flow.design, &RouteConfig::default());
-    RunReport {
-        design: flow.design.name().to_string(),
-        cells: flow.design.netlist().num_cells(),
-        nets: flow.design.netlist().num_nets(),
-        config: config.echo(),
-        threads: config.threads,
-        gp: flow.gp.gp_metrics(),
-        lg: Some(LgMetrics {
-            initial_hpwl: flow.lg.initial_hpwl,
-            final_hpwl: flow.lg.final_hpwl,
-            mean_displacement: flow.lg.mean_displacement,
-            max_displacement: flow.lg.max_displacement,
-            wall_seconds: flow.lg.wall_seconds,
-        }),
-        dp: Some(DpMetrics {
-            initial_hpwl: flow.dp.initial_hpwl,
-            final_hpwl: flow.dp.final_hpwl,
-            slides: flow.dp.slides,
-            reorders: flow.dp.reorders,
-            swaps: flow.dp.swaps,
-            wall_seconds: flow.dp.wall_seconds,
-        }),
-        route: Some(RouteMetrics {
-            top5_overflow: congestion.top_overflow(0.05),
-            max_utilization: congestion.max_utilization(),
-        }),
-        spectral: None,
-        scaling: None,
-        explore: None,
-        trace_error: None,
-    }
+    let report = xplace_sched::finish_flow(&mut design, &config, &gp)?;
+    Ok(FlowResult { design, gp, report })
 }
 
 /// Writes a slice of [`RunReport`]s as one JSON array, creating parent
@@ -176,44 +136,6 @@ pub fn max_iters_from_env(default: usize) -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|v: &usize| *v > 0)
         .unwrap_or(default)
-}
-
-/// Runs `f` over `items` on up to `workers` threads, returning results in
-/// input order. Each item's work is independent (one design / one
-/// configuration), so parallelism changes nothing but wall-clock time.
-pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                tx.send((i, r)).expect("result channel open");
-            });
-        }
-        drop(tx);
-    });
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for (i, r) in rx.iter() {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item produced a result"))
-        .collect()
 }
 
 /// The default worker count: the machine's parallelism, capped at 8.
@@ -293,21 +215,6 @@ pub fn fmt(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
 }
 
-/// Synthesizes a design for quick experiments, panicking with context on
-/// failure (binaries only).
-pub fn must_synthesize(entry: &SuiteEntry) -> Design {
-    match synthesize(&entry.spec) {
-        Ok(d) => d,
-        Err(e) => panic!("failed to synthesize {}: {e}", entry.name()),
-    }
-}
-
-/// A uniform error wrapper for the binaries.
-pub fn die(e: DbError) -> ! {
-    eprintln!("error: {e}");
-    std::process::exit(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,22 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<usize> = (0..37).collect();
-        let doubled = parallel_map(&items, 4, |&i| i * 2);
-        assert_eq!(doubled, items.iter().map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_edge_worker_counts() {
-        let items = vec![1, 2, 3];
-        assert_eq!(parallel_map(&items, 0, |&i| i + 1), vec![2, 3, 4]);
-        assert_eq!(parallel_map(&items, 100, |&i| i + 1), vec![2, 3, 4]);
-        let empty: Vec<i32> = vec![];
-        assert!(parallel_map(&empty, 4, |&i| i).is_empty());
-    }
-
-    #[test]
     fn default_workers_is_positive() {
         assert!(default_workers() >= 1);
     }
@@ -373,6 +264,7 @@ mod tests {
         assert!(flow.hpwl() > 0.0);
         assert!(flow.gp_seconds() > 0.0);
         assert!(flow.dp_seconds() >= 0.0);
-        assert!(flow.dp.final_hpwl <= flow.lg.final_hpwl + 1e-9);
+        let (lg, dp) = (flow.report.lg.unwrap(), flow.report.dp.unwrap());
+        assert!(dp.final_hpwl <= lg.final_hpwl + 1e-9);
     }
 }

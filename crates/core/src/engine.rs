@@ -11,7 +11,6 @@ use xplace_ops::{
     wirelength::{self, WaWorkspace},
     PlacementModel,
 };
-use xplace_parallel::WorkerPool;
 
 /// Scalar results of one gradient evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,10 +62,6 @@ pub struct GradientEngine {
     /// CPU launch width for the heavy kernel bodies (pool-scheduled;
     /// results are width-invariant).
     threads: usize,
-    /// Pool the kernel bodies launch on (the process-global pool by
-    /// default; batch schedulers inject their own handle so concurrent
-    /// placements do not contend for the same workers).
-    pool: &'static WorkerPool,
     /// Reusable per-block scratch for the fused wirelength kernel.
     wa_workspace: WaWorkspace,
 }
@@ -140,7 +135,6 @@ impl GradientEngine {
             last_r: 0.0,
             guidance: None,
             threads: 1,
-            pool: xplace_parallel::global(),
             wa_workspace: WaWorkspace::new(),
         })
     }
@@ -152,15 +146,6 @@ impl GradientEngine {
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
         self.density.set_threads(self.threads);
-    }
-
-    /// Redirects the heavy kernel bodies (fused wirelength, density
-    /// accumulation, spectral solve) onto `pool` instead of the
-    /// process-global pool. The blocked decompositions are fixed by the
-    /// design, so results are bit-identical regardless of the pool.
-    pub fn set_pool(&mut self, pool: &'static WorkerPool) {
-        self.pool = pool;
-        self.density.set_pool(pool);
     }
 
     /// Installs a neural density guidance (the Xplace-NN extension).
@@ -284,7 +269,7 @@ impl GradientEngine {
                 &mut self.grad_x,
                 &mut self.grad_y,
                 self.threads,
-                self.pool,
+                xplace_parallel::global(),
                 &mut self.wa_workspace,
             );
             (out.wa, out.hpwl)

@@ -102,7 +102,6 @@ fn accumulate_profile(into: &mut ProfileSnapshot, other: ProfileSnapshot) {
 pub struct GlobalPlacer {
     config: XplaceConfig,
     guidance: Option<Box<dyn DensityGuidance>>,
-    pool: Option<&'static xplace_parallel::WorkerPool>,
 }
 
 impl GlobalPlacer {
@@ -111,18 +110,7 @@ impl GlobalPlacer {
         GlobalPlacer {
             config,
             guidance: None,
-            pool: None,
         }
-    }
-
-    /// Routes the heavy kernel bodies onto an injected worker pool instead
-    /// of the process-global one. Batch schedulers use this so concurrent
-    /// placements keep their launches on the scheduler's own pool; results
-    /// are bit-identical for any pool (the work decomposition is fixed by
-    /// the design).
-    pub fn with_pool(mut self, pool: &'static xplace_parallel::WorkerPool) -> Self {
-        self.pool = Some(pool);
-        self
     }
 
     /// Installs a neural density guidance (the Xplace-NN extension of
@@ -256,11 +244,7 @@ impl GlobalPlacer {
             cfg.schedule.stop_overflow = ml
                 .coarse_stop_overflow
                 .max(self.config.schedule.stop_overflow);
-            let mut placer = GlobalPlacer::new(cfg);
-            if let Some(pool) = self.pool {
-                placer = placer.with_pool(pool);
-            }
-            let report = placer.place_flat(
+            let report = GlobalPlacer::new(cfg).place_flat(
                 &mut levels[li].design,
                 &mut NullSink,
                 CheckpointOptions::none(),
@@ -357,9 +341,6 @@ impl GlobalPlacer {
 
         let mut engine = GradientEngine::new(self.config.framework, self.config.operators, &model)?;
         engine.set_threads(self.config.threads);
-        if let Some(pool) = self.pool {
-            engine.set_pool(pool);
-        }
         if let Some(g) = self.guidance.take() {
             engine.set_guidance(g);
         }
@@ -953,27 +934,6 @@ mod tests {
             msg.contains("injected failure at GP iteration 5"),
             "unexpected panic message: {msg}"
         );
-    }
-
-    #[test]
-    fn injected_pool_reproduces_global_pool_results_bitwise() {
-        static POOL: std::sync::OnceLock<xplace_parallel::WorkerPool> = std::sync::OnceLock::new();
-        let pool = POOL.get_or_init(|| xplace_parallel::WorkerPool::new(3));
-        let run = |pool: Option<&'static xplace_parallel::WorkerPool>| {
-            let mut design = small_design(33);
-            let mut cfg = XplaceConfig::xplace().with_threads(3);
-            cfg.schedule.max_iterations = 80;
-            let mut placer = GlobalPlacer::new(cfg);
-            if let Some(p) = pool {
-                placer = placer.with_pool(p);
-            }
-            let report = placer.place(&mut design).unwrap();
-            (report.final_hpwl, report.final_overflow)
-        };
-        let (h1, o1) = run(None);
-        let (h2, o2) = run(Some(pool));
-        assert_eq!(h1.to_bits(), h2.to_bits());
-        assert_eq!(o1.to_bits(), o2.to_bits());
     }
 
     fn multilevel_cfg(max_final_iters: usize) -> XplaceConfig {

@@ -24,7 +24,6 @@
 //! `idxst` kernel family; here the transforms come from [`DctPlan`].
 
 use crate::{DctPlan, FftError, Grid2};
-use xplace_parallel::WorkerPool;
 
 /// The potential and electric-field maps produced by one density solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,9 +97,6 @@ pub struct ElectrostaticSolver {
     sbuf_ey: Vec<f64>,
     /// Launch width for the row/column transform batches (>= 1).
     threads: usize,
-    /// Pool the transform batches launch on (the process-global pool by
-    /// default; batch schedulers inject their own handle).
-    pool: &'static WorkerPool,
     /// One transform context per potential worker; `ctxs[0]` also serves the
     /// serial path.
     ctxs: Vec<SolverCtx>,
@@ -133,7 +129,6 @@ fn split3(buf: &mut [f64], len: usize) -> (&mut [f64], &mut [f64], &mut [f64]) {
 /// split; `width <= 1` (or a single row) short-circuits to a plain serial
 /// loop with no pool involvement.
 fn par_rows<F>(
-    pool: &WorkerPool,
     ctxs: &mut [SolverCtx],
     width: usize,
     dst: &mut [f64],
@@ -160,7 +155,7 @@ where
         .enumerate()
         .map(|(i, (ctx, chunk))| (i * chunk_rows, ctx, chunk))
         .collect();
-    let results = pool.run_mut(&mut states, tasks, |_, state| {
+    let results = xplace_parallel::global().run_mut(&mut states, tasks, |_, state| {
         let (row0, ctx, chunk) = state;
         for (offset, out) in chunk.chunks_mut(row_len).enumerate() {
             op(ctx, *row0 + offset, out)?;
@@ -180,7 +175,6 @@ where
 /// `rows` and `width`, never by completion order — so the result is
 /// bit-identical for any thread count.
 fn par_rows3<F>(
-    pool: &WorkerPool,
     ctxs: &mut [SolverCtx],
     width: usize,
     d0: &mut [f64],
@@ -225,7 +219,7 @@ where
         .enumerate()
         .map(|(i, (((ctx, c0), c1), c2))| (i * chunk_rows, ctx, c0, c1, c2))
         .collect();
-    let results = pool.run_mut(&mut states, tasks, |_, state| {
+    let results = xplace_parallel::global().run_mut(&mut states, tasks, |_, state| {
         let (row0, ctx, c0, c1, c2) = state;
         for (offset, ((o0, o1), o2)) in c0
             .chunks_mut(row_len)
@@ -271,7 +265,6 @@ impl ElectrostaticSolver {
             sbuf_ex: vec![0.0; nx * ny],
             sbuf_ey: vec![0.0; nx * ny],
             threads: 1,
-            pool: xplace_parallel::global(),
             ctxs: vec![ctx],
         })
     }
@@ -299,16 +292,6 @@ impl ElectrostaticSolver {
     /// Current launch width for the transform batches.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Redirects the transform batches onto `pool` (the process-global pool
-    /// is used until this is called).
-    ///
-    /// Per-row transforms are arithmetic-independent and the task-to-row
-    /// mapping is fixed, so the solution is bit-identical regardless of
-    /// which pool executes the batches.
-    pub fn set_pool(&mut self, pool: &'static WorkerPool) {
-        self.pool = pool;
     }
 
     /// Solves the electrostatic system, allocating a fresh [`FieldSolution`].
@@ -376,7 +359,6 @@ impl ElectrostaticSolver {
         let (nx, ny) = (self.nx, self.ny);
         // Transform along y (contiguous grid rows) into `ybuf` (ix, v).
         par_rows(
-            self.pool,
             &mut self.ctxs,
             self.threads,
             &mut self.ybuf,
@@ -388,7 +370,6 @@ impl ElectrostaticSolver {
         let norm = 4.0 / (nx as f64 * ny as f64);
         let ybuf = &self.ybuf;
         par_rows(
-            self.pool,
             &mut self.ctxs,
             self.threads,
             &mut self.coeffs,
@@ -428,7 +409,6 @@ impl ElectrostaticSolver {
         let (nx, ny) = (self.nx, self.ny);
         let (coeffs, wx, wy) = (&self.coeffs, &self.wx, &self.wy);
         par_rows3(
-            self.pool,
             &mut self.ctxs,
             self.threads,
             &mut self.sbuf_pot,
@@ -470,7 +450,6 @@ impl ElectrostaticSolver {
         )?;
         let (sb_pot, sb_ex, sb_ey) = (&self.sbuf_pot, &self.sbuf_ex, &self.sbuf_ey);
         par_rows3(
-            self.pool,
             &mut self.ctxs,
             self.threads,
             out.potential.as_mut_slice(),

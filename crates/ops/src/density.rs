@@ -16,7 +16,6 @@
 use crate::{OpsError, PlacementModel};
 use xplace_device::{Device, KernelInfo};
 use xplace_fft::{ElectrostaticSolver, FieldSolution, Grid2};
-use xplace_parallel::WorkerPool;
 
 const SQRT2: f64 = std::f64::consts::SQRT_2;
 
@@ -107,9 +106,6 @@ pub struct DensityOp {
     /// spectral solve (1 = serial; results are identical for every count
     /// because the work decomposition is thread-count independent).
     threads: usize,
-    /// Pool the accumulation blocks launch on (the process-global pool by
-    /// default; batch schedulers inject their own handle).
-    pool: &'static WorkerPool,
     /// Node-block size of the blocked decomposition (normally
     /// [`NODE_BLOCK`]; overridable for tests/benches).
     node_block: usize,
@@ -141,7 +137,6 @@ impl DensityOp {
             nx,
             ny,
             threads: 1,
-            pool: xplace_parallel::global(),
             node_block: NODE_BLOCK,
         })
     }
@@ -153,15 +148,6 @@ impl DensityOp {
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
         self.solver.set_threads(self.threads);
-    }
-
-    /// Redirects the accumulation blocks and the spectral solve onto `pool`
-    /// (the process-global pool is used until this is called). The block
-    /// decomposition is fixed by the model, so results are bit-identical
-    /// regardless of which pool executes it.
-    pub fn set_pool(&mut self, pool: &'static WorkerPool) {
-        self.pool = pool;
-        self.solver.set_pool(pool);
     }
 
     /// Overrides the node-block size of the blocked decomposition (clamped
@@ -265,7 +251,7 @@ impl DensityOp {
                 })
                 .collect();
             let blocks = &blocks;
-            let partials = self.pool.run(blocks.len(), self.threads, |b| {
+            let partials = xplace_parallel::global().run(blocks.len(), self.threads, |b| {
                 let mut local = Grid2::new(nx, ny);
                 for i in blocks[b].clone() {
                     accumulate_node(

@@ -42,8 +42,11 @@ pub use population::{run_population, PopulationOptions, PopulationOutcome};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use xplace_core::{Checkpoint, CheckpointOptions, GlobalPlacer, MemoryCheckpointStore};
-use xplace_db::DesignCache;
+use xplace_core::{
+    Checkpoint, CheckpointOptions, GlobalPlacer, MemoryCheckpointStore, PlacementReport,
+    XplaceConfig,
+};
+use xplace_db::{Design, DesignCache};
 use xplace_fault::{FaultPlan, GpFault};
 use xplace_legal::{check_legality, detailed_place, legalize, DpConfig};
 use xplace_route::{estimate_congestion, RouteConfig};
@@ -98,8 +101,60 @@ pub struct BatchOutcome {
     pub cache_stats: (usize, usize),
 }
 
-/// Runs one job of a manifest: load (through `cache`) → GP → LG → DP →
-/// legality check → congestion estimate.
+/// The back half every placement flow shares: legalize → detailed place →
+/// legality check → congestion estimate on the globally placed `design`,
+/// assembled with `gp` into the run's [`RunReport`] (`config` supplies
+/// the echo and thread count). `xplace place`, batch jobs, the
+/// exploration winner and the bench harness all finish through here.
+///
+/// # Errors
+///
+/// Returns the legalization or legality-check failure, prefixed with its
+/// stage.
+pub fn finish_flow(
+    design: &mut Design,
+    config: &XplaceConfig,
+    gp: &PlacementReport,
+) -> Result<RunReport, String> {
+    let lg = legalize(design).map_err(|e| format!("legalization: {e}"))?;
+    let dp = detailed_place(design, &DpConfig::default());
+    check_legality(design).map_err(|e| format!("legality check: {e}"))?;
+    let congestion = estimate_congestion(design, &RouteConfig::default());
+    Ok(RunReport {
+        design: design.name().to_string(),
+        cells: design.netlist().num_cells(),
+        nets: design.netlist().num_nets(),
+        config: config.echo(),
+        threads: config.threads,
+        gp: gp.gp_metrics(),
+        lg: Some(LgMetrics {
+            initial_hpwl: lg.initial_hpwl,
+            final_hpwl: lg.final_hpwl,
+            mean_displacement: lg.mean_displacement,
+            max_displacement: lg.max_displacement,
+            wall_seconds: lg.wall_seconds,
+        }),
+        dp: Some(DpMetrics {
+            initial_hpwl: dp.initial_hpwl,
+            final_hpwl: dp.final_hpwl,
+            slides: dp.slides,
+            reorders: dp.reorders,
+            swaps: dp.swaps,
+            wall_seconds: dp.wall_seconds,
+        }),
+        route: Some(RouteMetrics {
+            top5_overflow: congestion.top_overflow(0.05),
+            max_utilization: congestion.max_utilization(),
+        }),
+        spectral: None,
+        scaling: None,
+        explore: None,
+        trace_error: None,
+    })
+}
+
+/// Runs one job of a manifest: load (through `cache`) → GP →
+/// [`finish_flow`].
 ///
 /// `threads` is the kernel launch width; it never changes metrics, only
 /// wall-clock time. When the job runs on a pool worker (a concurrent
@@ -114,36 +169,18 @@ pub struct BatchOutcome {
 /// *not* caught here — [`run_batch`] fences them per job.
 pub fn run_job(job: &JobSpec, threads: usize, cache: &DesignCache) -> Result<JobOutcome, String> {
     let mut sink = VecSink::new();
-    let report = run_job_with_sink(job, threads, cache, &mut sink)?;
+    let report = run_job_attempt(
+        job,
+        threads,
+        cache,
+        &mut sink,
+        GpFault::NONE,
+        CheckpointOptions::none(),
+    )?;
     Ok(JobOutcome {
         report,
         trace: sink.to_jsonl(),
     })
-}
-
-/// Like [`run_job`], but the caller supplies the telemetry sink — the
-/// streaming entry point. With a
-/// [`CallbackSink`](xplace_telemetry::CallbackSink) the job's trace
-/// lines leave the process while GP iterates instead of buffering until
-/// the job ends; with a [`VecSink`] this is exactly [`run_job`].
-///
-/// # Errors
-///
-/// Same contract as [`run_job`].
-pub fn run_job_with_sink(
-    job: &JobSpec,
-    threads: usize,
-    cache: &DesignCache,
-    sink: &mut dyn TelemetrySink,
-) -> Result<RunReport, String> {
-    run_job_attempt(
-        job,
-        threads,
-        cache,
-        sink,
-        GpFault::NONE,
-        CheckpointOptions::none(),
-    )
 }
 
 /// One attempt of a job under the scheduler's fault machinery: `fault`
@@ -174,42 +211,7 @@ fn run_job_attempt(
     let gp = GlobalPlacer::new(config.clone())
         .place_traced_opts(&mut design, sink, ckpt)
         .map_err(|e| format!("global placement: {e}"))?;
-    let lg = legalize(&mut design).map_err(|e| format!("legalization: {e}"))?;
-    let dp = detailed_place(&mut design, &DpConfig::default());
-    check_legality(&design).map_err(|e| format!("legality check: {e}"))?;
-    let congestion = estimate_congestion(&design, &RouteConfig::default());
-    let report = RunReport {
-        design: design.name().to_string(),
-        cells: design.netlist().num_cells(),
-        nets: design.netlist().num_nets(),
-        config: config.echo(),
-        threads: config.threads,
-        gp: gp.gp_metrics(),
-        lg: Some(LgMetrics {
-            initial_hpwl: lg.initial_hpwl,
-            final_hpwl: lg.final_hpwl,
-            mean_displacement: lg.mean_displacement,
-            max_displacement: lg.max_displacement,
-            wall_seconds: lg.wall_seconds,
-        }),
-        dp: Some(DpMetrics {
-            initial_hpwl: dp.initial_hpwl,
-            final_hpwl: dp.final_hpwl,
-            slides: dp.slides,
-            reorders: dp.reorders,
-            swaps: dp.swaps,
-            wall_seconds: dp.wall_seconds,
-        }),
-        route: Some(RouteMetrics {
-            top5_overflow: congestion.top_overflow(0.05),
-            max_utilization: congestion.max_utilization(),
-        }),
-        spectral: None,
-        scaling: None,
-        explore: None,
-        trace_error: None,
-    };
-    Ok(report)
+    finish_flow(&mut design, &config, &gp)
 }
 
 /// One incremental progress notification of a running batch, delivered
@@ -347,20 +349,12 @@ pub fn run_batch(manifest: &BatchManifest, threads: usize) -> BatchOutcome {
     run_batch_session(manifest, &BatchSession::new(threads, &cache))
 }
 
-/// [`run_batch`] against a caller-owned cache: consecutive batches share
-/// design loads, which is how a serving daemon keeps caches warm across
-/// requests. The returned [`BatchOutcome::cache_stats`] are the cache's
-/// *cumulative* counters, not this batch's delta.
-pub fn run_batch_with_cache(
-    manifest: &BatchManifest,
-    threads: usize,
-    cache: &DesignCache,
-) -> BatchOutcome {
-    run_batch_session(manifest, &BatchSession::new(threads, cache))
-}
-
 /// The full-control batch entry point: runs `manifest` under `session`
 /// (shared cache, optional cancellation, optional streaming observer).
+/// Consecutive sessions over one cache share design loads, which is how
+/// a serving daemon keeps caches warm across requests; the returned
+/// [`BatchOutcome::cache_stats`] are the cache's *cumulative* counters,
+/// not this batch's delta.
 ///
 /// Per job, the observer sees every trace line as it is emitted and one
 /// terminal [`BatchEvent::JobDone`]; the returned [`BatchOutcome`] is
@@ -873,10 +867,10 @@ mod tests {
                 "max_iters": 60, "seed": 2}"#,
         );
         let cache = DesignCache::new();
-        let first = run_batch_with_cache(&m, 2, &cache);
+        let first = run_batch_session(&m, &BatchSession::new(2, &cache));
         assert!(first.report.all_completed());
         assert_eq!(first.cache_stats, (1, 1), "cold batch: one miss, one hit");
-        let second = run_batch_with_cache(&m, 2, &cache);
+        let second = run_batch_session(&m, &BatchSession::new(2, &cache));
         assert!(second.report.all_completed());
         assert_eq!(
             second.cache_stats,

@@ -52,9 +52,7 @@ mod sink;
 pub use batch::{compare_batch_reports, BatchReport, JobRecord, JobStatus};
 pub use event::{stage_of, ConfigEcho, IterationRecord, ProfileDelta, Stage, TelemetryEvent};
 pub use recorder::Recorder;
-pub use regression::{
-    compare_explore, compare_reports, compare_scaling, compare_spectral, Comparison, Tolerances,
-};
+pub use regression::{compare_reports, Comparison, GatedSection, Tolerances};
 pub use report::{
     DpMetrics, ExploreGeneration, ExploreMember, ExploreMetrics, GpMetrics, LgMetrics,
     RouteMetrics, RunReport, ScalingMetrics, ScalingPoint, SpectralGrid, SpectralMetrics,

@@ -6,6 +6,7 @@
 //! wall-clock times are machine-dependent, and those merely warn.
 
 use crate::{ExploreMetrics, RunReport, ScalingMetrics, SpectralMetrics};
+use xplace_testkit::json::FromJson;
 
 /// Relative tolerances, in percent, for the gated quantities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,6 +75,53 @@ fn pct_change(baseline: f64, current: f64) -> f64 {
         }
     } else {
         (current - baseline) / baseline * 100.0
+    }
+}
+
+/// A report section the regression gate compares as a unit. Spectral,
+/// scaling and explore sections implement it: [`compare_reports`] gates
+/// every impl the same way, and `check_regression` accepts each one as a
+/// bare file (the bench binaries' output) or as a section of a run report.
+pub trait GatedSection: Sized + FromJson {
+    /// The section's key in a [`RunReport`] (and its `--inject` name).
+    const KEY: &'static str;
+    /// A top-level key that marks a bare file of this section.
+    const MARKER: &'static str;
+    /// How comparison messages name the section.
+    const LABEL: &'static str;
+
+    /// The section `report` recorded, if any.
+    fn of(report: &RunReport) -> Option<&Self>;
+
+    /// The section slot of `report`.
+    fn of_mut(report: &mut RunReport) -> &mut Option<Self>;
+
+    /// Compares two sections into `cmp`.
+    fn compare(baseline: &Self, current: &Self, tol: &Tolerances, cmp: &mut Comparison);
+
+    /// Self-test hook: fakes a regression of the section's gated metric
+    /// by `factor`, so CI can prove the gate fails when it should.
+    fn inject(&mut self, factor: f64);
+}
+
+/// Gates section `S` of two run reports: compared when both carry it, a
+/// failure when the current run lost it, a note when it is new.
+fn compare_section<S: GatedSection>(
+    baseline: &RunReport,
+    current: &RunReport,
+    tol: &Tolerances,
+    cmp: &mut Comparison,
+) {
+    match (S::of(baseline), S::of(current)) {
+        (Some(base), Some(cur)) => S::compare(base, cur, tol, cmp),
+        (Some(_), None) => cmp.failures.push(format!(
+            "{} missing from current report (baseline has one) — coverage was lost",
+            S::LABEL
+        )),
+        (None, Some(_)) => cmp
+            .notes
+            .push(format!("{} added (baseline has none)", S::LABEL)),
+        (None, None) => {}
     }
 }
 
@@ -166,47 +214,10 @@ pub fn compare_reports(baseline: &RunReport, current: &RunReport, tol: &Toleranc
         ));
     }
 
-    // --- Spectral microbench (when the baseline recorded one). ---
-    match (&baseline.spectral, &current.spectral) {
-        (Some(base), Some(cur)) => compare_spectral(base, cur, tol, &mut cmp),
-        (Some(_), None) => cmp.failures.push(
-            "spectral microbench missing from current report (baseline has one) — \
-             coverage was lost"
-                .into(),
-        ),
-        (None, Some(_)) => cmp
-            .notes
-            .push("spectral microbench added (baseline has none)".into()),
-        (None, None) => {}
-    }
-
-    // --- Scaling bench (when the baseline recorded one). ---
-    match (&baseline.scaling, &current.scaling) {
-        (Some(base), Some(cur)) => compare_scaling(base, cur, tol, &mut cmp),
-        (Some(_), None) => cmp.failures.push(
-            "scaling bench missing from current report (baseline has one) — \
-             coverage was lost"
-                .into(),
-        ),
-        (None, Some(_)) => cmp
-            .notes
-            .push("scaling bench added (baseline has none)".into()),
-        (None, None) => {}
-    }
-
-    // --- Exploration (when the baseline recorded one). ---
-    match (&baseline.explore, &current.explore) {
-        (Some(base), Some(cur)) => compare_explore(base, cur, tol, &mut cmp),
-        (Some(_), None) => cmp.failures.push(
-            "exploration section missing from current report (baseline has one) — \
-             coverage was lost"
-                .into(),
-        ),
-        (None, Some(_)) => cmp
-            .notes
-            .push("exploration section added (baseline has none)".into()),
-        (None, None) => {}
-    }
+    // --- Gated sections (each compared when the baseline recorded it). ---
+    compare_section::<SpectralMetrics>(baseline, current, tol, &mut cmp);
+    compare_section::<ScalingMetrics>(baseline, current, tol, &mut cmp);
+    compare_section::<ExploreMetrics>(baseline, current, tol, &mut cmp);
 
     if cmp.passed() {
         cmp.notes.push(format!(
@@ -219,251 +230,297 @@ pub fn compare_reports(baseline: &RunReport, current: &RunReport, tol: &Toleranc
     cmp
 }
 
-/// Compares two spectral-microbench sections into `cmp`.
-///
-/// The grid set must match exactly (dropping a grid silently would hide a
-/// regression). Per grid, `modeled_ns` is deterministic cost-model output
-/// and hard-gates at `tol.modeled_time_pct`; `solve_wall_ns` is
-/// machine-dependent and warns at `tol.wall_warn_pct`; the real-vs-complex
-/// wall numbers are purely informational and never gate.
-pub fn compare_spectral(
-    baseline: &SpectralMetrics,
-    current: &SpectralMetrics,
-    tol: &Tolerances,
-    cmp: &mut Comparison,
-) {
-    let base_grids: Vec<usize> = baseline.grids.iter().map(|g| g.n).collect();
-    let cur_grids: Vec<usize> = current.grids.iter().map(|g| g.n).collect();
-    if base_grids != cur_grids {
-        cmp.failures.push(format!(
-            "spectral grid set changed: baseline {base_grids:?} vs current {cur_grids:?} \
-             (re-record the baseline if intentional)"
-        ));
-        return;
-    }
-    for (base, cur) in baseline.grids.iter().zip(&current.grids) {
-        let modeled = pct_change(base.modeled_ns as f64, cur.modeled_ns as f64);
-        if modeled > tol.modeled_time_pct {
-            cmp.failures.push(format!(
-                "spectral {n}x{n} modeled transform time regressed {modeled:+.2}% \
-                 ({} -> {} ns/iter), tolerance {}%",
-                base.modeled_ns,
-                cur.modeled_ns,
-                tol.modeled_time_pct,
-                n = base.n
-            ));
-        } else if modeled < -0.01 {
-            cmp.notes.push(format!(
-                "spectral {n}x{n} modeled transform time improved {modeled:+.2}% \
-                 ({} -> {} ns/iter)",
-                base.modeled_ns,
-                cur.modeled_ns,
-                n = base.n
-            ));
-        }
-        let wall = pct_change(base.solve_wall_ns as f64, cur.solve_wall_ns as f64);
-        if wall > tol.wall_warn_pct {
-            cmp.warnings.push(format!(
-                "spectral {n}x{n} solve wall {wall:+.1}% ({} -> {} ns) — \
-                 machine-dependent, not gated",
-                base.solve_wall_ns,
-                cur.solve_wall_ns,
-                n = base.n
-            ));
-        }
-        if cur.complex_wall_ns > 0 {
-            cmp.notes.push(format!(
-                "spectral {n}x{n} real path {:.2}x vs complex reference \
-                 ({} vs {} ns, informational)",
-                cur.complex_wall_ns as f64 / (cur.real_wall_ns.max(1)) as f64,
-                cur.real_wall_ns,
-                cur.complex_wall_ns,
-                n = base.n
-            ));
-        }
-    }
-}
+impl GatedSection for SpectralMetrics {
+    const KEY: &'static str = "spectral";
+    const MARKER: &'static str = "grids";
+    const LABEL: &'static str = "spectral microbench";
 
-/// Compares two scaling-bench sections into `cmp`.
-///
-/// The point set — identified by (cells, topology, multilevel) — must
-/// match exactly in order (dropping a size silently would hide a
-/// regression). Per point, the iteration count must match exactly (the
-/// flow is deterministic) and the per-cell modeled cost hard-gates at
-/// `tol.modeled_time_pct`; wall-clock drift warns at `tol.wall_warn_pct`.
-/// Additionally, whenever the current report carries a flat point, every
-/// multilevel point's per-cell cost must stay at or below the *smallest*
-/// flat point's (the anchor) beyond tolerance — small grids are
-/// launch-latency-bound, so per-cell cost can only be amortized by
-/// growing the design; the multilevel phase exists to keep that
-/// amortization alive at the 100k–1M scale, and this pins the claim into
-/// the gate.
-pub fn compare_scaling(
-    baseline: &ScalingMetrics,
-    current: &ScalingMetrics,
-    tol: &Tolerances,
-    cmp: &mut Comparison,
-) {
-    let base_keys: Vec<_> = baseline.points.iter().map(|p| p.key()).collect();
-    let cur_keys: Vec<_> = current.points.iter().map(|p| p.key()).collect();
-    if base_keys != cur_keys {
-        cmp.failures.push(format!(
-            "scaling point set changed: baseline {base_keys:?} vs current {cur_keys:?} \
-             (re-record the baseline if intentional)"
-        ));
-        return;
+    fn of(report: &RunReport) -> Option<&Self> {
+        report.spectral.as_ref()
     }
-    for (base, cur) in baseline.points.iter().zip(&current.points) {
-        let label = format!(
-            "scaling {}c/{}{}",
-            base.cells,
-            base.topology,
-            if base.multilevel { "/multilevel" } else { "" }
-        );
-        if base.iterations != cur.iterations {
-            cmp.failures.push(format!(
-                "{label} iteration count changed: {} -> {} (the flow is deterministic; \
-                 re-record the baseline if this is intentional)",
-                base.iterations, cur.iterations
-            ));
-            continue;
-        }
-        let per_cell = pct_change(base.ns_per_cell_iter(), cur.ns_per_cell_iter());
-        if per_cell > tol.modeled_time_pct {
-            cmp.failures.push(format!(
-                "{label} per-cell modeled cost regressed {per_cell:+.2}% \
-                 ({:.3} -> {:.3} ns/cell/iter), tolerance {}%",
-                base.ns_per_cell_iter(),
-                cur.ns_per_cell_iter(),
-                tol.modeled_time_pct
-            ));
-        } else if per_cell < -0.01 {
-            cmp.notes.push(format!(
-                "{label} per-cell modeled cost improved {per_cell:+.2}% \
-                 ({:.3} -> {:.3} ns/cell/iter)",
-                base.ns_per_cell_iter(),
-                cur.ns_per_cell_iter()
-            ));
-        }
-        let wall = pct_change(base.wall_seconds, cur.wall_seconds);
-        if wall > tol.wall_warn_pct {
-            cmp.warnings.push(format!(
-                "{label} wall time {wall:+.1}% ({:.2}s -> {:.2}s) — \
-                 machine-dependent, not gated",
-                base.wall_seconds, cur.wall_seconds
-            ));
-        }
+
+    fn of_mut(report: &mut RunReport) -> &mut Option<Self> {
+        &mut report.spectral
     }
-    // The multilevel-vs-flat-anchor invariant, checked on the current
-    // report: per-cell cost at scale must not exceed the flat baseline.
-    let anchor = current
-        .points
-        .iter()
-        .filter(|p| !p.multilevel)
-        .min_by_key(|p| p.cells);
-    if let Some(anchor) = anchor {
-        for ml in current.points.iter().filter(|p| p.multilevel) {
-            let delta = pct_change(anchor.ns_per_cell_iter(), ml.ns_per_cell_iter());
-            if delta > tol.modeled_time_pct {
+
+    /// Compares two spectral-microbench sections into `cmp`.
+    ///
+    /// The grid set must match exactly (dropping a grid silently would hide a
+    /// regression). Per grid, `modeled_ns` is deterministic cost-model output
+    /// and hard-gates at `tol.modeled_time_pct`; `solve_wall_ns` is
+    /// machine-dependent and warns at `tol.wall_warn_pct`; the real-vs-complex
+    /// wall numbers are purely informational and never gate.
+    fn compare(baseline: &Self, current: &Self, tol: &Tolerances, cmp: &mut Comparison) {
+        let base_grids: Vec<usize> = baseline.grids.iter().map(|g| g.n).collect();
+        let cur_grids: Vec<usize> = current.grids.iter().map(|g| g.n).collect();
+        if base_grids != cur_grids {
+            cmp.failures.push(format!(
+                "spectral grid set changed: baseline {base_grids:?} vs current {cur_grids:?} \
+                 (re-record the baseline if intentional)"
+            ));
+            return;
+        }
+        for (base, cur) in baseline.grids.iter().zip(&current.grids) {
+            let modeled = pct_change(base.modeled_ns as f64, cur.modeled_ns as f64);
+            if modeled > tol.modeled_time_pct {
                 cmp.failures.push(format!(
-                    "scaling {}c: multilevel per-cell modeled cost exceeds the flat \
-                     {}c anchor {delta:+.2}% ({:.3} vs {:.3} ns/cell/iter), tolerance {}%",
-                    ml.cells,
-                    anchor.cells,
-                    ml.ns_per_cell_iter(),
-                    anchor.ns_per_cell_iter(),
-                    tol.modeled_time_pct
+                    "spectral {n}x{n} modeled transform time regressed {modeled:+.2}% \
+                     ({} -> {} ns/iter), tolerance {}%",
+                    base.modeled_ns,
+                    cur.modeled_ns,
+                    tol.modeled_time_pct,
+                    n = base.n
                 ));
-            } else {
+            } else if modeled < -0.01 {
                 cmp.notes.push(format!(
-                    "scaling {}c: multilevel per-cell modeled cost {:.3} vs flat {}c \
-                     anchor {:.3} ns/cell/iter ({delta:+.2}%)",
-                    ml.cells,
-                    ml.ns_per_cell_iter(),
-                    anchor.cells,
-                    anchor.ns_per_cell_iter()
+                    "spectral {n}x{n} modeled transform time improved {modeled:+.2}% \
+                     ({} -> {} ns/iter)",
+                    base.modeled_ns,
+                    cur.modeled_ns,
+                    n = base.n
+                ));
+            }
+            let wall = pct_change(base.solve_wall_ns as f64, cur.solve_wall_ns as f64);
+            if wall > tol.wall_warn_pct {
+                cmp.warnings.push(format!(
+                    "spectral {n}x{n} solve wall {wall:+.1}% ({} -> {} ns) — \
+                     machine-dependent, not gated",
+                    base.solve_wall_ns,
+                    cur.solve_wall_ns,
+                    n = base.n
+                ));
+            }
+            if cur.complex_wall_ns > 0 {
+                cmp.notes.push(format!(
+                    "spectral {n}x{n} real path {:.2}x vs complex reference \
+                     ({} vs {} ns, informational)",
+                    cur.complex_wall_ns as f64 / (cur.real_wall_ns.max(1)) as f64,
+                    cur.real_wall_ns,
+                    cur.complex_wall_ns,
+                    n = base.n
                 ));
             }
         }
     }
+
+    /// Inflates every grid's modeled transform time.
+    fn inject(&mut self, factor: f64) {
+        for grid in &mut self.grids {
+            grid.modeled_ns = (grid.modeled_ns as f64 * factor) as u64;
+        }
+    }
 }
 
-/// Compares two exploration sections into `cmp`.
-///
-/// The population shape — member count, survivor count, generation count,
-/// winner index and winner lineage — is deterministic output of the seeded
-/// culling schedule and must match exactly (a shifted lineage means the
-/// population took a different trajectory). The winner's HPWL hard-gates at
-/// `tol.hpwl_pct` and the total modeled exploration cost at
-/// `tol.modeled_time_pct`; improvements are noted.
-pub fn compare_explore(
-    baseline: &ExploreMetrics,
-    current: &ExploreMetrics,
-    tol: &Tolerances,
-    cmp: &mut Comparison,
-) {
-    let base_shape = (
-        baseline.members,
-        baseline.keep,
-        baseline.generations.len(),
-        baseline.winner,
-        &baseline.winner_lineage,
-    );
-    let cur_shape = (
-        current.members,
-        current.keep,
-        current.generations.len(),
-        current.winner,
-        &current.winner_lineage,
-    );
-    if base_shape != cur_shape {
-        cmp.failures.push(format!(
-            "exploration structure changed: baseline {}m/keep{}/{}gen winner {} lineage {:?} \
-             vs current {}m/keep{}/{}gen winner {} lineage {:?} \
-             (re-record the baseline if intentional)",
+impl GatedSection for ScalingMetrics {
+    const KEY: &'static str = "scaling";
+    const MARKER: &'static str = "points";
+    const LABEL: &'static str = "scaling bench";
+
+    fn of(report: &RunReport) -> Option<&Self> {
+        report.scaling.as_ref()
+    }
+
+    fn of_mut(report: &mut RunReport) -> &mut Option<Self> {
+        &mut report.scaling
+    }
+
+    /// Compares two scaling-bench sections into `cmp`.
+    ///
+    /// The point set — identified by (cells, topology, multilevel) — must
+    /// match exactly in order (dropping a size silently would hide a
+    /// regression). Per point, the iteration count must match exactly (the
+    /// flow is deterministic) and the per-cell modeled cost hard-gates at
+    /// `tol.modeled_time_pct`; wall-clock drift warns at `tol.wall_warn_pct`.
+    /// Additionally, whenever the current report carries a flat point, every
+    /// multilevel point's per-cell cost must stay at or below the *smallest*
+    /// flat point's (the anchor) beyond tolerance — small grids are
+    /// launch-latency-bound, so per-cell cost can only be amortized by
+    /// growing the design; the multilevel phase exists to keep that
+    /// amortization alive at the 100k–1M scale, and this pins the claim into
+    /// the gate.
+    fn compare(baseline: &Self, current: &Self, tol: &Tolerances, cmp: &mut Comparison) {
+        let base_keys: Vec<_> = baseline.points.iter().map(|p| p.key()).collect();
+        let cur_keys: Vec<_> = current.points.iter().map(|p| p.key()).collect();
+        if base_keys != cur_keys {
+            cmp.failures.push(format!(
+                "scaling point set changed: baseline {base_keys:?} vs current {cur_keys:?} \
+                 (re-record the baseline if intentional)"
+            ));
+            return;
+        }
+        for (base, cur) in baseline.points.iter().zip(&current.points) {
+            let label = format!(
+                "scaling {}c/{}{}",
+                base.cells,
+                base.topology,
+                if base.multilevel { "/multilevel" } else { "" }
+            );
+            if base.iterations != cur.iterations {
+                cmp.failures.push(format!(
+                    "{label} iteration count changed: {} -> {} (the flow is deterministic; \
+                     re-record the baseline if this is intentional)",
+                    base.iterations, cur.iterations
+                ));
+                continue;
+            }
+            let per_cell = pct_change(base.ns_per_cell_iter(), cur.ns_per_cell_iter());
+            if per_cell > tol.modeled_time_pct {
+                cmp.failures.push(format!(
+                    "{label} per-cell modeled cost regressed {per_cell:+.2}% \
+                     ({:.3} -> {:.3} ns/cell/iter), tolerance {}%",
+                    base.ns_per_cell_iter(),
+                    cur.ns_per_cell_iter(),
+                    tol.modeled_time_pct
+                ));
+            } else if per_cell < -0.01 {
+                cmp.notes.push(format!(
+                    "{label} per-cell modeled cost improved {per_cell:+.2}% \
+                     ({:.3} -> {:.3} ns/cell/iter)",
+                    base.ns_per_cell_iter(),
+                    cur.ns_per_cell_iter()
+                ));
+            }
+            let wall = pct_change(base.wall_seconds, cur.wall_seconds);
+            if wall > tol.wall_warn_pct {
+                cmp.warnings.push(format!(
+                    "{label} wall time {wall:+.1}% ({:.2}s -> {:.2}s) — \
+                     machine-dependent, not gated",
+                    base.wall_seconds, cur.wall_seconds
+                ));
+            }
+        }
+        // The multilevel-vs-flat-anchor invariant, checked on the current
+        // report: per-cell cost at scale must not exceed the flat baseline.
+        let anchor = current
+            .points
+            .iter()
+            .filter(|p| !p.multilevel)
+            .min_by_key(|p| p.cells);
+        if let Some(anchor) = anchor {
+            for ml in current.points.iter().filter(|p| p.multilevel) {
+                let delta = pct_change(anchor.ns_per_cell_iter(), ml.ns_per_cell_iter());
+                if delta > tol.modeled_time_pct {
+                    cmp.failures.push(format!(
+                        "scaling {}c: multilevel per-cell modeled cost exceeds the flat \
+                         {}c anchor {delta:+.2}% ({:.3} vs {:.3} ns/cell/iter), tolerance {}%",
+                        ml.cells,
+                        anchor.cells,
+                        ml.ns_per_cell_iter(),
+                        anchor.ns_per_cell_iter(),
+                        tol.modeled_time_pct
+                    ));
+                } else {
+                    cmp.notes.push(format!(
+                        "scaling {}c: multilevel per-cell modeled cost {:.3} vs flat {}c \
+                         anchor {:.3} ns/cell/iter ({delta:+.2}%)",
+                        ml.cells,
+                        ml.ns_per_cell_iter(),
+                        anchor.cells,
+                        anchor.ns_per_cell_iter()
+                    ));
+                }
+            }
+        }
+    }
+
+    /// Inflates every point's modeled GP time (hence its per-cell cost).
+    fn inject(&mut self, factor: f64) {
+        for point in &mut self.points {
+            point.modeled_ns = (point.modeled_ns as f64 * factor) as u64;
+        }
+    }
+}
+
+impl GatedSection for ExploreMetrics {
+    const KEY: &'static str = "explore";
+    const MARKER: &'static str = "winner_lineage";
+    const LABEL: &'static str = "exploration section";
+
+    fn of(report: &RunReport) -> Option<&Self> {
+        report.explore.as_ref()
+    }
+
+    fn of_mut(report: &mut RunReport) -> &mut Option<Self> {
+        &mut report.explore
+    }
+
+    /// Compares two exploration sections into `cmp`.
+    ///
+    /// The population shape — member count, survivor count, generation count,
+    /// winner index and winner lineage — is deterministic output of the seeded
+    /// culling schedule and must match exactly (a shifted lineage means the
+    /// population took a different trajectory). The winner's HPWL hard-gates at
+    /// `tol.hpwl_pct` and the total modeled exploration cost at
+    /// `tol.modeled_time_pct`; improvements are noted.
+    fn compare(baseline: &Self, current: &Self, tol: &Tolerances, cmp: &mut Comparison) {
+        let base_shape = (
             baseline.members,
             baseline.keep,
             baseline.generations.len(),
             baseline.winner,
-            baseline.winner_lineage,
+            &baseline.winner_lineage,
+        );
+        let cur_shape = (
             current.members,
             current.keep,
             current.generations.len(),
             current.winner,
-            current.winner_lineage,
-        ));
-        return;
+            &current.winner_lineage,
+        );
+        if base_shape != cur_shape {
+            cmp.failures.push(format!(
+                "exploration structure changed: baseline {}m/keep{}/{}gen winner {} lineage {:?} \
+                 vs current {}m/keep{}/{}gen winner {} lineage {:?} \
+                 (re-record the baseline if intentional)",
+                baseline.members,
+                baseline.keep,
+                baseline.generations.len(),
+                baseline.winner,
+                baseline.winner_lineage,
+                current.members,
+                current.keep,
+                current.generations.len(),
+                current.winner,
+                current.winner_lineage,
+            ));
+            return;
+        }
+        let hpwl = pct_change(baseline.winner_hpwl, current.winner_hpwl);
+        if hpwl > tol.hpwl_pct {
+            cmp.failures.push(format!(
+                "exploration winner HPWL regressed {hpwl:+.2}% ({:.1} -> {:.1}), tolerance {}%",
+                baseline.winner_hpwl, current.winner_hpwl, tol.hpwl_pct
+            ));
+        } else if hpwl < -0.01 {
+            cmp.notes.push(format!(
+                "exploration winner HPWL improved {hpwl:+.2}% ({:.1} -> {:.1})",
+                baseline.winner_hpwl, current.winner_hpwl
+            ));
+        }
+        let modeled = pct_change(
+            baseline.total_modeled_ns as f64,
+            current.total_modeled_ns as f64,
+        );
+        if modeled > tol.modeled_time_pct {
+            cmp.failures.push(format!(
+                "exploration total modeled time regressed {modeled:+.2}% \
+                 ({:.3}s -> {:.3}s), tolerance {}%",
+                baseline.total_modeled_ns as f64 / 1e9,
+                current.total_modeled_ns as f64 / 1e9,
+                tol.modeled_time_pct
+            ));
+        } else if modeled < -0.01 {
+            cmp.notes.push(format!(
+                "exploration total modeled time improved {modeled:+.2}% ({:.3}s -> {:.3}s)",
+                baseline.total_modeled_ns as f64 / 1e9,
+                current.total_modeled_ns as f64 / 1e9
+            ));
+        }
     }
-    let hpwl = pct_change(baseline.winner_hpwl, current.winner_hpwl);
-    if hpwl > tol.hpwl_pct {
-        cmp.failures.push(format!(
-            "exploration winner HPWL regressed {hpwl:+.2}% ({:.1} -> {:.1}), tolerance {}%",
-            baseline.winner_hpwl, current.winner_hpwl, tol.hpwl_pct
-        ));
-    } else if hpwl < -0.01 {
-        cmp.notes.push(format!(
-            "exploration winner HPWL improved {hpwl:+.2}% ({:.1} -> {:.1})",
-            baseline.winner_hpwl, current.winner_hpwl
-        ));
-    }
-    let modeled = pct_change(
-        baseline.total_modeled_ns as f64,
-        current.total_modeled_ns as f64,
-    );
-    if modeled > tol.modeled_time_pct {
-        cmp.failures.push(format!(
-            "exploration total modeled time regressed {modeled:+.2}% \
-             ({:.3}s -> {:.3}s), tolerance {}%",
-            baseline.total_modeled_ns as f64 / 1e9,
-            current.total_modeled_ns as f64 / 1e9,
-            tol.modeled_time_pct
-        ));
-    } else if modeled < -0.01 {
-        cmp.notes.push(format!(
-            "exploration total modeled time improved {modeled:+.2}% ({:.3}s -> {:.3}s)",
-            baseline.total_modeled_ns as f64 / 1e9,
-            current.total_modeled_ns as f64 / 1e9
-        ));
+
+    /// Inflates the population winner's HPWL.
+    fn inject(&mut self, factor: f64) {
+        self.winner_hpwl *= factor;
     }
 }
 
@@ -608,19 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn dropping_the_spectral_section_fails() {
-        let base = sample_report();
-        let mut cur = base.clone();
-        cur.spectral = None;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
-        assert!(!cmp.passed());
-        assert!(cmp
-            .failures
-            .iter()
-            .any(|f| f.contains("spectral microbench missing")));
-    }
-
-    #[test]
     fn changing_the_spectral_grid_set_fails() {
         let base = sample_report();
         let mut cur = base.clone();
@@ -686,19 +730,6 @@ mod tests {
         let cmp = compare_reports(&base, &cur, &Tolerances::default());
         assert!(cmp.passed(), "{:?}", cmp.failures);
         assert!(cmp.warnings.iter().any(|w| w.contains("scaling 10000c")));
-    }
-
-    #[test]
-    fn dropping_the_scaling_section_fails() {
-        let base = sample_report();
-        let mut cur = base.clone();
-        cur.scaling = None;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
-        assert!(!cmp.passed());
-        assert!(cmp
-            .failures
-            .iter()
-            .any(|f| f.contains("scaling bench missing")));
     }
 
     #[test]
@@ -802,42 +833,45 @@ mod tests {
             .any(|f| f.contains("exploration structure changed")));
     }
 
-    #[test]
-    fn dropping_the_explore_section_fails() {
+    /// The contract every [`GatedSection`] impl shares, checked through
+    /// [`compare_reports`] on the sample report.
+    fn gated_section_contract<S: GatedSection>() {
+        let tol = Tolerances::default();
         let base = sample_report();
-        let mut cur = base.clone();
-        cur.explore = None;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
-        assert!(!cmp.passed());
-        assert!(cmp
-            .failures
-            .iter()
-            .any(|f| f.contains("exploration section missing")));
+        let cmp = compare_reports(&base, &base.clone(), &tol);
+        assert!(cmp.passed(), "{}: identical: {:?}", S::KEY, cmp.failures);
+
+        let mut inflated = base.clone();
+        S::of_mut(&mut inflated).as_mut().unwrap().inject(1.10);
+        let cmp = compare_reports(&base, &inflated, &tol);
+        assert!(!cmp.passed(), "{}: an injected +10% must fail", S::KEY);
+
+        let mut dropped = base.clone();
+        *S::of_mut(&mut dropped) = None;
+        let cmp = compare_reports(&base, &dropped, &tol);
+        let missing = format!("{} missing", S::LABEL);
+        assert!(
+            cmp.failures.iter().any(|f| f.contains(&missing)),
+            "{}: {:?}",
+            S::KEY,
+            cmp.failures
+        );
+
+        let cmp = compare_reports(&dropped, &base, &tol);
+        assert!(cmp.passed(), "{}: adding: {:?}", S::KEY, cmp.failures);
+        let added = format!("{} added", S::LABEL);
+        assert!(cmp.notes.iter().any(|n| n.contains(&added)), "{}", S::KEY);
     }
 
     #[test]
-    fn adding_an_explore_section_is_a_note() {
-        let mut base = sample_report();
-        base.explore = None;
-        let cur = sample_report();
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
-        assert!(cmp.passed(), "{:?}", cmp.failures);
-        assert!(cmp
-            .notes
-            .iter()
-            .any(|n| n.contains("exploration section added")));
-    }
-
-    #[test]
-    fn adding_a_spectral_section_is_a_note() {
-        let mut base = sample_report();
-        base.spectral = None;
-        let cur = sample_report();
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
-        assert!(cmp.passed(), "{:?}", cmp.failures);
-        assert!(cmp
-            .notes
-            .iter()
-            .any(|n| n.contains("spectral microbench added")));
+    fn every_gated_section_passes_identity_and_fails_injection_and_loss() {
+        let contracts: [fn(); 3] = [
+            gated_section_contract::<SpectralMetrics>,
+            gated_section_contract::<ScalingMetrics>,
+            gated_section_contract::<ExploreMetrics>,
+        ];
+        for contract in contracts {
+            contract();
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The machine-readable summary of one full placement run.
 
-use crate::ConfigEcho;
+use crate::{ConfigEcho, GatedSection};
 use xplace_testkit::json::{FromJson, Json, JsonError, ToJson};
 
 /// Global-placement metrics of a run.
@@ -566,9 +566,9 @@ impl ToJson for RunReport {
             ("lg", self.lg.to_json()),
             ("dp", self.dp.to_json()),
             ("route", self.route.to_json()),
-            ("spectral", self.spectral.to_json()),
-            ("scaling", self.scaling.to_json()),
-            ("explore", self.explore.to_json()),
+            (SpectralMetrics::KEY, self.spectral.to_json()),
+            (ScalingMetrics::KEY, self.scaling.to_json()),
+            (ExploreMetrics::KEY, self.explore.to_json()),
             ("trace_error", self.trace_error.to_json()),
         ])
     }
@@ -586,28 +586,18 @@ impl FromJson for RunReport {
             lg: Option::<LgMetrics>::from_json(value.field("lg")?)?,
             dp: Option::<DpMetrics>::from_json(value.field("dp")?)?,
             route: Option::<RouteMetrics>::from_json(value.field("route")?)?,
-            // Tolerant of pre-spectral reports where the key is absent.
-            spectral: match value.get("spectral") {
-                Some(v) => Option::<SpectralMetrics>::from_json(v)?,
-                None => None,
-            },
-            // Likewise tolerant of pre-scaling reports.
-            scaling: match value.get("scaling") {
-                Some(v) => Option::<ScalingMetrics>::from_json(v)?,
-                None => None,
-            },
-            // Likewise tolerant of pre-exploration reports.
-            explore: match value.get("explore") {
-                Some(v) => Option::<ExploreMetrics>::from_json(v)?,
-                None => None,
-            },
-            // Likewise tolerant of reports predating sticky-sink surfacing.
-            trace_error: match value.get("trace_error") {
-                Some(v) => Option::<String>::from_json(v)?,
-                None => None,
-            },
+            spectral: optional(value, SpectralMetrics::KEY)?,
+            scaling: optional(value, ScalingMetrics::KEY)?,
+            explore: optional(value, ExploreMetrics::KEY)?,
+            trace_error: optional(value, "trace_error")?,
         })
     }
+}
+
+/// Reads the optional field `key`, treating an absent key like `null`:
+/// reports written before the field existed still parse.
+fn optional<T: FromJson>(value: &Json, key: &str) -> Result<Option<T>, JsonError> {
+    value.get(key).map_or(Ok(None), Option::<T>::from_json)
 }
 
 #[cfg(test)]
@@ -812,43 +802,22 @@ pub(crate) mod tests {
         assert!(err.to_string().contains("missing field `design`"));
     }
 
-    #[test]
-    fn reports_without_a_spectral_key_still_parse() {
-        // Reports written before the spectral section existed have no
-        // "spectral" key at all (not even null) — they must parse as None.
+    /// Reports written before section `S` existed have no key for it at
+    /// all (not even null) — they must parse as `None`.
+    fn parses_without_the_key<S: GatedSection>() {
         let mut report = sample_report();
-        report.spectral = None;
+        *S::of_mut(&mut report) = None;
         let text = report.to_json_string();
-        let stripped = text.replace(",\"spectral\":null", "");
+        let stripped = text.replace(&format!(",\"{}\":null", S::KEY), "");
         assert_ne!(stripped, text, "fixture must contain the null key");
-        let back = RunReport::from_json_str(&stripped).unwrap();
-        assert_eq!(back, report);
+        assert_eq!(RunReport::from_json_str(&stripped).unwrap(), report);
     }
 
     #[test]
-    fn reports_without_a_scaling_key_still_parse() {
-        // Reports written before the scaling section existed have no
-        // "scaling" key at all (not even null) — they must parse as None.
-        let mut report = sample_report();
-        report.scaling = None;
-        let text = report.to_json_string();
-        let stripped = text.replace(",\"scaling\":null", "");
-        assert_ne!(stripped, text, "fixture must contain the null key");
-        let back = RunReport::from_json_str(&stripped).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn reports_without_an_explore_key_still_parse() {
-        // Reports written before the exploration section existed have no
-        // "explore" key at all (not even null) — they must parse as None.
-        let mut report = sample_report();
-        report.explore = None;
-        let text = report.to_json_string();
-        let stripped = text.replace(",\"explore\":null", "");
-        assert_ne!(stripped, text, "fixture must contain the null key");
-        let back = RunReport::from_json_str(&stripped).unwrap();
-        assert_eq!(back, report);
+    fn reports_without_a_gated_section_key_still_parse() {
+        parses_without_the_key::<SpectralMetrics>();
+        parses_without_the_key::<ScalingMetrics>();
+        parses_without_the_key::<ExploreMetrics>();
     }
 
     #[test]

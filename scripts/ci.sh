@@ -52,7 +52,7 @@ cmp "$SMOKE/batch-traces/s1.jsonl" "$SMOKE/t1.jsonl" \
     --report "$SMOKE/batch2.json" >/dev/null
 ./target/release/check_regression "$SMOKE/batch1.json" "$SMOKE/batch2.json"
 if ./target/release/check_regression "$SMOKE/batch1.json" "$SMOKE/batch2.json" \
-    --inject-hpwl-pct 10 >/dev/null 2>&1; then
+    --inject hpwl=10 >/dev/null 2>&1; then
     echo "FAIL: the batch gate passed an injected +10% HPWL regression" >&2
     exit 1
 fi
@@ -129,7 +129,7 @@ echo "==> bench regression gate (deterministic metrics vs BENCH_baseline.json)"
 scripts/check_regression.sh
 echo "==> regression gate self-test: an injected regression must fail"
 if ./target/release/check_regression BENCH_baseline.json results/run_report.json \
-    --inject-hpwl-pct 10 >/dev/null 2>&1; then
+    --inject hpwl=10 >/dev/null 2>&1; then
     echo "FAIL: the regression gate passed an injected +10% HPWL regression" >&2
     exit 1
 fi
@@ -139,7 +139,7 @@ echo "==> spectral bench gate: smoke microbench vs the baseline's spectral secti
 ./target/release/check_regression BENCH_baseline.json "$SMOKE/spectral.json"
 echo "==> spectral gate self-test: injected transform-time regression must fail"
 if ./target/release/check_regression BENCH_baseline.json "$SMOKE/spectral.json" \
-    --inject-spectral-pct 10 >/dev/null 2>&1; then
+    --inject spectral=10 >/dev/null 2>&1; then
     echo "FAIL: the spectral gate passed an injected +10% transform-time regression" >&2
     exit 1
 fi
@@ -149,7 +149,7 @@ echo "==> scaling bench gate: smoke point set vs the baseline's scaling section"
 ./target/release/check_regression BENCH_baseline.json "$SMOKE/scaling.json"
 echo "==> scaling gate self-test: injected per-cell-cost regression must fail"
 if ./target/release/check_regression BENCH_baseline.json "$SMOKE/scaling.json" \
-    --inject-scaling-pct 10 >/dev/null 2>&1; then
+    --inject scaling=10 >/dev/null 2>&1; then
     echo "FAIL: the scaling gate passed an injected +10% per-cell-cost regression" >&2
     exit 1
 fi
@@ -173,7 +173,7 @@ echo "==> explore bench gate: smoke population vs the baseline's explore section
 ./target/release/check_regression BENCH_baseline.json "$SMOKE/explore.json"
 echo "==> explore gate self-test: injected winner-HPWL regression must fail"
 if ./target/release/check_regression BENCH_baseline.json "$SMOKE/explore.json" \
-    --inject-explore-pct 10 >/dev/null 2>&1; then
+    --inject explore=10 >/dev/null 2>&1; then
     echo "FAIL: the explore gate passed an injected +10% winner-HPWL regression" >&2
     exit 1
 fi

@@ -46,11 +46,7 @@ use xplace::core::{
 };
 use xplace::db::synthesis::{synthesize, SynthesisSpec, Topology};
 use xplace::db::{bookshelf, DesignStats};
-use xplace::legal::{check_legality, detailed_place, legalize, DpConfig};
-use xplace::route::{estimate_congestion, RouteConfig};
-use xplace::telemetry::{
-    DpMetrics, JsonLinesSink, LgMetrics, NullSink, RouteMetrics, RunReport, ToJson,
-};
+use xplace::telemetry::{BatchReport, JsonLinesSink, NullSink, ToJson};
 
 fn usage() -> ! {
     eprintln!(
@@ -215,63 +211,31 @@ fn cmd_place(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         gp.modeled_ms_per_iter(),
         gp.wall_seconds
     );
-    let lg = legalize(&mut design)?;
-    println!(
-        "LG: HPWL {:.0} -> {:.0}, mean displacement {:.2} ({:.2}s)",
-        lg.initial_hpwl, lg.final_hpwl, lg.mean_displacement, lg.wall_seconds
-    );
-    let dp = detailed_place(&mut design, &DpConfig::default());
-    println!(
-        "DP: HPWL {:.0} -> {:.0} ({} slides, {} reorders, {} swaps, {:.2}s)",
-        dp.initial_hpwl, dp.final_hpwl, dp.slides, dp.reorders, dp.swaps, dp.wall_seconds
-    );
-    check_legality(&design)?;
-    let congestion = estimate_congestion(&design, &RouteConfig::default());
-    println!(
-        "routability: top5 overflow {:.2}, max utilization {:.2}",
-        congestion.top_overflow(0.05),
-        congestion.max_utilization()
-    );
+    let mut report = xplace::sched::finish_flow(&mut design, &config, &gp)?;
+    report.trace_error = trace_error;
+    if let (Some(lg), Some(dp), Some(route)) = (&report.lg, &report.dp, &report.route) {
+        println!(
+            "LG: HPWL {:.0} -> {:.0}, mean displacement {:.2} ({:.2}s)",
+            lg.initial_hpwl, lg.final_hpwl, lg.mean_displacement, lg.wall_seconds
+        );
+        println!(
+            "DP: HPWL {:.0} -> {:.0} ({} slides, {} reorders, {} swaps, {:.2}s)",
+            dp.initial_hpwl, dp.final_hpwl, dp.slides, dp.reorders, dp.swaps, dp.wall_seconds
+        );
+        println!(
+            "routability: top5 overflow {:.2}, max utilization {:.2}",
+            route.top5_overflow, route.max_utilization
+        );
+    }
 
     if let Some(p) = &report_path {
-        let report = RunReport {
-            design: design.name().to_string(),
-            cells: design.netlist().num_cells(),
-            nets: design.netlist().num_nets(),
-            config: config.echo(),
-            threads: config.threads,
-            gp: gp.gp_metrics(),
-            lg: Some(LgMetrics {
-                initial_hpwl: lg.initial_hpwl,
-                final_hpwl: lg.final_hpwl,
-                mean_displacement: lg.mean_displacement,
-                max_displacement: lg.max_displacement,
-                wall_seconds: lg.wall_seconds,
-            }),
-            dp: Some(DpMetrics {
-                initial_hpwl: dp.initial_hpwl,
-                final_hpwl: dp.final_hpwl,
-                slides: dp.slides,
-                reorders: dp.reorders,
-                swaps: dp.swaps,
-                wall_seconds: dp.wall_seconds,
-            }),
-            route: Some(RouteMetrics {
-                top5_overflow: congestion.top_overflow(0.05),
-                max_utilization: congestion.max_utilization(),
-            }),
-            spectral: None,
-            scaling: None,
-            explore: None,
-            trace_error: trace_error.clone(),
-        };
         std::fs::write(p, report.to_json_string())?;
         println!("report written to {}", p.display());
     }
 
     bookshelf::write_pl(&design, &out)?;
     println!("placement written to {}", out.display());
-    if let Some(e) = trace_error {
+    if let Some(e) = report.trace_error {
         return Err(format!("trace stream failed: {e}").into());
     }
     if let Some(deadline) = robust.deadline_ns {
@@ -378,7 +342,29 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let outcome = xplace::sched::run_batch(&manifest, parsed.threads);
-    for record in &outcome.report.jobs {
+    write_batch_outcome(
+        &outcome.report,
+        &outcome.traces,
+        format!(
+            "design cache: {} hit(s), {} miss(es)",
+            outcome.cache_stats.0, outcome.cache_stats.1
+        ),
+        &parsed.trace_dir,
+        &parsed.report,
+    )
+}
+
+/// The shared tail of `batch` and `submit`: prints one line per job and
+/// the cache line, writes the per-job traces and the batch report, and
+/// fails when any job failed (after every artifact is written).
+fn write_batch_outcome(
+    report: &BatchReport,
+    traces: &[Option<String>],
+    cache_line: String,
+    trace_dir: &Option<PathBuf>,
+    report_path: &Option<PathBuf>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    for record in &report.jobs {
         match (&record.report, &record.error) {
             (Some(report), _) => println!(
                 "  {:<20} completed  HPWL {:.0}  ({} cells, {} GP iters)",
@@ -394,13 +380,12 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             ),
         }
     }
-    let (hits, misses) = outcome.cache_stats;
-    println!("design cache: {hits} hit(s), {misses} miss(es)");
+    println!("{cache_line}");
 
-    if let Some(dir) = &parsed.trace_dir {
+    if let Some(dir) = trace_dir {
         std::fs::create_dir_all(dir)?;
         let mut written = 0;
-        for (record, trace) in outcome.report.jobs.iter().zip(&outcome.traces) {
+        for (record, trace) in report.jobs.iter().zip(traces) {
             if let Some(text) = trace {
                 std::fs::write(dir.join(format!("{}.jsonl", record.name)), text)?;
                 written += 1;
@@ -408,18 +393,13 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         println!("traces written to {} ({written} file(s))", dir.display());
     }
-    if let Some(p) = &parsed.report {
-        std::fs::write(p, outcome.report.to_json_string())?;
+    if let Some(p) = report_path {
+        std::fs::write(p, report.to_json_string())?;
         println!("batch report written to {}", p.display());
     }
 
-    if !outcome.report.all_completed() {
-        return Err(format!(
-            "{} of {} job(s) failed",
-            outcome.report.failed(),
-            outcome.report.total()
-        )
-        .into());
+    if !report.all_completed() {
+        return Err(format!("{} of {} job(s) failed", report.failed(), report.total()).into());
     }
     Ok(())
 }
@@ -461,50 +441,16 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             status, message, ..
         } => return Err(format!("daemon rejected the batch ({status}): {message}").into()),
     };
-    for record in &wire.report.jobs {
-        match (&record.report, &record.error) {
-            (Some(report), _) => println!(
-                "  {:<20} completed  HPWL {:.0}  ({} cells, {} GP iters)",
-                record.name,
-                report.final_hpwl(),
-                report.cells,
-                report.gp.iterations
-            ),
-            (None, error) => println!(
-                "  {:<20} FAILED     {}",
-                record.name,
-                error.as_deref().unwrap_or("unknown failure")
-            ),
-        }
-    }
-    let (hits, misses) = wire.cache_stats;
-    println!("daemon design cache: {hits} hit(s), {misses} miss(es) cumulative");
-
-    if let Some(dir) = &parsed.trace_dir {
-        std::fs::create_dir_all(dir)?;
-        let mut written = 0;
-        for (record, trace) in wire.report.jobs.iter().zip(&wire.traces) {
-            if let Some(text) = trace {
-                std::fs::write(dir.join(format!("{}.jsonl", record.name)), text)?;
-                written += 1;
-            }
-        }
-        println!("traces written to {} ({written} file(s))", dir.display());
-    }
-    if let Some(p) = &parsed.report {
-        std::fs::write(p, wire.report.to_json_string())?;
-        println!("batch report written to {}", p.display());
-    }
-
-    if !wire.report.all_completed() {
-        return Err(format!(
-            "{} of {} job(s) failed",
-            wire.report.failed(),
-            wire.report.total()
-        )
-        .into());
-    }
-    Ok(())
+    write_batch_outcome(
+        &wire.report,
+        &wire.traces,
+        format!(
+            "daemon design cache: {} hit(s), {} miss(es) cumulative",
+            wire.cache_stats.0, wire.cache_stats.1
+        ),
+        &parsed.trace_dir,
+        &parsed.report,
+    )
 }
 
 fn cmd_servectl(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {

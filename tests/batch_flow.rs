@@ -128,6 +128,20 @@ fn injected_failure_is_isolated_and_reported() {
 
 // --- CLI-level tests (drive the real binary) ------------------------------
 
+/// `report` with its machine-dependent fields (wall-clock times, thread
+/// count) zeroed, leaving only what the flow determines.
+fn without_wall_clock(mut report: RunReport) -> RunReport {
+    report.threads = 0;
+    report.gp.wall_seconds = 0.0;
+    if let Some(lg) = report.lg.as_mut() {
+        lg.wall_seconds = 0.0;
+    }
+    if let Some(dp) = report.dp.as_mut() {
+        dp.wall_seconds = 0.0;
+    }
+    report
+}
+
 fn xplace_bin() -> &'static str {
     env!("CARGO_BIN_EXE_xplace")
 }
@@ -217,10 +231,15 @@ fn batch_cli_matches_place_cli_trace_bytes() {
         let batch: xplace::telemetry::BatchReport =
             xplace::telemetry::BatchReport::from_json_str(&batch_text).unwrap();
         let job_report = batch.job(job).unwrap().report.as_ref().unwrap().clone();
+        // Both reports come out of the one shared back half, so every
+        // deterministic field of every stage section must agree.
+        let (serial, job_report) = (without_wall_clock(serial), without_wall_clock(job_report));
+        assert_eq!(job_report.gp, serial.gp, "{job}: gp sections differ");
+        assert_eq!(job_report.lg, serial.lg, "{job}: lg sections differ");
+        assert_eq!(job_report.dp, serial.dp, "{job}: dp sections differ");
         assert_eq!(
-            job_report.final_hpwl().to_bits(),
-            serial.final_hpwl().to_bits(),
-            "{job}: batch report HPWL must equal the serial report's"
+            job_report.route, serial.route,
+            "{job}: route sections differ"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -7,7 +7,7 @@ use xplace::cli::parse_explore_args;
 use xplace::core::{CheckpointOptions, GlobalPlacer, XplaceConfig};
 use xplace::db::synthesis::{synthesize, SynthesisSpec};
 use xplace::db::Design;
-use xplace::sched::{run_population, PopulationOptions};
+use xplace::sched::{finish_flow, run_population, PopulationOptions};
 use xplace::telemetry::{FromJson, RunReport, ToJson, VecSink};
 
 fn explore_design() -> Design {
@@ -134,6 +134,10 @@ fn explore_one_degenerates_to_the_single_run_trace() {
     let reference = GlobalPlacer::new(member_config)
         .place_traced_opts(&mut reference_design, &mut sink, CheckpointOptions::none())
         .expect("reference run places");
+    let mut finished =
+        finish_flow(&mut reference_design, &config, &reference).expect("reference run finishes");
+    finished.lg.as_mut().unwrap().wall_seconds = 0.0;
+    finished.dp.as_mut().unwrap().wall_seconds = 0.0;
 
     assert_eq!(
         outcome.trace,
@@ -144,6 +148,16 @@ fn explore_one_degenerates_to_the_single_run_trace() {
         outcome.report.gp.modeled_ns,
         reference.gp_metrics().modeled_ns,
         "K=1 modeled cost equals the plain run's"
+    );
+    // The winner is finished through the same back half as a plain run.
+    assert_eq!(outcome.report.lg, finished.lg, "K=1 legalization differs");
+    assert_eq!(
+        outcome.report.dp, finished.dp,
+        "K=1 detailed placement differs"
+    );
+    assert_eq!(
+        outcome.report.route, finished.route,
+        "K=1 routability differs"
     );
     let explore = outcome.report.explore.as_ref().unwrap();
     assert_eq!(explore.winner, 0);

@@ -4,10 +4,10 @@
 
 use xplace::core::{GlobalPlacer, XplaceConfig};
 use xplace::db::synthesis::{synthesize, SynthesisSpec};
-use xplace::legal::{detailed_place, legalize, DpConfig};
+use xplace::sched::finish_flow;
 use xplace::telemetry::{
-    compare_reports, parse_trace, DpMetrics, FromJson, JsonLinesSink, LgMetrics, RunReport,
-    TelemetryEvent, ToJson, Tolerances,
+    compare_reports, parse_trace, FromJson, JsonLinesSink, RunReport, TelemetryEvent, ToJson,
+    Tolerances,
 };
 
 fn config(max_iters: usize) -> XplaceConfig {
@@ -92,42 +92,12 @@ fn run_report_round_trips_through_testkit_json() {
     let gp = GlobalPlacer::new(cfg.clone())
         .place(&mut design)
         .expect("placement succeeds");
-    let lg = legalize(&mut design).expect("legalization succeeds");
-    let dp = detailed_place(&mut design, &DpConfig::default());
-
-    let report = RunReport {
-        design: design.name().to_string(),
-        cells: design.netlist().num_cells(),
-        nets: design.netlist().num_nets(),
-        config: cfg.echo(),
-        threads: cfg.threads,
-        gp: gp.gp_metrics(),
-        lg: Some(LgMetrics {
-            initial_hpwl: lg.initial_hpwl,
-            final_hpwl: lg.final_hpwl,
-            mean_displacement: lg.mean_displacement,
-            max_displacement: lg.max_displacement,
-            wall_seconds: lg.wall_seconds,
-        }),
-        dp: Some(DpMetrics {
-            initial_hpwl: dp.initial_hpwl,
-            final_hpwl: dp.final_hpwl,
-            slides: dp.slides,
-            reorders: dp.reorders,
-            swaps: dp.swaps,
-            wall_seconds: dp.wall_seconds,
-        }),
-        route: None,
-        spectral: None,
-        scaling: None,
-        explore: None,
-        trace_error: None,
-    };
+    let report = finish_flow(&mut design, &cfg, &gp).expect("the flow finishes");
 
     let text = report.to_json_string();
     let back = RunReport::from_json_str(&text).expect("report parses");
     assert_eq!(back, report);
-    assert_eq!(back.final_hpwl(), dp.final_hpwl);
+    assert_eq!(back.final_hpwl(), report.dp.as_ref().unwrap().final_hpwl);
     assert_eq!(back.gp.iterations, gp.iterations);
 }
 
