@@ -37,34 +37,6 @@ fn bench_dct(c: &mut Bench) {
     group.finish();
 }
 
-/// The packed-real path against the retained length-2N complex reference:
-/// one analyze + cosine + sine sweep per iteration, same input.
-fn bench_real_vs_complex(c: &mut Bench) {
-    let mut group = c.benchmark_group("dct_real_vs_complex_1d");
-    for &n in &[256usize, 1024] {
-        let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).cos()).collect();
-        let mut coeffs = vec![0.0; n];
-        let mut out = vec![0.0; n];
-        let mut real = DctPlan::new(n).expect("power-of-two plan");
-        group.bench_with_input(BenchmarkId::new("real", n), &n, |b, _| {
-            b.iter(|| {
-                real.analyze(&input, &mut coeffs).expect("analyze");
-                real.cosine_synthesis(&coeffs, &mut out).expect("idct");
-                real.sine_synthesis(&coeffs, &mut out).expect("idxst");
-            })
-        });
-        let mut complex = xplace_fft::reference::ComplexDct::new(n).expect("power-of-two plan");
-        group.bench_with_input(BenchmarkId::new("complex", n), &n, |b, _| {
-            b.iter(|| {
-                complex.analyze(&input, &mut coeffs).expect("analyze");
-                complex.cosine_synthesis(&coeffs, &mut out).expect("idct");
-                complex.sine_synthesis(&coeffs, &mut out).expect("idxst");
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_poisson(c: &mut Bench) {
     let mut group = c.benchmark_group("electrostatic_solve");
     group.sample_size(20);
@@ -111,7 +83,6 @@ bench_group!(
     benches,
     bench_fft,
     bench_dct,
-    bench_real_vs_complex,
     bench_poisson,
     bench_poisson_threads
 );

@@ -10,6 +10,7 @@
 //! (default 32), `XPLACE_NN_PAPER=1` to train the full paper-scale model
 //! instead of the fast small one.
 
+use xplace_bench::env_parse;
 use xplace_core::DensityGuidance;
 use xplace_nn::{
     generate_sample, relative_l2, train, DataConfig, Fno, FnoConfig, FnoGuidance, TrainConfig,
@@ -27,14 +28,8 @@ fn correlation(a: &[f64], b: &[f64]) -> f64 {
 }
 
 fn main() {
-    let steps: usize = std::env::var("XPLACE_NN_STEPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400);
-    let grid: usize = std::env::var("XPLACE_NN_GRID")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
+    let steps: usize = env_parse("XPLACE_NN_STEPS", 400);
+    let grid: usize = env_parse("XPLACE_NN_GRID", 32);
     let paper_scale = std::env::var("XPLACE_NN_PAPER")
         .map(|v| v == "1")
         .unwrap_or(false);

@@ -28,25 +28,12 @@ fn main() {
     );
     let metrics = measure_spectral(&SPECTRAL_GRIDS, reps);
 
-    let mut table = TextTable::new(&[
-        "grid",
-        "modeled us",
-        "solve us",
-        "real sweep us",
-        "complex sweep us",
-        "speedup",
-    ]);
+    let mut table = TextTable::new(&["grid", "modeled us", "solve us"]);
     for g in &metrics.grids {
         table.row(vec![
             format!("{n}x{n}", n = g.n),
             fmt(g.modeled_ns as f64 / 1e3, 1),
             fmt(g.solve_wall_ns as f64 / 1e3, 1),
-            fmt(g.real_wall_ns as f64 / 1e3, 1),
-            fmt(g.complex_wall_ns as f64 / 1e3, 1),
-            format!(
-                "{:.2}x",
-                g.complex_wall_ns as f64 / g.real_wall_ns.max(1) as f64
-            ),
         ]);
     }
     print!("{}", table.render());

@@ -9,28 +9,26 @@
 //! Environment: `XPLACE_CELLS` (default 2000), `XPLACE_MAX_ITERS`
 //! (default 1200).
 
-use xplace_bench::max_iters_from_env;
-use xplace_core::{GlobalPlacer, XplaceConfig};
+use xplace_bench::env_parse;
+use xplace_core::{GlobalPlacer, Recorder, XplaceConfig};
 use xplace_db::synthesis::{synthesize, SynthesisSpec};
 
 fn main() {
-    let cells: usize = std::env::var("XPLACE_CELLS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2000);
-    let max_iters = max_iters_from_env(1200);
+    let cells: usize = env_parse("XPLACE_CELLS", 2000);
+    let max_iters = env_parse("XPLACE_MAX_ITERS", 1200);
 
     let spec = SynthesisSpec::new("stage_trace", cells, cells + cells / 20).with_seed(42);
     let mut design = synthesize(&spec).expect("synthesis succeeds");
     let mut cfg = XplaceConfig::xplace();
     cfg.schedule.max_iterations = max_iters;
+    let mut recorder = Recorder::new();
     let report = GlobalPlacer::new(cfg)
-        .place(&mut design)
+        .place_traced(&mut design, &mut recorder)
         .expect("placement succeeds");
 
-    println!("{}", report.recorder.to_csv());
+    println!("{}", recorder.to_csv());
 
-    let records = report.recorder.records();
+    let records = recorder.records();
     // The skip-eligible window: how long r stays below the 0.01 threshold
     // of SS3.1.4 (the paper caps the technique at iteration 100).
     let r_window = records.iter().take_while(|r| r.r_ratio < 0.01).count();

@@ -5,13 +5,13 @@
 //! statistics of the scaled synthetic twin actually used in the runs.
 //! Control the scale with `XPLACE_SCALE` (1.0 = full contest sizes).
 
-use xplace_bench::{fmt, scale_from_env, TextTable};
+use xplace_bench::{env_parse, fmt, TextTable};
 use xplace_db::suites::{ispd2005_like, ispd2015_like};
 use xplace_db::synthesis::synthesize;
 use xplace_db::DesignStats;
 
 fn main() {
-    let scale = scale_from_env(0.01);
+    let scale = env_parse("XPLACE_SCALE", 0.01);
     println!("Table 1: benchmark statistics (scale = {scale}, published sizes in parentheses)\n");
     for (suite_name, suite) in [
         ("ISPD 2005", ispd2005_like(scale)),

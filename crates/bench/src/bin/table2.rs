@@ -12,14 +12,14 @@
 //! Environment: `XPLACE_SCALE` (default 0.004), `XPLACE_MAX_ITERS`
 //! (default 1500).
 
-use xplace_bench::{fmt, max_iters_from_env, run_flow, scale_from_env, write_reports, TextTable};
+use xplace_bench::{env_parse, fmt, run_flow, write_reports, TextTable};
 use xplace_core::XplaceConfig;
 use xplace_db::suites::ispd2005_like;
 use xplace_nn::{train, DataConfig, Fno, FnoConfig, FnoGuidance, TrainConfig};
 
 fn main() {
-    let scale = scale_from_env(0.004);
-    let max_iters = max_iters_from_env(1500);
+    let scale = env_parse("XPLACE_SCALE", 0.004);
+    let max_iters = env_parse("XPLACE_MAX_ITERS", 1500);
     let suite = ispd2005_like(scale);
 
     // Train the guidance model once (self-generated data, §4.3).

@@ -14,7 +14,7 @@
 //!
 //! Environment: `XPLACE_SCALE` (default 0.02), `XPLACE_ABLATION_ITERS`.
 
-use xplace_bench::{default_workers, fmt, scale_from_env, TextTable};
+use xplace_bench::{default_workers, env_parse, fmt, TextTable};
 use xplace_core::{GlobalPlacer, XplaceConfig};
 use xplace_db::suites::ispd2005_like;
 use xplace_db::synthesis::synthesize;
@@ -30,11 +30,8 @@ fn run_config(entry: &xplace_db::suites::SuiteEntry, mut cfg: XplaceConfig, iter
 }
 
 fn main() {
-    let scale = scale_from_env(0.02);
-    let iters: usize = std::env::var("XPLACE_ABLATION_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400);
+    let scale = env_parse("XPLACE_SCALE", 0.02);
+    let iters: usize = env_parse("XPLACE_ABLATION_ITERS", 400);
     let suite = ispd2005_like(scale);
 
     // (label, reduction, combination, extraction, skipping)

@@ -10,15 +10,13 @@
 //! Environment: `XPLACE_SCALE` (default 0.004), `XPLACE_MAX_ITERS`
 //! (default 1500).
 
-use xplace_bench::{
-    default_workers, fmt, max_iters_from_env, run_flow, scale_from_env, write_reports, TextTable,
-};
+use xplace_bench::{default_workers, env_parse, fmt, run_flow, write_reports, TextTable};
 use xplace_core::XplaceConfig;
 use xplace_db::suites::ispd2015_like;
 
 fn main() {
-    let scale = scale_from_env(0.004);
-    let max_iters = max_iters_from_env(1500);
+    let scale = env_parse("XPLACE_SCALE", 0.004);
+    let max_iters = env_parse("XPLACE_MAX_ITERS", 1500);
     let suite = ispd2015_like(scale);
 
     let mut table = TextTable::new(&[

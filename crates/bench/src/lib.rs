@@ -119,23 +119,41 @@ where
     }
 }
 
-/// Reads the suite scale factor from `XPLACE_SCALE` (default `default`).
-/// Published contest sizes correspond to scale 1.0.
-pub fn scale_from_env(default: f64) -> f64 {
-    std::env::var("XPLACE_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|v: &f64| *v > 0.0)
-        .unwrap_or(default)
+/// Parses `raw`, the value of environment knob `name`, as a number greater
+/// than zero; the error is the message [`env_parse`] prints.
+pub fn parse_env_value<T>(name: &str, raw: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + Default,
+    T::Err: std::fmt::Display,
+{
+    match raw.parse::<T>() {
+        Ok(v) if v > T::default() => Ok(v),
+        Ok(_) => Err(format!(
+            "invalid value '{raw}' for {name}: must be greater than zero"
+        )),
+        Err(e) => Err(format!("invalid value '{raw}' for {name}: {e}")),
+    }
 }
 
-/// Reads an iteration cap from `XPLACE_MAX_ITERS` (default `default`).
-pub fn max_iters_from_env(default: usize) -> usize {
-    std::env::var("XPLACE_MAX_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|v: &usize| *v > 0)
-        .unwrap_or(default)
+/// Reads environment knob `name` (e.g. `XPLACE_SCALE`, where 1.0 is the
+/// published contest size), returning `default` when it is unset and
+/// exiting with status 2 on a value [`parse_env_value`] rejects (bin
+/// helper, the environment twin of [`argv_parse`]).
+pub fn env_parse<T>(name: &str, default: T) -> T
+where
+    T: std::str::FromStr + PartialOrd + Default,
+    T::Err: std::fmt::Display,
+{
+    let Some(raw) = std::env::var_os(name) else {
+        return default;
+    };
+    match parse_env_value(name, &raw.to_string_lossy()) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        }
+    }
 }
 
 /// The default worker count: the machine's parallelism, capped at 8.
@@ -241,11 +259,28 @@ mod tests {
     }
 
     #[test]
-    fn env_overrides_parse() {
-        // Unset -> default.
-        std::env::remove_var("XPLACE_SCALE");
-        assert_eq!(scale_from_env(0.01), 0.01);
-        assert_eq!(max_iters_from_env(700), 700);
+    fn env_values_parse_or_name_the_knob() {
+        assert_eq!(parse_env_value::<f64>("XPLACE_SCALE", "0.25"), Ok(0.25));
+        assert_eq!(parse_env_value::<usize>("XPLACE_MAX_ITERS", "700"), Ok(700));
+        let garbage = parse_env_value::<f64>("XPLACE_SCALE", "0.1x").unwrap_err();
+        assert!(
+            garbage.starts_with("invalid value '0.1x' for XPLACE_SCALE"),
+            "{garbage}"
+        );
+        for zero in ["0", "0.0", "-1"] {
+            let err = parse_env_value::<f64>("XPLACE_SCALE", zero).unwrap_err();
+            assert!(err.contains("greater than zero"), "{err}");
+        }
+        let err = parse_env_value::<usize>("XPLACE_CELLS", "0").unwrap_err();
+        assert_eq!(
+            err,
+            "invalid value '0' for XPLACE_CELLS: must be greater than zero"
+        );
+    }
+
+    #[test]
+    fn unset_env_knob_takes_the_default() {
+        assert_eq!(env_parse("XPLACE_UNSET_KNOB_FOR_TEST", 0.01), 0.01);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The spectral microbench: per-GP-iteration transform cost of the
 //! electrostatic Poisson solve at production grid sizes.
 //!
-//! Four quantities per grid, matching [`SpectralGrid`]:
+//! Two quantities per grid, matching [`SpectralGrid`]:
 //!
 //! * `modeled_ns` — the deterministic device-model cost of the two
 //!   spectral kernels ([`DensityOp::spectral_kernels`]) on the reference
@@ -10,24 +10,15 @@
 //! * `solve_wall_ns` — minimum wall-clock ns of one full
 //!   [`ElectrostaticSolver::solve_into`] (analysis + fused field
 //!   synthesis). Machine-dependent; the gate only warns.
-//! * `real_wall_ns` / `complex_wall_ns` — minimum wall-clock ns of the
-//!   same fixed row batch (analyze + cosine + sine synthesis per row)
-//!   through the packed-real [`DctPlan`] and through the retained
-//!   length-2N complex reference path. Informational: the pair is the
-//!   measured evidence for the real-FFT speedup.
 
 use xplace_device::{Device, DeviceConfig};
-use xplace_fft::{reference::ComplexDct, DctPlan, ElectrostaticSolver, FieldSolution, Grid2};
+use xplace_fft::{ElectrostaticSolver, FieldSolution, Grid2};
 use xplace_ops::density::DensityOp;
 use xplace_telemetry::{SpectralGrid, SpectralMetrics};
 
 /// Grid sizes the committed baseline records (256/512/1024, the range the
 /// paper's benchmarks bin their density maps at).
 pub const SPECTRAL_GRIDS: [usize; 3] = [256, 512, 1024];
-
-/// Rows per transform-sweep batch (fixed so real/complex timings compare
-/// like for like and smoke runs stay fast).
-const SWEEP_ROWS: usize = 16;
 
 /// A deterministic, structured test density: smooth bumps plus a lattice
 /// ripple, so no transform input is trivially zero.
@@ -79,39 +70,10 @@ pub fn measure_grid(n: usize, reps: usize) -> SpectralGrid {
         solver.solve_into(&density, &mut fields).expect("solve");
     });
 
-    // Real vs complex transform sweep over the same fixed row batch.
-    let rows: Vec<&[f64]> = (0..SWEEP_ROWS.min(n))
-        .map(|r| &density.as_slice()[r * n..(r + 1) * n])
-        .collect();
-    let mut coeffs = vec![0.0; n];
-    let mut out = vec![0.0; n];
-    let mut real_plan = DctPlan::new(n).expect("bench grid is a power of two");
-    let real_wall_ns = min_wall_ns(reps, || {
-        for row in &rows {
-            real_plan.analyze(row, &mut coeffs).expect("analyze");
-            real_plan.cosine_synthesis(&coeffs, &mut out).expect("idct");
-            real_plan.sine_synthesis(&coeffs, &mut out).expect("idxst");
-        }
-    });
-    let mut complex_plan = ComplexDct::new(n).expect("bench grid is a power of two");
-    let complex_wall_ns = min_wall_ns(reps, || {
-        for row in &rows {
-            complex_plan.analyze(row, &mut coeffs).expect("analyze");
-            complex_plan
-                .cosine_synthesis(&coeffs, &mut out)
-                .expect("idct");
-            complex_plan
-                .sine_synthesis(&coeffs, &mut out)
-                .expect("idxst");
-        }
-    });
-
     SpectralGrid {
         n,
         modeled_ns,
         solve_wall_ns,
-        real_wall_ns,
-        complex_wall_ns,
     }
 }
 
@@ -133,8 +95,6 @@ mod tests {
         assert_eq!(a.modeled_ns, b.modeled_ns);
         assert!(a.modeled_ns > 0);
         assert!(a.solve_wall_ns > 0);
-        assert!(a.real_wall_ns > 0);
-        assert!(a.complex_wall_ns > 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::engine::EngineState;
+use crate::engine::{unit_hash, EngineState};
 use crate::optimizer::OptimizerState;
 use crate::params::ParamState;
 use crate::{EvalResult, PlaceError, XplaceConfig};
@@ -424,12 +424,6 @@ impl Checkpoint {
     /// sees the perturbed density. Same snapshot + same `perturbation`
     /// ⇒ bit-identical branched state.
     pub fn perturb(&mut self, perturbation: &Perturbation) {
-        let unit = |i: usize, salt: u64| -> f64 {
-            let mut h = (i as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-            (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
         let seed = perturbation.seed;
         if perturbation.position_frac > 0.0 && self.movable > 0 {
             let bounds = |v: &[f64]| {
@@ -445,16 +439,16 @@ impl Checkpoint {
             let amp_x = (max_x - min_x) * perturbation.position_frac;
             let amp_y = (max_y - min_y) * perturbation.position_frac;
             for i in 0..self.movable.min(self.x.len()) {
-                self.x[i] = (self.x[i] + amp_x * unit(i, seed)).clamp(min_x, max_x);
-                self.y[i] = (self.y[i] + amp_y * unit(i, seed ^ 0xabcd)).clamp(min_y, max_y);
+                self.x[i] = (self.x[i] + amp_x * unit_hash(i, seed)).clamp(min_x, max_x);
+                self.y[i] = (self.y[i] + amp_y * unit_hash(i, seed ^ 0xabcd)).clamp(min_y, max_y);
             }
         }
         // λ rescale (multiplicative, strictly positive for frac < 2) and
         // ω offset: nudge the schedule so the branch walks a different
         // trade-off path than its parent.
-        self.params.lambda *= 1.0 + perturbation.lambda_frac * unit(0, seed ^ 0x1a3b);
+        self.params.lambda *= 1.0 + perturbation.lambda_frac * unit_hash(0, seed ^ 0x1a3b);
         self.omega =
-            (self.omega + perturbation.omega_shift * unit(1, seed ^ 0x5c7d)).clamp(0.0, 1.0);
+            (self.omega + perturbation.omega_shift * unit_hash(1, seed ^ 0x5c7d)).clamp(0.0, 1.0);
         // Fresh momentum, fresh rollback baseline, fresh field.
         self.optimizer = None;
         self.best_overflow = f64::INFINITY;

@@ -163,8 +163,6 @@ pub struct XplaceConfig {
     pub grid: Option<usize>,
     /// Seed for filler spreading.
     pub seed: u64,
-    /// Record per-iteration metrics (cheap; on by default).
-    pub record: bool,
     /// CPU launch width inside the heavy kernel bodies (wirelength,
     /// density accumulation and the spectral Poisson solve), executed on the
     /// persistent `xplace-parallel` pool. The work decomposition is fixed by
@@ -195,7 +193,6 @@ impl XplaceConfig {
             device: DeviceConfig::rtx3090(),
             grid: None,
             seed: 0x5eed,
-            record: true,
             threads: 1,
             multilevel: MultilevelConfig::default(),
             fault: GpFault::NONE,

@@ -483,9 +483,10 @@ impl GradientEngine {
     }
 }
 
-/// Deterministic unit-interval hash used for uncoarsening jitter; the same
-/// mix as the placer's symmetry-breaking noise.
-fn unit_hash(i: usize, salt: u64) -> f64 {
+/// Deterministic splitmix-style hash of `(i, salt)` into `[-0.5, 0.5)`: the
+/// one source of seeded jitter (the placer's symmetry-breaking noise,
+/// uncoarsening seeds and checkpoint-branch perturbations).
+pub(crate) fn unit_hash(i: usize, salt: u64) -> f64 {
     let mut h = (i as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);

@@ -15,8 +15,8 @@
 //!   Barzilai–Borwein step prediction (as in ePlace),
 //! * [`Parameters`] / scheduling — γ and λ updates including the
 //!   stage-aware slowdown of Algorithm 1,
-//! * [`Recorder`] — per-iteration metrics (HPWL, overflow, ω, the
-//!   skip ratio r, modeled GPU time),
+//! * [`Recorder`] — a telemetry sink keeping per-iteration metrics
+//!   (HPWL, overflow, ω, the skip ratio r, modeled GPU time),
 //! * [`GlobalPlacer`] — the driver tying everything together,
 //! * [`DensityGuidance`] — the extension trait a neural model (crate
 //!   `xplace-nn`) implements to inject predicted fields (Eq. 14).

@@ -1,10 +1,11 @@
 //! The global-placement driver: wires the gradient engine, optimizer,
 //! scheduler and recorder together (Figure 1 of the paper).
 
+use crate::engine::unit_hash;
 use crate::params::{gamma_for, update_period};
 use crate::{
     Checkpoint, CheckpointOptions, DensityGuidance, Framework, GradientEngine, IterationRecord,
-    NesterovOptimizer, Parameters, PlaceError, Recorder, XplaceConfig,
+    NesterovOptimizer, Parameters, PlaceError, XplaceConfig,
 };
 use std::time::Instant;
 use xplace_db::Design;
@@ -42,8 +43,6 @@ pub struct PlacementReport {
     pub profile: ProfileSnapshot,
     /// Wall-clock CPU time of the run in seconds.
     pub wall_seconds: f64,
-    /// Per-iteration metrics (empty when recording is disabled).
-    pub recorder: Recorder,
 }
 
 impl PlacementReport {
@@ -237,7 +236,6 @@ impl GlobalPlacer {
         for li in (0..levels.len()).rev() {
             let mut cfg = self.config.clone();
             cfg.multilevel.enabled = false;
-            cfg.record = false;
             cfg.fault = xplace_fault::GpFault::NONE;
             cfg.schedule.max_iterations = ml.coarse_max_iterations;
             cfg.schedule.min_iterations = cfg.schedule.min_iterations.min(ml.coarse_max_iterations);
@@ -325,15 +323,9 @@ impl GlobalPlacer {
             } else {
                 0.02 * bin
             };
-            let hash = |i: usize, salt: u64| -> f64 {
-                let mut h = (i as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                h ^= h >> 33;
-                h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-                (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-            };
             for i in 0..model.num_movable() {
-                model.x[i] += amp * hash(i, self.config.seed);
-                model.y[i] += amp * hash(i, self.config.seed ^ 0xabcd);
+                model.x[i] += amp * unit_hash(i, self.config.seed);
+                model.y[i] += amp * unit_hash(i, self.config.seed ^ 0xabcd);
             }
             model.clamp_to_region();
             model.clamp_to_fences();
@@ -348,7 +340,6 @@ impl GlobalPlacer {
         let schedule = self.config.schedule;
         let bin_size = 0.5 * (model.bin_w() + model.bin_h());
         let mut params = Parameters::new(&schedule, bin_size);
-        let mut recorder = Recorder::new(self.config.record);
         let fused_optimizer =
             self.config.framework == Framework::Xplace && self.config.operators.reduction;
 
@@ -415,28 +406,30 @@ impl GlobalPlacer {
                 ckpt.every > 0 && iter > start_iter && iter.is_multiple_of(ckpt.every);
             if pause_here || cadence_save {
                 if let Some(store) = ckpt.store {
-                    let snapshot = self.snapshot(
-                        design,
-                        iter,
-                        &model,
-                        &params,
+                    let mut profile = profile_base;
+                    accumulate_profile(&mut profile, device.profile());
+                    let snapshot = Checkpoint {
+                        design: design.name().to_string(),
+                        cells: design.netlist().num_cells(),
+                        movable: design.netlist().num_movable(),
+                        config: self.config.echo(),
+                        iteration: iter,
+                        x: model.x.clone(),
+                        y: model.y.clone(),
+                        params: params.state(),
                         omega,
-                        optimizer.as_ref(),
+                        optimizer: optimizer.as_ref().map(|o| o.state()),
                         initial_hpwl,
                         initial_overflow,
                         best_overflow,
                         best_iter,
-                        &best_u,
-                        cur_stage,
+                        best_u: best_u.clone(),
+                        stage: cur_stage,
                         skip_window_open,
                         last_eval,
-                        &engine,
-                        {
-                            let mut p = profile_base;
-                            accumulate_profile(&mut p, device.profile());
-                            p
-                        },
-                    );
+                        engine: engine.state(),
+                        profile,
+                    };
                     store.save(iter, &snapshot.render()).map_err(|e| {
                         PlaceError::Checkpoint(format!("save at iteration {iter}: {e}"))
                     })?;
@@ -467,23 +460,21 @@ impl GlobalPlacer {
                 // γ starts from the observed overflow.
                 params.update(&schedule, bin_size, eval.overflow, eval.hpwl);
             }
-            let record = IterationRecord {
-                iteration: iter,
-                hpwl: eval.hpwl,
-                wa: eval.wa,
-                overflow: eval.overflow,
-                lambda: params.lambda,
-                gamma: params.gamma,
-                omega,
-                r_ratio: eval.r_ratio,
-                density_skipped: eval.density_skipped,
-                modeled_ns: prof.modeled_ns(),
-                launches: prof.launches,
-            };
-            recorder.push(record);
             if tracing {
                 sink.emit(&TelemetryEvent::Iteration {
-                    record,
+                    record: IterationRecord {
+                        iteration: iter,
+                        hpwl: eval.hpwl,
+                        wa: eval.wa,
+                        overflow: eval.overflow,
+                        lambda: params.lambda,
+                        gamma: params.gamma,
+                        omega,
+                        r_ratio: eval.r_ratio,
+                        density_skipped: eval.density_skipped,
+                        modeled_ns: prof.modeled_ns(),
+                        launches: prof.launches,
+                    },
                     profile: prof.into(),
                 });
                 if iter == 0 {
@@ -643,60 +634,14 @@ impl GlobalPlacer {
             best_overflow,
             profile: total_profile,
             wall_seconds: start.elapsed().as_secs_f64(),
-            recorder,
         })
-    }
-
-    /// Assembles the [`Checkpoint`] snapshot of the loop state at the top
-    /// of iteration `iteration`.
-    #[allow(clippy::too_many_arguments)]
-    fn snapshot(
-        &self,
-        design: &Design,
-        iteration: usize,
-        model: &PlacementModel,
-        params: &Parameters,
-        omega: f64,
-        optimizer: Option<&NesterovOptimizer>,
-        initial_hpwl: f64,
-        initial_overflow: f64,
-        best_overflow: f64,
-        best_iter: usize,
-        best_u: &Option<(Vec<f64>, Vec<f64>)>,
-        stage: Stage,
-        skip_window_open: bool,
-        last_eval: Option<crate::EvalResult>,
-        engine: &GradientEngine,
-        profile: ProfileSnapshot,
-    ) -> Checkpoint {
-        Checkpoint {
-            design: design.name().to_string(),
-            cells: design.netlist().num_cells(),
-            movable: design.netlist().num_movable(),
-            config: self.config.echo(),
-            iteration,
-            x: model.x.clone(),
-            y: model.y.clone(),
-            params: params.state(),
-            omega,
-            optimizer: optimizer.map(|o| o.state()),
-            initial_hpwl,
-            initial_overflow,
-            best_overflow,
-            best_iter,
-            best_u: best_u.clone(),
-            stage,
-            skip_window_open,
-            last_eval,
-            engine: engine.state(),
-            profile,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Recorder;
     use xplace_db::synthesis::{synthesize, SynthesisSpec};
 
     fn small_design(seed: u64) -> Design {
@@ -777,31 +722,38 @@ mod tests {
 
     #[test]
     fn recorder_captures_every_iteration() {
-        let mut design = small_design(13);
         let mut cfg = XplaceConfig::xplace();
         cfg.schedule.max_iterations = 50;
-        let report = GlobalPlacer::new(cfg).place(&mut design).unwrap();
-        assert_eq!(report.recorder.len(), report.iterations);
+        let mut recorder = Recorder::new();
+        let report = GlobalPlacer::new(cfg.clone())
+            .place_traced(&mut small_design(13), &mut recorder)
+            .unwrap();
+        assert_eq!(recorder.len(), report.iterations);
+        // The recorder keeps exactly the `Iteration` events of the trace,
+        // bit for bit (Debug prints round-trip floats, so equal text means
+        // equal bits).
+        let mut sink = xplace_telemetry::VecSink::new();
+        GlobalPlacer::new(cfg)
+            .place_traced(&mut small_design(13), &mut sink)
+            .unwrap();
+        let traced: Vec<IterationRecord> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TelemetryEvent::Iteration { record, .. } => Some(*record),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(format!("{:?}", recorder.records()), format!("{traced:?}"));
         // r starts ultra-small (§3.1.4 observation).
-        let first = &report.recorder.records()[1];
+        let first = &recorder.records()[1];
         assert!(first.r_ratio < 0.01, "early r = {}", first.r_ratio);
         // Early iterations skip density under full optimization.
-        assert!(report
-            .recorder
+        assert!(recorder
             .records()
             .iter()
             .take(20)
             .any(|r| r.density_skipped));
-    }
-
-    #[test]
-    fn recording_can_be_disabled() {
-        let mut design = small_design(15);
-        let mut cfg = XplaceConfig::xplace();
-        cfg.schedule.max_iterations = 10;
-        cfg.record = false;
-        let report = GlobalPlacer::new(cfg).place(&mut design).unwrap();
-        assert!(report.recorder.is_empty());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! (analysis) and the Hermitian coefficient spectrum (synthesis) are real /
 //! conjugate-symmetric, so only the non-redundant half of the length-`2N`
 //! spectrum is ever computed or stored. See `DESIGN.md` ("Real-FFT spectral
-//! engine") for the derivation; [`reference::ComplexDct`] preserves the
-//! previous length-`2N` complex-FFT path for property tests and benchmarks.
+//! engine") for the derivation; [`naive`] holds the `O(N^2)` sums the
+//! tests check these paths against.
 
 use crate::{Complex, FftError, RealFftPlan};
 use std::collections::HashMap;
@@ -398,112 +398,6 @@ impl DctPlan {
     }
 }
 
-/// The pre-real-FFT transform path: every DCT/DST through one length-`2N`
-/// **complex** FFT. Kept as a second independent implementation for
-/// property tests (real vs complex path) and speedup benchmarks; not used
-/// by the solver.
-#[doc(hidden)]
-pub mod reference {
-    use crate::{Complex, FftError, FftPlan};
-
-    /// [`super::DctPlan`]'s previous implementation: DCT-II analysis and
-    /// cosine/sine synthesis through a full length-`2N` complex FFT.
-    #[derive(Debug, Clone)]
-    pub struct ComplexDct {
-        len: usize,
-        fft: FftPlan,
-        /// e^{-i pi k / (2N)} for k in 0..2N.
-        phase_fwd: Vec<Complex>,
-        /// e^{+i pi k / (2N)} for k in 0..N.
-        phase_inv: Vec<Complex>,
-        scratch: Vec<Complex>,
-    }
-
-    impl ComplexDct {
-        /// Creates a plan of length `len` (must be a nonzero power of two).
-        pub fn new(len: usize) -> Result<Self, FftError> {
-            if len == 0 {
-                return Err(FftError::EmptyLength);
-            }
-            if !crate::is_power_of_two(len) {
-                return Err(FftError::NotPowerOfTwo(len));
-            }
-            let fft = FftPlan::new(2 * len)?;
-            let phase_fwd = (0..2 * len)
-                .map(|k| Complex::from_angle(-std::f64::consts::PI * k as f64 / (2.0 * len as f64)))
-                .collect();
-            let phase_inv = (0..len)
-                .map(|k| Complex::from_angle(std::f64::consts::PI * k as f64 / (2.0 * len as f64)))
-                .collect();
-            Ok(ComplexDct {
-                len,
-                fft,
-                phase_fwd,
-                phase_inv,
-                scratch: vec![Complex::ZERO; 2 * len],
-            })
-        }
-
-        /// Unnormalized DCT-II analysis (complex-FFT path).
-        pub fn analyze(&mut self, input: &[f64], output: &mut [f64]) -> Result<(), FftError> {
-            let n = self.len;
-            for (i, &x) in input.iter().enumerate() {
-                self.scratch[i] = Complex::new(x, 0.0);
-                self.scratch[2 * n - 1 - i] = Complex::new(x, 0.0);
-            }
-            self.fft.forward(&mut self.scratch)?;
-            for k in 0..n {
-                output[k] = 0.5 * (self.scratch[k] * self.phase_fwd[k]).re;
-            }
-            Ok(())
-        }
-
-        /// Cosine synthesis (complex-FFT path).
-        pub fn cosine_synthesis(
-            &mut self,
-            coeffs: &[f64],
-            output: &mut [f64],
-        ) -> Result<(), FftError> {
-            let n = self.len;
-            self.scratch[0] = Complex::new(coeffs[0], 0.0);
-            self.scratch[n] = Complex::ZERO;
-            for k in 1..n {
-                let z = self.phase_inv[k].scale(coeffs[k]);
-                self.scratch[k] = z;
-                self.scratch[2 * n - k] = z.conj();
-            }
-            self.fft.inverse_unscaled(&mut self.scratch)?;
-            let c0 = coeffs[0];
-            for i in 0..n {
-                output[i] = 0.5 * (self.scratch[i].re + c0);
-            }
-            Ok(())
-        }
-
-        /// Sine synthesis (complex-FFT path).
-        pub fn sine_synthesis(
-            &mut self,
-            coeffs: &[f64],
-            output: &mut [f64],
-        ) -> Result<(), FftError> {
-            let n = self.len;
-            self.scratch[0] = Complex::ZERO;
-            self.scratch[n] = Complex::ZERO;
-            for m in 1..n {
-                let z = self.phase_inv[m].scale(coeffs[n - m]);
-                self.scratch[m] = z;
-                self.scratch[2 * n - m] = z.conj();
-            }
-            self.fft.inverse_unscaled(&mut self.scratch)?;
-            for i in 0..n {
-                let cos_sum = 0.5 * self.scratch[i].re;
-                output[i] = if i % 2 == 0 { cos_sum } else { -cos_sum };
-            }
-            Ok(())
-        }
-    }
-}
-
 /// Reference `O(N^2)` implementations used to validate the FFT-backed
 /// paths (unit, property and solver tests).
 #[doc(hidden)]
@@ -718,31 +612,6 @@ mod tests {
             let slow = naive::sine_synthesis(&c);
             for (a, b) in fast.iter().zip(&slow) {
                 assert!((a - b).abs() < 1e-9, "n={n}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn real_path_matches_complex_reference_path() {
-        for &n in &[1usize, 2, 4, 16, 128] {
-            let mut real = DctPlan::new(n).unwrap();
-            let mut complex = reference::ComplexDct::new(n).unwrap();
-            let x = sample_signal(n);
-            let (mut a, mut b) = (vec![0.0; n], vec![0.0; n]);
-            real.analyze(&x, &mut a).unwrap();
-            complex.analyze(&x, &mut b).unwrap();
-            for (p, q) in a.iter().zip(&b) {
-                assert!((p - q).abs() < 1e-9, "analyze n={n}: {p} vs {q}");
-            }
-            real.cosine_synthesis(&x, &mut a).unwrap();
-            complex.cosine_synthesis(&x, &mut b).unwrap();
-            for (p, q) in a.iter().zip(&b) {
-                assert!((p - q).abs() < 1e-9, "cosine n={n}: {p} vs {q}");
-            }
-            real.sine_synthesis(&x, &mut a).unwrap();
-            complex.sine_synthesis(&x, &mut b).unwrap();
-            for (p, q) in a.iter().zip(&b) {
-                assert!((p - q).abs() < 1e-9, "sine n={n}: {p} vs {q}");
             }
         }
     }

@@ -46,7 +46,7 @@ mod spectral;
 
 pub use complex::Complex;
 #[doc(hidden)]
-pub use dct::{naive, reference};
+pub use dct::naive;
 pub use dct::{
     plan_cache_evictions, plan_cache_stats, DctPlan, PlanCache, DEFAULT_PLAN_CACHE_CAPACITY,
 };

@@ -18,7 +18,7 @@ use crate::PlacementModel;
 use xplace_device::{Device, KernelInfo};
 use xplace_parallel::WorkerPool;
 
-/// Reusable per-block scratch for [`wa_fused_blocked`].
+/// Reusable per-block scratch for [`wa_fused_blocked_ws`].
 ///
 /// The blocked kernel needs two `num_movable`-long gradient accumulators per
 /// net block. Allocating them fresh on every call puts two `Vec` allocations
@@ -104,10 +104,8 @@ pub fn hpwl(device: &Device, model: &PlacementModel) -> f64 {
 
 /// Per-net WA accumulation for one coordinate; returns the net's WA value
 /// and writes per-pin gradient contributions through `grad`.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn wa_net_coord(
-    _model: &PlacementModel,
     s: usize,
     t: usize,
     gamma: f64,
@@ -141,14 +139,44 @@ fn wa_net_coord(
     wl_pos - wl_neg
 }
 
+/// Receives the per-node gradient terms of a [`wa_pass`]. The pass is
+/// monomorphized per sink, so the forward-only `()` sink compiles the
+/// gradient scatter away and the accumulating sink pays no per-pin branch.
+trait GradSink {
+    fn add_x(&mut self, node: usize, d: f64);
+    fn add_y(&mut self, node: usize, d: f64);
+}
+
+impl GradSink for () {
+    #[inline]
+    fn add_x(&mut self, _: usize, _: f64) {}
+    #[inline]
+    fn add_y(&mut self, _: usize, _: f64) {}
+}
+
+impl GradSink for (&mut [f64], &mut [f64]) {
+    #[inline]
+    fn add_x(&mut self, node: usize, d: f64) {
+        self.0[node] += d;
+    }
+    #[inline]
+    fn add_y(&mut self, node: usize, d: f64) {
+        self.1[node] += d;
+    }
+}
+
+/// The one WA net loop: a serial pass over the nets in `nets`, returning
+/// their WA wirelength and HPWL and scattering movable-node gradients into
+/// `grad`.
 fn wa_pass(
     model: &PlacementModel,
     gamma: f64,
-    mut grad_sink: Option<(&mut [f64], &mut [f64])>,
+    nets: std::ops::Range<usize>,
+    mut grad: impl GradSink,
 ) -> FusedWirelength {
     let nm = model.num_movable();
     let mut out = FusedWirelength::default();
-    for e in 0..model.num_nets() {
+    for e in nets {
         let (s, t) = net_range(model, e);
         if t - s < 2 {
             continue;
@@ -157,7 +185,6 @@ fn wa_pass(
         let (min_x, max_x, min_y, max_y) = bounds_of_net(model, s, t);
         out.hpwl += weight * ((max_x - min_x) + (max_y - min_y));
         let wx = wa_net_coord(
-            model,
             s,
             t,
             gamma,
@@ -165,16 +192,13 @@ fn wa_pass(
             max_x,
             |p| pin_pos(model, p).0,
             |p, d| {
-                if let Some((gx, _)) = grad_sink.as_mut() {
-                    let n = model.pin_node[p] as usize;
-                    if n < nm {
-                        gx[n] += weight * d;
-                    }
+                let n = model.pin_node[p] as usize;
+                if n < nm {
+                    grad.add_x(n, weight * d);
                 }
             },
         );
         let wy = wa_net_coord(
-            model,
             s,
             t,
             gamma,
@@ -182,11 +206,9 @@ fn wa_pass(
             max_y,
             |p| pin_pos(model, p).1,
             |p, d| {
-                if let Some((_, gy)) = grad_sink.as_mut() {
-                    let n = model.pin_node[p] as usize;
-                    if n < nm {
-                        gy[n] += weight * d;
-                    }
+                let n = model.pin_node[p] as usize;
+                if n < nm {
+                    grad.add_y(n, weight * d);
                 }
             },
         );
@@ -214,7 +236,9 @@ pub fn wa_with_grad(
     let kernel = KernelInfo::new("wa_with_grad")
         .bytes(model.num_pins() as u64 * 56)
         .flops(model.num_pins() as u64 * 60);
-    device.launch(kernel, || wa_pass(model, gamma, Some((grad_x, grad_y))).wa)
+    device.launch(kernel, || {
+        wa_pass(model, gamma, 0..model.num_nets(), (grad_x, grad_y)).wa
+    })
 }
 
 /// Xplace's combined kernel (§3.1.1): WA wirelength, WA gradient and HPWL
@@ -234,7 +258,9 @@ pub fn wa_fused(
     let kernel = KernelInfo::new("wa_fused")
         .bytes(model.num_pins() as u64 * 56)
         .flops(model.num_pins() as u64 * 68);
-    device.launch(kernel, || wa_pass(model, gamma, Some((grad_x, grad_y))))
+    device.launch(kernel, || {
+        wa_pass(model, gamma, 0..model.num_nets(), (grad_x, grad_y))
+    })
 }
 
 /// Fixed net-block size for the blocked parallel wirelength decomposition.
@@ -247,27 +273,11 @@ pub const NET_BLOCK: usize = 2048;
 
 /// Multithreaded variant of [`wa_fused`]: the same single fused kernel,
 /// with its body decomposed into fixed [`NET_BLOCK`]-net blocks executed on
-/// the persistent worker pool. Each block accumulates into private gradient
-/// buffers, merged in block order afterwards, so the result is bit-identical
-/// for **any** thread count; designs that fit in one block take the plain
+/// `pool` — the zero-allocation form used by the gradient engine's hot
+/// loop. Each block accumulates into private gradient buffers held in `ws`,
+/// merged in block order afterwards, so the result is bit-identical for
+/// **any** thread count; designs that fit in one block take the plain
 /// serial [`wa_fused`] path.
-///
-/// # Panics
-///
-/// Panics if the gradient slices are shorter than the movable-node count.
-pub fn wa_fused_mt(
-    device: &Device,
-    model: &PlacementModel,
-    gamma: f64,
-    grad_x: &mut [f64],
-    grad_y: &mut [f64],
-    threads: usize,
-) -> FusedWirelength {
-    wa_fused_blocked(device, model, gamma, grad_x, grad_y, threads, NET_BLOCK)
-}
-
-/// [`wa_fused_mt`] with an explicit pool handle and reusable workspace — the
-/// zero-allocation form used by the gradient engine's hot loop.
 ///
 /// # Panics
 ///
@@ -288,42 +298,12 @@ pub fn wa_fused_mt_ws(
     )
 }
 
-/// [`wa_fused_mt`] with an explicit block size — the deterministic blocked
-/// core. Exposed so tests and benchmarks can force multi-block decompositions
-/// on small designs; production callers use [`wa_fused_mt`].
-///
-/// # Panics
-///
-/// Panics if the gradient slices are shorter than the movable-node count or
-/// `net_block` is zero.
-pub fn wa_fused_blocked(
-    device: &Device,
-    model: &PlacementModel,
-    gamma: f64,
-    grad_x: &mut [f64],
-    grad_y: &mut [f64],
-    threads: usize,
-    net_block: usize,
-) -> FusedWirelength {
-    let mut ws = WaWorkspace::new();
-    wa_fused_blocked_ws(
-        device,
-        model,
-        gamma,
-        grad_x,
-        grad_y,
-        threads,
-        net_block,
-        xplace_parallel::global(),
-        &mut ws,
-    )
-}
-
-/// [`wa_fused_blocked`] with an explicit pool handle and a caller-owned
-/// [`WaWorkspace`]: the per-block gradient accumulators live in the
-/// workspace instead of being allocated per call. Slot `b` is zero-filled
-/// before block `b`'s pass, so a reused workspace produces bit-identical
-/// results to fresh buffers.
+/// [`wa_fused_mt_ws`] with an explicit block size — the deterministic
+/// blocked core. Exposed so tests and benchmarks can force multi-block
+/// decompositions on small designs. The per-block gradient accumulators
+/// live in the caller-owned [`WaWorkspace`] instead of being allocated per
+/// call; slot `b` is zero-filled before block `b`'s pass, so a reused
+/// workspace produces bit-identical results to a fresh one.
 ///
 /// # Panics
 ///
@@ -360,7 +340,7 @@ pub fn wa_fused_blocked_ws(
             let (gx, gy) = slot;
             gx.fill(0.0);
             gy.fill(0.0);
-            wa_pass_range(model, gamma, lo, hi, gx, gy)
+            wa_pass(model, gamma, lo..hi, (gx.as_mut_slice(), gy.as_mut_slice()))
         });
         // Merge in block order: fixed reduction order for any thread count.
         let mut total = FusedWirelength::default();
@@ -376,67 +356,13 @@ pub fn wa_fused_blocked_ws(
     })
 }
 
-/// Serial WA pass over the net range `[lo, hi)`, accumulating gradients.
-fn wa_pass_range(
-    model: &PlacementModel,
-    gamma: f64,
-    lo: usize,
-    hi: usize,
-    grad_x: &mut [f64],
-    grad_y: &mut [f64],
-) -> FusedWirelength {
-    let nm = model.num_movable();
-    let mut out = FusedWirelength::default();
-    for e in lo..hi {
-        let (s, t) = net_range(model, e);
-        if t - s < 2 {
-            continue;
-        }
-        let weight = model.net_weight[e];
-        let (min_x, max_x, min_y, max_y) = bounds_of_net(model, s, t);
-        out.hpwl += weight * ((max_x - min_x) + (max_y - min_y));
-        let wx = wa_net_coord(
-            model,
-            s,
-            t,
-            gamma,
-            min_x,
-            max_x,
-            |p| pin_pos(model, p).0,
-            |p, d| {
-                let n = model.pin_node[p] as usize;
-                if n < nm {
-                    grad_x[n] += weight * d;
-                }
-            },
-        );
-        let wy = wa_net_coord(
-            model,
-            s,
-            t,
-            gamma,
-            min_y,
-            max_y,
-            |p| pin_pos(model, p).1,
-            |p, d| {
-                let n = model.pin_node[p] as usize;
-                if n < nm {
-                    grad_y[n] += weight * d;
-                }
-            },
-        );
-        out.wa += weight * (wx + wy);
-    }
-    out
-}
-
 /// Forward-only WA wirelength (autograd mode): one launch, no gradient.
 pub fn wa_forward(device: &Device, model: &PlacementModel, gamma: f64) -> f64 {
     let kernel = KernelInfo::new("wa_forward")
         .bytes(model.num_pins() as u64 * 40)
         .flops(model.num_pins() as u64 * 40)
         .out_of_place();
-    device.launch(kernel, || wa_pass(model, gamma, None).wa)
+    device.launch(kernel, || wa_pass(model, gamma, 0..model.num_nets(), ()).wa)
 }
 
 /// Device-free WA gradient accumulation, for use *inside* an already
@@ -448,7 +374,7 @@ pub fn wa_forward(device: &Device, model: &PlacementModel, gamma: f64) -> f64 {
 /// Panics if the gradient slices are shorter than the movable-node count.
 pub fn wa_grad_into(model: &PlacementModel, gamma: f64, grad_x: &mut [f64], grad_y: &mut [f64]) {
     assert!(grad_x.len() >= model.num_movable() && grad_y.len() >= model.num_movable());
-    wa_pass(model, gamma, Some((grad_x, grad_y)));
+    wa_pass(model, gamma, 0..model.num_nets(), (grad_x, grad_y));
 }
 
 /// Backward WA kernel (autograd mode): recomputes the exponent sums and
@@ -470,7 +396,7 @@ pub fn wa_backward(
         .flops(model.num_pins() as u64 * 60)
         .out_of_place();
     device.launch(kernel, || {
-        wa_pass(model, gamma, Some((grad_x, grad_y)));
+        wa_pass(model, gamma, 0..model.num_nets(), (grad_x, grad_y));
     });
 }
 

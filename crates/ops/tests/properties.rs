@@ -22,6 +22,20 @@ fn scattered_model(cells: usize, seed: u64, spread_seed: u64) -> PlacementModel 
     m
 }
 
+/// The blocked fused wirelength kernel at a 32-net block size (a genuine
+/// multi-block decomposition on these small models) with a fresh workspace.
+fn wa_blocked(
+    device: &Device,
+    m: &PlacementModel,
+    gx: &mut [f64],
+    gy: &mut [f64],
+    threads: usize,
+) -> wirelength::FusedWirelength {
+    let mut ws = wirelength::WaWorkspace::new();
+    let pool = xplace_parallel::global();
+    wirelength::wa_fused_blocked_ws(device, m, 5.0, gx, gy, threads, 32, pool, &mut ws)
+}
+
 /// The WA wirelength never exceeds HPWL and tightens monotonically as
 /// gamma shrinks, for the given cell arrangement.
 fn check_wa_bounds_hpwl(seed: u64, spread: u64) {
@@ -153,8 +167,7 @@ props! {
         let (mut gx1, mut gy1) = (vec![0.0; n], vec![0.0; n]);
         let (mut gx2, mut gy2) = (vec![0.0; n], vec![0.0; n]);
         let serial = wirelength::wa_fused(&device, &m, 5.0, &mut gx1, &mut gy1);
-        let parallel =
-            wirelength::wa_fused_blocked(&device, &m, 5.0, &mut gx2, &mut gy2, threads, 32);
+        let parallel = wa_blocked(&device, &m, &mut gx2, &mut gy2, threads);
         prop_assert!((serial.wa - parallel.wa).abs() < 1e-9 * serial.wa.abs().max(1.0));
         prop_assert!((serial.hpwl - parallel.hpwl).abs() < 1e-9 * serial.hpwl.max(1.0));
         for i in 0..n {
@@ -172,9 +185,8 @@ props! {
         let n = m.num_nodes();
         let (mut gx1, mut gy1) = (vec![0.0; n], vec![0.0; n]);
         let (mut gx2, mut gy2) = (vec![0.0; n], vec![0.0; n]);
-        let one = wirelength::wa_fused_blocked(&device, &m, 5.0, &mut gx1, &mut gy1, 1, 32);
-        let many =
-            wirelength::wa_fused_blocked(&device, &m, 5.0, &mut gx2, &mut gy2, threads, 32);
+        let one = wa_blocked(&device, &m, &mut gx1, &mut gy1, 1);
+        let many = wa_blocked(&device, &m, &mut gx2, &mut gy2, threads);
         prop_assert!(one.wa.to_bits() == many.wa.to_bits());
         prop_assert!(one.hpwl.to_bits() == many.hpwl.to_bits());
         for i in 0..n {
@@ -194,7 +206,7 @@ props! {
         let device = Device::new(DeviceConfig::instant());
         let n = m.num_nodes();
         let (mut gx1, mut gy1) = (vec![0.0; n], vec![0.0; n]);
-        let fresh = wirelength::wa_fused_blocked(&device, &m, 5.0, &mut gx1, &mut gy1, threads, 32);
+        let fresh = wa_blocked(&device, &m, &mut gx1, &mut gy1, threads);
         let mut ws = wirelength::WaWorkspace::new();
         let pool = xplace_parallel::global();
         for dirty_cells in [120, 260] {

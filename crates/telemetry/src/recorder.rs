@@ -4,31 +4,24 @@ use crate::{IterationRecord, TelemetryEvent, TelemetrySink};
 use std::fmt::Write as _;
 use xplace_testkit::json::ToJson;
 
-/// Collects [`IterationRecord`]s over a placement run.
-///
-/// Usable standalone (the placer pushes into it directly) or as a
+/// Collects [`IterationRecord`]s over a placement run: a
 /// [`TelemetrySink`] that keeps the iteration records of an event stream
-/// and ignores everything else.
+/// and ignores everything else. Pass one to the placer's traced entry
+/// point to record a run.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     records: Vec<IterationRecord>,
-    enabled: bool,
 }
 
 impl Recorder {
-    /// Creates a recorder; when `enabled` is false, pushes are dropped.
-    pub fn new(enabled: bool) -> Self {
-        Recorder {
-            records: Vec::new(),
-            enabled,
-        }
+    /// Creates an empty recorder.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Appends a record (no-op when disabled).
+    /// Appends a record.
     pub fn push(&mut self, record: IterationRecord) {
-        if self.enabled {
-            self.records.push(record);
-        }
+        self.records.push(record);
     }
 
     /// The recorded iterations.
@@ -88,10 +81,6 @@ impl TelemetrySink for Recorder {
             self.push(*record);
         }
     }
-
-    fn enabled(&self) -> bool {
-        self.enabled
-    }
 }
 
 #[cfg(test)]
@@ -116,8 +105,8 @@ mod tests {
     }
 
     #[test]
-    fn records_accumulate_when_enabled() {
-        let mut r = Recorder::new(true);
+    fn records_accumulate() {
+        let mut r = Recorder::new();
         r.push(rec(0));
         r.push(rec(1));
         assert_eq!(r.len(), 2);
@@ -125,16 +114,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_drops_records() {
-        let mut r = Recorder::new(false);
-        r.push(rec(0));
-        assert!(r.is_empty());
-        assert!(!r.enabled());
-    }
-
-    #[test]
     fn csv_has_header_and_rows() {
-        let mut r = Recorder::new(true);
+        let mut r = Recorder::new();
         r.push(rec(3));
         let csv = r.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
@@ -146,7 +127,7 @@ mod tests {
 
     #[test]
     fn jsonl_emits_one_object_per_record() {
-        let mut r = Recorder::new(true);
+        let mut r = Recorder::new();
         r.push(rec(0));
         r.push(rec(1));
         let jsonl = r.to_jsonl();
@@ -158,7 +139,7 @@ mod tests {
 
     #[test]
     fn recorder_as_sink_keeps_only_iterations() {
-        let mut r = Recorder::new(true);
+        let mut r = Recorder::new();
         r.emit(&TelemetryEvent::SkipWindow {
             iteration: 0,
             active: true,

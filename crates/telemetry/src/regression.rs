@@ -248,8 +248,7 @@ impl GatedSection for SpectralMetrics {
     /// The grid set must match exactly (dropping a grid silently would hide a
     /// regression). Per grid, `modeled_ns` is deterministic cost-model output
     /// and hard-gates at `tol.modeled_time_pct`; `solve_wall_ns` is
-    /// machine-dependent and warns at `tol.wall_warn_pct`; the real-vs-complex
-    /// wall numbers are purely informational and never gate.
+    /// machine-dependent and warns at `tol.wall_warn_pct`.
     fn compare(baseline: &Self, current: &Self, tol: &Tolerances, cmp: &mut Comparison) {
         let base_grids: Vec<usize> = baseline.grids.iter().map(|g| g.n).collect();
         let cur_grids: Vec<usize> = current.grids.iter().map(|g| g.n).collect();
@@ -287,16 +286,6 @@ impl GatedSection for SpectralMetrics {
                      machine-dependent, not gated",
                     base.solve_wall_ns,
                     cur.solve_wall_ns,
-                    n = base.n
-                ));
-            }
-            if cur.complex_wall_ns > 0 {
-                cmp.notes.push(format!(
-                    "spectral {n}x{n} real path {:.2}x vs complex reference \
-                     ({} vs {} ns, informational)",
-                    cur.complex_wall_ns as f64 / (cur.real_wall_ns.max(1)) as f64,
-                    cur.real_wall_ns,
-                    cur.complex_wall_ns,
                     n = base.n
                 ));
             }

@@ -97,12 +97,6 @@ pub struct SpectralGrid {
     pub modeled_ns: u64,
     /// Wall-clock ns per full `solve_into` — machine-dependent, warn-only.
     pub solve_wall_ns: u64,
-    /// Wall-clock ns for a row batch of packed-real DCT transforms —
-    /// informational evidence for the real-vs-complex speedup.
-    pub real_wall_ns: u64,
-    /// Wall-clock ns for the same batch through the retained complex-FFT
-    /// reference path — informational.
-    pub complex_wall_ns: u64,
 }
 
 /// The spectral-microbench section of a report: one entry per grid size.
@@ -400,8 +394,6 @@ impl ToJson for SpectralGrid {
             ("n", self.n.to_json()),
             ("modeled_ns", self.modeled_ns.to_json()),
             ("solve_wall_ns", self.solve_wall_ns.to_json()),
-            ("real_wall_ns", self.real_wall_ns.to_json()),
-            ("complex_wall_ns", self.complex_wall_ns.to_json()),
         ])
     }
 }
@@ -412,8 +404,6 @@ impl FromJson for SpectralGrid {
             n: usize::from_json(value.field("n")?)?,
             modeled_ns: u64::from_json(value.field("modeled_ns")?)?,
             solve_wall_ns: u64::from_json(value.field("solve_wall_ns")?)?,
-            real_wall_ns: u64::from_json(value.field("real_wall_ns")?)?,
-            complex_wall_ns: u64::from_json(value.field("complex_wall_ns")?)?,
         })
     }
 }
@@ -660,15 +650,11 @@ pub(crate) mod tests {
                         n: 256,
                         modeled_ns: 12_000,
                         solve_wall_ns: 300_000,
-                        real_wall_ns: 90_000,
-                        complex_wall_ns: 160_000,
                     },
                     SpectralGrid {
                         n: 512,
                         modeled_ns: 40_000,
                         solve_wall_ns: 1_400_000,
-                        real_wall_ns: 420_000,
-                        complex_wall_ns: 760_000,
                     },
                 ],
             }),

@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "==> cargo bench --workspace --no-run (compile-check the bench targets)"
+cargo bench --workspace --no-run
+
 echo "==> cargo test -q"
 cargo test -q
 

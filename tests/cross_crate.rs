@@ -2,7 +2,7 @@
 //! model pipeline, neural guidance inside the placer, device accounting
 //! across a whole run.
 
-use xplace::core::{sigma_blend, GlobalPlacer, XplaceConfig};
+use xplace::core::{sigma_blend, GlobalPlacer, Recorder, XplaceConfig};
 use xplace::db::synthesis::{synthesize, SynthesisSpec};
 use xplace::db::{bookshelf, def};
 use xplace::nn::{train, DataConfig, Fno, FnoConfig, FnoGuidance, TrainConfig};
@@ -103,12 +103,13 @@ fn device_accounting_is_consistent_across_a_run() {
     let mut design = synthesize(&spec).expect("synthesis");
     let mut cfg = XplaceConfig::xplace();
     cfg.schedule.max_iterations = 60;
+    let mut recorder = Recorder::new();
     let report = GlobalPlacer::new(cfg)
-        .place(&mut design)
+        .place_traced(&mut design, &mut recorder)
         .expect("placement");
     // The per-iteration records must sum to (almost) the run totals.
-    let rec_ns: u64 = report.recorder.records().iter().map(|r| r.modeled_ns).sum();
-    let rec_launches: u64 = report.recorder.records().iter().map(|r| r.launches).sum();
+    let rec_ns: u64 = recorder.records().iter().map(|r| r.modeled_ns).sum();
+    let rec_launches: u64 = recorder.records().iter().map(|r| r.launches).sum();
     assert!(rec_ns <= report.profile.modeled_ns());
     assert!(rec_launches <= report.profile.launches);
     // The optimizer runs outside the recorded evaluate scope, so totals
@@ -122,10 +123,11 @@ fn skipped_iterations_are_visibly_cheaper_in_the_records() {
     let mut design = synthesize(&spec).expect("synthesis");
     let mut cfg = XplaceConfig::xplace();
     cfg.schedule.max_iterations = 60;
-    let report = GlobalPlacer::new(cfg)
-        .place(&mut design)
+    let mut recorder = Recorder::new();
+    GlobalPlacer::new(cfg)
+        .place_traced(&mut design, &mut recorder)
         .expect("placement");
-    let records = report.recorder.records();
+    let records = recorder.records();
     let skipped: Vec<_> = records.iter().filter(|r| r.density_skipped).collect();
     let full: Vec<_> = records.iter().filter(|r| !r.density_skipped).collect();
     assert!(!skipped.is_empty() && !full.is_empty());
