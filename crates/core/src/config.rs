@@ -279,7 +279,8 @@ impl XplaceConfig {
     ///
     /// Returns [`crate::PlaceError::InvalidConfig`] for inconsistent
     /// schedules (zero iterations, non-positive overflow target, bad γ
-    /// scale, or a non-power-of-two grid override).
+    /// scale, or a grid override that is not a power of two or exceeds
+    /// [`xplace_fft::MAX_GRID_SIDE`]).
     pub fn validate(&self) -> Result<(), crate::PlaceError> {
         if self.schedule.max_iterations == 0 {
             return Err(crate::PlaceError::InvalidConfig(
@@ -305,6 +306,12 @@ impl XplaceConfig {
             if !xplace_fft::is_power_of_two(g) {
                 return Err(crate::PlaceError::InvalidConfig(format!(
                     "grid override {g} is not a power of two"
+                )));
+            }
+            if g > xplace_fft::MAX_GRID_SIDE {
+                return Err(crate::PlaceError::InvalidConfig(format!(
+                    "grid override {g} exceeds the maximum of {} bins",
+                    xplace_fft::MAX_GRID_SIDE
                 )));
             }
         }
@@ -362,6 +369,9 @@ mod tests {
         assert!(c.validate().is_err());
         let c = XplaceConfig::xplace().with_grid(48);
         assert!(c.validate().is_err());
+        let c = XplaceConfig::xplace().with_grid(2 * xplace_fft::MAX_GRID_SIDE);
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("exceeds the maximum"), "{err}");
         assert!(XplaceConfig::xplace().validate().is_ok());
     }
 

@@ -24,6 +24,14 @@ pub enum FftError {
         /// Actual `(nx, ny)` dimensions.
         actual: (usize, usize),
     },
+    /// A solver grid side exceeds [`crate::MAX_GRID_SIDE`] (or its sample
+    /// count overflows `usize`).
+    GridTooLarge {
+        /// Requested `(nx, ny)` dimensions.
+        dims: (usize, usize),
+        /// The largest accepted side.
+        max: usize,
+    },
 }
 
 impl fmt::Display for FftError {
@@ -43,6 +51,11 @@ impl fmt::Display for FftError {
                 f,
                 "grid dimensions {}x{} do not match solver dimensions {}x{}",
                 actual.0, actual.1, expected.0, expected.1
+            ),
+            FftError::GridTooLarge { dims, max } => write!(
+                f,
+                "grid dimensions {}x{} exceed the maximum side of {max} bins",
+                dims.0, dims.1
             ),
         }
     }
@@ -71,6 +84,12 @@ mod tests {
         }
         .to_string();
         assert!(msg.contains("2x8") && msg.contains("4x4"));
+        let msg = FftError::GridTooLarge {
+            dims: (65536, 65536),
+            max: 1024,
+        }
+        .to_string();
+        assert!(msg.contains("65536x65536") && msg.contains("1024"));
         assert!(!FftError::EmptyLength.to_string().is_empty());
     }
 

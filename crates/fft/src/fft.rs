@@ -25,9 +25,9 @@ use crate::{Complex, FftError};
 pub struct FftPlan {
     len: usize,
     /// Twiddles for the forward transform, laid out stage by stage.
-    twiddles: Vec<Complex>,
+    pub(crate) twiddles: Vec<Complex>,
     /// Bit-reversal permutation indices.
-    bitrev: Vec<u32>,
+    pub(crate) bitrev: Vec<u32>,
 }
 
 impl FftPlan {
@@ -208,9 +208,9 @@ pub struct RealFftPlan {
     /// Real signal length `2N`.
     real_len: usize,
     /// The length-`N` complex plan doing the actual butterflies.
-    half: FftPlan,
+    pub(crate) half: FftPlan,
     /// `e^{-i pi k / N}` for `k = 0..=N/2` (the recombination twiddles).
-    twiddles: Vec<Complex>,
+    pub(crate) twiddles: Vec<Complex>,
     /// Packed complex work buffer of length `N`.
     packed: Vec<Complex>,
 }

@@ -11,6 +11,8 @@
 //! * [`DctPlan`] — FFT-backed DCT-II analysis and DCT-III / DXST synthesis
 //!   transforms (the `dct2`/`idct`/`idxst` family used by ePlace-style
 //!   electrostatic placers),
+//! * [`DctTile`] — the same transforms run on [`TILE_LANES`] independent
+//!   signals at once, bit-identical to [`DctPlan`] lane by lane,
 //! * [`Grid2`] — a dense row-major 2-D grid of `f64` samples,
 //! * [`ElectrostaticSolver`] — the numerical solution of the placement
 //!   electrostatic system (Poisson's equation with Neumann boundary
@@ -43,6 +45,7 @@ mod error;
 mod fft;
 mod grid;
 mod spectral;
+mod tile;
 
 pub use complex::Complex;
 #[doc(hidden)]
@@ -53,7 +56,8 @@ pub use dct::{
 pub use error::FftError;
 pub use fft::{FftPlan, RealFftPlan};
 pub use grid::Grid2;
-pub use spectral::{ElectrostaticSolver, FieldSolution};
+pub use spectral::{ElectrostaticSolver, FieldSolution, MAX_GRID_SIDE};
+pub use tile::{DctTile, TILE_LANES};
 
 /// Returns `true` if `n` is a power of two (and nonzero).
 ///

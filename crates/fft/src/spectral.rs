@@ -21,9 +21,11 @@
 //! ```
 //!
 //! which is exactly what DREAMPlace evaluates with its `dct2`/`idct2`/
-//! `idxst` kernel family; here the transforms come from [`DctPlan`].
+//! `idxst` kernel family; here the transforms come from [`DctTile`], the
+//! lane-batched form of [`DctPlan`](crate::DctPlan).
 
-use crate::{DctPlan, FftError, Grid2};
+use crate::tile::{lanes_at, put_lanes, Lanes};
+use crate::{DctTile, FftError, Grid2, TILE_LANES};
 
 /// The potential and electric-field maps produced by one density solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +52,13 @@ impl FieldSolution {
     }
 }
 
+/// Largest accepted side of an [`ElectrostaticSolver`] grid, in bins.
+///
+/// Automatic grid sizing clamps to this bound, and explicit grid overrides
+/// are validated against it, so a hostile override fails with a structured
+/// error instead of a multi-gigabyte allocation.
+pub const MAX_GRID_SIDE: usize = 1024;
+
 /// Spectral Poisson solver for the placement density system.
 ///
 /// The solver owns all transform plans and scratch memory; a `solve` call
@@ -57,6 +66,11 @@ impl FieldSolution {
 /// scales the spectrum for the potential, `Ex` and `Ey` in a single sweep
 /// and transforms all three streams together, with no allocation when used
 /// through [`ElectrostaticSolver::solve_into`].
+///
+/// Every pass runs its 1-D transforms [`TILE_LANES`] at a time through a
+/// [`DctTile`]: y-transforms take `TILE_LANES` grid rows as the lanes,
+/// x-transforms take `TILE_LANES` adjacent columns. Each lane is
+/// bit-identical to the matching [`DctPlan`](crate::DctPlan) call.
 ///
 /// ```
 /// use xplace_fft::{ElectrostaticSolver, Grid2};
@@ -84,126 +98,145 @@ pub struct ElectrostaticSolver {
     wx: Vec<f64>,
     /// w_v = pi v / ny.
     wy: Vec<f64>,
-    /// Normalized analysis coefficients a_uv, laid out `v * nx + u` so each
-    /// x-transform reads/writes one contiguous row.
-    coeffs: Vec<f64>,
-    /// y-analysis scratch, laid out `ix * ny + v` (one row per grid row).
+    /// y-analysis output, laid out `ix * ny + v` like the density grid, so
+    /// each row tile owns one contiguous chunk.
     ybuf: Vec<f64>,
-    /// x-synthesis scratch for the potential, laid out `v * nx + ix`.
+    /// Normalized analysis coefficients a_uv, tile-major: column tile `t`
+    /// (lanes `v = t * TILE_LANES + l`) is one contiguous `[u][l]` chunk.
+    coeffs: Vec<f64>,
+    /// x-synthesis output for the potential, tile-major like `coeffs`
+    /// (`[ix][l]` per column tile).
     sbuf_pot: Vec<f64>,
-    /// x-synthesis scratch for `Ex` (same layout).
+    /// x-synthesis output for `Ex` (same layout).
     sbuf_ex: Vec<f64>,
-    /// x-synthesis scratch for `Ey` (same layout).
+    /// x-synthesis output for `Ey` (same layout).
     sbuf_ey: Vec<f64>,
-    /// Launch width for the row/column transform batches (>= 1).
+    /// Launch width for the tile batches (>= 1).
     threads: usize,
     /// One transform context per potential worker; `ctxs[0]` also serves the
     /// serial path.
     ctxs: Vec<SolverCtx>,
 }
 
-/// Per-worker transform state: private `DctPlan` scratch plus staging
-/// buffers, so parallel row batches never contend on plan internals.
+/// Per-worker transform state: private tile plans and scratch, so parallel
+/// tile batches never contend on plan internals.
 #[derive(Debug, Clone)]
 struct SolverCtx {
-    plan_x: DctPlan,
-    plan_y: DctPlan,
-    /// Strided-read staging buffer, `3 * max(nx, ny)` long — one row for
-    /// each of the potential/`Ex`/`Ey` streams of the fused passes.
-    gather: Vec<f64>,
+    tile_x: DctTile,
+    tile_y: DctTile,
+    /// Scaled-spectrum staging for the fused x-synthesis: one `[u][l]` tile
+    /// for each of the potential/`Ex`/`Ey` streams.
+    scaled: Vec<f64>,
 }
 
-/// Splits a staging buffer into three disjoint `len`-sample rows.
+/// Splits a staging buffer into three disjoint `len`-sample tiles.
 fn split3(buf: &mut [f64], len: usize) -> (&mut [f64], &mut [f64], &mut [f64]) {
     let (a, rest) = buf.split_at_mut(len);
     let (b, rest) = rest.split_at_mut(len);
     (a, b, &mut rest[..len])
 }
 
-/// Runs `op(ctx, row, dst_row)` for every `row in 0..rows`, where `dst` is a
-/// dense `rows x row_len` buffer, batching contiguous row ranges across the
-/// global worker pool (at most `width` wide, one [`SolverCtx`] per batch).
-///
-/// Every row's transform reads only its own inputs and writes only its own
-/// `row_len` output slice, so the result is bit-identical for **any** task
-/// split; `width <= 1` (or a single row) short-circuits to a plain serial
-/// loop with no pool involvement.
-fn par_rows<F>(
-    ctxs: &mut [SolverCtx],
-    width: usize,
-    dst: &mut [f64],
-    row_len: usize,
-    rows: usize,
-    op: F,
-) -> Result<(), FftError>
-where
-    F: Fn(&mut SolverCtx, usize, &mut [f64]) -> Result<(), FftError> + Sync,
-{
-    debug_assert_eq!(dst.len(), rows * row_len);
-    let tasks = width.min(rows).min(ctxs.len()).max(1);
-    if tasks <= 1 {
-        let ctx = &mut ctxs[0];
-        for (row, out) in dst.chunks_mut(row_len).enumerate() {
-            op(ctx, row, out)?;
-        }
-        return Ok(());
+/// Sample `k` of the row tile `rows` (`rows.len() / stride` rows of
+/// `stride` samples): lane `l` is row `l`, spare lanes are zero.
+#[inline]
+fn row_lanes(rows: &[f64], stride: usize, k: usize) -> Lanes {
+    let mut out = [0.0; TILE_LANES];
+    for (o, row) in out.iter_mut().zip(rows.chunks_exact(stride)) {
+        *o = row[k];
     }
-    let chunk_rows = rows.div_ceil(tasks);
-    let mut states: Vec<(usize, &mut SolverCtx, &mut [f64])> = ctxs
-        .iter_mut()
-        .zip(dst.chunks_mut(chunk_rows * row_len))
-        .enumerate()
-        .map(|(i, (ctx, chunk))| (i * chunk_rows, ctx, chunk))
-        .collect();
-    let results = xplace_parallel::global().run_mut(&mut states, tasks, |_, state| {
-        let (row0, ctx, chunk) = state;
-        for (offset, out) in chunk.chunks_mut(row_len).enumerate() {
-            op(ctx, *row0 + offset, out)?;
-        }
-        Ok(())
-    });
-    results.into_iter().collect::<Result<Vec<()>, _>>()?;
-    Ok(())
+    out
 }
 
-/// The three-stream sibling of [`par_rows`]: runs
-/// `op(ctx, row, d0_row, d1_row, d2_row)` for every `row in 0..rows`, where
-/// `d0`/`d1`/`d2` are three dense `rows x row_len` buffers advancing in
-/// lockstep (the potential/`Ex`/`Ey` streams of the fused field passes).
+/// The live lanes `src` of a column tile as one sample, zero-filled past
+/// the end of a grid narrower than a tile.
+#[inline]
+fn column_lanes(src: &[f64]) -> Lanes {
+    let mut out = [0.0; TILE_LANES];
+    match src.get(..TILE_LANES) {
+        Some(full) => out.copy_from_slice(full),
+        None => out[..src.len()].copy_from_slice(src),
+    }
+    out
+}
+
+/// Writes sample `k` of every live lane back into the row tile `rows`.
+#[inline]
+fn put_row_lanes(rows: &mut [f64], stride: usize, k: usize, v: Lanes) {
+    for (row, x) in rows.chunks_exact_mut(stride).zip(v) {
+        row[k] = x;
+    }
+}
+
+/// Runs `op(ctx, tile, chunk)` for every `tile_len`-sample chunk of `dst`
+/// (the last one may be shorter), batching contiguous tile ranges across
+/// the global worker pool (at most `width` wide, one [`SolverCtx`] per
+/// batch).
 ///
-/// The row-range decomposition is identical to [`par_rows`] — fixed by
-/// `rows` and `width`, never by completion order — so the result is
-/// bit-identical for any thread count.
-fn par_rows3<F>(
+/// Every tile's transforms read only their own inputs and write only their
+/// own chunk, so the result is bit-identical for **any** task split;
+/// `width <= 1` (or a single tile) short-circuits to a plain serial loop
+/// with no pool involvement.
+fn par_tiles<F>(ctxs: &mut [SolverCtx], width: usize, dst: &mut [f64], tile_len: usize, op: F)
+where
+    F: Fn(&mut SolverCtx, usize, &mut [f64]) + Sync,
+{
+    let tiles = dst.len().div_ceil(tile_len);
+    let tasks = width.min(tiles).min(ctxs.len()).max(1);
+    if tasks <= 1 {
+        let ctx = &mut ctxs[0];
+        for (tile, out) in dst.chunks_mut(tile_len).enumerate() {
+            op(ctx, tile, out);
+        }
+        return;
+    }
+    let chunk_tiles = tiles.div_ceil(tasks);
+    let mut states: Vec<(usize, &mut SolverCtx, &mut [f64])> = ctxs
+        .iter_mut()
+        .zip(dst.chunks_mut(chunk_tiles * tile_len))
+        .enumerate()
+        .map(|(i, (ctx, chunk))| (i * chunk_tiles, ctx, chunk))
+        .collect();
+    xplace_parallel::global().run_mut(&mut states, tasks, |_, state| {
+        let (tile0, ctx, chunk) = state;
+        for (offset, out) in chunk.chunks_mut(tile_len).enumerate() {
+            op(ctx, *tile0 + offset, out);
+        }
+    });
+}
+
+/// The three-stream sibling of [`par_tiles`]: runs
+/// `op(ctx, tile, d0_chunk, d1_chunk, d2_chunk)` over three equally sized
+/// buffers advancing in lockstep (the potential/`Ex`/`Ey` streams of the
+/// fused field passes), with the same fixed tile decomposition.
+fn par_tiles3<F>(
     ctxs: &mut [SolverCtx],
     width: usize,
     d0: &mut [f64],
     d1: &mut [f64],
     d2: &mut [f64],
-    row_len: usize,
-    rows: usize,
+    tile_len: usize,
     op: F,
-) -> Result<(), FftError>
-where
-    F: Fn(&mut SolverCtx, usize, &mut [f64], &mut [f64], &mut [f64]) -> Result<(), FftError> + Sync,
+) where
+    F: Fn(&mut SolverCtx, usize, &mut [f64], &mut [f64], &mut [f64]) + Sync,
 {
-    debug_assert_eq!(d0.len(), rows * row_len);
-    debug_assert_eq!(d1.len(), rows * row_len);
-    debug_assert_eq!(d2.len(), rows * row_len);
-    let tasks = width.min(rows).min(ctxs.len()).max(1);
+    debug_assert_eq!(d0.len(), d1.len());
+    debug_assert_eq!(d0.len(), d2.len());
+    let tiles = d0.len().div_ceil(tile_len);
+    let tasks = width.min(tiles).min(ctxs.len()).max(1);
     if tasks <= 1 {
         let ctx = &mut ctxs[0];
-        for (row, ((o0, o1), o2)) in d0
-            .chunks_mut(row_len)
-            .zip(d1.chunks_mut(row_len))
-            .zip(d2.chunks_mut(row_len))
+        for (tile, ((o0, o1), o2)) in d0
+            .chunks_mut(tile_len)
+            .zip(d1.chunks_mut(tile_len))
+            .zip(d2.chunks_mut(tile_len))
             .enumerate()
         {
-            op(ctx, row, o0, o1, o2)?;
+            op(ctx, tile, o0, o1, o2);
         }
-        return Ok(());
+        return;
     }
-    let chunk_rows = rows.div_ceil(tasks);
+    let chunk_tiles = tiles.div_ceil(tasks);
+    let chunk = chunk_tiles * tile_len;
     type Chunk3<'a> = (
         usize,
         &'a mut SolverCtx,
@@ -213,26 +246,23 @@ where
     );
     let mut states: Vec<Chunk3> = ctxs
         .iter_mut()
-        .zip(d0.chunks_mut(chunk_rows * row_len))
-        .zip(d1.chunks_mut(chunk_rows * row_len))
-        .zip(d2.chunks_mut(chunk_rows * row_len))
+        .zip(d0.chunks_mut(chunk))
+        .zip(d1.chunks_mut(chunk))
+        .zip(d2.chunks_mut(chunk))
         .enumerate()
-        .map(|(i, (((ctx, c0), c1), c2))| (i * chunk_rows, ctx, c0, c1, c2))
+        .map(|(i, (((ctx, c0), c1), c2))| (i * chunk_tiles, ctx, c0, c1, c2))
         .collect();
-    let results = xplace_parallel::global().run_mut(&mut states, tasks, |_, state| {
-        let (row0, ctx, c0, c1, c2) = state;
+    xplace_parallel::global().run_mut(&mut states, tasks, |_, state| {
+        let (tile0, ctx, c0, c1, c2) = state;
         for (offset, ((o0, o1), o2)) in c0
-            .chunks_mut(row_len)
-            .zip(c1.chunks_mut(row_len))
-            .zip(c2.chunks_mut(row_len))
+            .chunks_mut(tile_len)
+            .zip(c1.chunks_mut(tile_len))
+            .zip(c2.chunks_mut(tile_len))
             .enumerate()
         {
-            op(ctx, *row0 + offset, o0, o1, o2)?;
+            op(ctx, *tile0 + offset, o0, o1, o2);
         }
-        Ok(())
     });
-    results.into_iter().collect::<Result<Vec<()>, _>>()?;
-    Ok(())
 }
 
 impl ElectrostaticSolver {
@@ -240,14 +270,29 @@ impl ElectrostaticSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`FftError::EmptyLength`] / [`FftError::NotPowerOfTwo`] when
-    /// either dimension is not a nonzero power of two.
+    /// Returns [`FftError::GridTooLarge`] when either side exceeds
+    /// [`MAX_GRID_SIDE`], and [`FftError::EmptyLength`] /
+    /// [`FftError::NotPowerOfTwo`] when either dimension is not a nonzero
+    /// power of two.
     pub fn new(nx: usize, ny: usize) -> Result<Self, FftError> {
-        let ctx = SolverCtx {
-            plan_x: DctPlan::cached(nx)?,
-            plan_y: DctPlan::cached(ny)?,
-            gather: vec![0.0; 3 * nx.max(ny)],
+        let too_large = FftError::GridTooLarge {
+            dims: (nx, ny),
+            max: MAX_GRID_SIDE,
         };
+        if nx > MAX_GRID_SIDE || ny > MAX_GRID_SIDE {
+            return Err(too_large);
+        }
+        let cells = nx.checked_mul(ny).ok_or_else(|| too_large.clone())?;
+        let ctx = SolverCtx {
+            tile_x: DctTile::cached(nx)?,
+            tile_y: DctTile::cached(ny)?,
+            scaled: vec![0.0; 3 * nx * TILE_LANES],
+        };
+        // Tile-major buffers pad a grid side narrower than a tile up to
+        // one full tile of lanes.
+        let padded = nx
+            .checked_mul(ny.div_ceil(TILE_LANES) * TILE_LANES)
+            .ok_or(too_large)?;
         let wx = (0..nx)
             .map(|u| std::f64::consts::PI * u as f64 / nx as f64)
             .collect();
@@ -259,11 +304,11 @@ impl ElectrostaticSolver {
             ny,
             wx,
             wy,
-            coeffs: vec![0.0; nx * ny],
-            ybuf: vec![0.0; nx * ny],
-            sbuf_pot: vec![0.0; nx * ny],
-            sbuf_ex: vec![0.0; nx * ny],
-            sbuf_ey: vec![0.0; nx * ny],
+            ybuf: vec![0.0; cells],
+            coeffs: vec![0.0; padded],
+            sbuf_pot: vec![0.0; padded],
+            sbuf_ex: vec![0.0; padded],
+            sbuf_ey: vec![0.0; padded],
             threads: 1,
             ctxs: vec![ctx],
         })
@@ -277,9 +322,9 @@ impl ElectrostaticSolver {
     /// Sets the launch width for the transform batches (clamped to >= 1) and
     /// provisions one private transform context per worker.
     ///
-    /// Per-row transforms are arithmetic-independent, so the solution is
-    /// bit-identical for every thread count; `threads` only changes how the
-    /// row batches are scheduled.
+    /// Tiles are arithmetic-independent, so the solution is bit-identical
+    /// for every thread count; `threads` only changes how the tile batches
+    /// are scheduled.
     pub fn set_threads(&mut self, threads: usize) {
         let threads = threads.max(1);
         self.threads = threads;
@@ -310,7 +355,7 @@ impl ElectrostaticSolver {
     /// performing no allocation.
     ///
     /// One DCT-II analysis batch is followed by a single fused pass over
-    /// the spectrum: each coefficient row is scaled into the
+    /// the spectrum: each coefficient tile is scaled into the
     /// potential/`Ex`/`Ey` streams in one sweep (`psi = a/w^2`,
     /// `Ex = a w_u/w^2`, `Ey = a w_v/w^2`) and all three streams are
     /// synthesized together — two fused transform batches instead of three
@@ -326,8 +371,8 @@ impl ElectrostaticSolver {
         self.check_grid(&out.field_x)?;
         self.check_grid(&out.field_y)?;
 
-        self.analyze(density)?;
-        self.synthesize_fused(out)?;
+        self.analyze(density);
+        self.synthesize_fused(out);
 
         out.energy = 0.5
             * density
@@ -352,128 +397,156 @@ impl ElectrostaticSolver {
     /// 2-D DCT-II analysis into normalized synthesis coefficients `a_uv`
     /// such that `rho = sum a_uv cos cos` exactly.
     ///
-    /// Both passes batch their independent 1-D transforms across the worker
-    /// pool (`self.threads` wide); each row only reads its own inputs, so the
+    /// Both passes batch their tiles across the worker pool
+    /// (`self.threads` wide); each tile only reads its own inputs, so the
     /// coefficients are bit-identical for every thread count.
-    fn analyze(&mut self, density: &Grid2) -> Result<(), FftError> {
+    fn analyze(&mut self, density: &Grid2) {
         let (nx, ny) = (self.nx, self.ny);
-        // Transform along y (contiguous grid rows) into `ybuf` (ix, v).
-        par_rows(
+        // Transform along y, `TILE_LANES` grid rows per tile, into `ybuf`.
+        let rho = density.as_slice();
+        par_tiles(
             &mut self.ctxs,
             self.threads,
             &mut self.ybuf,
-            ny,
-            nx,
-            |ctx, ix, out| ctx.plan_y.analyze(density.row(ix), out),
-        )?;
-        // Transform along x; write normalized coefficients (v, u).
+            TILE_LANES * ny,
+            |ctx, t, rows| {
+                let src = &rho[t * TILE_LANES * ny..][..rows.len()];
+                ctx.tile_y.analyze_with(
+                    |iy| row_lanes(src, ny, iy),
+                    |v, c| put_row_lanes(rows, ny, v, c),
+                );
+            },
+        );
+        // Transform along x, `TILE_LANES` adjacent columns per tile read in
+        // place from `ybuf`; write normalized coefficients tile-major.
         let norm = 4.0 / (nx as f64 * ny as f64);
         let ybuf = &self.ybuf;
-        par_rows(
+        par_tiles(
             &mut self.ctxs,
             self.threads,
             &mut self.coeffs,
-            nx,
-            ny,
-            |ctx, v, out| {
-                let gather = &mut ctx.gather[..nx];
-                for (ix, g) in gather.iter_mut().enumerate() {
-                    *g = ybuf[ix * ny + v];
-                }
-                ctx.plan_x.analyze(gather, out)?;
-                for (u, c) in out.iter_mut().enumerate() {
-                    let mut beta = norm;
-                    if u == 0 {
-                        beta *= 0.5;
-                    }
-                    if v == 0 {
-                        beta *= 0.5;
-                    }
-                    *c *= beta;
-                }
-                Ok(())
+            TILE_LANES * nx,
+            |ctx, t, tile| {
+                let v0 = t * TILE_LANES;
+                let live = (ny - v0).min(TILE_LANES);
+                let beta = |u: usize| -> Lanes {
+                    std::array::from_fn(|l| {
+                        let mut beta = norm;
+                        if u == 0 {
+                            beta *= 0.5;
+                        }
+                        if v0 + l == 0 {
+                            beta *= 0.5;
+                        }
+                        beta
+                    })
+                };
+                let (beta0, beta1) = (beta(0), beta(1));
+                ctx.tile_x.analyze_with(
+                    |ix| column_lanes(&ybuf[ix * ny + v0..][..live]),
+                    |u, c| {
+                        let beta = if u == 0 { &beta0 } else { &beta1 };
+                        for ((o, c), b) in tile[u * TILE_LANES..].iter_mut().zip(c).zip(beta) {
+                            *o = c * b;
+                        }
+                    },
+                );
             },
-        )
+        );
     }
 
     /// Fused synthesis of all three field maps out of `self.coeffs`.
     ///
-    /// The x-stage walks each coefficient row once, producing the scaled
-    /// potential/`Ex`/`Ey` coefficient rows in a single autovectorizable
-    /// sweep over the spectrum, then runs the three x-transforms (cosine,
-    /// sine, cosine) back to back while the row is hot in cache. The
-    /// y-stage gathers the three columns together and finishes with the
+    /// The x-stage walks each coefficient tile once, producing the scaled
+    /// potential/`Ex`/`Ey` coefficient tiles in a single sweep over the
+    /// spectrum, then runs the three x-transforms (cosine, sine, cosine)
+    /// back to back while the tile is hot in cache. The y-stage reads the
+    /// three streams `TILE_LANES` rows at a time and finishes with the
     /// cosine/cosine/sine y-transforms straight into the output grids.
     /// Parallel structure mirrors [`Self::analyze`].
-    fn synthesize_fused(&mut self, out: &mut FieldSolution) -> Result<(), FftError> {
+    fn synthesize_fused(&mut self, out: &mut FieldSolution) {
         let (nx, ny) = (self.nx, self.ny);
+        let tile_len = TILE_LANES * nx;
         let (coeffs, wx, wy) = (&self.coeffs, &self.wx, &self.wy);
-        par_rows3(
+        par_tiles3(
             &mut self.ctxs,
             self.threads,
             &mut self.sbuf_pot,
             &mut self.sbuf_ex,
             &mut self.sbuf_ey,
-            nx,
-            ny,
-            |ctx, v, d_pot, d_ex, d_ey| {
-                let row = &coeffs[v * nx..(v + 1) * nx];
-                let wv = wy[v];
-                let wv2 = wv * wv;
-                let (c_pot, c_ex, c_ey) = split3(&mut ctx.gather, nx);
-                // One pass over the coefficient row produces all three
-                // scaled streams; the (0,0) mode is dropped (w^2 = 0).
-                let u0 = if wv2 == 0.0 {
-                    c_pot[0] = 0.0;
-                    c_ex[0] = 0.0;
-                    c_ey[0] = 0.0;
-                    1
-                } else {
-                    0
-                };
-                for ((((p, ex), ey), &a), &wu) in c_pot[u0..]
-                    .iter_mut()
-                    .zip(c_ex[u0..].iter_mut())
-                    .zip(c_ey[u0..].iter_mut())
-                    .zip(&row[u0..])
-                    .zip(&wx[u0..])
+            tile_len,
+            |ctx, t, d_pot, d_ex, d_ey| {
+                let v0 = t * TILE_LANES;
+                let a = &coeffs[t * tile_len..][..tile_len];
+                // Spare lanes of a narrow grid get w_v = 0 and zero input.
+                let wv: Lanes = std::array::from_fn(|l| wy.get(v0 + l).copied().unwrap_or(0.0));
+                let wv2: Lanes = std::array::from_fn(|l| wv[l] * wv[l]);
+                let (c_pot, c_ex, c_ey) = split3(&mut ctx.scaled, tile_len);
+                // One pass over the coefficient tile produces all three
+                // scaled streams.
+                for (u, ((((p, ex), ey), a), &wu)) in c_pot
+                    .chunks_exact_mut(TILE_LANES)
+                    .zip(c_ex.chunks_exact_mut(TILE_LANES))
+                    .zip(c_ey.chunks_exact_mut(TILE_LANES))
+                    .zip(a.chunks_exact(TILE_LANES))
+                    .zip(wx)
+                    .enumerate()
                 {
-                    let s = a / (wu * wu + wv2);
-                    *p = s;
-                    *ex = s * wu;
-                    *ey = s * wv;
+                    for l in 0..TILE_LANES {
+                        // The (0,0) mode is dropped (w^2 = 0).
+                        if u == 0 && wv2[l] == 0.0 {
+                            p[l] = 0.0;
+                            ex[l] = 0.0;
+                            ey[l] = 0.0;
+                            continue;
+                        }
+                        let s = a[l] / (wu * wu + wv2[l]);
+                        p[l] = s;
+                        ex[l] = s * wu;
+                        ey[l] = s * wv[l];
+                    }
                 }
-                ctx.plan_x.cosine_synthesis(c_pot, d_pot)?;
-                ctx.plan_x.sine_synthesis(c_ex, d_ex)?;
-                ctx.plan_x.cosine_synthesis(c_ey, d_ey)
+                let x = &mut ctx.tile_x;
+                x.cosine_with(|u| lanes_at(c_pot, u), |ix, v| put_lanes(d_pot, ix, v));
+                x.sine_with(|u| lanes_at(c_ex, u), |ix, v| put_lanes(d_ex, ix, v));
+                x.cosine_with(|u| lanes_at(c_ey, u), |ix, v| put_lanes(d_ey, ix, v));
             },
-        )?;
+        );
+        // Sample `v` of row tile `ix0..`: column tile `v / TILE_LANES`,
+        // lane `v % TILE_LANES`, one stride-`TILE_LANES` read per row.
+        let column = |buf: &[f64], ix0: usize, rows: usize, v: usize| -> Lanes {
+            let base = (v / TILE_LANES) * tile_len + ix0 * TILE_LANES + v % TILE_LANES;
+            let mut lanes = [0.0; TILE_LANES];
+            for (l, x) in lanes[..rows].iter_mut().enumerate() {
+                *x = buf[base + l * TILE_LANES];
+            }
+            lanes
+        };
         let (sb_pot, sb_ex, sb_ey) = (&self.sbuf_pot, &self.sbuf_ex, &self.sbuf_ey);
-        par_rows3(
+        par_tiles3(
             &mut self.ctxs,
             self.threads,
             out.potential.as_mut_slice(),
             out.field_x.as_mut_slice(),
             out.field_y.as_mut_slice(),
-            ny,
-            nx,
-            |ctx, ix, d_pot, d_ex, d_ey| {
-                let (g_pot, g_ex, g_ey) = split3(&mut ctx.gather, ny);
-                for (v, ((gp, ge), gy)) in g_pot
-                    .iter_mut()
-                    .zip(g_ex.iter_mut())
-                    .zip(g_ey.iter_mut())
-                    .enumerate()
-                {
-                    *gp = sb_pot[v * nx + ix];
-                    *ge = sb_ex[v * nx + ix];
-                    *gy = sb_ey[v * nx + ix];
-                }
-                ctx.plan_y.cosine_synthesis(g_pot, d_pot)?;
-                ctx.plan_y.cosine_synthesis(g_ex, d_ex)?;
-                ctx.plan_y.sine_synthesis(g_ey, d_ey)
+            TILE_LANES * ny,
+            |ctx, t, d_pot, d_ex, d_ey| {
+                let (ix0, rows) = (t * TILE_LANES, d_pot.len() / ny);
+                let y = &mut ctx.tile_y;
+                y.cosine_with(
+                    |v| column(sb_pot, ix0, rows, v),
+                    |iy, c| put_row_lanes(d_pot, ny, iy, c),
+                );
+                y.cosine_with(
+                    |v| column(sb_ex, ix0, rows, v),
+                    |iy, c| put_row_lanes(d_ex, ny, iy, c),
+                );
+                y.sine_with(
+                    |v| column(sb_ey, ix0, rows, v),
+                    |iy, c| put_row_lanes(d_ey, ny, iy, c),
+                );
             },
-        )
+        );
     }
 }
 
@@ -493,6 +566,17 @@ mod tests {
     fn rejects_non_power_of_two() {
         assert!(ElectrostaticSolver::new(24, 32).is_err());
         assert!(ElectrostaticSolver::new(32, 0).is_err());
+    }
+
+    #[test]
+    fn rejects_oversized_grids_without_allocating() {
+        for (nx, ny) in [(65536, 65536), (2 * MAX_GRID_SIDE, 8), (8, usize::MAX)] {
+            assert!(matches!(
+                ElectrostaticSolver::new(nx, ny),
+                Err(FftError::GridTooLarge { dims, max: MAX_GRID_SIDE }) if dims == (nx, ny)
+            ));
+        }
+        assert!(ElectrostaticSolver::new(MAX_GRID_SIDE, 1).is_ok());
     }
 
     #[test]

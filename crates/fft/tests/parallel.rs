@@ -7,11 +7,21 @@ use xplace_testkit::prop::{self, Config, Strategy};
 use xplace_testkit::rng::Rng;
 use xplace_testkit::{prop_assert, prop_assert_eq, props};
 
-/// A random density grid on one of a few power-of-two rectangles, plus a
-/// thread count in 2..=5.
+/// A random density grid on one of a few power-of-two rectangles — square,
+/// rectangular, and narrower than one transform tile on either side — plus
+/// a thread count in 2..=5.
 fn case_strategy() -> impl Strategy<Value = (Grid2, usize)> {
     prop::from_fn(|rng: &mut Rng| {
-        let dims = [(16usize, 16usize), (32, 16), (16, 64), (64, 64)];
+        let dims = [
+            (16usize, 16usize),
+            (32, 16),
+            (16, 64),
+            (64, 64),
+            (1, 8),
+            (4, 64),
+            (64, 2),
+            (256, 256),
+        ];
         let (nx, ny) = dims[rng.gen_range(0usize..dims.len())];
         let mut grid = Grid2::new(nx, ny);
         for value in grid.as_mut_slice() {

@@ -1,9 +1,12 @@
 //! Property-based tests of the spectral transforms.
 
-use xplace_fft::{naive, Complex, DctPlan, ElectrostaticSolver, FftPlan, Grid2};
+use xplace_fft::{
+    naive, Complex, DctPlan, DctTile, ElectrostaticSolver, FftPlan, FieldSolution, Grid2,
+    TILE_LANES,
+};
 use xplace_testkit::prop::{self, Config, Strategy};
 use xplace_testkit::rng::Rng;
-use xplace_testkit::{prop_assert, props};
+use xplace_testkit::{prop_assert, prop_assert_eq, props};
 
 /// A random signal whose length is a power of two up to `2^max_pow`.
 fn signal_strategy(max_pow: u32) -> impl Strategy<Value = Vec<f64>> {
@@ -16,8 +19,202 @@ fn signal_strategy(max_pow: u32) -> impl Strategy<Value = Vec<f64>> {
     })
 }
 
+/// A random sample that is sometimes an exact signed zero, so sign-of-zero
+/// handling is compared too.
+fn sample(rng: &mut Rng) -> f64 {
+    match rng.gen_range(0u32..16) {
+        0 => 0.0,
+        1 => -0.0,
+        _ => rng.gen_range(-100.0..100.0),
+    }
+}
+
+/// A `[sample][lane]` tile of length 1..=1024 whose first `live` lanes hold
+/// random samples and whose spare lanes are zero (a partial tile).
+fn tile_strategy() -> impl Strategy<Value = (usize, usize, Vec<f64>)> {
+    prop::from_fn(|rng: &mut Rng| {
+        let n = 1usize << rng.gen_range(0u32..=10);
+        let live = rng.gen_range(1usize..=TILE_LANES);
+        let mut tile = vec![0.0; n * TILE_LANES];
+        for (i, v) in tile.iter_mut().enumerate() {
+            if i % TILE_LANES < live {
+                *v = sample(rng);
+            }
+        }
+        (n, live, tile)
+    })
+}
+
+/// A random density grid, including sides narrower than one tile.
+fn grid_strategy() -> impl Strategy<Value = Grid2> {
+    prop::from_fn(|rng: &mut Rng| {
+        let dims = [
+            (1usize, 1usize),
+            (1, 8),
+            (2, 32),
+            (8, 8),
+            (16, 4),
+            (32, 64),
+            (64, 16),
+        ];
+        let (nx, ny) = dims[rng.gen_range(0usize..dims.len())];
+        Grid2::from_fn(nx, ny, |_, _| sample(rng).abs())
+    })
+}
+
+/// Lane `l` of a `[sample][lane]` tile.
+fn lane(tile: &[f64], l: usize) -> Vec<f64> {
+    tile.iter().skip(l).step_by(TILE_LANES).copied().collect()
+}
+
+/// The row-by-row spectral solve the tiled solver replaced, written with
+/// one [`DctPlan`] call per grid row and column: the bit-exact oracle for
+/// [`ElectrostaticSolver::solve_into`].
+fn reference_solve(density: &Grid2) -> FieldSolution {
+    let (nx, ny) = density.dims();
+    let mut plan_x = DctPlan::new(nx).expect("power-of-two side");
+    let mut plan_y = DctPlan::new(ny).expect("power-of-two side");
+    let pi = std::f64::consts::PI;
+    let wx: Vec<f64> = (0..nx).map(|u| pi * u as f64 / nx as f64).collect();
+    let wy: Vec<f64> = (0..ny).map(|v| pi * v as f64 / ny as f64).collect();
+    // Analysis along y (rows), then along x (gathered columns).
+    let mut ybuf = vec![0.0; nx * ny];
+    for (ix, out) in ybuf.chunks_mut(ny).enumerate() {
+        plan_y.analyze(density.row(ix), out).expect("y analysis");
+    }
+    let norm = 4.0 / (nx as f64 * ny as f64);
+    let mut coeffs = vec![0.0; nx * ny];
+    let mut column = vec![0.0; nx];
+    for (v, out) in coeffs.chunks_mut(nx).enumerate() {
+        for (ix, c) in column.iter_mut().enumerate() {
+            *c = ybuf[ix * ny + v];
+        }
+        plan_x.analyze(&column, out).expect("x analysis");
+        for (u, c) in out.iter_mut().enumerate() {
+            let mut beta = norm;
+            if u == 0 {
+                beta *= 0.5;
+            }
+            if v == 0 {
+                beta *= 0.5;
+            }
+            *c *= beta;
+        }
+    }
+    // Scaled x-synthesis of the potential, Ex and Ey streams.
+    let mut sbuf = [vec![0.0; nx * ny], vec![0.0; nx * ny], vec![0.0; nx * ny]];
+    let mut scaled = [vec![0.0; nx], vec![0.0; nx], vec![0.0; nx]];
+    for v in 0..ny {
+        let (wv, row) = (wy[v], &coeffs[v * nx..(v + 1) * nx]);
+        let wv2 = wv * wv;
+        for u in 0..nx {
+            let (p, ex, ey) = if u == 0 && wv2 == 0.0 {
+                (0.0, 0.0, 0.0)
+            } else {
+                let s = row[u] / (wx[u] * wx[u] + wv2);
+                (s, s * wx[u], s * wv)
+            };
+            scaled[0][u] = p;
+            scaled[1][u] = ex;
+            scaled[2][u] = ey;
+        }
+        let [s_pot, s_ex, s_ey] = &mut sbuf;
+        let row = v * nx..(v + 1) * nx;
+        plan_x
+            .cosine_synthesis(&scaled[0], &mut s_pot[row.clone()])
+            .expect("x idct");
+        plan_x
+            .sine_synthesis(&scaled[1], &mut s_ex[row.clone()])
+            .expect("x idxst");
+        plan_x
+            .cosine_synthesis(&scaled[2], &mut s_ey[row])
+            .expect("x idct");
+    }
+    // y-synthesis of gathered columns into the output rows.
+    let mut sol = FieldSolution::new(nx, ny);
+    let mut col = [vec![0.0; ny], vec![0.0; ny], vec![0.0; ny]];
+    for ix in 0..nx {
+        for (c, buf) in col.iter_mut().zip(&sbuf) {
+            for (v, x) in c.iter_mut().enumerate() {
+                *x = buf[v * nx + ix];
+            }
+        }
+        plan_y
+            .cosine_synthesis(&col[0], sol.potential.row_mut(ix))
+            .expect("y idct");
+        plan_y
+            .cosine_synthesis(&col[1], sol.field_x.row_mut(ix))
+            .expect("y idct");
+        plan_y
+            .sine_synthesis(&col[2], sol.field_y.row_mut(ix))
+            .expect("y idxst");
+    }
+    sol.energy = 0.5
+        * density
+            .as_slice()
+            .iter()
+            .zip(sol.potential.as_slice())
+            .map(|(r, p)| r * p)
+            .sum::<f64>();
+    sol
+}
+
 props! {
     config = Config::with_cases(64);
+
+    /// Every lane of a (possibly partial) tile equals the scalar
+    /// `DctPlan` transform of that lane, bit for bit, for lengths 1–1024.
+    fn tile_lanes_match_scalar_plan_bitwise(case in tile_strategy()) {
+        let (n, live, input) = case;
+        let mut tile = DctTile::new(n).expect("power-of-two length");
+        let mut plan = DctPlan::new(n).expect("power-of-two length");
+        let mut out = vec![0.0; n * TILE_LANES];
+        let mut want = vec![0.0; n];
+        for op in ["analyze", "cosine", "sine"] {
+            match op {
+                "analyze" => tile.analyze(&input, &mut out),
+                "cosine" => tile.cosine_synthesis(&input, &mut out),
+                _ => tile.sine_synthesis(&input, &mut out),
+            }
+            .expect("tile transform");
+            for l in 0..TILE_LANES {
+                let x = lane(&input, l);
+                match op {
+                    "analyze" => plan.analyze(&x, &mut want),
+                    "cosine" => plan.cosine_synthesis(&x, &mut want),
+                    _ => plan.sine_synthesis(&x, &mut want),
+                }
+                .expect("scalar transform");
+                for (k, (got, want)) in lane(&out, l).iter().zip(&want).enumerate() {
+                    prop_assert!(
+                        got.to_bits() == want.to_bits(),
+                        "{} n={} live={} lane={} k={}: {} vs {}", op, n, live, l, k, got, want
+                    );
+                }
+            }
+        }
+    }
+
+    /// The tiled solver equals the row-by-row `DctPlan` solve bit for bit.
+    fn solver_matches_row_by_row_reference_bitwise(density in grid_strategy()) {
+        let (nx, ny) = density.dims();
+        let want = reference_solve(&density);
+        let mut got = FieldSolution::new(nx, ny);
+        ElectrostaticSolver::new(nx, ny)
+            .expect("grid ok")
+            .solve_into(&density, &mut got)
+            .expect("solve");
+        for (name, g, w) in [
+            ("potential", &got.potential, &want.potential),
+            ("field_x", &got.field_x, &want.field_x),
+            ("field_y", &got.field_y, &want.field_y),
+        ] {
+            for (i, (a, b)) in g.as_slice().iter().zip(w.as_slice()).enumerate() {
+                prop_assert!(a.to_bits() == b.to_bits(), "{} {}x{} at {}: {} vs {}", name, nx, ny, i, a, b);
+            }
+        }
+        prop_assert_eq!(got.energy.to_bits(), want.energy.to_bits());
+    }
 
     /// forward then inverse FFT recovers the input.
     fn fft_round_trip(values in signal_strategy(9)) {

@@ -86,7 +86,8 @@ impl PlacementModel {
     /// # Errors
     ///
     /// Returns [`OpsError::InvalidModel`] for designs with no movable
-    /// cells, degenerate regions, or non-power-of-two grid overrides.
+    /// cells, degenerate regions, or grid overrides that are not a power of
+    /// two or exceed [`xplace_fft::MAX_GRID_SIDE`].
     pub fn from_design_with(
         design: &Design,
         grid: Option<usize>,
@@ -154,11 +155,17 @@ impl PlacementModel {
                         "grid override {g} is not a power of two"
                     )));
                 }
+                if g > xplace_fft::MAX_GRID_SIDE {
+                    return Err(OpsError::InvalidModel(format!(
+                        "grid override {g} exceeds the maximum of {} bins",
+                        xplace_fft::MAX_GRID_SIDE
+                    )));
+                }
                 g
             }
             None => {
                 let target = (num_movable as f64).sqrt().ceil() as usize;
-                xplace_fft::next_power_of_two(target).clamp(16, 1024)
+                xplace_fft::next_power_of_two(target).clamp(16, xplace_fft::MAX_GRID_SIDE)
             }
         };
         let ny = nx;
@@ -476,13 +483,15 @@ mod tests {
         let (_, m) = model();
         let (nx, ny) = m.grid_dims();
         assert!(xplace_fft::is_power_of_two(nx) && nx == ny);
-        assert!((16..=1024).contains(&nx));
+        assert!((16..=xplace_fft::MAX_GRID_SIDE).contains(&nx));
     }
 
     #[test]
     fn grid_override_is_validated() {
         let (design, _) = model();
         assert!(PlacementModel::from_design_with(&design, Some(48), true, 0).is_err());
+        let huge = 64 * xplace_fft::MAX_GRID_SIDE;
+        assert!(PlacementModel::from_design_with(&design, Some(huge), true, 0).is_err());
         let m = PlacementModel::from_design_with(&design, Some(64), true, 0).unwrap();
         assert_eq!(m.grid_dims(), (64, 64));
     }

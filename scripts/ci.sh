@@ -73,6 +73,25 @@ if ./target/release/xplace batch "$SMOKE/fail-suite.json" --threads 2 \
 fi
 grep -q "fine .*completed" "$SMOKE/batch-fail.out" \
     || { echo "FAIL: the healthy sibling did not complete" >&2; exit 1; }
+# An oversized grid override fails its own job with a named error; it must
+# not abort the process on the allocation.
+cat > "$SMOKE/huge-suite.json" <<EOF
+{"jobs": [
+  {"name": "fine", "aux": "$SMOKE/ci-smoke.aux", "max_iters": 120},
+  {"name": "huge", "aux": "$SMOKE/ci-smoke.aux", "max_iters": 120, "grid": 65536}
+]}
+EOF
+set +e
+./target/release/xplace batch "$SMOKE/huge-suite.json" --threads 2 \
+    >"$SMOKE/batch-huge.out" 2>/dev/null
+HUGE_STATUS=$?
+set -e
+[ "$HUGE_STATUS" -eq 1 ] \
+    || { echo "FAIL: an oversized grid job exited $HUGE_STATUS, want 1" >&2; exit 1; }
+grep -q "huge .*FAILED .*grid override 65536 exceeds the maximum" "$SMOKE/batch-huge.out" \
+    || { echo "FAIL: the oversized grid job did not fail by name" >&2; exit 1; }
+grep -q "fine .*completed" "$SMOKE/batch-huge.out" \
+    || { echo "FAIL: the sibling of the oversized grid job did not complete" >&2; exit 1; }
 
 echo "==> resume determinism: checkpointed place resumes byte-identically (threads 1, 4)"
 for T in 1 4; do

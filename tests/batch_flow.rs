@@ -292,6 +292,42 @@ fn batch_cli_exits_nonzero_when_a_job_fails() {
 }
 
 #[test]
+fn batch_cli_fails_an_oversized_grid_job_by_name() {
+    // A power-of-two grid far above the solver bound used to pass
+    // validation and abort the whole process on a 32 GiB allocation.
+    let dir = temp_dir("hugegrid");
+    let manifest_path = dir.join("huge.json");
+    std::fs::write(
+        &manifest_path,
+        r#"{"jobs": [
+            {"name": "fine", "synth": {"cells": 200, "nets": 210, "seed": 3}, "max_iters": 60},
+            {"name": "huge", "synth": {"cells": 200, "nets": 210, "seed": 3}, "max_iters": 60,
+             "grid": 65536}
+        ]}"#,
+    )
+    .unwrap();
+    let output = std::process::Command::new(xplace_bin())
+        .args(["batch", manifest_path.to_str().unwrap(), "--threads", "2"])
+        .output()
+        .expect("spawn xplace batch");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(1), "{stdout}");
+    let line = |name: &str| {
+        stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with(name))
+            .unwrap_or_default()
+    };
+    assert!(
+        line("huge").contains("FAILED")
+            && line("huge").contains("grid override 65536 exceeds the maximum"),
+        "the oversized job must fail by name: {stdout}"
+    );
+    assert!(line("fine").contains("completed"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn batch_cli_rejects_bad_manifests() {
     let dir = temp_dir("badmanifest");
     let manifest_path = dir.join("dup.json");
