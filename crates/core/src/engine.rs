@@ -4,7 +4,7 @@
 
 use crate::{DensityGuidance, Framework, OperatorConfig, Parameters, PlaceError};
 use xplace_db::Design;
-use xplace_device::{Device, KernelInfo, Tape};
+use xplace_device::{Device, KernelInfo};
 use xplace_ops::{
     density::DensityOp,
     precond,
@@ -298,26 +298,19 @@ impl GradientEngine {
             device.synchronize();
             (wa, h)
         } else {
-            // Autograd mode: the forward launch records the backward op on
-            // a tape; replaying the tape launches the backward kernel that
-            // recomputes the exponent sums and accumulates the gradient —
-            // the doubled operator stream of §3.1.3.
+            // Autograd mode: the forward launch is followed by a separately
+            // launched out-of-place backward op that recomputes the exponent
+            // sums and accumulates the gradient — the doubled operator
+            // stream of §3.1.3.
             let wa = wirelength::wa_forward(device, model, params.gamma);
             device.synchronize();
-            let gamma = params.gamma;
-            let grads = (&mut self.grad_x, &mut self.grad_y);
-            let mut tape: Tape<'_, (&mut Vec<f64>, &mut Vec<f64>)> = Tape::new(device);
-            tape.record(
-                KernelInfo::new("wa_backward_tape")
-                    .bytes(model.num_pins() as u64 * 56)
-                    .flops(model.num_pins() as u64 * 60)
-                    .out_of_place(),
-                move |g| {
-                    wirelength::wa_grad_into(model, gamma, g.0, g.1);
-                },
+            wirelength::wa_backward(
+                device,
+                model,
+                params.gamma,
+                &mut self.grad_x,
+                &mut self.grad_y,
             );
-            let mut sink = grads;
-            tape.backward(&mut sink);
             let h = wirelength::hpwl(device, model);
             device.synchronize();
             (wa, h)

@@ -15,8 +15,6 @@
 //!   Barzilai–Borwein step prediction (as in ePlace),
 //! * [`Parameters`] / scheduling — γ and λ updates including the
 //!   stage-aware slowdown of Algorithm 1,
-//! * [`Recorder`] — a telemetry sink keeping per-iteration metrics
-//!   (HPWL, overflow, ω, the skip ratio r, modeled GPU time),
 //! * [`GlobalPlacer`] — the driver tying everything together,
 //! * [`DensityGuidance`] — the extension trait a neural model (crate
 //!   `xplace-nn`) implements to inject predicted fields (Eq. 14).
@@ -66,7 +64,6 @@ pub use guidance::{sigma_blend, DensityGuidance};
 pub use optimizer::{NesterovOptimizer, OptimizerState};
 pub use params::{ParamState, Parameters};
 pub use placer::{GlobalPlacer, PlacementReport};
-// The recorder block and its record type live in `xplace-telemetry` since
-// the telemetry subsystem landed; re-exported here so `xplace_core`
-// callers keep compiling unchanged.
-pub use xplace_telemetry::{IterationRecord, NullSink, Recorder, TelemetryEvent, TelemetrySink};
+// The telemetry sink trait and record types live in `xplace-telemetry`;
+// re-exported here for placer callers.
+pub use xplace_telemetry::{IterationRecord, NullSink, TelemetryEvent, TelemetrySink};

@@ -1,5 +1,6 @@
 //! The global-placement driver: wires the gradient engine, optimizer,
-//! scheduler and recorder together (Figure 1 of the paper).
+//! scheduler and telemetry sink (the recorder) together (Figure 1 of the
+//! paper).
 
 use crate::engine::unit_hash;
 use crate::params::{gamma_for, update_period};
@@ -78,18 +79,6 @@ impl PlacementReport {
             wall_seconds: self.wall_seconds,
         }
     }
-}
-
-/// Field-wise sum of two device profiles; snapshots from the per-level
-/// devices of a multilevel run combine into one whole-run profile.
-fn accumulate_profile(into: &mut ProfileSnapshot, other: ProfileSnapshot) {
-    into.launches += other.launches;
-    into.syncs += other.syncs;
-    into.launch_overhead_ns += other.launch_overhead_ns;
-    into.exec_ns += other.exec_ns;
-    into.pipelined_ns += other.pipelined_ns;
-    into.sync_stall_ns += other.sync_stall_ns;
-    into.cpu_ns += other.cpu_ns;
 }
 
 /// The Xplace global placer.
@@ -248,7 +237,7 @@ impl GlobalPlacer {
                 CheckpointOptions::none(),
             )?;
             coarse_iterations += report.iterations;
-            accumulate_profile(&mut coarse_profile, report.profile);
+            coarse_profile += report.profile;
 
             if li == 0 {
                 let level = &levels[0];
@@ -266,7 +255,7 @@ impl GlobalPlacer {
 
         let mut report = self.place_flat(design, sink, ckpt)?;
         report.iterations += coarse_iterations;
-        accumulate_profile(&mut report.profile, coarse_profile);
+        report.profile += coarse_profile;
         Ok(report)
     }
 
@@ -407,7 +396,7 @@ impl GlobalPlacer {
             if pause_here || cadence_save {
                 if let Some(store) = ckpt.store {
                     let mut profile = profile_base;
-                    accumulate_profile(&mut profile, device.profile());
+                    profile += device.profile();
                     let snapshot = Checkpoint {
                         design: design.name().to_string(),
                         cells: design.netlist().num_cells(),
@@ -524,13 +513,8 @@ impl GlobalPlacer {
                     optimizer.insert(NesterovOptimizer::new(&model, step0, 5.0 * bin_size))
                 }
             };
-            // Split borrows: the optimizer reads gradients owned by the
-            // engine while mutating the model.
-            let (gx, gy) = {
-                let (a, b) = engine.grads();
-                (a.to_vec(), b.to_vec())
-            };
-            opt.step(&device, &mut model, &gx, &gy, fused_optimizer);
+            let (gx, gy) = engine.grads();
+            opt.step(&device, &mut model, gx, gy, fused_optimizer);
             model.clamp_to_fences();
             if eval.overflow < best_overflow {
                 best_overflow = eval.overflow;
@@ -600,11 +584,8 @@ impl GlobalPlacer {
         // Whole-run profile: what this process ran plus whatever the
         // interrupted run had accumulated before the resume point — so a
         // resumed run's `run_end` totals match the uninterrupted run's.
-        let total_profile = {
-            let mut p = profile_base;
-            accumulate_profile(&mut p, device.profile());
-            p
-        };
+        let mut total_profile = profile_base;
+        total_profile += device.profile();
 
         if tracing && !paused {
             sink.emit(&TelemetryEvent::RunEnd {
@@ -641,7 +622,6 @@ impl GlobalPlacer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Recorder;
     use xplace_db::synthesis::{synthesize, SynthesisSpec};
 
     fn small_design(seed: u64) -> Design {
@@ -721,39 +701,20 @@ mod tests {
     }
 
     #[test]
-    fn recorder_captures_every_iteration() {
+    fn sink_iterations_capture_every_iteration() {
         let mut cfg = XplaceConfig::xplace();
         cfg.schedule.max_iterations = 50;
-        let mut recorder = Recorder::new();
-        let report = GlobalPlacer::new(cfg.clone())
-            .place_traced(&mut small_design(13), &mut recorder)
-            .unwrap();
-        assert_eq!(recorder.len(), report.iterations);
-        // The recorder keeps exactly the `Iteration` events of the trace,
-        // bit for bit (Debug prints round-trip floats, so equal text means
-        // equal bits).
         let mut sink = xplace_telemetry::VecSink::new();
-        GlobalPlacer::new(cfg)
+        let report = GlobalPlacer::new(cfg)
             .place_traced(&mut small_design(13), &mut sink)
             .unwrap();
-        let traced: Vec<IterationRecord> = sink
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TelemetryEvent::Iteration { record, .. } => Some(*record),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(format!("{:?}", recorder.records()), format!("{traced:?}"));
+        let records = sink.iterations();
+        assert_eq!(records.len(), report.iterations);
         // r starts ultra-small (§3.1.4 observation).
-        let first = &recorder.records()[1];
-        assert!(first.r_ratio < 0.01, "early r = {}", first.r_ratio);
+        let early_r = records[1].r_ratio;
+        assert!(early_r < 0.01, "early r = {early_r}");
         // Early iterations skip density under full optimization.
-        assert!(recorder
-            .records()
-            .iter()
-            .take(20)
-            .any(|r| r.density_skipped));
+        assert!(records.iter().take(20).any(|r| r.density_skipped));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::fence::{validate_fences, FenceRegion};
 use crate::{CellId, CellKind, DbError, NetId, Netlist, Point, Rect};
-use xplace_testkit::{FromJson, Json, JsonError, ToJson};
 
 /// A placement row (as in the Bookshelf `.scl` / DEF `ROW` records).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -304,75 +303,6 @@ impl Design {
     }
 }
 
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("y", Json::Num(self.y)),
-            ("height", Json::Num(self.height)),
-            ("x_min", Json::Num(self.x_min)),
-            ("x_max", Json::Num(self.x_max)),
-            ("site_width", Json::Num(self.site_width)),
-        ])
-    }
-}
-
-impl FromJson for Row {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(Row {
-            y: value.field("y")?.as_f64()?,
-            height: value.field("height")?.as_f64()?,
-            x_min: value.field("x_min")?.as_f64()?,
-            x_max: value.field("x_max")?.as_f64()?,
-            site_width: value.field("site_width")?.as_f64()?,
-        })
-    }
-}
-
-impl ToJson for Design {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::str(&self.name)),
-            ("netlist", self.netlist.to_json()),
-            ("region", self.region.to_json()),
-            ("rows", self.rows.to_json()),
-            ("target_density", Json::Num(self.target_density)),
-            ("positions", self.positions.to_json()),
-            ("fences", self.fences.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Design {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let netlist = Netlist::from_json(value.field("netlist")?)?;
-        let positions: Vec<Point> = Vec::from_json(value.field("positions")?)?;
-        if positions.len() != netlist.num_cells() {
-            return Err(JsonError(format!(
-                "{} positions supplied for {} cells",
-                positions.len(),
-                netlist.num_cells()
-            )));
-        }
-        // A missing `fences` field (designs encoded before fences existed)
-        // decodes as no fences.
-        let fences = match value.get("fences") {
-            Some(f) => Vec::from_json(f)?,
-            None => Vec::new(),
-        };
-        let design = Design {
-            name: value.field("name")?.as_str()?.to_string(),
-            netlist,
-            region: Rect::from_json(value.field("region")?)?,
-            rows: Vec::from_json(value.field("rows")?)?,
-            target_density: value.field("target_density")?.as_f64()?,
-            positions,
-            fences,
-        };
-        validate_fences(&design).map_err(|e| JsonError(e.to_string()))?;
-        Ok(design)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,29 +445,6 @@ mod tests {
         };
         assert_eq!(row.num_sites(), 25);
         assert_eq!(row.rect().height(), 12.0);
-    }
-
-    #[test]
-    fn design_json_round_trip() {
-        let d = tiny_design();
-        let decoded = Design::from_json_str(&d.to_json_string()).unwrap();
-        assert_eq!(decoded.name(), d.name());
-        assert_eq!(decoded.region(), d.region());
-        assert_eq!(decoded.rows(), d.rows());
-        assert_eq!(decoded.positions(), d.positions());
-        assert_eq!(decoded.total_hpwl(), d.total_hpwl());
-        assert!(decoded.fences().is_empty());
-    }
-
-    #[test]
-    fn design_decode_defaults_missing_fences() {
-        let d = tiny_design();
-        let mut json = xplace_testkit::Json::parse(&d.to_json_string()).unwrap();
-        if let xplace_testkit::Json::Obj(pairs) = &mut json {
-            pairs.retain(|(k, _)| k != "fences");
-        }
-        let decoded = Design::from_json_str(&json.render()).unwrap();
-        assert!(decoded.fences().is_empty());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! verifies containment (see `xplace-core` / `xplace-legal`).
 
 use crate::{CellId, DbError, Design, Rect};
-use xplace_testkit::{FromJson, Json, JsonError, ToJson};
 
 /// A named fence: member cells must be placed inside one of the rects.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,27 +90,6 @@ impl FenceRegion {
                 da.partial_cmp(&db).expect("finite fence geometry")
             })
             .expect("fence has at least one rect")
-    }
-}
-
-impl ToJson for FenceRegion {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::str(&self.name)),
-            ("rects", self.rects.to_json()),
-            ("members", self.members.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FenceRegion {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        FenceRegion::new(
-            value.field("name")?.as_str()?.to_string(),
-            Vec::from_json(value.field("rects")?)?,
-            Vec::from_json(value.field("members")?)?,
-        )
-        .map_err(|e| JsonError(e.to_string()))
     }
 }
 
@@ -215,25 +193,6 @@ mod tests {
             fence.nearest_rect(28.0, 28.0),
             Rect::new(20.0, 20.0, 30.0, 30.0)
         );
-    }
-
-    #[test]
-    fn fence_json_round_trip() {
-        let fence = FenceRegion::new(
-            "f0",
-            vec![
-                Rect::new(0.0, 0.0, 10.0, 10.0),
-                Rect::new(20.0, 20.0, 30.0, 30.0),
-            ],
-            vec![CellId(0), CellId(3)],
-        )
-        .unwrap();
-        use xplace_testkit::{FromJson, ToJson};
-        let decoded = FenceRegion::from_json_str(&fence.to_json_string()).unwrap();
-        assert_eq!(decoded, fence);
-        // Decoding re-validates: a degenerate rect is rejected.
-        let bad = r#"{"name":"d","rects":[{"lx":0,"ly":0,"ux":0,"uy":5}],"members":[]}"#;
-        assert!(FenceRegion::from_json_str(bad).is_err());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Plane geometry primitives used throughout the placement flow.
 
 use std::fmt;
-use xplace_testkit::{FromJson, Json, JsonError, ToJson};
 
 /// A 2-D point in database units.
 ///
@@ -175,43 +174,6 @@ impl fmt::Display for Rect {
     }
 }
 
-impl ToJson for Point {
-    fn to_json(&self) -> Json {
-        Json::obj([("x", Json::Num(self.x)), ("y", Json::Num(self.y))])
-    }
-}
-
-impl FromJson for Point {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(Point {
-            x: value.field("x")?.as_f64()?,
-            y: value.field("y")?.as_f64()?,
-        })
-    }
-}
-
-impl ToJson for Rect {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("lx", Json::Num(self.lx)),
-            ("ly", Json::Num(self.ly)),
-            ("ux", Json::Num(self.ux)),
-            ("uy", Json::Num(self.uy)),
-        ])
-    }
-}
-
-impl FromJson for Rect {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(Rect {
-            lx: value.field("lx")?.as_f64()?,
-            ly: value.field("ly")?.as_f64()?,
-            ux: value.field("ux")?.as_f64()?,
-            uy: value.field("uy")?.as_f64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,13 +260,5 @@ mod tests {
         let r = Rect::new(0.0, 0.0, 2.0, 3.0).translated(10.0, -1.0);
         assert_eq!(r, Rect::new(10.0, -1.0, 12.0, 2.0));
         assert_eq!(r.area(), 6.0);
-    }
-
-    #[test]
-    fn point_and_rect_json_round_trip() {
-        let p = Point::new(1.5, -2.25);
-        assert_eq!(Point::from_json_str(&p.to_json_string()).unwrap(), p);
-        let r = Rect::new(0.0, -1.0, 10.5, 3.75);
-        assert_eq!(Rect::from_json_str(&r.to_json_string()).unwrap(), r);
     }
 }

@@ -15,7 +15,6 @@ use crate::{DbError, Point};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use xplace_testkit::{FromJson, Json, JsonError, ToJson};
 
 macro_rules! typed_id {
     ($(#[$doc:meta])* $name:ident) => {
@@ -43,17 +42,6 @@ macro_rules! typed_id {
             }
         }
 
-        impl ToJson for $name {
-            fn to_json(&self) -> Json {
-                Json::Num(self.0 as f64)
-            }
-        }
-
-        impl FromJson for $name {
-            fn from_json(value: &Json) -> Result<Self, JsonError> {
-                Ok($name(value.as_usize()? as u32))
-            }
-        }
     };
 }
 
@@ -396,212 +384,6 @@ impl Netlist {
             self.num_pins() as f64 / self.num_nets() as f64
         }
     }
-
-    /// Builds the cell-major CSR and name map from the net-major arrays.
-    fn finalize(
-        cells: Vec<Cell>,
-        net_names: Vec<String>,
-        net_weight: Vec<f64>,
-        net_start: Vec<u32>,
-        pin_cell: Vec<CellId>,
-        pin_net: Vec<NetId>,
-        pin_dx: Vec<f64>,
-        pin_dy: Vec<f64>,
-        name_to_cell: HashMap<String, CellId>,
-    ) -> Netlist {
-        let mut counts = vec![0u32; cells.len() + 1];
-        for cell in &pin_cell {
-            counts[cell.index() + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let cell_pin_start = counts.clone();
-        let mut cursor = counts;
-        let mut cell_pin_list = vec![PinId(0); pin_cell.len()];
-        for (i, cell) in pin_cell.iter().enumerate() {
-            let slot = cursor[cell.index()] as usize;
-            cell_pin_list[slot] = PinId(i as u32);
-            cursor[cell.index()] += 1;
-        }
-        Netlist {
-            cells,
-            net_names,
-            net_weight,
-            net_start,
-            pin_cell,
-            pin_net,
-            pin_dx,
-            pin_dy,
-            cell_pin_start,
-            cell_pin_list,
-            name_to_cell,
-        }
-    }
-}
-
-impl ToJson for CellKind {
-    fn to_json(&self) -> Json {
-        Json::str(match self {
-            CellKind::Movable => "Movable",
-            CellKind::Fixed => "Fixed",
-            CellKind::Terminal => "Terminal",
-        })
-    }
-}
-
-impl FromJson for CellKind {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value.as_str()? {
-            "Movable" => Ok(CellKind::Movable),
-            "Fixed" => Ok(CellKind::Fixed),
-            "Terminal" => Ok(CellKind::Terminal),
-            other => Err(JsonError(format!("unknown cell kind `{other}`"))),
-        }
-    }
-}
-
-impl ToJson for Cell {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::str(&self.name)),
-            ("width", Json::Num(self.width)),
-            ("height", Json::Num(self.height)),
-            ("kind", self.kind.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Cell {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(Cell {
-            name: value.field("name")?.as_str()?.to_string(),
-            width: value.field("width")?.as_f64()?,
-            height: value.field("height")?.as_f64()?,
-            kind: CellKind::from_json(value.field("kind")?)?,
-        })
-    }
-}
-
-impl ToJson for Pin {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cell", self.cell.to_json()),
-            ("net", self.net.to_json()),
-            ("offset", self.offset.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Pin {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(Pin {
-            cell: CellId::from_json(value.field("cell")?)?,
-            net: NetId::from_json(value.field("net")?)?,
-            offset: Point::from_json(value.field("offset")?)?,
-        })
-    }
-}
-
-impl ToJson for Netlist {
-    fn to_json(&self) -> Json {
-        // The wire format predates the SoA layout: cells, object-shaped
-        // nets (with explicit pin-id lists) and object-shaped pins. The
-        // CSR adjacency and the name map are derived data, rebuilt on
-        // decode.
-        let nets = Json::Arr(
-            self.nets()
-                .map(|net| {
-                    Json::obj([
-                        ("name", Json::str(net.name())),
-                        ("pins", net.pins().collect::<Vec<_>>().to_json()),
-                        ("weight", Json::Num(net.weight())),
-                    ])
-                })
-                .collect(),
-        );
-        let pins = Json::Arr(
-            (0..self.num_pins())
-                .map(|i| self.pin(PinId(i as u32)).to_json())
-                .collect(),
-        );
-        Json::obj([
-            ("cells", self.cells.to_json()),
-            ("nets", nets),
-            ("pins", pins),
-        ])
-    }
-}
-
-impl FromJson for Netlist {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let cells: Vec<Cell> = Vec::from_json(value.field("cells")?)?;
-        let pins: Vec<Pin> = Vec::from_json(value.field("pins")?)?;
-        for pin in &pins {
-            if pin.cell.index() >= cells.len() {
-                return Err(JsonError(format!(
-                    "pin references cell {} out of range",
-                    pin.cell
-                )));
-            }
-        }
-        let net_values = value.field("nets")?.as_arr()?;
-        let mut net_names = Vec::with_capacity(net_values.len());
-        let mut net_weight = Vec::with_capacity(net_values.len());
-        let mut net_start: Vec<u32> = Vec::with_capacity(net_values.len() + 1);
-        net_start.push(0);
-        let mut pin_cell = Vec::with_capacity(pins.len());
-        let mut pin_net = Vec::with_capacity(pins.len());
-        let mut pin_dx = Vec::with_capacity(pins.len());
-        let mut pin_dy = Vec::with_capacity(pins.len());
-        for (e, net) in net_values.iter().enumerate() {
-            let name = net.field("name")?.as_str()?.to_string();
-            let ids: Vec<PinId> = Vec::from_json(net.field("pins")?)?;
-            for id in &ids {
-                // Pin ids must be the net's own contiguous net-major span
-                // (the only shape the builder and encoder ever produce):
-                // that is what makes the flat arrays a valid CSR.
-                if id.index() != pin_cell.len() {
-                    return Err(JsonError(format!(
-                        "net `{name}` pin ids are not net-major contiguous \
-                         (expected pin {}, found {id})",
-                        pin_cell.len()
-                    )));
-                }
-                let pin = &pins[id.index()];
-                pin_cell.push(pin.cell);
-                pin_net.push(NetId(e as u32));
-                pin_dx.push(pin.offset.x);
-                pin_dy.push(pin.offset.y);
-            }
-            net_names.push(name);
-            net_weight.push(net.field("weight")?.as_f64()?);
-            net_start.push(pin_cell.len() as u32);
-        }
-        if pin_cell.len() != pins.len() {
-            return Err(JsonError(format!(
-                "{} of {} pins are not referenced by any net",
-                pins.len() - pin_cell.len(),
-                pins.len()
-            )));
-        }
-        let name_to_cell = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.clone(), CellId(i as u32)))
-            .collect();
-        Ok(Netlist::finalize(
-            cells,
-            net_names,
-            net_weight,
-            net_start,
-            pin_cell,
-            pin_net,
-            pin_dx,
-            pin_dy,
-            name_to_cell,
-        ))
-    }
 }
 
 /// Incrementally builds a [`Netlist`].
@@ -761,17 +543,35 @@ impl NetlistBuilder {
                 )));
             }
         }
-        Ok(Netlist::finalize(
-            self.cells,
-            self.net_names,
-            self.net_weight,
-            self.net_start,
-            self.pin_cell,
-            self.pin_net,
-            self.pin_dx,
-            self.pin_dy,
-            self.name_to_cell,
-        ))
+        // The cell-major CSR, derived from the net-major pin arrays.
+        let mut counts = vec![0u32; self.cells.len() + 1];
+        for cell in &self.pin_cell {
+            counts[cell.index() + 1] += 1;
+        }
+        for i in 1..counts.len() {
+            counts[i] += counts[i - 1];
+        }
+        let cell_pin_start = counts.clone();
+        let mut cursor = counts;
+        let mut cell_pin_list = vec![PinId(0); self.pin_cell.len()];
+        for (i, cell) in self.pin_cell.iter().enumerate() {
+            let slot = cursor[cell.index()] as usize;
+            cell_pin_list[slot] = PinId(i as u32);
+            cursor[cell.index()] += 1;
+        }
+        Ok(Netlist {
+            cells: self.cells,
+            net_names: self.net_names,
+            net_weight: self.net_weight,
+            net_start: self.net_start,
+            pin_cell: self.pin_cell,
+            pin_net: self.pin_net,
+            pin_dx: self.pin_dx,
+            pin_dy: self.pin_dy,
+            cell_pin_start,
+            cell_pin_list,
+            name_to_cell: self.name_to_cell,
+        })
     }
 }
 
@@ -928,35 +728,5 @@ mod tests {
         let id = CellId::from(7u32);
         assert_eq!(id.index(), 7);
         assert_eq!(id.to_string(), "CellId(7)");
-    }
-
-    #[test]
-    fn netlist_json_round_trip_rebuilds_adjacency() {
-        let nl = tiny();
-        let decoded = Netlist::from_json_str(&nl.to_json_string()).unwrap();
-        assert_eq!(decoded, nl);
-        // Derived structures are rebuilt, not transported.
-        assert_eq!(decoded.cell_by_name("c"), Some(CellId(1)));
-        for c in nl.cell_ids() {
-            assert_eq!(decoded.pins_of_cell(c), nl.pins_of_cell(c));
-        }
-    }
-
-    #[test]
-    fn netlist_decode_rejects_dangling_pin() {
-        let text = r#"{"cells":[],"nets":[],"pins":[
-            {"cell":3,"net":0,"offset":{"x":0,"y":0}}]}"#;
-        assert!(Netlist::from_json_str(text).is_err());
-    }
-
-    #[test]
-    fn netlist_decode_rejects_non_contiguous_pin_ids() {
-        // Net lists its pins out of net-major order: not a valid CSR.
-        let text = r#"{"cells":[{"name":"a","width":1,"height":1,"kind":"Movable"}],
-            "nets":[{"name":"n","pins":[1,0],"weight":1}],
-            "pins":[{"cell":0,"net":0,"offset":{"x":0,"y":0}},
-                    {"cell":0,"net":0,"offset":{"x":1,"y":0}}]}"#;
-        let err = Netlist::from_json_str(text).unwrap_err();
-        assert!(err.to_string().contains("net-major"), "{err}");
     }
 }

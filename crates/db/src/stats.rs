@@ -2,7 +2,6 @@
 
 use crate::Design;
 use std::fmt;
-use xplace_testkit::{FromJson, Json, JsonError, ToJson};
 
 /// Summary statistics of a placement design.
 ///
@@ -70,40 +69,6 @@ impl DesignStats {
     }
 }
 
-impl ToJson for DesignStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::str(&self.name)),
-            ("num_cells", self.num_cells.to_json()),
-            ("num_movable", self.num_movable.to_json()),
-            ("num_fixed", self.num_fixed.to_json()),
-            ("num_terminals", self.num_terminals.to_json()),
-            ("num_nets", self.num_nets.to_json()),
-            ("num_pins", self.num_pins.to_json()),
-            ("avg_net_degree", Json::Num(self.avg_net_degree)),
-            ("utilization", Json::Num(self.utilization)),
-            ("target_density", Json::Num(self.target_density)),
-        ])
-    }
-}
-
-impl FromJson for DesignStats {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(DesignStats {
-            name: value.field("name")?.as_str()?.to_string(),
-            num_cells: value.field("num_cells")?.as_usize()?,
-            num_movable: value.field("num_movable")?.as_usize()?,
-            num_fixed: value.field("num_fixed")?.as_usize()?,
-            num_terminals: value.field("num_terminals")?.as_usize()?,
-            num_nets: value.field("num_nets")?.as_usize()?,
-            num_pins: value.field("num_pins")?.as_usize()?,
-            avg_net_degree: value.field("avg_net_degree")?.as_f64()?,
-            utilization: value.field("utilization")?.as_f64()?,
-            target_density: value.field("target_density")?.as_f64()?,
-        })
-    }
-}
-
 impl fmt::Display for DesignStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -161,7 +126,5 @@ mod tests {
         assert_eq!(s.num_pins, 3);
         assert_eq!(s.avg_net_degree, 3.0);
         assert!(s.to_string().contains("x: 3 cells"));
-        let decoded = DesignStats::from_json_str(&s.to_json_string()).unwrap();
-        assert_eq!(decoded, s);
     }
 }

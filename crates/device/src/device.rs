@@ -103,17 +103,6 @@ impl Device {
         }
     }
 
-    /// Resets all counters to zero.
-    pub fn reset_profile(&self) {
-        self.launches.store(0, Ordering::Relaxed);
-        self.syncs.store(0, Ordering::Relaxed);
-        self.launch_overhead_ns.store(0, Ordering::Relaxed);
-        self.exec_ns.store(0, Ordering::Relaxed);
-        self.pipelined_ns.store(0, Ordering::Relaxed);
-        self.sync_stall_ns.store(0, Ordering::Relaxed);
-        self.cpu_ns.store(0, Ordering::Relaxed);
-    }
-
     /// Runs `f` and returns its result together with the profile delta it
     /// produced.
     pub fn scoped<R>(&self, f: impl FnOnce() -> R) -> (R, ProfileSnapshot) {
@@ -187,14 +176,6 @@ mod tests {
         );
         d.synchronize();
         assert_eq!(d.profile().modeled_ns(), 0);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let d = Device::new(DeviceConfig::rtx3090());
-        d.launch(KernelInfo::new("k"), || ());
-        d.reset_profile();
-        assert_eq!(d.profile(), ProfileSnapshot::default());
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //! attacks), a stream of heavy kernels is execution-bound (what operator
 //! *combination*/*extraction*/*skipping* attack).
 //!
-//! The [`Tape`] mirrors PyTorch's autograd: forward ops record a backward
-//! closure, and `backward()` replays them as mirrored kernel launches —
-//! reproducing the "autograd almost doubles the operator count"
-//! observation that motivates §3.1.3.
+//! PyTorch's autograd is modeled by launching each backward operator as a
+//! separate out-of-place kernel after its forward launch — reproducing the
+//! "autograd almost doubles the operator count" observation that
+//! motivates §3.1.3.
 //!
 //! # Example
 //!
@@ -55,10 +55,8 @@ mod config;
 mod device;
 mod kernel;
 mod profile;
-mod tape;
 
 pub use config::DeviceConfig;
 pub use device::Device;
 pub use kernel::KernelInfo;
 pub use profile::ProfileSnapshot;
-pub use tape::Tape;

@@ -98,12 +98,6 @@ impl Grid2 {
         &mut self.data
     }
 
-    /// Consumes the grid, returning the raw sample buffer.
-    #[inline]
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrows row `ix` (all `iy` samples at that x index).
     ///
     /// # Panics

@@ -50,9 +50,7 @@ mod tile;
 pub use complex::Complex;
 #[doc(hidden)]
 pub use dct::naive;
-pub use dct::{
-    plan_cache_evictions, plan_cache_stats, DctPlan, PlanCache, DEFAULT_PLAN_CACHE_CAPACITY,
-};
+pub use dct::{plan_cache_stats, DctPlan, PlanCache};
 pub use error::FftError;
 pub use fft::{FftPlan, RealFftPlan};
 pub use grid::Grid2;

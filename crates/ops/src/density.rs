@@ -205,8 +205,8 @@ impl DensityOp {
         Ok(())
     }
 
-    fn accumulate(&mut self, model: &PlacementModel, subset: Subset, map_kind: Subset) {
-        let map = match map_kind {
+    fn accumulate(&mut self, model: &PlacementModel, subset: Subset) {
+        let map = match subset {
             Subset::MovableAndFixed => &mut self.movable_map,
             Subset::Fillers => &mut self.filler_map,
             Subset::All => &mut self.total_map,
@@ -311,17 +311,13 @@ impl DensityOp {
     pub fn accumulate_movable(&mut self, device: &Device, model: &PlacementModel) {
         let n = model.num_movable() + model.num_fixed();
         let kernel = Self::accumulation_kernel("density_map_movable", n);
-        device.launch(kernel, || {
-            self.accumulate(model, Subset::MovableAndFixed, Subset::MovableAndFixed)
-        });
+        device.launch(kernel, || self.accumulate(model, Subset::MovableAndFixed));
     }
 
     /// Accumulates the filler density map `D_fl` (one kernel).
     pub fn accumulate_fillers(&mut self, device: &Device, model: &PlacementModel) {
         let kernel = Self::accumulation_kernel("density_map_fillers", model.num_fillers());
-        device.launch(kernel, || {
-            self.accumulate(model, Subset::Fillers, Subset::Fillers)
-        });
+        device.launch(kernel, || self.accumulate(model, Subset::Fillers));
     }
 
     /// Element-wise add `D + D_fl` into the total map (one cheap kernel) —
@@ -343,7 +339,7 @@ impl DensityOp {
     /// separate [`DensityOp::accumulate_movable`] for the overflow ratio.
     pub fn accumulate_all(&mut self, device: &Device, model: &PlacementModel) {
         let kernel = Self::accumulation_kernel("density_map_all", model.num_nodes());
-        device.launch(kernel, || self.accumulate(model, Subset::All, Subset::All));
+        device.launch(kernel, || self.accumulate(model, Subset::All));
     }
 
     /// The overflow ratio OVFL (Eq. 7) over the movable+fixed map.

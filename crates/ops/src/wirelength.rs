@@ -8,8 +8,9 @@
 //!   DREAMPlace (computes the per-net min/max internally),
 //! * [`wa_fused`] — Xplace's combined kernel: WA wirelength, WA gradient
 //!   **and** HPWL in a single pass sharing one min/max computation,
-//! * [`wa_forward`] / [`wa_backward`] — the split pair used when the
-//!   autograd tape drives the backward pass (operator reduction *off*).
+//! * [`wa_forward`] / [`wa_backward`] — the split pair launched one after
+//!   the other when autograd drives the backward pass (operator reduction
+//!   *off*).
 //!
 //! All WA math uses the numerically stable form of Eq. (6): exponents are
 //! shifted by the per-net extrema so they never overflow.
@@ -365,20 +366,9 @@ pub fn wa_forward(device: &Device, model: &PlacementModel, gamma: f64) -> f64 {
     device.launch(kernel, || wa_pass(model, gamma, 0..model.num_nets(), ()).wa)
 }
 
-/// Device-free WA gradient accumulation, for use *inside* an already
-/// launched kernel (e.g. an autograd-tape backward replay, which performs
-/// its own launch accounting).
-///
-/// # Panics
-///
-/// Panics if the gradient slices are shorter than the movable-node count.
-pub fn wa_grad_into(model: &PlacementModel, gamma: f64, grad_x: &mut [f64], grad_y: &mut [f64]) {
-    assert!(grad_x.len() >= model.num_movable() && grad_y.len() >= model.num_movable());
-    wa_pass(model, gamma, 0..model.num_nets(), (grad_x, grad_y));
-}
-
 /// Backward WA kernel (autograd mode): recomputes the exponent sums and
-/// accumulates the gradient, as the tape-driven backward op would.
+/// accumulates the gradient in its own launch, as autograd's backward op
+/// would.
 ///
 /// # Panics
 ///

@@ -137,37 +137,6 @@ impl Client {
         Ok(Submission::Completed(batch))
     }
 
-    /// Submits with bounded retry on 429/503 (honouring `Retry-After`,
-    /// capped at `max_attempts` tries) — the polite-client loop the soak
-    /// harness uses. Hard rejections (400/413/404) return immediately.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Client::submit`], plus an error once attempts are
-    /// exhausted.
-    pub fn submit_with_retry(&self, manifest: &str, max_attempts: usize) -> io::Result<Submission> {
-        let mut last = None;
-        for _ in 0..max_attempts.max(1) {
-            match self.submit(manifest)? {
-                Submission::Rejected {
-                    status,
-                    retry_after,
-                    message,
-                } if status == 429 || status == 503 => {
-                    let wait = retry_after.unwrap_or(1).clamp(1, 5);
-                    std::thread::sleep(std::time::Duration::from_millis(wait * 100));
-                    last = Some(Submission::Rejected {
-                        status,
-                        retry_after,
-                        message,
-                    });
-                }
-                other => return Ok(other),
-            }
-        }
-        Ok(last.expect("at least one attempt was made"))
-    }
-
     /// Fetches `GET /stats` as parsed JSON.
     ///
     /// # Errors

@@ -486,7 +486,6 @@ fn handle_stats(stream: &TcpStream, shared: &Shared) -> io::Result<()> {
             Json::obj([
                 ("hits", plan_hits.to_json()),
                 ("misses", plan_misses.to_json()),
-                ("evictions", xplace_fft::plan_cache_evictions().to_json()),
             ]),
         ),
         ("threads", shared.config.threads.to_json()),

@@ -11,9 +11,9 @@
 //!   markers,
 //! * [`TelemetrySink`] — the trait the placer emits events through;
 //!   [`NullSink`] makes the hot loop free when tracing is off,
-//!   [`VecSink`] collects in memory, [`JsonLinesSink`] streams JSON-lines,
-//! * [`Recorder`] — the per-iteration metric store (the "recorder" block
-//!   of the paper's Figure 1), usable standalone or as a sink,
+//!   [`VecSink`] collects in memory (its iteration records are the
+//!   "recorder" block of the paper's Figure 1), [`JsonLinesSink`] streams
+//!   JSON-lines,
 //! * [`RunReport`] — the single-JSON summary of a full GP → LG → DP run
 //!   (metrics, config echo, thread count, wall + modeled time),
 //! * [`compare_reports`] — the regression comparator behind
@@ -44,14 +44,12 @@
 
 mod batch;
 mod event;
-mod recorder;
 mod regression;
 mod report;
 mod sink;
 
 pub use batch::{compare_batch_reports, BatchReport, JobRecord, JobStatus};
 pub use event::{stage_of, ConfigEcho, IterationRecord, ProfileDelta, Stage, TelemetryEvent};
-pub use recorder::Recorder;
 pub use regression::{compare_reports, Comparison, GatedSection, Tolerances};
 pub use report::{
     DpMetrics, ExploreGeneration, ExploreMember, ExploreMetrics, GpMetrics, LgMetrics,

@@ -1,6 +1,6 @@
 //! Sinks the placer emits [`TelemetryEvent`]s through.
 
-use crate::TelemetryEvent;
+use crate::{IterationRecord, TelemetryEvent};
 use std::io::{self, Write};
 use xplace_testkit::json::ToJson;
 
@@ -51,6 +51,17 @@ impl VecSink {
     /// Consumes the sink, returning the events.
     pub fn into_events(self) -> Vec<TelemetryEvent> {
         self.events
+    }
+
+    /// The records of the collected `Iteration` events, in emission order.
+    pub fn iterations(&self) -> Vec<IterationRecord> {
+        self.events
+            .iter()
+            .filter_map(|e| match e {
+                TelemetryEvent::Iteration { record, .. } => Some(*record),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Renders the collected events as JSON-lines text (exactly what a
@@ -193,7 +204,7 @@ pub fn parse_trace(text: &str) -> Result<Vec<TelemetryEvent>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IterationRecord, ProfileDelta};
+    use crate::ProfileDelta;
 
     fn event(i: usize) -> TelemetryEvent {
         TelemetryEvent::Iteration {
@@ -228,6 +239,20 @@ mod tests {
         s.emit(&event(1));
         assert_eq!(s.events().len(), 2);
         assert_eq!(s.to_jsonl().lines().count(), 2);
+    }
+
+    #[test]
+    fn vec_sink_iterations_keep_only_iteration_records() {
+        let mut s = VecSink::new();
+        s.emit(&TelemetryEvent::SkipWindow {
+            iteration: 0,
+            active: true,
+        });
+        s.emit(&event(0));
+        s.emit(&event(1));
+        let records = s.iterations();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].iteration, 1);
     }
 
     #[test]

@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "==> cargo build --release --manifest-path perfbench/Cargo.toml"
+# perfbench is a workspace of its own, so the workspace build above never
+# compiles it; build it here so a removed item it uses fails CI.
+cargo build --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo bench --workspace --no-run (compile-check the bench targets)"
 cargo bench --workspace --no-run
 

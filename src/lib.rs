@@ -13,9 +13,9 @@
 //! | [`parallel`] | `xplace-parallel` | persistent deterministic worker pool behind every CPU kernel body |
 //! | [`db`] | `xplace-db` | netlist/design model, Bookshelf & DEF/LEF parsers, ISPD-like synthetic suites |
 //! | [`fft`] | `xplace-fft` | FFT/DCT family and the electrostatic (Poisson) solver |
-//! | [`device`] | `xplace-device` | the GPU execution model (launch accounting, autograd tape, profiler) |
+//! | [`device`] | `xplace-device` | the GPU execution model (launch accounting, profiler) |
 //! | [`ops`] | `xplace-ops` | wirelength/density/preconditioner operators, fused and split |
-//! | [`core`] | `xplace-core` | the placer: gradient engine, Nesterov, scheduler, recorder |
+//! | [`core`] | `xplace-core` | the placer: gradient engine, Nesterov, scheduler |
 //! | [`telemetry`] | `xplace-telemetry` | typed event traces, run reports, and the regression comparator |
 //! | [`sched`] | `xplace-sched` | batch scheduler: concurrent multi-design runs with failure isolation |
 //! | [`serve`] | `xplace-serve` | placement-as-a-service: std-only HTTP daemon with fair admission and streamed telemetry |
