@@ -25,9 +25,10 @@ pub enum FftError {
         actual: (usize, usize),
     },
     /// A solver grid side exceeds [`crate::MAX_GRID_SIDE`] (or its sample
-    /// count overflows `usize`).
+    /// count overflows `usize`), or a plan cache was asked for a transform
+    /// length above it. A rejected length `n` is reported as `(n, 1)`.
     GridTooLarge {
-        /// Requested `(nx, ny)` dimensions.
+        /// Requested `(nx, ny)` dimensions, or `(n, 1)` for a length `n`.
         dims: (usize, usize),
         /// The largest accepted side.
         max: usize,
@@ -51,6 +52,10 @@ impl fmt::Display for FftError {
                 f,
                 "grid dimensions {}x{} do not match solver dimensions {}x{}",
                 actual.0, actual.1, expected.0, expected.1
+            ),
+            FftError::GridTooLarge { dims: (n, 1), max } => write!(
+                f,
+                "transform length {n} exceeds the maximum grid side of {max} bins"
             ),
             FftError::GridTooLarge { dims, max } => write!(
                 f,
@@ -90,6 +95,12 @@ mod tests {
         }
         .to_string();
         assert!(msg.contains("65536x65536") && msg.contains("1024"));
+        let msg = FftError::GridTooLarge {
+            dims: (2048, 1),
+            max: 1024,
+        }
+        .to_string();
+        assert!(msg.contains("transform length 2048") && !msg.contains("2048x1"));
         assert!(!FftError::EmptyLength.to_string().is_empty());
     }
 
