@@ -179,11 +179,8 @@ fn load(path: &str) -> Loaded {
 
 /// Parses `--inject SECTION=PCT`, rejecting malformed values and unknown
 /// sections.
-fn inject_arg(args: &[String]) -> Option<(String, f64)> {
-    if !args.iter().any(|a| a == "--inject") {
-        return None;
-    }
-    let arg = argv_flag("--inject").unwrap_or_default();
+fn inject_arg() -> Option<(String, f64)> {
+    let arg = argv_flag("--inject")?;
     let parsed = arg
         .split_once('=')
         .and_then(|(name, pct)| Some((name, pct.parse::<f64>().ok()?)));
@@ -232,7 +229,7 @@ fn main() {
         launches_pct: argv_parse("--launches-pct", 2.0),
         wall_warn_pct: argv_parse("--wall-warn-pct", 50.0),
     };
-    let inject = inject_arg(&args);
+    let inject = inject_arg();
 
     let baseline = load(baseline_path);
     let mut current = load(current_path);

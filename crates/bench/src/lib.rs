@@ -89,19 +89,35 @@ pub fn write_reports(path: &std::path::Path, reports: &[RunReport]) -> std::io::
     std::fs::write(path, array.render())
 }
 
+/// Returns the token following `flag` in `args`, `None` when the flag is
+/// absent; a flag that is last or followed by another `--flag` has no
+/// value, and the error is the message [`argv_flag`] prints.
+pub fn argv_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("missing value for {flag}")),
+    }
+}
+
 /// Returns the value following `--flag` in the process arguments, `None`
-/// when absent (bin helper; a following `--other-flag` is not a value).
+/// when absent, and exits with status 2 when the flag is given without a
+/// value (bin helper).
 pub fn argv_flag(flag: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .filter(|v| !v.starts_with("--"))
-        .cloned()
+    match argv_value(&args, flag) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        }
+    }
 }
 
 /// Parses the value of `--flag` from the process arguments, exiting with
-/// a clear error on unparseable input (bin helper).
+/// status 2 on a missing or unparseable value (bin helper).
 pub fn argv_parse<T>(flag: &str, default: T) -> T
 where
     T: std::str::FromStr,
@@ -275,6 +291,24 @@ mod tests {
         assert_eq!(
             err,
             "invalid value '0' for XPLACE_CELLS: must be greater than zero"
+        );
+    }
+
+    #[test]
+    fn argv_values_need_a_following_token() {
+        let args: Vec<String> = ["bin", "--out", "r.json", "--inject", "--smoke", "--threads"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(argv_value(&args, "--reps"), Ok(None));
+        assert_eq!(argv_value(&args, "--out"), Ok(Some("r.json".into())));
+        assert_eq!(
+            argv_value(&args, "--threads"),
+            Err("missing value for --threads".into())
+        );
+        assert_eq!(
+            argv_value(&args, "--inject"),
+            Err("missing value for --inject".into())
         );
     }
 

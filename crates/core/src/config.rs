@@ -223,12 +223,6 @@ impl XplaceConfig {
         cfg
     }
 
-    /// Sets the density grid override.
-    pub fn with_grid(mut self, grid: usize) -> Self {
-        self.grid = Some(grid);
-        self
-    }
-
     /// Sets the RNG seed for filler spreading.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -367,9 +361,11 @@ mod tests {
         let mut c = XplaceConfig::xplace();
         c.schedule.lambda_mu_min = 2.0;
         assert!(c.validate().is_err());
-        let c = XplaceConfig::xplace().with_grid(48);
+        let mut c = XplaceConfig::xplace();
+        c.grid = Some(48);
         assert!(c.validate().is_err());
-        let c = XplaceConfig::xplace().with_grid(2 * xplace_fft::MAX_GRID_SIDE);
+        let mut c = XplaceConfig::xplace();
+        c.grid = Some(2 * xplace_fft::MAX_GRID_SIDE);
         let err = c.validate().unwrap_err().to_string();
         assert!(err.contains("exceeds the maximum"), "{err}");
         assert!(XplaceConfig::xplace().validate().is_ok());
@@ -377,8 +373,7 @@ mod tests {
 
     #[test]
     fn builders_set_fields() {
-        let c = XplaceConfig::xplace().with_grid(64).with_seed(9);
-        assert_eq!(c.grid, Some(64));
+        let c = XplaceConfig::xplace().with_seed(9);
         assert_eq!(c.seed, 9);
     }
 

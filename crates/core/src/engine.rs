@@ -153,19 +153,9 @@ impl GradientEngine {
         self.guidance = Some(guidance);
     }
 
-    /// Whether a guidance model is installed.
-    pub fn has_guidance(&self) -> bool {
-        self.guidance.is_some()
-    }
-
     /// The gradient buffers of the last evaluation.
     pub fn grads(&self) -> (&[f64], &[f64]) {
         (&self.grad_x, &self.grad_y)
-    }
-
-    /// The density operator (for inspection in tests and tools).
-    pub fn density_op(&self) -> &DensityOp {
-        &self.density
     }
 
     /// Snapshots the cross-iteration engine state for checkpointing: the
@@ -772,7 +762,6 @@ mod tests {
             },
         );
         engine.set_guidance(Box::new(ConstGuidance(calls.clone())));
-        assert!(engine.has_guidance());
         let p = params(&model);
         // omega = 0 -> sigma ~ 0.93: prediction must be requested.
         engine.evaluate(&device, &model, &p, 0.0).unwrap();

@@ -55,11 +55,6 @@ impl NesterovOptimizer {
         }
     }
 
-    /// Number of optimized scalars (2 per node).
-    pub fn num_vars(&self) -> usize {
-        self.idx.len() * 2
-    }
-
     /// The last step length used.
     pub fn last_step(&self) -> f64 {
         self.last_step

@@ -261,11 +261,6 @@ impl Design {
         }
     }
 
-    /// Whitespace area available to movable cells.
-    pub fn whitespace_area(&self) -> f64 {
-        (self.region_area() - self.fixed_area_in_region() - self.netlist.movable_area()).max(0.0)
-    }
-
     /// Checks the structural invariants of the design.
     ///
     /// # Errors
@@ -357,11 +352,10 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_whitespace() {
+    fn utilization_discounts_fixed_area() {
         let d = tiny_design();
         // region 400, fixed 16, movable 8.
         assert!((d.utilization() - 8.0 / 384.0).abs() < 1e-12);
-        assert!((d.whitespace_area() - 376.0).abs() < 1e-12);
         assert!(d.validate().is_ok());
     }
 

@@ -156,16 +156,6 @@ impl Rect {
     pub fn clamp_point(&self, p: Point) -> Point {
         Point::new(p.x.clamp(self.lx, self.ux), p.y.clamp(self.ly, self.uy))
     }
-
-    /// Translates by `(dx, dy)`.
-    pub fn translated(&self, dx: f64, dy: f64) -> Rect {
-        Rect {
-            lx: self.lx + dx,
-            ly: self.ly + dy,
-            ux: self.ux + dx,
-            uy: self.uy + dy,
-        }
-    }
 }
 
 impl fmt::Display for Rect {
@@ -253,12 +243,5 @@ mod tests {
         let r = Rect::new(0.0, 0.0, 10.0, 10.0);
         assert_eq!(r.clamp_point(Point::new(-5.0, 20.0)), Point::new(0.0, 10.0));
         assert_eq!(r.clamp_point(Point::new(5.0, 5.0)), Point::new(5.0, 5.0));
-    }
-
-    #[test]
-    fn translated_preserves_size() {
-        let r = Rect::new(0.0, 0.0, 2.0, 3.0).translated(10.0, -1.0);
-        assert_eq!(r, Rect::new(10.0, -1.0, 12.0, 2.0));
-        assert_eq!(r.area(), 6.0);
     }
 }

@@ -355,13 +355,6 @@ impl Netlist {
         &self.cell_pin_list[s..e]
     }
 
-    /// The number of nets incident to a cell (the `|S_i|` of the
-    /// wirelength preconditioner; pins of the same cell on one net are
-    /// counted once per pin, matching DREAMPlace's convention).
-    pub fn cell_degree(&self, id: CellId) -> usize {
-        self.pins_of_cell(id).len()
-    }
-
     /// Looks up a cell id by instance name.
     pub fn cell_by_name(&self, name: &str) -> Option<CellId> {
         self.name_to_cell.get(name).copied()
@@ -613,7 +606,7 @@ mod tests {
         for &p in a_pins {
             assert_eq!(nl.pin(p).cell, CellId(0));
         }
-        assert_eq!(nl.cell_degree(CellId(2)), 1);
+        assert_eq!(nl.pins_of_cell(CellId(2)).len(), 1);
     }
 
     #[test]

@@ -19,11 +19,6 @@ pub struct DeviceConfig {
     /// in-place (the output tensor is freshly allocated and written,
     /// roughly 1.5x the traffic of an in-place update).
     pub out_of_place_traffic_factor: f64,
-    /// When `true`, every launch busy-waits `launch_latency_ns` of real
-    /// wall-clock time so that wall-clock benchmarks (Criterion) observe
-    /// the same launch-bound effects as the analytic model. Off by default
-    /// so unit tests stay fast.
-    pub emulate_latency: bool,
 }
 
 impl DeviceConfig {
@@ -36,7 +31,6 @@ impl DeviceConfig {
             flops_per_ns: 35_000.0,
             sync_latency_ns: 10_000,
             out_of_place_traffic_factor: 1.5,
-            emulate_latency: false,
         }
     }
 
@@ -50,15 +44,7 @@ impl DeviceConfig {
             flops_per_ns: f64::INFINITY,
             sync_latency_ns: 0,
             out_of_place_traffic_factor: 1.0,
-            emulate_latency: false,
         }
-    }
-
-    /// Enables real busy-wait emulation of launch latency (see
-    /// [`DeviceConfig::emulate_latency`]).
-    pub fn with_emulated_latency(mut self, on: bool) -> Self {
-        self.emulate_latency = on;
-        self
     }
 
     /// Overrides the launch latency.
@@ -92,10 +78,7 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let c = DeviceConfig::rtx3090()
-            .with_launch_latency_ns(123)
-            .with_emulated_latency(true);
+        let c = DeviceConfig::rtx3090().with_launch_latency_ns(123);
         assert_eq!(c.launch_latency_ns, 123);
-        assert!(c.emulate_latency);
     }
 }

@@ -69,12 +69,6 @@ impl Device {
         self.exec_ns.fetch_add(exec, Ordering::Relaxed);
         self.pipelined_ns
             .fetch_add(exec.max(launch), Ordering::Relaxed);
-        if self.config.emulate_latency && launch > 0 {
-            let start = Instant::now();
-            while (start.elapsed().as_nanos() as u64) < launch {
-                std::hint::spin_loop();
-            }
-        }
         let start = Instant::now();
         let out = body();
         self.cpu_ns
@@ -188,17 +182,6 @@ mod tests {
         });
         assert_eq!(delta.launches, 2);
         assert_eq!(d.profile().launches, 3);
-    }
-
-    #[test]
-    fn emulated_latency_takes_real_time() {
-        let cfg = DeviceConfig::rtx3090()
-            .with_launch_latency_ns(200_000)
-            .with_emulated_latency(true);
-        let d = Device::new(cfg);
-        let start = Instant::now();
-        d.launch(KernelInfo::new("slow"), || ());
-        assert!(start.elapsed().as_nanos() >= 200_000);
     }
 
     #[test]

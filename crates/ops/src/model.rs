@@ -347,11 +347,6 @@ impl PlacementModel {
         }
     }
 
-    /// Whether the model carries any fence constraints.
-    pub fn has_fences(&self) -> bool {
-        !self.fences.is_empty()
-    }
-
     /// Clamps every fenced movable node into (the nearest rectangle of)
     /// its fence, keeping the cell's own footprint inside the rect where
     /// it fits.
@@ -557,7 +552,7 @@ mod tests {
         )
         .unwrap();
         let mut m = PlacementModel::from_design(&design).unwrap();
-        assert!(m.has_fences());
+        assert!(!m.fences.is_empty());
         // The number of fenced nodes matches the fence member lists.
         let expected: usize = design.fences().iter().map(|f| f.members().len()).sum();
         let fenced_nodes = (0..m.num_movable())
@@ -591,7 +586,7 @@ mod tests {
     fn unfenced_model_clamp_is_a_no_op() {
         let design = synthesize(&SynthesisSpec::new("mnf", 100, 110).with_seed(3)).unwrap();
         let mut m = PlacementModel::from_design(&design).unwrap();
-        assert!(!m.has_fences());
+        assert!(m.fences.is_empty());
         assert_eq!(m.fence_of_node(0), None);
         let snapshot = m.x.clone();
         m.clamp_to_fences();

@@ -106,21 +106,6 @@ impl CongestionMap {
     pub fn max_utilization(&self) -> f64 {
         100.0 * self.utilizations().iter().copied().fold(0.0, f64::max)
     }
-
-    /// Mean gcell utilization (x100).
-    pub fn mean_utilization(&self) -> f64 {
-        let u = self.utilizations();
-        if u.is_empty() {
-            0.0
-        } else {
-            100.0 * u.iter().sum::<f64>() / u.len() as f64
-        }
-    }
-
-    /// Number of gcells whose utilization exceeds 1.0 (overflowed).
-    pub fn num_overflowed(&self) -> usize {
-        self.utilizations().iter().filter(|&&u| u > 1.0).count()
-    }
 }
 
 /// Pin density per gcell: the number of pins falling in each gcell.
@@ -299,7 +284,9 @@ mod tests {
         let t5 = map.top_overflow(0.05);
         let t100 = map.top_overflow(1.0);
         assert!(t1 >= t5 && t5 >= t100);
-        assert!((t100 - map.mean_utilization()).abs() < 1e-9);
+        let u = map.utilizations();
+        let mean = 100.0 * u.iter().sum::<f64>() / u.len() as f64;
+        assert!((t100 - mean).abs() < 1e-9);
         assert!(map.max_utilization() >= t1 - 1e-9);
     }
 
@@ -329,7 +316,6 @@ mod tests {
         .unwrap();
         let map = estimate_congestion(&d, &RouteConfig::default());
         assert_eq!(map.max_utilization(), 0.0);
-        assert_eq!(map.num_overflowed(), 0);
     }
 
     #[test]

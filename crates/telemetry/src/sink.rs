@@ -48,11 +48,6 @@ impl VecSink {
         &self.events
     }
 
-    /// Consumes the sink, returning the events.
-    pub fn into_events(self) -> Vec<TelemetryEvent> {
-        self.events
-    }
-
     /// The records of the collected `Iteration` events, in emission order.
     pub fn iterations(&self) -> Vec<IterationRecord> {
         self.events

@@ -1,7 +1,7 @@
 //! Hermetic test infrastructure for the xplace workspace.
 //!
 //! Every crate in the workspace depends only on the standard library and
-//! this crate; the four modules here replace the registry dependencies
+//! this crate; the three modules here replace the registry dependencies
 //! the seed used, so `cargo build && cargo test` runs fully offline and
 //! every stochastic component is bit-reproducible from a seed:
 //!
@@ -10,16 +10,12 @@
 //! - [`prop`] — a property-testing harness with range/vec/tuple
 //!   strategies, halving shrinking and failing-seed replay (replaces
 //!   `proptest`),
-//! - [`bench`] — an `Instant`-based benchmark harness with warmup,
-//!   fixed-sample measurement and median/p95 JSON-lines output
-//!   (replaces `criterion`),
 //! - [`json`] — a small JSON value/encoder/parser with hand-implemented
 //!   [`json::ToJson`] / [`json::FromJson`] traits (replaces the `serde`
 //!   derives).
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod json;
 pub mod prop;
 pub mod rng;
