@@ -13,6 +13,8 @@
 //!   nodes *and* accumulate `D` a second time for the overflow ratio —
 //!   the redundant movable-cell pass the paper eliminates.
 
+use std::ops::Range;
+
 use crate::{OpsError, PlacementModel};
 use xplace_device::{Device, KernelInfo};
 use xplace_fft::{ElectrostaticSolver, FieldSolution, Grid2};
@@ -22,25 +24,39 @@ const SQRT2: f64 = std::f64::consts::SQRT_2;
 /// Fixed node-block size for the blocked parallel density accumulation.
 ///
 /// Like `xplace_ops::wirelength::NET_BLOCK`, the block grid depends only on
-/// the model's node ranges — never the thread count — so the per-block
-/// partial maps and their fixed-order merge are bit-identical for every
-/// `threads` value. Designs whose ranges all fit in a single block take the
-/// direct serial accumulation path (no partial maps at all).
+/// the model's node ranges — never the thread count. Each block produces a
+/// sparse partial, the `(bin, value)` pairs its nodes touched, and the
+/// partials merge into the map in block order, so every bin receives the
+/// same additions in the same order for every `threads` value. Designs
+/// whose ranges all fit in a single block take the direct serial
+/// accumulation path (no partials at all).
 pub const NODE_BLOCK: usize = 2048;
 
-/// Accumulates one node's (smoothed) footprint into a density map.
-///
-/// ePlace cell smoothing for movable cells and fillers: inflate to at
-/// least sqrt(2) x bin size, scale the charge so area is conserved. Fixed
-/// macros keep their footprint but contribute exactly the target density
-/// (DREAMPlace's convention) — otherwise every macro bin sits at density
-/// 1 > D_t and creates an irreducible overflow floor.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_node(
-    model: &PlacementModel,
-    i: usize,
-    smooth_lo: usize,
-    smooth_hi: usize,
+/// `v.floor().max(0.0) as usize` without the libm call: `as` truncates
+/// toward zero and saturates (NaN and negatives to 0, overflow to
+/// `usize::MAX`), which gives the same index for every `f64`.
+#[inline]
+fn floor_idx(v: f64) -> usize {
+    v as usize
+}
+
+/// `v.ceil() as usize` without the libm call: the saturating truncation,
+/// plus one (saturating) when it dropped a positive fraction.
+#[inline]
+fn ceil_idx(v: f64) -> usize {
+    let t = v as usize;
+    if (t as f64) < v {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
+/// The loop-invariant inputs of one accumulation pass over a model.
+struct Stamp<'a> {
+    model: &'a PlacementModel,
+    /// Movable nodes, which are smoothed (fillers are too).
+    smooth: Range<usize>,
     filler_start: usize,
     target: f64,
     region: xplace_db::Rect,
@@ -49,39 +65,154 @@ fn accumulate_node(
     inv_bin_area: f64,
     nx: usize,
     ny: usize,
-    map: &mut Grid2,
-) {
-    let (w, h) = (model.w[i], model.h[i]);
-    if w <= 0.0 || h <= 0.0 {
-        return; // terminals
-    }
-    let smoothed = (i >= smooth_lo && i < smooth_hi) || i >= filler_start;
-    let (we, he, scale) = if smoothed {
-        let we = w.max(SQRT2 * bin_w);
-        let he = h.max(SQRT2 * bin_h);
-        (we, he, (w * h) / (we * he))
-    } else {
-        (w, h, target)
-    };
-    let lx = model.x[i] - we * 0.5;
-    let ux = model.x[i] + we * 0.5;
-    let ly = model.y[i] - he * 0.5;
-    let uy = model.y[i] + he * 0.5;
-    let bx0 = (((lx - region.lx) / bin_w).floor().max(0.0)) as usize;
-    let bx1 = ((((ux - region.lx) / bin_w).ceil()) as usize).min(nx);
-    let by0 = (((ly - region.ly) / bin_h).floor().max(0.0)) as usize;
-    let by1 = ((((uy - region.ly) / bin_h).ceil()) as usize).min(ny);
-    for bx in bx0..bx1 {
-        let b_lx = region.lx + bx as f64 * bin_w;
-        let ox = (ux.min(b_lx + bin_w) - lx.max(b_lx)).max(0.0);
-        if ox == 0.0 {
-            continue;
+}
+
+impl<'a> Stamp<'a> {
+    fn new(model: &'a PlacementModel, nx: usize, ny: usize) -> Self {
+        let (bin_w, bin_h) = (model.bin_w(), model.bin_h());
+        let ranges = model.ranges();
+        Stamp {
+            model,
+            smooth: ranges.movable,
+            filler_start: ranges.filler.start,
+            target: model.target_density(),
+            region: model.region(),
+            bin_w,
+            bin_h,
+            inv_bin_area: 1.0 / (bin_w * bin_h),
+            nx,
+            ny,
         }
-        for by in by0..by1 {
-            let b_ly = region.ly + by as f64 * bin_h;
-            let oy = (uy.min(b_ly + bin_h) - ly.max(b_ly)).max(0.0);
-            if oy > 0.0 {
-                map[(bx, by)] += ox * oy * scale * inv_bin_area;
+    }
+
+    /// Accumulates node `i`'s (smoothed) footprint, calling `add(bin,
+    /// value)` for every bin it overlaps, where `bin = bx * ny + by` is the
+    /// [`Grid2`] sample index.
+    ///
+    /// ePlace cell smoothing for movable cells and fillers: inflate to at
+    /// least sqrt(2) x bin size, scale the charge so area is conserved.
+    /// Fixed macros keep their footprint but contribute exactly the target
+    /// density (DREAMPlace's convention) — otherwise every macro bin sits
+    /// at density 1 > D_t and creates an irreducible overflow floor.
+    #[inline]
+    fn accumulate_node(&self, i: usize, mut add: impl FnMut(usize, f64)) {
+        let model = self.model;
+        let (w, h) = (model.w[i], model.h[i]);
+        if w <= 0.0 || h <= 0.0 {
+            return; // terminals
+        }
+        let (bin_w, bin_h, region) = (self.bin_w, self.bin_h, self.region);
+        let smoothed = self.smooth.contains(&i) || i >= self.filler_start;
+        let (we, he, scale) = if smoothed {
+            let we = w.max(SQRT2 * bin_w);
+            let he = h.max(SQRT2 * bin_h);
+            (we, he, (w * h) / (we * he))
+        } else {
+            (w, h, self.target)
+        };
+        let lx = model.x[i] - we * 0.5;
+        let ux = model.x[i] + we * 0.5;
+        let ly = model.y[i] - he * 0.5;
+        let uy = model.y[i] + he * 0.5;
+        let bx0 = floor_idx((lx - region.lx) / bin_w);
+        let bx1 = ceil_idx((ux - region.lx) / bin_w).min(self.nx);
+        let by0 = floor_idx((ly - region.ly) / bin_h);
+        let by1 = ceil_idx((uy - region.ly) / bin_h).min(self.ny);
+        for bx in bx0..bx1 {
+            let b_lx = region.lx + bx as f64 * bin_w;
+            let ox = (ux.min(b_lx + bin_w) - lx.max(b_lx)).max(0.0);
+            if ox == 0.0 {
+                continue;
+            }
+            for by in by0..by1 {
+                let b_ly = region.ly + by as f64 * bin_h;
+                let oy = (uy.min(b_ly + bin_h) - ly.max(b_ly)).max(0.0);
+                if oy > 0.0 {
+                    add(bx * self.ny + by, ox * oy * scale * self.inv_bin_area);
+                }
+            }
+        }
+    }
+}
+
+/// Accumulates the nodes of `block` into `scratch` and moves the sums out
+/// as the block's sparse partial: each bin the block touched, in
+/// first-touch order, with the block's sum for it.
+///
+/// `scratch` must be all `+0.0` on entry and is all `+0.0` again on return.
+/// A bin is recorded when it goes from zero to non-zero. An unrecorded bin
+/// only ever summed to `+0.0`, which a full-grid partial would have merged
+/// for nothing: a map bin starts at `+0.0` and, summed from there, is never
+/// `-0.0`, so adding `+0.0` changes no bit. The same argument covers a bin
+/// recorded twice (its second entry reads `+0.0`).
+fn sparse_partial(
+    stamp: &Stamp,
+    block: Range<usize>,
+    scratch: &mut [f64],
+    partial: &mut Vec<(usize, f64)>,
+) {
+    partial.clear();
+    for i in block {
+        stamp.accumulate_node(i, |k, v| {
+            let old = scratch[k];
+            scratch[k] = old + v;
+            if old == 0.0 && scratch[k] != 0.0 {
+                partial.push((k, 0.0));
+            }
+        });
+    }
+    for (k, v) in partial.iter_mut() {
+        *v = std::mem::replace(&mut scratch[*k], 0.0);
+    }
+}
+
+/// The reusable state of the blocked accumulation, grown on first use and
+/// kept across calls so a launch allocates no grid.
+#[derive(Debug, Default)]
+struct BlockWorkspace {
+    /// One dense `nx * ny` scratch grid per worker, all `+0.0` between
+    /// blocks.
+    scratch: Vec<Vec<f64>>,
+    /// One sparse partial per node block (see [`sparse_partial`]).
+    partials: Vec<Vec<(usize, f64)>>,
+}
+
+impl BlockWorkspace {
+    /// Accumulates `blocks` into `cells` (the map's samples): each of at
+    /// most `threads` workers turns a fixed contiguous run of blocks into
+    /// sparse partials on its own scratch grid, then the partials merge in
+    /// block order. Every bin thus receives the same additions in the same
+    /// order as merging one full-grid partial per block, for any `threads`.
+    fn accumulate(
+        &mut self,
+        stamp: &Stamp,
+        blocks: &[Range<usize>],
+        threads: usize,
+        cells: &mut [f64],
+    ) {
+        let tasks = threads.min(blocks.len()).max(1);
+        let run = blocks.len().div_ceil(tasks);
+        if self.scratch.len() < tasks {
+            self.scratch.resize_with(tasks, || vec![0.0; cells.len()]);
+        }
+        if self.partials.len() < blocks.len() {
+            self.partials.resize_with(blocks.len(), Vec::new);
+        }
+        let partials = &mut self.partials[..blocks.len()];
+        let mut states: Vec<_> = self
+            .scratch
+            .iter_mut()
+            .zip(blocks.chunks(run).zip(partials.chunks_mut(run)))
+            .collect();
+        xplace_parallel::global().run_mut(&mut states, tasks, |_, state| {
+            let (scratch, (blocks, partials)) = state;
+            for (block, partial) in blocks.iter().zip(partials.iter_mut()) {
+                sparse_partial(stamp, block.clone(), scratch, partial);
+            }
+        });
+        for partial in partials.iter() {
+            for &(k, v) in partial {
+                cells[k] += v;
             }
         }
     }
@@ -109,6 +240,8 @@ pub struct DensityOp {
     /// Node-block size of the blocked decomposition (normally
     /// [`NODE_BLOCK`]; overridable for tests/benches).
     node_block: usize,
+    /// Scratch grids and sparse partials of the blocked path.
+    blocked: BlockWorkspace,
 }
 
 /// Which node classes an accumulation pass covers.
@@ -138,6 +271,7 @@ impl DensityOp {
             ny,
             threads: 1,
             node_block: NODE_BLOCK,
+            blocked: BlockWorkspace::default(),
         })
     }
 
@@ -212,90 +346,35 @@ impl DensityOp {
             Subset::All => &mut self.total_map,
         };
         map.fill_zero();
-        let region = model.region();
-        let bin_w = model.bin_w();
-        let bin_h = model.bin_h();
-        let inv_bin_area = 1.0 / (bin_w * bin_h);
+        let cells = map.as_mut_slice();
+        let stamp = Stamp::new(model, self.nx, self.ny);
         let ranges = model.ranges();
-        let (smooth_lo, smooth_hi) = (ranges.movable.start, ranges.movable.end);
-        let node_range: Vec<std::ops::Range<usize>> = match subset {
-            Subset::MovableAndFixed => vec![ranges.movable.clone(), ranges.fixed.clone()],
-            Subset::Fillers => vec![ranges.filler.clone()],
-            Subset::All => {
-                vec![
-                    ranges.movable.clone(),
-                    ranges.fixed.clone(),
-                    ranges.filler.clone(),
-                ]
-            }
+        let node_range = match subset {
+            Subset::MovableAndFixed => vec![ranges.movable, ranges.fixed],
+            Subset::Fillers => vec![ranges.filler],
+            Subset::All => vec![ranges.movable, ranges.fixed, ranges.filler],
         };
-        let filler_start = ranges.filler.start;
-        let nx = self.nx;
-        let ny = self.ny;
-        let target = model.target_density();
         let node_block = self.node_block;
-        if node_range.iter().any(|r| r.len() > node_block) {
-            // Blocked: chop every range into fixed node_block-sized blocks
-            // (empty ranges contribute none, so no worker ever runs over an
-            // empty slice or merges an all-zero map), accumulate each block
-            // into a private map on the pool, and merge in block order. The
-            // block grid is independent of `threads`, so the summation
-            // order — and the result — is bit-identical for any width.
-            let blocks: Vec<std::ops::Range<usize>> = node_range
-                .iter()
-                .flat_map(|r| {
-                    let end = r.end;
-                    r.clone()
-                        .step_by(node_block)
-                        .map(move |lo| lo..(lo + node_block).min(end))
-                })
-                .collect();
-            let blocks = &blocks;
-            let partials = xplace_parallel::global().run(blocks.len(), self.threads, |b| {
-                let mut local = Grid2::new(nx, ny);
-                for i in blocks[b].clone() {
-                    accumulate_node(
-                        model,
-                        i,
-                        smooth_lo,
-                        smooth_hi,
-                        filler_start,
-                        target,
-                        region,
-                        bin_w,
-                        bin_h,
-                        inv_bin_area,
-                        nx,
-                        ny,
-                        &mut local,
-                    );
-                }
-                local
-            });
-            for p in &partials {
-                map.add_assign_grid(p);
+        if node_range.iter().all(|r| r.len() <= node_block) {
+            for i in node_range.into_iter().flatten() {
+                stamp.accumulate_node(i, |k, v| cells[k] += v);
             }
             return;
         }
-        for range in node_range {
-            for i in range {
-                accumulate_node(
-                    model,
-                    i,
-                    smooth_lo,
-                    smooth_hi,
-                    filler_start,
-                    target,
-                    region,
-                    bin_w,
-                    bin_h,
-                    inv_bin_area,
-                    nx,
-                    ny,
-                    map,
-                );
-            }
-        }
+        // Blocked: chop every range into fixed node_block-sized blocks
+        // (empty ranges contribute none, so no worker ever runs over an
+        // empty slice). The block grid is independent of `threads`, so the
+        // summation order — and the result — is bit-identical for any width.
+        let blocks: Vec<Range<usize>> = node_range
+            .into_iter()
+            .flat_map(|r| {
+                let end = r.end;
+                r.step_by(node_block)
+                    .map(move |lo| lo..(lo + node_block).min(end))
+            })
+            .collect();
+        self.blocked
+            .accumulate(&stamp, &blocks, self.threads, cells);
     }
 
     fn accumulation_kernel(name: &'static str, nodes: usize) -> KernelInfo {
@@ -328,9 +407,15 @@ impl DensityOp {
             .bytes(bins * 24)
             .flops(bins);
         device.launch(kernel, || {
-            self.total_map.fill_zero();
-            self.total_map.add_assign_grid(&self.movable_map);
-            self.total_map.add_assign_grid(&self.filler_map);
+            let total = self.total_map.as_mut_slice();
+            let parts = self
+                .movable_map
+                .as_slice()
+                .iter()
+                .zip(self.filler_map.as_slice());
+            for (t, (m, f)) in total.iter_mut().zip(parts) {
+                *t = m + f;
+            }
         });
     }
 
@@ -546,6 +631,54 @@ mod tests {
             model.y[i] = r.ly + ((i as f64) * 0.5698).fract() * r.height();
         }
         model.clamp_to_region();
+    }
+
+    /// Inputs where the libm expressions and the index helpers could part:
+    /// signed zeros, halves, exact integers, the edges of `f64` integer
+    /// precision and of `usize`, huge, infinite, NaN and subnormal values.
+    fn index_probes() -> Vec<f64> {
+        let two53 = 2f64.powi(53);
+        let two64 = 2f64.powi(64);
+        let mut probes = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            3.0,
+            2.5,
+            0.999_999_999_999_999_9,
+            two53,
+            two53 - 1.0,
+            two53 + 2.0,
+            two64,
+            two64 - 2048.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE / 8.0,
+            5e-324,
+        ];
+        let negated: Vec<f64> = probes.iter().map(|v| -v).collect();
+        probes.extend(negated);
+        probes
+    }
+
+    #[test]
+    fn floor_idx_matches_libm_floor() {
+        for v in index_probes() {
+            assert_eq!(floor_idx(v), v.floor().max(0.0) as usize, "v = {v:e}");
+        }
+    }
+
+    #[test]
+    fn ceil_idx_matches_libm_ceil() {
+        for v in index_probes() {
+            assert_eq!(ceil_idx(v), v.ceil() as usize, "v = {v:e}");
+        }
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Property-based tests of the placement operators.
 
+use std::ops::Range;
+
 use xplace_db::synthesis::{synthesize, SynthesisSpec};
 use xplace_device::{Device, DeviceConfig};
+use xplace_fft::Grid2;
 use xplace_ops::{density::DensityOp, precond, wirelength, PlacementModel};
 use xplace_testkit::prop::Config;
 use xplace_testkit::{prop_assert, props};
@@ -92,6 +95,120 @@ fn check_density_conservation_and_extraction(seed: u64, spread: u64) {
     // Direct path agrees.
     op.accumulate_all(&device, &m);
     assert!(op.total_map.max_abs_diff(&extracted) < 1e-9);
+}
+
+/// Whether two grids hold the same bits in every sample (`-0.0` and
+/// `+0.0` differ, as do NaN payloads).
+fn bits_equal(a: &Grid2, b: &Grid2) -> bool {
+    a.dims() == b.dims()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// A model with two fixed macros whose movable cells and fillers are
+/// scattered, with every fifth of them (and the first macro) centred on or
+/// past the region edge, so footprints overhang it on every side.
+fn edge_model(cells: usize, seed: u64) -> PlacementModel {
+    let design = synthesize(
+        &SynthesisSpec::new("edge", cells, cells + 10)
+            .with_seed(seed)
+            .with_macro_count(2),
+    )
+    .expect("synthesis");
+    let mut m = PlacementModel::from_design(&design).expect("model");
+    let r = m.region();
+    let ranges = m.ranges();
+    for i in ranges.movable.chain(ranges.filler) {
+        let h = (i as u64).wrapping_mul(0x9e37_79b9) ^ seed;
+        let fx = (h % 10_007) as f64 / 10_007.0;
+        let fy = ((h >> 16) % 10_009) as f64 / 10_009.0;
+        m.x[i] = r.lx + fx * r.width();
+        m.y[i] = r.ly + fy * r.height();
+        if i % 5 == 0 {
+            let out = m.w[i] * ((h >> 32) % 3) as f64 * 0.5;
+            match (h >> 40) % 4 {
+                0 => m.x[i] = r.lx - out,
+                1 => m.x[i] = r.ux + out,
+                2 => m.y[i] = r.ly - out,
+                _ => m.y[i] = r.uy + out,
+            }
+        }
+    }
+    let first_macro = m
+        .ranges()
+        .fixed
+        .find(|&i| m.w[i] > 0.0 && m.h[i] > 0.0)
+        .expect("a fixed macro");
+    m.x[first_macro] = r.ux;
+    m.y[first_macro] = r.ly;
+    m
+}
+
+/// One density accumulation pass of [`DensityOp`].
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    Movable,
+    Fillers,
+    All,
+}
+
+impl Pass {
+    /// The node ranges the pass covers, in the operator's order.
+    fn ranges(self, m: &PlacementModel) -> Vec<Range<usize>> {
+        let r = m.ranges();
+        match self {
+            Pass::Movable => vec![r.movable, r.fixed],
+            Pass::Fillers => vec![r.filler],
+            Pass::All => vec![r.movable, r.fixed, r.filler],
+        }
+    }
+
+    /// Runs the pass and returns a copy of the map it writes.
+    fn run(self, op: &mut DensityOp, device: &Device, m: &PlacementModel) -> Grid2 {
+        match self {
+            Pass::Movable => {
+                op.accumulate_movable(device, m);
+                op.movable_map.clone()
+            }
+            Pass::Fillers => {
+                op.accumulate_fillers(device, m);
+                op.filler_map.clone()
+            }
+            Pass::All => {
+                op.accumulate_all(device, m);
+                op.total_map.clone()
+            }
+        }
+    }
+}
+
+/// Reference for the blocked path: the full-grid per-block merge that the
+/// sparse partials replaced. Block `b`'s full-grid partial is the serial
+/// map of a copy of `m` in which every node outside the block is a
+/// zero-width terminal (the kernel skips those), and the partials are added
+/// to a zeroed grid in block order.
+fn full_grid_reference(m: &PlacementModel, pass: Pass, node_block: usize) -> Grid2 {
+    let device = Device::new(DeviceConfig::instant());
+    let mut serial = DensityOp::new(m).expect("density op");
+    serial.set_node_block(usize::MAX);
+    let ranges = pass.ranges(m);
+    if ranges.iter().all(|r| r.len() <= node_block) {
+        return pass.run(&mut serial, &device, m);
+    }
+    let (nx, ny) = m.grid_dims();
+    let mut map = Grid2::new(nx, ny);
+    let mut masked = m.clone();
+    for r in ranges {
+        for lo in r.clone().step_by(node_block) {
+            let block = lo..(lo + node_block).min(r.end);
+            masked.w.fill(0.0);
+            masked.w[block.clone()].copy_from_slice(&m.w[block]);
+            map.add_assign_grid(&pass.run(&mut serial, &device, &masked));
+        }
+    }
+    map
 }
 
 /// Historic proptest counterexample (`seed = 963, spread = 896`, from the
@@ -255,7 +372,35 @@ props! {
         mt_op.set_node_block(64);
         mt_op.set_threads(threads);
         mt_op.accumulate_all(&device, &m);
-        prop_assert!(mt_op.total_map.max_abs_diff(&one_op.total_map) == 0.0);
+        prop_assert!(bits_equal(&mt_op.total_map, &one_op.total_map));
+    }
+
+    /// The sparse per-block partials reproduce the full-grid per-block
+    /// merge bit for bit, for every pass, width and block size, on models
+    /// with fixed macros and footprints overhanging the region edge. One
+    /// operator serves every run, so its reused scratch grids must come
+    /// back all zero after each block.
+    fn density_sparse_partials_match_full_grid_merge(seed in 0u64..500) {
+        let m = edge_model(150, seed);
+        let device = Device::new(DeviceConfig::instant());
+        let mut op = DensityOp::new(&m).expect("density op");
+        for pass in [Pass::Movable, Pass::Fillers, Pass::All] {
+            for node_block in [1, 7, 64, 2048] {
+                let reference = full_grid_reference(&m, pass, node_block);
+                for threads in 1..=5 {
+                    op.set_node_block(node_block);
+                    op.set_threads(threads);
+                    let got = pass.run(&mut op, &device, &m);
+                    prop_assert!(
+                        bits_equal(&got, &reference),
+                        "{:?} node_block {} threads {}",
+                        pass,
+                        node_block,
+                        threads
+                    );
+                }
+            }
+        }
     }
 
     /// omega is monotone in lambda for every design.

@@ -45,6 +45,17 @@ cmp "$SMOKE/t1.jsonl" "$SMOKE/t4.jsonl" \
 ./target/release/telemetry_check trace "$SMOKE/t1.jsonl"
 ./target/release/telemetry_check report "$SMOKE/t1.json"
 
+echo "==> blocked density leg: a 5000-cell place spans several NODE_BLOCK blocks"
+./target/release/xplace synth ci-blocked 5000 --seed 3 --out "$SMOKE" >/dev/null
+for T in 1 2; do
+    ./target/release/xplace place "$SMOKE/ci-blocked.aux" --max-iters 60 --threads "$T" \
+        -o "$SMOKE/blocked-t$T.pl" --trace "$SMOKE/blocked-t$T.jsonl" >/dev/null
+done
+cmp "$SMOKE/blocked-t1.jsonl" "$SMOKE/blocked-t2.jsonl" \
+    || { echo "FAIL: blocked-path traces differ across thread counts" >&2; exit 1; }
+cmp "$SMOKE/blocked-t1.pl" "$SMOKE/blocked-t2.pl" \
+    || { echo "FAIL: blocked-path placements differ across thread counts" >&2; exit 1; }
+
 echo "==> batch smoke: 2-design batch, trace parity, batch gate, failure isolation"
 cat > "$SMOKE/suite.json" <<EOF
 {"jobs": [
