@@ -13,7 +13,7 @@
 //! scheduler must change scheduling only, never results.
 
 use std::time::Instant;
-use xplace_bench::{argv_parse, fmt, TextTable};
+use xplace_bench::{argv_parse, argv_threads, fmt, TextTable};
 use xplace_db::DesignCache;
 use xplace_sched::{run_batch, run_job, BatchManifest};
 
@@ -21,7 +21,7 @@ fn main() {
     let jobs: usize = argv_parse("--jobs", 4);
     let cells: usize = argv_parse("--cells", 400);
     let iters: usize = argv_parse("--iters", 150);
-    let threads: usize = argv_parse("--threads", xplace_bench::default_workers());
+    let threads = argv_threads(xplace_bench::default_workers());
 
     let entries: Vec<String> = (0..jobs)
         .map(|i| {

@@ -8,153 +8,56 @@
 //!                  [--wall-warn-pct 50.0] [--inject SECTION=PCT]
 //! ```
 //!
-//! Single-run [`RunReport`]s, batch [`BatchReport`]s and bare
-//! [`GatedSection`] files — spectral (`spectral_bench` output), scaling
-//! (`scaling_bench` output) and explore (`explore_bench` output) — are
-//! accepted; the kind is auto-detected (a batch report is an object with
-//! a `jobs` array, a bare section one with its marker key: a top-level
-//! `grids`, `points` or `winner_lineage` array). Both sides must be the
-//! same kind, except that a bare section *current* may be gated against
-//! the matching section of a run-report *baseline* — the CI smoke paths
-//! against `BENCH_baseline.json`. Deterministic quantities (final HPWL,
-//! modeled GP time, kernel launch count, iteration count, run structure
-//! — per job, for batches; per-grid modeled transform ns for spectral
-//! sections; per-cell modeled ns for scaling points; winner HPWL,
-//! lineage and total modeled cost for explore sections) hard-fail
-//! beyond tolerance; wall-clock drift beyond `--wall-warn-pct` only
-//! warns.
+//! Single-run [`RunReport`]s and batch [`BatchReport`]s are accepted;
+//! the kind is auto-detected (a batch report is an object with a `jobs`
+//! array) and both sides must be the same kind. Deterministic quantities
+//! (final HPWL, modeled GP time, kernel launch count, iteration count,
+//! run structure — per job, for batches — and every gated section of a
+//! run report: per-grid modeled transform ns for spectral, per-cell
+//! modeled ns for scaling, winner HPWL, lineage and total modeled cost
+//! for explore) hard-fail beyond tolerance; wall-clock drift beyond
+//! `--wall-warn-pct` only warns.
 //!
 //! `--inject SECTION=PCT` is the self-test hook CI uses to prove the gate
 //! actually fails on a regression: it inflates the current report by PCT
-//! percent *after loading*. SECTION `hpwl` inflates the final HPWL (of
-//! every completed job, for a batch); `spectral`, `scaling` and `explore`
-//! apply that section's [`GatedSection::inject`] — per-grid modeled
-//! transform time, per-point modeled GP time, winner HPWL — to a bare
-//! section file or to the section of a run report. An unknown SECTION
-//! exits 2.
+//! percent *after loading*, through [`inject_regression`]. SECTION `hpwl`
+//! inflates the final HPWL (of every completed job, for a batch);
+//! `spectral`, `scaling` and `explore` apply that section's
+//! [`GatedSection::inject`](xplace_telemetry::GatedSection::inject) to a
+//! run report. An unknown SECTION exits 2.
 
-use std::any::Any;
 use xplace_bench::{argv_flag, argv_parse};
 use xplace_telemetry::{
-    compare_batch_reports, compare_reports, BatchReport, Comparison, ExploreMetrics, FromJson,
-    GatedSection, Json, JsonError, RunReport, ScalingMetrics, SpectralMetrics, Tolerances,
+    compare_batch_reports, compare_reports, inject_regression, BatchReport, Comparison, FromJson,
+    Json, RunReport, Tolerances,
 };
 
 enum Loaded {
     Run(RunReport),
     Batch(BatchReport),
-    /// A bare gated-section file: its [`SECTIONS`] entry and its value.
-    Bare(&'static Section, Box<dyn Any>),
 }
 
 impl Loaded {
-    fn kind(&self) -> String {
+    fn kind(&self) -> &'static str {
         match self {
-            Loaded::Run(_) => "run report".into(),
-            Loaded::Batch(_) => "batch report".into(),
-            Loaded::Bare(section, _) => format!("{} report", section.key),
+            Loaded::Run(_) => "run report",
+            Loaded::Batch(_) => "batch report",
         }
     }
-}
 
-/// The gate's entry points for one [`GatedSection`] impl.
-struct Section {
-    key: &'static str,
-    marker: &'static str,
-    parse: fn(&Json) -> Result<Box<dyn Any>, JsonError>,
-    inject: fn(&mut Loaded, f64) -> Result<(), String>,
-    compare: fn(&Loaded, &Loaded, &Tolerances) -> Result<Comparison, String>,
-}
-
-impl Section {
-    const fn of<S: GatedSection + 'static>() -> Section {
-        Section {
-            key: S::KEY,
-            marker: S::MARKER,
-            parse: parse_bare::<S>,
-            inject: inject_section::<S>,
-            compare: compare_bare::<S>,
+    /// Applies `--inject name=…` to a run report, or `hpwl` to every
+    /// completed job of a batch.
+    fn inject(&mut self, name: &str, factor: f64) -> Result<(), String> {
+        match self {
+            Loaded::Run(report) => inject_regression(report, name, factor),
+            Loaded::Batch(batch) if name == "hpwl" => batch
+                .jobs
+                .iter_mut()
+                .filter_map(|job| job.report.as_mut())
+                .try_for_each(|report| inject_regression(report, name, factor)),
+            Loaded::Batch(_) => Err(format!("--inject {name} only applies to run reports")),
         }
     }
-}
-
-static SECTIONS: [Section; 3] = [
-    Section::of::<SpectralMetrics>(),
-    Section::of::<ScalingMetrics>(),
-    Section::of::<ExploreMetrics>(),
-];
-
-fn parse_bare<S: GatedSection + 'static>(json: &Json) -> Result<Box<dyn Any>, JsonError> {
-    Ok(Box::new(S::from_json(json)?))
-}
-
-/// Applies [`GatedSection::inject`] to a bare `S` file or to the `S`
-/// section of a run report.
-fn inject_section<S: GatedSection + 'static>(
-    current: &mut Loaded,
-    factor: f64,
-) -> Result<(), String> {
-    let wrong_kind = || format!("--inject {0} only applies to {0} and run reports", S::KEY);
-    let section = match current {
-        Loaded::Run(report) => S::of_mut(report).as_mut().ok_or_else(|| {
-            format!(
-                "current run report has no {} section to inject into",
-                S::KEY
-            )
-        })?,
-        Loaded::Bare(_, value) => value.downcast_mut::<S>().ok_or_else(wrong_kind)?,
-        Loaded::Batch(_) => return Err(wrong_kind()),
-    };
-    section.inject(factor);
-    Ok(())
-}
-
-/// Gates a bare `S` current against a bare `S` baseline or against the
-/// `S` section of a run-report baseline.
-fn compare_bare<S: GatedSection + 'static>(
-    baseline: &Loaded,
-    current: &Loaded,
-    tol: &Tolerances,
-) -> Result<Comparison, String> {
-    fn of<S: GatedSection + 'static>(loaded: &Loaded) -> Option<&S> {
-        match loaded {
-            Loaded::Run(report) => S::of(report),
-            Loaded::Bare(_, value) => value.downcast_ref(),
-            Loaded::Batch(_) => None,
-        }
-    }
-    let base =
-        of::<S>(baseline).ok_or_else(|| format!("has no {} section to gate against", S::KEY))?;
-    let cur = of::<S>(current).expect("the current file is a bare section of this kind");
-    let mut cmp = Comparison::default();
-    S::compare(base, cur, tol, &mut cmp);
-    Ok(cmp)
-}
-
-/// The `hpwl` self-test hook: inflates the final HPWL of a run report, or
-/// of every completed job of a batch.
-fn inject_hpwl(current: &mut Loaded, factor: f64) -> Result<(), String> {
-    let reports: Vec<&mut RunReport> = match current {
-        Loaded::Run(report) => vec![report],
-        Loaded::Batch(batch) => batch
-            .jobs
-            .iter_mut()
-            .filter_map(|job| job.report.as_mut())
-            .collect(),
-        Loaded::Bare(..) => {
-            return Err("--inject hpwl only applies to run and batch reports".into())
-        }
-    };
-    for report in reports {
-        report.gp.final_hpwl *= factor;
-        if let Some(lg) = report.lg.as_mut() {
-            lg.final_hpwl *= factor;
-        }
-        if let Some(dp) = report.dp.as_mut() {
-            dp.final_hpwl *= factor;
-        }
-    }
-    Ok(())
 }
 
 fn fail(message: impl std::fmt::Display) -> ! {
@@ -169,16 +72,13 @@ fn load(path: &str) -> Loaded {
         Json::parse(&text).unwrap_or_else(|e| fail(format!("{path} is not valid JSON: {e}")));
     let result = if json.get("jobs").is_some() {
         BatchReport::from_json(&json).map(Loaded::Batch)
-    } else if let Some(section) = SECTIONS.iter().find(|s| json.get(s.marker).is_some()) {
-        (section.parse)(&json).map(|value| Loaded::Bare(section, value))
     } else {
         RunReport::from_json(&json).map(Loaded::Run)
     };
     result.unwrap_or_else(|e| fail(format!("{path} is not a valid report: {e}")))
 }
 
-/// Parses `--inject SECTION=PCT`, rejecting malformed values and unknown
-/// sections.
+/// Parses `--inject SECTION=PCT`, rejecting malformed values.
 fn inject_arg() -> Option<(String, f64)> {
     let arg = argv_flag("--inject")?;
     let parsed = arg
@@ -189,11 +89,6 @@ fn inject_arg() -> Option<(String, f64)> {
             "invalid value '{arg}' for --inject: expected SECTION=PCT"
         ))
     };
-    if name != "hpwl" && !SECTIONS.iter().any(|s| s.key == name) {
-        fail(format!(
-            "unknown --inject section '{name}' (hpwl|spectral|scaling|explore)"
-        ));
-    }
     Some((name.to_string(), pct))
 }
 
@@ -235,24 +130,15 @@ fn main() {
     let mut current = load(current_path);
 
     if let Some((name, pct)) = &inject {
-        let factor = 1.0 + pct / 100.0;
-        let injected = match SECTIONS.iter().find(|s| s.key == name) {
-            Some(section) => (section.inject)(&mut current, factor),
-            None => inject_hpwl(&mut current, factor),
-        };
-        injected.unwrap_or_else(|e| fail(e));
+        current
+            .inject(name, 1.0 + pct / 100.0)
+            .unwrap_or_else(|e| fail(e));
         eprintln!("(self-test: injected {pct:+.1}% {name} regression into the current report)");
     }
 
     let cmp: Comparison = match (&baseline, &current) {
         (Loaded::Run(b), Loaded::Run(c)) => compare_reports(b, c, &tol),
         (Loaded::Batch(b), Loaded::Batch(c)) => compare_batch_reports(b, c, &tol),
-        (b, Loaded::Bare(section, _))
-            if matches!(b, Loaded::Run(_)) || b.kind() == current.kind() =>
-        {
-            (section.compare)(&baseline, &current, &tol)
-                .unwrap_or_else(|e| fail(format!("baseline {baseline_path} {e}")))
-        }
         (b, c) => fail(format!(
             "report kind mismatch: {baseline_path} is a {} but {current_path} is a {}",
             b.kind(),

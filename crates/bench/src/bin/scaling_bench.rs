@@ -1,109 +1,56 @@
-//! Standalone scaling bench: per-cell modeled GP cost at size, flat vs
-//! multilevel, written as a gateable JSON report.
+//! Coarsening smoke: builds the full coarsening hierarchy of a design too
+//! large to place in CI.
 //!
 //! ```text
-//! scaling_bench [--smoke] [--out results/scaling_bench.json]
 //! scaling_bench --coarsen-smoke CELLS [--topology systolic]
 //! ```
 //!
-//! The output is a bare scaling report (`{"points":[...]}`), the same
-//! shape as the `scaling` section of a `RunReport` baseline —
-//! `check_regression` accepts it directly against `BENCH_baseline.json`.
-//! `--smoke` runs the committed point set (a 10k-cell flat anchor plus a
-//! 100k-cell systolic multilevel run; the default in CI); without it a
-//! 10k-cell multilevel point is added, which no longer matches the
-//! committed point set and is for manual exploration.
-//!
-//! `--coarsen-smoke CELLS` skips placement entirely: it synthesizes a
-//! design at that size and builds the full coarsening hierarchy, exiting
-//! non-zero unless the hierarchy reduces below half the input — the CI
-//! leg that proves 1M-cell coarsening completes.
+//! Synthesizes a design at that size and builds the hierarchy without
+//! placing, exiting non-zero unless it reduces below half the input — the
+//! CI leg that proves 1M-cell coarsening completes. The gated scaling
+//! points (per-cell modeled GP cost, flat vs multilevel) are measured by
+//! `run_report`.
 
-use xplace_bench::scaling::{coarsen_smoke, full_cases, measure_scaling, smoke_cases};
-use xplace_bench::{argv_flag, argv_parse, fmt, TextTable};
+use xplace_bench::scaling::coarsen_smoke;
+use xplace_bench::{argv_flag, argv_parse};
 use xplace_db::synthesis::Topology;
-use xplace_telemetry::ToJson;
 
 fn main() {
-    if let Some(cells) = argv_flag("--coarsen-smoke") {
-        let cells: usize = cells.parse().unwrap_or_else(|e| {
-            eprintln!("error: invalid --coarsen-smoke cell count: {e}");
-            std::process::exit(2)
-        });
-        let topology = argv_parse("--topology", "systolic".to_string());
-        let topology = Topology::parse(&topology).unwrap_or_else(|| {
-            eprintln!("error: unknown topology '{topology}' (random|systolic|butterfly)");
-            std::process::exit(2)
-        });
-        eprintln!(
-            "coarsening smoke: {cells} cells, {} topology...",
-            topology.name()
-        );
-        let smoke = coarsen_smoke(cells, topology).unwrap_or_else(|e| {
-            eprintln!("error: coarsening smoke failed: {e}");
-            std::process::exit(1)
-        });
-        println!(
-            "coarsened {} cells through {:?} in {:.2}s (synth {:.2}s, coarsen {:.2}s)",
-            smoke.cells,
-            smoke.level_cells,
-            smoke.wall_seconds,
-            smoke.synth_seconds,
-            smoke.coarsen_seconds
-        );
-        let coarsest = smoke.level_cells.last().copied().unwrap_or(smoke.cells);
-        if coarsest >= smoke.cells / 2 {
-            eprintln!(
-                "error: hierarchy barely coarsened ({} -> {coarsest})",
-                smoke.cells
-            );
-            std::process::exit(1)
-        }
-        return;
-    }
-
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let out = argv_flag("--out").unwrap_or_else(|| "results/scaling_bench.json".to_string());
-    let cases = if smoke { smoke_cases() } else { full_cases() };
-
+    let Some(cells) = argv_flag("--coarsen-smoke") else {
+        eprintln!("usage: scaling_bench --coarsen-smoke CELLS [--topology systolic]");
+        std::process::exit(2)
+    };
+    let cells: usize = cells.parse().unwrap_or_else(|e| {
+        eprintln!("error: invalid --coarsen-smoke cell count: {e}");
+        std::process::exit(2)
+    });
+    let topology = argv_parse("--topology", "systolic".to_string());
+    let topology = Topology::parse(&topology).unwrap_or_else(|| {
+        eprintln!("error: unknown topology '{topology}' (random|systolic|butterfly)");
+        std::process::exit(2)
+    });
     eprintln!(
-        "scaling bench: {} case(s){}",
-        cases.len(),
-        if smoke { " [smoke]" } else { "" }
+        "coarsening smoke: {cells} cells, {} topology...",
+        topology.name()
     );
-    let metrics = measure_scaling(&cases).unwrap_or_else(|e| {
-        eprintln!("error: scaling bench failed: {e}");
+    let smoke = coarsen_smoke(cells, topology).unwrap_or_else(|e| {
+        eprintln!("error: coarsening smoke failed: {e}");
         std::process::exit(1)
     });
-
-    let mut table = TextTable::new(&[
-        "case",
-        "cells",
-        "iters",
-        "modeled ms",
-        "ns/cell/iter",
-        "overflow",
-        "wall s",
-    ]);
-    for p in &metrics.points {
-        table.row(vec![
-            format!("{}{}", p.topology, if p.multilevel { "+ml" } else { "" }),
-            format!("{}", p.cells),
-            format!("{}", p.iterations),
-            fmt(p.modeled_ns as f64 / 1e6, 2),
-            fmt(p.ns_per_cell_iter(), 3),
-            fmt(p.final_overflow, 3),
-            fmt(p.wall_seconds, 2),
-        ]);
+    println!(
+        "coarsened {} cells through {:?} in {:.2}s (synth {:.2}s, coarsen {:.2}s)",
+        smoke.cells,
+        smoke.level_cells,
+        smoke.wall_seconds,
+        smoke.synth_seconds,
+        smoke.coarsen_seconds
+    );
+    let coarsest = smoke.level_cells.last().copied().unwrap_or(smoke.cells);
+    if coarsest >= smoke.cells / 2 {
+        eprintln!(
+            "error: hierarchy barely coarsened ({} -> {coarsest})",
+            smoke.cells
+        );
+        std::process::exit(1)
     }
-    print!("{}", table.render());
-
-    let path = std::path::Path::new(&out);
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(path, metrics.to_json().render()).expect("write report");
-    eprintln!("wrote {out}");
 }

@@ -28,7 +28,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use xplace_bench::{argv_flag, argv_parse, fmt, TextTable};
+use xplace_bench::{argv_flag, argv_parse, argv_threads, fmt, TextTable};
 use xplace_serve::{Client, ServeConfig, Server, Submission};
 use xplace_telemetry::Json;
 
@@ -56,7 +56,7 @@ fn soak_config(smoke: bool) -> SoakConfig {
         cells: argv_parse("--cells", cells),
         iters: argv_parse("--iters", iters),
         designs: argv_parse("--designs", designs),
-        threads: argv_parse("--threads", 2),
+        threads: argv_threads(2),
         // Small enough that shedding actually fires under full load.
         queue_depth: argv_parse("--queue-depth", 2),
     }

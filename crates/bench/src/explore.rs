@@ -2,10 +2,11 @@
 //! run of equal total modeled budget, and produces the gateable
 //! [`ExploreMetrics`] section for `BENCH_baseline.json`.
 //!
-//! The committed case (see [`committed_case`]) is what `run_report`
-//! embeds into the baseline and what `explore_bench --smoke` re-measures
-//! for the regression gate; the rest of [`suite_cases`] exists to prove
-//! the quality win is not a single lucky design.
+//! `run_report` measures the whole of [`suite_cases`] and exits non-zero
+//! unless [`suite_verdict`] passes; the committed case (see
+//! [`committed_case`]) is the one it embeds into the report for the
+//! regression gate, and the other two designs exist to prove the quality
+//! win is not a single lucky design.
 //!
 //! The comparison is budget-fair: the single-run reference gets the
 //! population's whole iteration budget (`members x max_iterations`), so
@@ -54,27 +55,21 @@ pub fn committed_case() -> ExploreCase {
 }
 
 /// The three-design suite the win condition is checked over. Index 0 is
-/// always [`committed_case`]; `smoke` keeps the committed sizes, while
-/// the full variant grows the designs for manual exploration (its
-/// metrics no longer match the committed baseline section).
-pub fn suite_cases(smoke: bool) -> Vec<ExploreCase> {
-    let scale = if smoke { 1 } else { 3 };
-    let mut cases = vec![committed_case()];
-    cases.push(ExploreCase {
-        spec: SynthesisSpec::new("explore-b", 360 * scale, 380 * scale).with_seed(12),
-        seed: 0xe8b,
-        max_iterations: 800,
-    });
-    cases.push(ExploreCase {
-        spec: SynthesisSpec::new("explore-c", 300 * scale, 330 * scale).with_seed(13),
-        seed: 0xe8c,
-        max_iterations: 800,
-    });
-    if !smoke {
-        cases[0].spec.num_cells *= scale;
-        cases[0].spec.num_nets *= scale;
-    }
-    cases
+/// always [`committed_case`].
+pub fn suite_cases() -> Vec<ExploreCase> {
+    vec![
+        committed_case(),
+        ExploreCase {
+            spec: SynthesisSpec::new("explore-b", 360, 380).with_seed(12),
+            seed: 0xe8b,
+            max_iterations: 800,
+        },
+        ExploreCase {
+            spec: SynthesisSpec::new("explore-c", 300, 330).with_seed(13),
+            seed: 0xe8c,
+            max_iterations: 800,
+        },
+    ]
 }
 
 /// Result of one case: the population's lineage metrics next to the
@@ -129,6 +124,52 @@ impl ExploreComparison {
     }
 }
 
+/// The fewest designs of the suite the population must win on.
+pub const MIN_WINS: usize = 2;
+
+/// The suite's verdict: every comparison must be budget-fair and
+/// quality-fair, and the population must win on at least [`MIN_WINS`]
+/// designs. The error names the offending design(s).
+///
+/// # Errors
+///
+/// The first unfair comparison, or too few wins.
+pub fn suite_verdict(comparisons: &[ExploreComparison]) -> Result<(), String> {
+    for c in comparisons {
+        if !c.budget_fair() {
+            return Err(format!(
+                "{}: single run stopped early without converging \
+                 ({} modeled ns < population's {})",
+                c.name, c.single_modeled_ns, c.metrics.total_modeled_ns
+            ));
+        }
+        if !c.quality_fair() {
+            return Err(format!(
+                "{}: winner stopped at overflow {:.3} vs the single run's {:.3} — \
+                 its HPWL is not comparable",
+                c.name,
+                c.winner_overflow(),
+                c.single_overflow
+            ));
+        }
+    }
+    let lost: Vec<&str> = comparisons
+        .iter()
+        .filter(|c| !c.population_wins())
+        .map(|c| c.name.as_str())
+        .collect();
+    let wins = comparisons.len() - lost.len();
+    if wins < MIN_WINS {
+        return Err(format!(
+            "the population beat the single run on only {wins}/{} design(s) \
+             (needs at least {MIN_WINS}); it lost on {}",
+            comparisons.len(),
+            lost.join(", ")
+        ));
+    }
+    Ok(())
+}
+
 /// Runs one case: the `--explore 8` population and the budget-matched
 /// single run, over a pool of `threads` workers (wall-clock only; every
 /// reported quantity is thread-count-independent).
@@ -177,22 +218,96 @@ pub fn measure_explore(case: &ExploreCase, threads: usize) -> Result<ExploreComp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xplace_telemetry::{ExploreGeneration, ExploreMember};
 
     #[test]
-    fn the_committed_case_heads_both_suites() {
+    fn the_committed_case_heads_the_suite() {
         let committed = committed_case();
-        for smoke in [true, false] {
-            let cases = suite_cases(smoke);
-            assert_eq!(cases.len(), 3);
-            assert_eq!(cases[0].spec.name, committed.spec.name);
-            assert_eq!(cases[0].seed, committed.seed);
-        }
-        // Smoke keeps the committed sizes exactly — that is what the
+        let cases = suite_cases();
+        assert_eq!(cases.len(), 3);
+        assert_eq!(cases[0].spec.name, committed.spec.name);
+        assert_eq!(cases[0].seed, committed.seed);
+        // The suite keeps the committed sizes exactly — that is what the
         // baseline section is recorded from.
-        assert_eq!(
-            suite_cases(true)[0].spec.num_cells,
-            committed.spec.num_cells
+        assert_eq!(cases[0].spec.num_cells, committed.spec.num_cells);
+    }
+
+    /// A comparison whose population winner reaches `winner_hpwl` at
+    /// overflow 0.1, against a converged single run at HPWL 100 and
+    /// overflow 0.1.
+    fn comparison(name: &str, winner_hpwl: f64) -> ExploreComparison {
+        let member = ExploreMember {
+            member: 0,
+            hpwl: winner_hpwl,
+            overflow: 0.1,
+            score: winner_hpwl,
+            culled: false,
+            branched_from: None,
+            perturbation_seed: None,
+        };
+        ExploreComparison {
+            name: name.into(),
+            single_hpwl: 100.0,
+            single_overflow: 0.1,
+            single_modeled_ns: 1_000,
+            single_converged: true,
+            metrics: ExploreMetrics {
+                members: 1,
+                keep: 1,
+                generations: vec![ExploreGeneration {
+                    generation: 0,
+                    iteration: 800,
+                    members: vec![member],
+                    best: 0,
+                }],
+                winner: 0,
+                winner_lineage: vec![0],
+                winner_hpwl,
+                total_modeled_ns: 1_000,
+            },
+        }
+    }
+
+    fn suite(winner_hpwls: [f64; 3]) -> Vec<ExploreComparison> {
+        ["explore-a", "explore-b", "explore-c"]
+            .into_iter()
+            .zip(winner_hpwls)
+            .map(|(name, hpwl)| comparison(name, hpwl))
+            .collect()
+    }
+
+    #[test]
+    fn a_suite_won_on_every_design_passes() {
+        assert_eq!(suite_verdict(&suite([90.0, 95.0, 99.0])), Ok(()));
+    }
+
+    #[test]
+    fn a_suite_won_on_one_design_fails_naming_the_losses() {
+        let err = suite_verdict(&suite([90.0, 100.0, 110.0])).unwrap_err();
+        assert!(err.contains("only 1/3"), "{err}");
+        assert!(err.contains("explore-b, explore-c"), "{err}");
+    }
+
+    #[test]
+    fn a_budget_unfair_case_fails_naming_the_design() {
+        let mut cases = suite([90.0, 95.0, 99.0]);
+        cases[1].single_converged = false;
+        cases[1].single_modeled_ns = 999;
+        let err = suite_verdict(&cases).unwrap_err();
+        assert!(
+            err.starts_with("explore-b: single run stopped early"),
+            "{err}"
         );
-        assert!(suite_cases(false)[0].spec.num_cells > committed.spec.num_cells);
+    }
+
+    #[test]
+    fn a_quality_unfair_case_fails_naming_the_design() {
+        let mut cases = suite([90.0, 95.0, 99.0]);
+        cases[2].metrics.generations[0].members[0].overflow = 0.2;
+        let err = suite_verdict(&cases).unwrap_err();
+        assert!(
+            err.starts_with("explore-c: winner stopped at overflow 0.200"),
+            "{err}"
+        );
     }
 }

@@ -102,18 +102,48 @@ pub fn argv_value(args: &[String], flag: &str) -> Result<Option<String>, String>
     }
 }
 
+/// Parses the value following `flag` in `args`, `default` when the flag is
+/// absent; the error is the message [`argv_parse`] prints.
+pub fn parse_arg<T>(args: &[String], flag: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match argv_value(args, flag)? {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|e| format!("invalid value '{v}' for {flag}: {e}")),
+    }
+}
+
+/// Parses `--threads` from `args` like [`parse_arg`], and, like `xplace
+/// --threads`, rejects 0.
+pub fn parse_threads(args: &[String], default: usize) -> Result<usize, String> {
+    match parse_arg(args, "--threads", default)? {
+        0 => Err("--threads must be at least 1".into()),
+        threads => Ok(threads),
+    }
+}
+
+/// Unwraps a flag or knob value, exiting with status 2 on its error (bin
+/// helper).
+fn or_exit<T>(value: Result<T, String>) -> T {
+    value.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+fn process_args() -> Vec<String> {
+    std::env::args().collect()
+}
+
 /// Returns the value following `--flag` in the process arguments, `None`
 /// when absent, and exits with status 2 when the flag is given without a
 /// value (bin helper).
 pub fn argv_flag(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    match argv_value(&args, flag) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2)
-        }
-    }
+    or_exit(argv_value(&process_args(), flag))
 }
 
 /// Parses the value of `--flag` from the process arguments, exiting with
@@ -123,16 +153,13 @@ where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
 {
-    match argv_flag(flag) {
-        None => default,
-        Some(v) => match v.parse() {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: invalid value '{v}' for {flag}: {e}");
-                std::process::exit(2)
-            }
-        },
-    }
+    or_exit(parse_arg(&process_args(), flag, default))
+}
+
+/// Parses `--threads` from the process arguments, exiting with status 2
+/// on a missing, unparseable or zero value (bin helper).
+pub fn argv_threads(default: usize) -> usize {
+    or_exit(parse_threads(&process_args(), default))
 }
 
 /// Parses `raw`, the value of environment knob `name`, as a number greater
@@ -163,13 +190,7 @@ where
     let Some(raw) = std::env::var_os(name) else {
         return default;
     };
-    match parse_env_value(name, &raw.to_string_lossy()) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2)
-        }
-    }
+    or_exit(parse_env_value(name, &raw.to_string_lossy()))
 }
 
 /// The default worker count: the machine's parallelism, capped at 8.
@@ -310,6 +331,21 @@ mod tests {
             argv_value(&args, "--inject"),
             Err("missing value for --inject".into())
         );
+        assert_eq!(
+            parse_threads(&args, 4),
+            Err("missing value for --threads".into())
+        );
+
+        let threads = |value: &str| {
+            let args: Vec<String> = vec!["bin".into(), "--threads".into(), value.into()];
+            parse_threads(&args, 4)
+        };
+        assert_eq!(threads("3"), Ok(3));
+        assert_eq!(threads("0"), Err("--threads must be at least 1".into()));
+        assert!(threads("many")
+            .unwrap_err()
+            .starts_with("invalid value 'many' for --threads"));
+        assert_eq!(parse_threads(&["bin".to_string()], 4), Ok(4));
     }
 
     #[test]

@@ -10,10 +10,8 @@
 //!
 //! The smoke set (a 10k-cell flat anchor plus a 100k-cell systolic
 //! multilevel run) is what `run_report` embeds into `BENCH_baseline.json`
-//! and what CI gates; [`full_cases`] adds a 10k-cell multilevel point for
-//! manual exploration (gating a full run requires re-recording the
-//! baseline with the same point set). [`coarsen_smoke`] exercises
-//! coarsening alone at sizes too large to place in CI (the 1M-cell leg).
+//! and what CI gates. [`coarsen_smoke`] exercises coarsening alone at
+//! sizes too large to place in CI (the 1M-cell leg of `scaling_bench`).
 
 use xplace_core::{GlobalPlacer, XplaceConfig};
 use xplace_db::cluster::{build_hierarchy, HierarchyOptions};
@@ -64,22 +62,6 @@ pub fn smoke_cases() -> Vec<ScalingCase> {
             coarse_max_iterations: Some(60),
         },
     ]
-}
-
-/// The full set: the smoke points plus a 10k-cell multilevel run that
-/// records the (expected) small-scale multilevel overhead. Its point set
-/// no longer matches the committed baseline, so it is for manual
-/// exploration, not the gate.
-pub fn full_cases() -> Vec<ScalingCase> {
-    let mut cases = smoke_cases();
-    cases.push(ScalingCase {
-        cells: 10_000,
-        topology: Topology::Random,
-        multilevel: true,
-        max_iterations: 60,
-        coarse_max_iterations: Some(60),
-    });
-    cases
 }
 
 fn spec_for(case: &ScalingCase) -> SynthesisSpec {

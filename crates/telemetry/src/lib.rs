@@ -50,7 +50,7 @@ mod sink;
 
 pub use batch::{compare_batch_reports, BatchReport, JobRecord, JobStatus};
 pub use event::{stage_of, ConfigEcho, IterationRecord, ProfileDelta, Stage, TelemetryEvent};
-pub use regression::{compare_reports, Comparison, GatedSection, Tolerances};
+pub use regression::{compare_reports, inject_regression, Comparison, GatedSection, Tolerances};
 pub use report::{
     DpMetrics, ExploreGeneration, ExploreMember, ExploreMetrics, GpMetrics, LgMetrics,
     RouteMetrics, RunReport, ScalingMetrics, ScalingPoint, SpectralGrid, SpectralMetrics,

@@ -6,7 +6,6 @@
 //! wall-clock times are machine-dependent, and those merely warn.
 
 use crate::{ExploreMetrics, RunReport, ScalingMetrics, SpectralMetrics};
-use xplace_testkit::json::FromJson;
 
 /// Relative tolerances, in percent, for the gated quantities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,14 +78,12 @@ fn pct_change(baseline: f64, current: f64) -> f64 {
 }
 
 /// A report section the regression gate compares as a unit. Spectral,
-/// scaling and explore sections implement it: [`compare_reports`] gates
-/// every impl the same way, and `check_regression` accepts each one as a
-/// bare file (the bench binaries' output) or as a section of a run report.
-pub trait GatedSection: Sized + FromJson {
+/// scaling and explore sections implement it; `visit_sections` lists
+/// them, so [`compare_reports`] gates every impl the same way and
+/// [`inject_regression`] resolves its `--inject` name.
+pub trait GatedSection: Sized {
     /// The section's key in a [`RunReport`] (and its `--inject` name).
     const KEY: &'static str;
-    /// A top-level key that marks a bare file of this section.
-    const MARKER: &'static str;
     /// How comparison messages name the section.
     const LABEL: &'static str;
 
@@ -104,24 +101,42 @@ pub trait GatedSection: Sized + FromJson {
     fn inject(&mut self, factor: f64);
 }
 
-/// Gates section `S` of two run reports: compared when both carry it, a
+/// Something done once per [`GatedSection`] type.
+trait SectionVisitor {
+    fn visit<S: GatedSection>(&mut self);
+}
+
+/// Visits every gated section in report order: the one list of sections
+/// that [`compare_reports`] and [`inject_regression`] both walk.
+fn visit_sections(visitor: &mut impl SectionVisitor) {
+    visitor.visit::<SpectralMetrics>();
+    visitor.visit::<ScalingMetrics>();
+    visitor.visit::<ExploreMetrics>();
+}
+
+/// Gates each section of two run reports: compared when both carry it, a
 /// failure when the current run lost it, a note when it is new.
-fn compare_section<S: GatedSection>(
-    baseline: &RunReport,
-    current: &RunReport,
-    tol: &Tolerances,
-    cmp: &mut Comparison,
-) {
-    match (S::of(baseline), S::of(current)) {
-        (Some(base), Some(cur)) => S::compare(base, cur, tol, cmp),
-        (Some(_), None) => cmp.failures.push(format!(
-            "{} missing from current report (baseline has one) — coverage was lost",
-            S::LABEL
-        )),
-        (None, Some(_)) => cmp
-            .notes
-            .push(format!("{} added (baseline has none)", S::LABEL)),
-        (None, None) => {}
+struct CompareSections<'a> {
+    baseline: &'a RunReport,
+    current: &'a RunReport,
+    tol: &'a Tolerances,
+    cmp: &'a mut Comparison,
+}
+
+impl SectionVisitor for CompareSections<'_> {
+    fn visit<S: GatedSection>(&mut self) {
+        match (S::of(self.baseline), S::of(self.current)) {
+            (Some(base), Some(cur)) => S::compare(base, cur, self.tol, self.cmp),
+            (Some(_), None) => self.cmp.failures.push(format!(
+                "{} missing from current report (baseline has one) — coverage was lost",
+                S::LABEL
+            )),
+            (None, Some(_)) => self
+                .cmp
+                .notes
+                .push(format!("{} added (baseline has none)", S::LABEL)),
+            (None, None) => {}
+        }
     }
 }
 
@@ -215,9 +230,12 @@ pub fn compare_reports(baseline: &RunReport, current: &RunReport, tol: &Toleranc
     }
 
     // --- Gated sections (each compared when the baseline recorded it). ---
-    compare_section::<SpectralMetrics>(baseline, current, tol, &mut cmp);
-    compare_section::<ScalingMetrics>(baseline, current, tol, &mut cmp);
-    compare_section::<ExploreMetrics>(baseline, current, tol, &mut cmp);
+    visit_sections(&mut CompareSections {
+        baseline,
+        current,
+        tol,
+        cmp: &mut cmp,
+    });
 
     if cmp.passed() {
         cmp.notes.push(format!(
@@ -230,9 +248,70 @@ pub fn compare_reports(baseline: &RunReport, current: &RunReport, tol: &Toleranc
     cmp
 }
 
+/// Applies `--inject S=…` to the section whose key is `name`.
+struct InjectSection<'a> {
+    report: &'a mut RunReport,
+    name: &'a str,
+    factor: f64,
+    keys: Vec<&'static str>,
+    outcome: Option<Result<(), String>>,
+}
+
+impl SectionVisitor for InjectSection<'_> {
+    fn visit<S: GatedSection>(&mut self) {
+        self.keys.push(S::KEY);
+        if S::KEY == self.name {
+            self.outcome = Some(match S::of_mut(self.report) {
+                Some(section) => {
+                    section.inject(self.factor);
+                    Ok(())
+                }
+                None => Err(format!(
+                    "the current run report has no {} section to inject into",
+                    S::KEY
+                )),
+            });
+        }
+    }
+}
+
+/// The `--inject NAME=PCT` self-test hook: fakes a regression in `report`
+/// by `factor`, so CI can prove the gate fails when it should. `hpwl`
+/// inflates the final GP, LG and DP HPWL; a [`GatedSection`] key applies
+/// that section's [`GatedSection::inject`].
+///
+/// # Errors
+///
+/// An unknown `name`, or a section `report` did not record.
+pub fn inject_regression(report: &mut RunReport, name: &str, factor: f64) -> Result<(), String> {
+    if name == "hpwl" {
+        report.gp.final_hpwl *= factor;
+        if let Some(lg) = report.lg.as_mut() {
+            lg.final_hpwl *= factor;
+        }
+        if let Some(dp) = report.dp.as_mut() {
+            dp.final_hpwl *= factor;
+        }
+        return Ok(());
+    }
+    let mut inject = InjectSection {
+        report,
+        name,
+        factor,
+        keys: vec!["hpwl"],
+        outcome: None,
+    };
+    visit_sections(&mut inject);
+    inject.outcome.unwrap_or_else(|| {
+        Err(format!(
+            "unknown --inject section '{name}' ({})",
+            inject.keys.join("|")
+        ))
+    })
+}
+
 impl GatedSection for SpectralMetrics {
     const KEY: &'static str = "spectral";
-    const MARKER: &'static str = "grids";
     const LABEL: &'static str = "spectral microbench";
 
     fn of(report: &RunReport) -> Option<&Self> {
@@ -302,7 +381,6 @@ impl GatedSection for SpectralMetrics {
 
 impl GatedSection for ScalingMetrics {
     const KEY: &'static str = "scaling";
-    const MARKER: &'static str = "points";
     const LABEL: &'static str = "scaling bench";
 
     fn of(report: &RunReport) -> Option<&Self> {
@@ -422,7 +500,6 @@ impl GatedSection for ScalingMetrics {
 
 impl GatedSection for ExploreMetrics {
     const KEY: &'static str = "explore";
-    const MARKER: &'static str = "winner_lineage";
     const LABEL: &'static str = "exploration section";
 
     fn of(report: &RunReport) -> Option<&Self> {
@@ -831,12 +908,19 @@ mod tests {
         assert!(cmp.passed(), "{}: identical: {:?}", S::KEY, cmp.failures);
 
         let mut inflated = base.clone();
-        S::of_mut(&mut inflated).as_mut().unwrap().inject(1.10);
+        inject_regression(&mut inflated, S::KEY, 1.10).unwrap();
         let cmp = compare_reports(&base, &inflated, &tol);
         assert!(!cmp.passed(), "{}: an injected +10% must fail", S::KEY);
 
         let mut dropped = base.clone();
         *S::of_mut(&mut dropped) = None;
+        assert_eq!(
+            inject_regression(&mut dropped.clone(), S::KEY, 1.10),
+            Err(format!(
+                "the current run report has no {} section to inject into",
+                S::KEY
+            ))
+        );
         let cmp = compare_reports(&base, &dropped, &tol);
         let missing = format!("{} missing", S::LABEL);
         assert!(
@@ -854,13 +938,30 @@ mod tests {
 
     #[test]
     fn every_gated_section_passes_identity_and_fails_injection_and_loss() {
-        let contracts: [fn(); 3] = [
-            gated_section_contract::<SpectralMetrics>,
-            gated_section_contract::<ScalingMetrics>,
-            gated_section_contract::<ExploreMetrics>,
-        ];
-        for contract in contracts {
-            contract();
+        struct Contract(Vec<&'static str>);
+        impl SectionVisitor for Contract {
+            fn visit<S: GatedSection>(&mut self) {
+                gated_section_contract::<S>();
+                self.0.push(S::KEY);
+            }
         }
+        let mut checked = Contract(Vec::new());
+        visit_sections(&mut checked);
+        assert_eq!(checked.0, ["spectral", "scaling", "explore"]);
+    }
+
+    #[test]
+    fn hpwl_injection_fails_the_gate_and_unknown_names_are_listed() {
+        let base = sample_report();
+        let mut inflated = base.clone();
+        inject_regression(&mut inflated, "hpwl", 1.10).unwrap();
+        let cmp = compare_reports(&base, &inflated, &Tolerances::default());
+        assert!(cmp.failures.iter().any(|f| f.contains("HPWL regressed")));
+
+        let err = inject_regression(&mut base.clone(), "wirelength", 1.10).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown --inject section 'wirelength' (hpwl|spectral|scaling|explore)"
+        );
     }
 }

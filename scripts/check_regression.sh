@@ -2,9 +2,12 @@
 # Bench regression gate: re-runs the canonical deterministic flow and
 # diffs the fresh RunReport against the committed BENCH_baseline.json.
 #
-# Deterministic quantities (final HPWL, modeled GP time, kernel launch
-# count, iteration count, run structure) hard-fail beyond tolerance;
-# wall-clock drift only warns, so the gate is not flaky across machines.
+# run_report is the only producer of the report's gated sections
+# (spectral, scaling, explore); check_regression reads only run and
+# batch reports. Deterministic quantities (final HPWL, modeled GP time,
+# kernel launch count, iteration count, run structure, and each gated
+# section's modeled metrics) hard-fail beyond tolerance; wall-clock drift
+# only warns, so the gate is not flaky across machines.
 #
 # After an *intentional* change to placer numerics, re-record the
 # baseline and commit it:
