@@ -320,7 +320,7 @@ impl ElectrostaticSolver {
     }
 
     /// Sets the launch width for the transform batches (clamped to >= 1) and
-    /// provisions one private transform context per worker.
+    /// provisions one private transform context per task.
     ///
     /// Tiles are arithmetic-independent, so the solution is bit-identical
     /// for every thread count; `threads` only changes how the tile batches

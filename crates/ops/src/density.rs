@@ -170,7 +170,7 @@ fn sparse_partial(
 /// kept across calls so a launch allocates no grid.
 #[derive(Debug, Default)]
 struct BlockWorkspace {
-    /// One dense `nx * ny` scratch grid per worker, all `+0.0` between
+    /// One dense `nx * ny` scratch grid per task, all `+0.0` between
     /// blocks.
     scratch: Vec<Vec<f64>>,
     /// One sparse partial per node block (see [`sparse_partial`]).
@@ -179,7 +179,7 @@ struct BlockWorkspace {
 
 impl BlockWorkspace {
     /// Accumulates `blocks` into `cells` (the map's samples): each of at
-    /// most `threads` workers turns a fixed contiguous run of blocks into
+    /// most `threads` tasks turns a fixed contiguous run of blocks into
     /// sparse partials on its own scratch grid, then the partials merge in
     /// block order. Every bin thus receives the same additions in the same
     /// order as merging one full-grid partial per block, for any `threads`.

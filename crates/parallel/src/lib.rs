@@ -23,15 +23,25 @@
 //! bit-identical results for **any** thread count — `threads` only changes
 //! scheduling, never arithmetic.
 //!
+//! # Scheduling: work-claiming launches
+//!
+//! A launch of width `W` is offered to the first `W - 1` workers; the caller
+//! and every worker that picks the offer up claim task indices from one
+//! shared counter until none are left (help-while-waiting fork/join, as in
+//! Cilk or rayon's `join`). The caller waits only for tasks a worker claimed,
+//! so a worker busy elsewhere (say, on a sibling batch job) never stalls it.
+//!
 //! # Hermetic policy
 //!
-//! Zero registry dependencies: the queueing, latching and lifetime management
-//! are built from `std` primitives only (`Mutex`, `Condvar`, `VecDeque`).
+//! Zero registry dependencies: the queueing, claiming and lifetime management
+//! are built from `std` primitives only (`Mutex`, `Condvar`, `VecDeque`,
+//! atomics).
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
@@ -41,79 +51,78 @@ thread_local! {
     static IS_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Completion latch for one fork/join launch: counts outstanding remote tasks
-/// and records whether any of them panicked.
-struct Latch {
-    remaining: Mutex<usize>,
+/// One fork/join launch, shared by its caller and the workers it was
+/// offered to. Every thread claims task indices from `next` until none are
+/// left; `helped` counts the tasks that workers finished.
+struct Launch {
+    /// The caller's borrowed task closure, its lifetime erased so offers can
+    /// sit in the long-lived worker queues. Soundness: it is only called
+    /// after a successful claim, `execute` returns only once every index is
+    /// claimed and every helper-claimed task has finished, and an offer
+    /// popped after that finds the counter exhausted and never calls it.
+    job: &'static (dyn Fn(usize) + Sync),
+    tasks: usize,
+    next: AtomicUsize,
+    helped: Mutex<usize>,
     done: Condvar,
     panicked: AtomicBool,
 }
 
-impl Latch {
-    fn new(remote_tasks: usize) -> Self {
-        Self {
-            remaining: Mutex::new(remote_tasks),
-            done: Condvar::new(),
-            panicked: AtomicBool::new(false),
+impl Launch {
+    /// Claims and runs indices until none are left. Returns how many this
+    /// thread claimed and the first panic it caught; once any task of the
+    /// launch has panicked, claimed indices are skipped.
+    fn work(&self) -> (usize, Option<Box<dyn Any + Send>>) {
+        let mut claimed = 0;
+        let mut panic = None;
+        loop {
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            if index >= self.tasks {
+                return (claimed, panic);
+            }
+            claimed += 1;
+            if !self.panicked.load(Ordering::Relaxed) {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.job)(index))) {
+                    self.panicked.store(true, Ordering::Relaxed);
+                    panic.get_or_insert(payload);
+                }
+            }
         }
     }
 
-    fn complete(&self, panicked: bool) {
-        if panicked {
-            self.panicked.store(true, Ordering::Release);
-        }
-        let mut remaining = self.remaining.lock().expect("latch mutex poisoned");
-        *remaining -= 1;
-        if *remaining == 0 {
+    /// A worker's share: help until the launch is exhausted, then report
+    /// the claimed tasks to the waiting caller.
+    fn help(&self) {
+        let (claimed, _) = self.work();
+        if claimed > 0 {
+            *self.helped.lock().expect("launch mutex poisoned") += claimed;
             self.done.notify_all();
         }
     }
-
-    fn wait(&self) {
-        let mut remaining = self.remaining.lock().expect("latch mutex poisoned");
-        while *remaining != 0 {
-            remaining = self
-                .done
-                .wait(remaining)
-                .expect("latch condvar wait poisoned");
-        }
-    }
 }
 
-/// A borrowed task closure with its lifetime erased so it can sit in the
-/// long-lived worker queues. Soundness: `execute` blocks on the [`Latch`]
-/// until every queued copy has finished, so the referent strictly outlives
-/// all uses; the erased reference never escapes a launch.
-#[derive(Clone, Copy)]
-struct RawJob(&'static (dyn Fn(usize) + Sync));
-
-// SAFETY: the underlying closure is `Sync` (shared by reference across
-// workers) and never mutated; sending the reference itself is safe.
-unsafe impl Send for RawJob {}
-
-struct Task {
-    job: RawJob,
-    index: usize,
-    latch: Arc<Latch>,
-}
-
-/// One worker's inbox: a queue plus a `closed` flag for shutdown.
+/// One worker's inbox: a queue of launch offers plus a `closed` flag for
+/// shutdown.
+#[derive(Default)]
 struct Queue {
-    state: Mutex<(VecDeque<Task>, bool)>,
+    state: Mutex<(VecDeque<Arc<Launch>>, bool)>,
     ready: Condvar,
 }
 
 impl Queue {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new((VecDeque::new(), false)),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, task: Task) {
+    /// Queues `launch`, first dropping offers at the back whose launches
+    /// are exhausted: a busy worker's inbox then holds no dead offer per
+    /// launch that its caller finished alone.
+    fn push(&self, launch: Arc<Launch>) {
         let mut state = self.state.lock().expect("queue mutex poisoned");
-        state.0.push_back(task);
+        while state
+            .0
+            .back()
+            .is_some_and(|l| l.next.load(Ordering::Relaxed) >= l.tasks)
+        {
+            state.0.pop_back();
+        }
+        state.0.push_back(launch);
         self.ready.notify_one();
     }
 
@@ -123,12 +132,12 @@ impl Queue {
         self.ready.notify_all();
     }
 
-    /// Blocks until a task is available or the queue is closed and drained.
-    fn pop(&self) -> Option<Task> {
+    /// Blocks until an offer is available or the queue is closed and drained.
+    fn pop(&self) -> Option<Arc<Launch>> {
         let mut state = self.state.lock().expect("queue mutex poisoned");
         loop {
-            if let Some(task) = state.0.pop_front() {
-                return Some(task);
+            if let Some(launch) = state.0.pop_front() {
+                return Some(launch);
             }
             if state.1 {
                 return None;
@@ -140,15 +149,15 @@ impl Queue {
 
 struct Worker {
     queue: Arc<Queue>,
-    handle: Option<JoinHandle<()>>,
+    handle: JoinHandle<()>,
 }
 
 /// A persistent pool of worker threads with deterministic fork/join launches.
 ///
-/// A pool constructed with `threads = N` uses the calling thread as executor
-/// 0 and spawns `N - 1` background workers, so a launch of width `N` runs on
-/// exactly `N` OS threads. Workers are parked on their queues between
-/// launches; per-launch cost is a handful of mutex operations, not a thread
+/// A pool constructed with `threads = N` spawns `N - 1` background workers;
+/// a launch of width `W` runs on the calling thread plus at most the first
+/// `W - 1` of them. Workers are parked on their queues between launches;
+/// per-launch cost is a handful of mutex operations, not a thread
 /// spawn/join cycle.
 pub struct WorkerPool {
     workers: Vec<Worker>,
@@ -161,23 +170,18 @@ impl WorkerPool {
         let spawned = threads.max(1) - 1;
         let workers = (0..spawned)
             .map(|i| {
-                let queue = Arc::new(Queue::new());
+                let queue = Arc::new(Queue::default());
                 let worker_queue = Arc::clone(&queue);
                 let handle = std::thread::Builder::new()
                     .name(format!("xplace-worker-{i}"))
                     .spawn(move || {
                         IS_POOL_WORKER.with(|flag| flag.set(true));
-                        while let Some(task) = worker_queue.pop() {
-                            let result =
-                                catch_unwind(AssertUnwindSafe(|| (task.job.0)(task.index)));
-                            task.latch.complete(result.is_err());
+                        while let Some(launch) = worker_queue.pop() {
+                            launch.help();
                         }
                     })
                     .expect("failed to spawn pool worker");
-                Worker {
-                    queue,
-                    handle: Some(handle),
-                }
+                Worker { queue, handle }
             })
             .collect();
         Self { workers }
@@ -189,58 +193,46 @@ impl WorkerPool {
     }
 
     /// Core fork/join: runs `job(i)` once for every `i in 0..tasks`, using at
-    /// most `width` threads (caller included). Task `i` is assigned to
-    /// executor `i % effective_width` — a fixed, thread-count-independent
-    /// mapping of tasks, where only the *schedule* varies with `width`.
+    /// most `width` threads (caller included). The caller offers the launch
+    /// to the first `width - 1` workers, claims indices itself until none
+    /// are left, then waits only for the tasks a worker claimed.
     fn execute(&self, tasks: usize, width: usize, job: &(dyn Fn(usize) + Sync)) {
         if tasks == 0 {
             return;
         }
-        let width = width.max(1).min(tasks);
-        let executors = width.min(self.workers.len() + 1);
-        let nested = IS_POOL_WORKER.with(|flag| flag.get());
-        if executors <= 1 || nested {
-            for index in 0..tasks {
-                job(index);
-            }
+        let helpers = width.max(1).min(tasks).min(self.threads()) - 1;
+        if helpers == 0 || IS_POOL_WORKER.with(Cell::get) {
+            (0..tasks).for_each(job);
             return;
         }
 
-        let remote_tasks = tasks - tasks.div_ceil(executors);
-        let latch = Arc::new(Latch::new(remote_tasks));
-        // SAFETY: see `RawJob` — we wait on the latch before returning, so
-        // the erased borrow cannot outlive the closure.
-        let raw = RawJob(unsafe {
+        // SAFETY: see `Launch::job` — we wait for every helper-claimed task
+        // before returning, so the erased borrow cannot outlive the closure.
+        let job = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(job)
+        };
+        let launch = Arc::new(Launch {
+            job,
+            tasks,
+            next: AtomicUsize::new(0),
+            helped: Mutex::new(0),
+            done: Condvar::new(),
+            panicked: AtomicBool::new(false),
         });
-        for index in 0..tasks {
-            let executor = index % executors;
-            if executor == 0 {
-                continue; // caller's stride, run below
-            }
-            self.workers[executor - 1].queue.push(Task {
-                job: raw,
-                index,
-                latch: Arc::clone(&latch),
-            });
+        for worker in &self.workers[..helpers] {
+            worker.queue.push(Arc::clone(&launch));
         }
-
-        let mut caller_panic = None;
-        let mut index = 0;
-        while index < tasks {
-            if caller_panic.is_none() {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(index))) {
-                    caller_panic = Some(payload);
-                }
-            }
-            index += executors;
+        let (claimed, caller_panic) = launch.work();
+        let mut helped = launch.helped.lock().expect("launch mutex poisoned");
+        while *helped < tasks - claimed {
+            helped = launch.done.wait(helped).expect("launch condvar poisoned");
         }
-        latch.wait();
+        drop(helped);
 
         if let Some(payload) = caller_panic {
             resume_unwind(payload);
         }
-        if latch.panicked.load(Ordering::Acquire) {
+        if launch.panicked.load(Ordering::Relaxed) {
             panic!("xplace-parallel: a pool task panicked");
         }
     }
@@ -336,10 +328,8 @@ impl Drop for WorkerPool {
         for worker in &self.workers {
             worker.queue.close();
         }
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
+        for worker in self.workers.drain(..) {
+            let _ = worker.handle.join();
         }
     }
 }

@@ -95,7 +95,9 @@ pub struct JobOutcome {
 pub struct BatchOutcome {
     /// Per-job records in manifest order.
     pub report: BatchReport,
-    /// Per-job traces in manifest order; `None` for failed jobs.
+    /// Per-job traces in manifest order; `None` for failed jobs, and for
+    /// every job of an observed session, whose observer already received
+    /// each line (see [`run_batch_session`]).
     pub traces: Vec<Option<String>>,
     /// Design-cache `(hits, misses)` across the batch.
     pub cache_stats: (usize, usize),
@@ -273,7 +275,8 @@ pub struct BatchSession<'a> {
     /// are untouched.
     pub client_gone: Option<&'a AtomicBool>,
     /// Progress callback; called from pool threads, so it must be
-    /// `Sync`. `None` runs silently.
+    /// `Sync`. `None` runs silently and keeps each job's trace in the
+    /// outcome.
     pub observer: Option<&'a (dyn Fn(BatchEvent<'_>) + Sync)>,
 }
 
@@ -339,7 +342,7 @@ impl<'a> BatchSession<'a> {
 /// Runs every job of `manifest` concurrently on up to `threads` threads
 /// of the process-wide worker pool, with a private design cache.
 ///
-/// Jobs are dispatched with the pool's fixed task→executor mapping and
+/// Jobs are claimed one at a time by whichever pool thread is free and
 /// collected by job index, so the [`BatchOutcome`] is deterministic for
 /// any thread count. A job that panics or errors becomes a failed
 /// [`JobRecord`] (with the panic payload or error text) without
@@ -357,9 +360,11 @@ pub fn run_batch(manifest: &BatchManifest, threads: usize) -> BatchOutcome {
 /// not this batch's delta.
 ///
 /// Per job, the observer sees every trace line as it is emitted and one
-/// terminal [`BatchEvent::JobDone`]; the returned [`BatchOutcome`] is
-/// identical to [`run_batch`]'s for the same manifest and thread count
-/// (byte-identical traces, same report) — observation never perturbs
+/// terminal [`BatchEvent::JobDone`]. An observed session streams lines
+/// only: it keeps no second copy, so every entry of the returned
+/// [`BatchOutcome::traces`] is `None`. The lines the observer receives are
+/// byte-identical to [`run_batch`]'s traces for the same manifest and
+/// thread count, and the report is the same — observation never perturbs
 /// execution.
 pub fn run_batch_session(manifest: &BatchManifest, session: &BatchSession<'_>) -> BatchOutcome {
     let pool = xplace_parallel::global();
@@ -431,8 +436,8 @@ enum AttemptEnd {
 }
 
 /// Runs one job with its own panic fence, retry loop, and deadline
-/// accounting, streaming trace lines to the session observer while
-/// accumulating the trace text of the current attempt.
+/// accounting. Trace lines stream to the session observer; a silent
+/// session accumulates the trace text of the current attempt instead.
 ///
 /// Classification: *crashes* (panics, which is how injected GP faults
 /// and sink write faults surface) are retried up to `policy.retries`
@@ -482,7 +487,7 @@ fn run_job_fenced(
                     store.saves(),
                     false,
                 );
-                return (record, Some(trace));
+                return (record, trace);
             }
             AttemptEnd::Errored(error) => {
                 let record = JobRecord::failed(&job.name, error).with_fault_stats(
@@ -532,7 +537,7 @@ fn run_one_attempt(
     attempt: usize,
     store: &MemoryCheckpointStore,
     resumed: &Option<(usize, Checkpoint)>,
-) -> (AttemptEnd, String) {
+) -> (AttemptEnd, Option<String>) {
     let gp_fault = policy.plan.gp_fault(&job.name, attempt);
     let sink_budget = policy.plan.sink_error_after(&job.name, attempt);
     let ckpt = if policy.checkpoint_every > 0 {
@@ -560,10 +565,11 @@ fn run_one_attempt(
                 }
                 *remaining -= bytes;
             }
-            trace.push_str(line);
-            trace.push('\n');
             if let Some(observer) = session.observer {
                 observer(BatchEvent::TraceLine { job: index, line });
+            } else {
+                trace.push_str(line);
+                trace.push('\n');
             }
         });
         catch_unwind(AssertUnwindSafe(|| {
@@ -582,7 +588,7 @@ fn run_one_attempt(
         Ok(Err(error)) => AttemptEnd::Errored(error),
         Err(payload) => AttemptEnd::Crashed(xplace_parallel::panic_message(payload.as_ref())),
     };
-    (end, trace)
+    (end, session.observer.is_none().then_some(trace))
 }
 
 #[cfg(test)]
@@ -904,10 +910,15 @@ mod tests {
         let m = manifest(&format!("{TINY_A}, {TINY_B}"));
         let gone = AtomicBool::new(false);
         let cache = DesignCache::new();
-        let observer = |event: BatchEvent<'_>| {
-            if let BatchEvent::JobDone { job: 0, .. } = event {
-                gone.store(true, Ordering::Release);
+        let streamed = std::sync::Mutex::new(String::new());
+        let observer = |event: BatchEvent<'_>| match event {
+            BatchEvent::TraceLine { job: 0, line } => {
+                let mut s = streamed.lock().unwrap();
+                s.push_str(line);
+                s.push('\n');
             }
+            BatchEvent::JobDone { job: 0, .. } => gone.store(true, Ordering::Release),
+            _ => {}
         };
         let session = BatchSession::new(1, &cache)
             .with_client_gone(&gone)
@@ -920,7 +931,11 @@ mod tests {
             "jobs after the disconnect must be skipped, not run for nobody"
         );
         let reference = run_batch(&m, 1);
-        assert_eq!(outcome.traces[0], reference.traces[0]);
+        assert_eq!(
+            Some(streamed.into_inner().unwrap()),
+            reference.traces[0],
+            "the drained job must stream the silent run's exact trace"
+        );
 
         // When both a drain and a disconnect are pending, the batch-wide
         // cancel wins the skip message.
@@ -943,10 +958,15 @@ mod tests {
         let m = manifest(&format!("{TINY_A}, {TINY_B}"));
         let cancel = AtomicBool::new(false);
         let cache = DesignCache::new();
-        let observer = |event: BatchEvent<'_>| {
-            if let BatchEvent::JobDone { job: 0, .. } = event {
-                cancel.store(true, Ordering::Release);
+        let streamed = std::sync::Mutex::new(String::new());
+        let observer = |event: BatchEvent<'_>| match event {
+            BatchEvent::TraceLine { job: 0, line } => {
+                let mut s = streamed.lock().unwrap();
+                s.push_str(line);
+                s.push('\n');
             }
+            BatchEvent::JobDone { job: 0, .. } => cancel.store(true, Ordering::Release),
+            _ => {}
         };
         let session = BatchSession::new(1, &cache)
             .with_cancel(&cancel)
@@ -958,9 +978,9 @@ mod tests {
             Some(CANCELLED_MSG),
             "job after the cancel point must be skipped"
         );
-        // The drained job is bit-identical to an uncancelled run's.
+        // The drained job streams an uncancelled silent run's exact trace.
         let reference = run_batch(&m, 1);
-        assert_eq!(outcome.traces[0], reference.traces[0]);
+        assert_eq!(Some(streamed.into_inner().unwrap()), reference.traces[0]);
     }
 
     #[test]
@@ -994,17 +1014,19 @@ mod tests {
         assert!(outcome.report.all_completed());
         assert_eq!(*started.lock().unwrap(), vec![true, true]);
         assert_eq!(*done.lock().unwrap(), vec![true, true]);
-        let streamed = streamed.lock().unwrap();
-        for (i, trace) in outcome.traces.iter().enumerate() {
+        // An observed session streams only; it keeps no second copy.
+        assert_eq!(outcome.traces, vec![None, None]);
+        // The streamed lines reassemble a silent run's traces exactly, so
+        // observation never perturbs the run.
+        let silent = run_batch(&m, 4);
+        let streamed = streamed.into_inner().unwrap();
+        for (i, trace) in silent.traces.iter().enumerate() {
             assert_eq!(
                 Some(streamed[i].as_str()),
                 trace.as_deref(),
-                "job {i}: streamed lines must reassemble the stored trace"
+                "job {i}: streamed lines must reassemble the silent run's trace"
             );
         }
-        // And observation never perturbs the run.
-        let silent = run_batch(&m, 4);
-        assert_eq!(silent.traces, outcome.traces);
     }
 
     #[test]

@@ -155,7 +155,8 @@ pub struct WireBatch {
     /// The batch report (from the closing [`Frame::Batch`]).
     pub report: BatchReport,
     /// Per-job traces in manifest order, rebuilt line by line;
-    /// `None` for failed jobs — exactly like `BatchOutcome::traces`.
+    /// `None` for failed jobs — exactly like a silent `run_batch`'s
+    /// `BatchOutcome::traces`.
     pub traces: Vec<Option<String>>,
     /// Cumulative design-cache `(hits, misses)` of the serving cache.
     pub cache_stats: (usize, usize),
@@ -177,7 +178,17 @@ pub fn assemble(frames: &[Frame]) -> Result<WireBatch, String> {
         return Err("stream must open with a hello frame".into());
     };
     let n = jobs.len();
-    let mut traces: Vec<String> = vec![String::new(); n];
+    // Size each trace first so it is allocated once, with no growth slack:
+    // a client keeps every trace of a batch alive until it is written out.
+    let mut sizes = vec![0usize; n];
+    for frame in frames {
+        if let Frame::Trace { job, line } = frame {
+            if let Some(size) = sizes.get_mut(*job) {
+                *size += line.len() + 1;
+            }
+        }
+    }
+    let mut traces: Vec<String> = sizes.into_iter().map(String::with_capacity).collect();
     let mut records: Vec<Option<&JobRecord>> = vec![None; n];
     let mut started: Vec<bool> = vec![false; n];
     let mut closing: Option<(&BatchReport, (usize, usize))> = None;
@@ -339,6 +350,48 @@ mod tests {
         // Both jobs failed in this synthetic stream → traces suppressed,
         // mirroring BatchOutcome semantics.
         assert_eq!(batch.traces, vec![None, None]);
+    }
+
+    #[test]
+    fn assemble_allocates_each_trace_at_its_exact_size() {
+        let done = |name: &str| JobRecord {
+            status: JobStatus::Completed,
+            error: None,
+            ..record(name, true)
+        };
+        let mut frames = stream();
+        frames[6] = Frame::Job {
+            job: 1,
+            record: done("b"),
+        };
+        frames[7] = Frame::Job {
+            job: 0,
+            record: done("a"),
+        };
+        frames[8] = Frame::Batch {
+            report: BatchReport::new(vec![done("a"), done("b")]),
+            cache: (3, 2),
+        };
+        let batch = assemble(&frames).unwrap();
+        let traces: Vec<&String> = batch.traces.iter().flatten().collect();
+        assert_eq!(traces, ["{\"e\":1}\n{\"e\":3}\n", "{\"e\":2}\n"]);
+        for (i, trace) in traces.iter().enumerate() {
+            assert_eq!(trace.capacity(), trace.len(), "job {i}: trace has slack");
+        }
+        // The sizing pass skips an out-of-range index; the fold still
+        // rejects it by name.
+        let mut oob = frames.clone();
+        oob.insert(
+            3,
+            Frame::Trace {
+                job: 9,
+                line: "{}".into(),
+            },
+        );
+        assert_eq!(
+            assemble(&oob).unwrap_err(),
+            "trace frame for out-of-range job 9"
+        );
     }
 
     #[test]

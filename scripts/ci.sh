@@ -111,6 +111,27 @@ grep -q "huge .*FAILED .*grid override 65536 exceeds the maximum" "$SMOKE/batch-
 grep -q "fine .*completed" "$SMOKE/batch-huge.out" \
     || { echo "FAIL: the sibling of the oversized grid job did not complete" >&2; exit 1; }
 
+echo "==> mixed batch leg: 300-2000-cell jobs, every trace byte-identical across widths"
+# Work-claiming launches decide at run time which thread runs which job,
+# so every job of a mixed-size batch is compared, not just one.
+cat > "$SMOKE/mixed-suite.json" <<EOF
+{"jobs": [
+  {"name": "m300",  "synth": {"cells": 300,  "seed": 21}, "max_iters": 120},
+  {"name": "m2000", "synth": {"cells": 2000, "seed": 22}, "max_iters": 120},
+  {"name": "m800",  "synth": {"cells": 800,  "seed": 23}, "max_iters": 120},
+  {"name": "m1400", "synth": {"cells": 1400, "seed": 24}, "max_iters": 120}
+]}
+EOF
+for T in 1 2; do
+    ./target/release/xplace batch "$SMOKE/mixed-suite.json" --threads "$T" \
+        --trace-dir "$SMOKE/mixed-t$T" --report "$SMOKE/mixed-t$T.json" >/dev/null
+done
+for JOB in m300 m2000 m800 m1400; do
+    cmp "$SMOKE/mixed-t1/$JOB.jsonl" "$SMOKE/mixed-t2/$JOB.jsonl" \
+        || { echo "FAIL: mixed batch trace $JOB differs across thread counts" >&2; exit 1; }
+done
+./target/release/check_regression "$SMOKE/mixed-t1.json" "$SMOKE/mixed-t2.json"
+
 echo "==> resume determinism: checkpointed place resumes byte-identically (threads 1, 4)"
 for T in 1 4; do
     ./target/release/xplace place "$SMOKE/ci-smoke.aux" --max-iters 120 --threads "$T" \
