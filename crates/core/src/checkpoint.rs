@@ -32,7 +32,7 @@ use xplace_telemetry::{ConfigEcho, FromJson, Json, JsonError, Stage, ToJson};
 /// Format tag embedded in every checkpoint payload.
 const FORMAT: &str = "xplace-checkpoint";
 /// Payload version; bumped on any layout change.
-const VERSION: usize = 1;
+const VERSION: usize = 2;
 
 /// A complete snapshot of the GP loop at the top of one iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +118,6 @@ fn eval_to_json(eval: &EvalResult) -> Json {
         ("r_ratio", Json::num(eval.r_ratio)),
         ("density_skipped", Json::Bool(eval.density_skipped)),
         ("skip_window", Json::Bool(eval.skip_window)),
-        ("energy", Json::num(eval.energy)),
     ])
 }
 
@@ -132,7 +131,6 @@ fn eval_from_json(value: &Json) -> Result<EvalResult, JsonError> {
         r_ratio: value.field("r_ratio")?.as_f64()?,
         density_skipped: value.field("density_skipped")?.as_bool()?,
         skip_window: value.field("skip_window")?.as_bool()?,
-        energy: value.field("energy")?.as_f64()?,
     })
 }
 
@@ -196,7 +194,6 @@ fn engine_to_json(e: &EngineState) -> Json {
         ("field_age", Json::num(e.field_age as f64)),
         ("has_field", Json::Bool(e.has_field)),
         ("cached_overflow", Json::num(e.cached_overflow)),
-        ("cached_energy", Json::num(e.cached_energy)),
         ("field_x", e.field_x.to_json()),
         ("field_y", e.field_y.to_json()),
     ])
@@ -208,7 +205,6 @@ fn engine_from_json(value: &Json) -> Result<EngineState, JsonError> {
         field_age: value.field("field_age")?.as_usize()?,
         has_field: value.field("has_field")?.as_bool()?,
         cached_overflow: value.field("cached_overflow")?.as_f64()?,
-        cached_energy: value.field("cached_energy")?.as_f64()?,
         field_x: Vec::<f64>::from_json(value.field("field_x")?)?,
         field_y: Vec::<f64>::from_json(value.field("field_y")?)?,
     })
@@ -665,14 +661,12 @@ mod tests {
                 r_ratio: 0.001,
                 density_skipped: true,
                 skip_window: true,
-                energy: 5.0,
             }),
             engine: EngineState {
                 last_r: 0.001,
                 field_age: 3,
                 has_field: true,
                 cached_overflow: 0.5,
-                cached_energy: 5.0,
                 field_x: vec![0.125; 4],
                 field_y: vec![-0.25; 4],
             },
@@ -713,15 +707,35 @@ mod tests {
             Checkpoint::parse("not json"),
             Err(PlaceError::Checkpoint(_))
         ));
+        let rejects_version = |payload: &Json| match Checkpoint::parse(&payload.render()) {
+            Err(PlaceError::Checkpoint(msg)) => msg.contains("unsupported checkpoint version"),
+            _ => false,
+        };
+        let set = |payload: &mut Json, key: &str, value: Json| {
+            if let Json::Obj(pairs) = payload {
+                match pairs.iter_mut().find(|(k, _)| k == key) {
+                    Some((_, v)) => *v = value,
+                    None => pairs.push((key.to_string(), value)),
+                }
+            }
+        };
         let mut wrong_version = tiny_checkpoint().to_json();
-        if let Json::Obj(pairs) = &mut wrong_version {
+        set(&mut wrong_version, "version", Json::num(99.0));
+        assert!(rejects_version(&wrong_version));
+        // A version-1 payload still carrying the energy keys that version
+        // dropped is refused for its version, not for a key.
+        let mut v1 = tiny_checkpoint().to_json();
+        set(&mut v1, "version", Json::num(1.0));
+        if let Json::Obj(pairs) = &mut v1 {
             for (k, v) in pairs.iter_mut() {
-                if k == "version" {
-                    *v = Json::num(99.0);
+                match k.as_str() {
+                    "last_eval" => set(v, "energy", Json::num(5.0)),
+                    "engine" => set(v, "cached_energy", Json::num(5.0)),
+                    _ => {}
                 }
             }
         }
-        assert!(Checkpoint::parse(&wrong_version.render()).is_err());
+        assert!(rejects_version(&v1));
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub struct EvalResult {
     /// (`density_skipped` is false on the periodic refresh iterations
     /// *inside* an open window; telemetry reports window transitions.)
     pub skip_window: bool,
-    /// Electrostatic system energy of the last solve.
-    pub energy: f64,
 }
 
 /// Evaluates wirelength + density gradients with operator-level control.
@@ -54,7 +52,6 @@ pub struct GradientEngine {
     grad_x: Vec<f64>,
     grad_y: Vec<f64>,
     cached_overflow: f64,
-    cached_energy: f64,
     field_age: usize,
     has_field: bool,
     last_r: f64,
@@ -93,8 +90,6 @@ pub struct EngineState {
     pub has_field: bool,
     /// Overflow ratio of the last fresh density evaluation.
     pub cached_overflow: f64,
-    /// Electrostatic energy of the last solve.
-    pub cached_energy: f64,
     /// Cached field x-component, row-major over the density grid.
     pub field_x: Vec<f64>,
     /// Cached field y-component.
@@ -129,7 +124,6 @@ impl GradientEngine {
             grad_x: vec![0.0; n],
             grad_y: vec![0.0; n],
             cached_overflow: 1.0,
-            cached_energy: 0.0,
             field_age: 0,
             has_field: false,
             last_r: 0.0,
@@ -170,7 +164,6 @@ impl GradientEngine {
             field_age: self.field_age,
             has_field: self.has_field,
             cached_overflow: self.cached_overflow,
-            cached_energy: self.cached_energy,
             field_x: field.field_x.as_slice().to_vec(),
             field_y: field.field_y.as_slice().to_vec(),
         }
@@ -183,13 +176,11 @@ impl GradientEngine {
     /// Propagates [`PlaceError::Ops`] if the field snapshot does not
     /// match this engine's density grid.
     pub fn restore_state(&mut self, state: &EngineState) -> Result<(), PlaceError> {
-        self.density
-            .restore_field(&state.field_x, &state.field_y, state.cached_energy)?;
+        self.density.restore_field(&state.field_x, &state.field_y)?;
         self.last_r = state.last_r;
         self.field_age = state.field_age;
         self.has_field = state.has_field;
         self.cached_overflow = state.cached_overflow;
-        self.cached_energy = state.cached_energy;
         Ok(())
     }
 
@@ -344,7 +335,6 @@ impl GradientEngine {
             if dreamplace || !ops.reduction {
                 device.synchronize();
             }
-            self.cached_energy = self.density.energy();
             self.field_age = 0;
             self.has_field = true;
 
@@ -461,7 +451,6 @@ impl GradientEngine {
             r_ratio,
             density_skipped,
             skip_window,
-            energy: self.cached_energy,
         })
     }
 }

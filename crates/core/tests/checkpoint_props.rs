@@ -62,7 +62,6 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
             r_ratio: rng.f64() * 0.01,
             density_skipped: rng.next_u64() % 2 == 0,
             skip_window: rng.next_u64() % 2 == 0,
-            energy: rng.f64() * 1e4,
         })
     } else {
         None
@@ -110,7 +109,6 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
             field_age: rng.gen_range(0usize..8),
             has_field: rng.next_u64() % 2 == 0,
             cached_overflow: rng.f64(),
-            cached_energy: rng.f64() * 1e4,
             field_x: wide(&mut rng, nodes),
             field_y: wide(&mut rng, nodes),
         },

@@ -5,8 +5,8 @@ use std::ops::{Index, IndexMut};
 ///
 /// The grid is indexed by `(ix, iy)` where `ix` selects the row
 /// (x-direction bin) and `iy` the column (y-direction bin); storage is
-/// contiguous along `iy`. This is the carrier type for density maps,
-/// potential maps and field maps throughout the framework.
+/// contiguous along `iy`. This is the carrier type for density maps and
+/// field maps throughout the framework.
 ///
 /// ```
 /// use xplace_fft::Grid2;

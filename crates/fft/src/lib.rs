@@ -16,8 +16,9 @@
 //! * [`Grid2`] — a dense row-major 2-D grid of `f64` samples,
 //! * [`ElectrostaticSolver`] — the numerical solution of the placement
 //!   electrostatic system (Poisson's equation with Neumann boundary
-//!   conditions, Eq. (5) of the paper), producing the potential map and the
-//!   electric-field maps that drive the density gradient.
+//!   conditions, Eq. (5) of the paper), producing the electric-field maps
+//!   `E = -grad psi` that drive the density gradient straight from the
+//!   spectrum, without materializing the potential `psi`.
 //!
 //! # Example
 //!

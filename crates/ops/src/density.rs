@@ -311,12 +311,7 @@ impl DensityOp {
     ///
     /// Returns [`OpsError::InvalidModel`] if the slice lengths do not
     /// match this operator's grid.
-    pub fn restore_field(
-        &mut self,
-        field_x: &[f64],
-        field_y: &[f64],
-        energy: f64,
-    ) -> Result<(), OpsError> {
+    pub fn restore_field(&mut self, field_x: &[f64], field_y: &[f64]) -> Result<(), OpsError> {
         let want = self.nx * self.ny;
         if field_x.len() != want || field_y.len() != want {
             return Err(OpsError::InvalidModel(format!(
@@ -335,7 +330,6 @@ impl DensityOp {
             .field_y
             .as_mut_slice()
             .copy_from_slice(field_y);
-        self.solution.energy = energy;
         Ok(())
     }
 
@@ -471,7 +465,7 @@ impl DensityOp {
     }
 
     /// Solves the electrostatic system on the total map, caching the
-    /// potential and field (two kernels: the packed-real forward analysis
+    /// `Ex`/`Ey` field maps (two kernels: the packed-real forward analysis
     /// and the fused scale+synthesis pass, matching the `rfft2`/`irfft2`
     /// pair the paper uses).
     ///
@@ -486,18 +480,13 @@ impl DensityOp {
         let total = &self.total_map;
         let mut result = Ok(());
         device.launch(analysis, || {
-            // Analysis + potential/field synthesis happen inside the
-            // solver; charge the fused synthesis separately below.
+            // Analysis + field synthesis happen inside the solver; charge
+            // the fused synthesis separately below.
         });
         device.launch(fields, || {
             result = solver.solve_into(total, solution).map_err(OpsError::from);
         });
         result
-    }
-
-    /// The electrostatic energy of the last solve (`0.5 sum(rho psi)`).
-    pub fn energy(&self) -> f64 {
-        self.solution.energy
     }
 
     /// Blends externally predicted field maps into the cached solution
@@ -768,16 +757,23 @@ mod tests {
         assert!(checked > 0, "no off-center cells to check");
     }
 
+    /// The discrete field energy `sum(Ex^2 + Ey^2)` over the bins.
+    fn field_energy(op: &DensityOp) -> f64 {
+        let field = op.field();
+        let sq = |g: &Grid2| g.as_slice().iter().map(|e| e * e).sum::<f64>();
+        sq(&field.field_x) + sq(&field.field_y)
+    }
+
     #[test]
-    fn energy_decreases_as_cells_spread() {
+    fn field_energy_decreases_as_cells_spread() {
         let (mut model, mut op, device) = setup();
         op.accumulate_all(&device, &model);
         op.solve_field(&device).unwrap();
-        let clustered = op.energy();
+        let clustered = field_energy(&op);
         spread(&mut model);
         op.accumulate_all(&device, &model);
         op.solve_field(&device).unwrap();
-        let spread_e = op.energy();
+        let spread_e = field_energy(&op);
         assert!(spread_e < clustered, "{spread_e} vs {clustered}");
     }
 

@@ -152,6 +152,14 @@ for T in 1 4; do
 done
 cmp "$SMOKE/resumed-t1.jsonl" "$SMOKE/resumed-t4.jsonl" \
     || { echo "FAIL: resumed traces differ across thread counts" >&2; exit 1; }
+# A checkpoint of an older payload version must be refused by its version.
+sed 's/"version":[0-9]*,/"version":1,/' "$SMOKE/ckpt-t1.json" > "$SMOKE/ckpt-v1.json"
+if ./target/release/xplace place "$SMOKE/ci-smoke.aux" --max-iters 120 \
+    -o "$SMOKE/v1.pl" --resume-from "$SMOKE/ckpt-v1.json" >/dev/null 2>"$SMOKE/v1.err"; then
+    echo "FAIL: a version-1 checkpoint was accepted" >&2; exit 1
+fi
+grep -q "unsupported checkpoint version" "$SMOKE/v1.err" \
+    || { echo "FAIL: version-1 checkpoint rejected for the wrong reason" >&2; cat "$SMOKE/v1.err" >&2; exit 1; }
 
 echo "==> chaos soak: seeded fault injection, retry recovery, client-drop conservation"
 ./target/release/chaos_soak --smoke
