@@ -1,6 +1,6 @@
 //! Wirelength operators: HPWL and the stable weighted-average wirelength.
 //!
-//! Three operator granularities are provided, matching the paper's
+//! Four operator granularities are provided, matching the paper's
 //! operator-combination story (§3.1.1):
 //!
 //! * [`hpwl`] — the exact half-perimeter wirelength, one kernel,
@@ -13,7 +13,9 @@
 //!   *off*).
 //!
 //! All WA math uses the numerically stable form of Eq. (6): exponents are
-//! shifted by the per-net extrema so they never overflow.
+//! shifted by the per-net extrema so they never overflow. Every WA kernel
+//! runs one net loop, `wa_pass`, which reads each pin once into a per-net
+//! scratch and evaluates each exponential once (see [`WaWorkspace`]).
 
 use crate::PlacementModel;
 use xplace_device::{Device, KernelInfo};
@@ -21,16 +23,26 @@ use xplace_parallel::WorkerPool;
 
 /// Reusable per-block scratch for [`wa_fused_blocked_ws`].
 ///
-/// The blocked kernel needs two `num_movable`-long gradient accumulators per
-/// net block. Allocating them fresh on every call puts two `Vec` allocations
-/// per block on the hottest path of every GP iteration; a workspace hoists
-/// them into slots that persist across calls (task `b` always uses slot `b`,
-/// zero-filled before each pass, so reuse is bitwise-identical to fresh
-/// buffers).
+/// Each net block owns one slot: gradient accumulators over the movable
+/// nodes its pins touch (multi-block passes only) and the per-net pin
+/// scratch of `wa_pass`, which holds one net's gathered pin positions and
+/// both shifted exponentials of every pin. Allocating these fresh on every
+/// call would put allocations on the hottest path of every GP iteration; a
+/// workspace hoists them into slots that persist across calls (task `b`
+/// always uses slot `b`, gradients zero-filled before each pass, pin scratch
+/// fully rewritten per net, so reuse is bitwise-identical to fresh buffers).
 #[derive(Debug, Clone, Default)]
 pub struct WaWorkspace {
-    /// One `(grad_x, grad_y)` accumulator pair per net block, grown on demand.
-    slots: Vec<(Vec<f64>, Vec<f64>)>,
+    /// One slot per net block, grown on demand.
+    slots: Vec<WaSlot>,
+}
+
+/// One net block's share of a [`WaWorkspace`].
+#[derive(Debug, Clone, Default)]
+struct WaSlot {
+    grad_x: Vec<f64>,
+    grad_y: Vec<f64>,
+    pins: Vec<NetPin>,
 }
 
 impl WaWorkspace {
@@ -39,16 +51,50 @@ impl WaWorkspace {
         Self::default()
     }
 
-    /// Ensures at least `blocks` slots of length `nm` each.
-    fn prepare(&mut self, blocks: usize, nm: usize) {
+    /// The first `blocks` slots, created on first use.
+    fn slots(&mut self, blocks: usize) -> &mut [WaSlot] {
         if self.slots.len() < blocks {
             self.slots.resize_with(blocks, Default::default);
         }
-        for (gx, gy) in &mut self.slots[..blocks] {
-            gx.resize(nm, 0.0);
-            gy.resize(nm, 0.0);
-        }
+        &mut self.slots[..blocks]
     }
+}
+
+/// One pin of the net [`wa_pass`] is processing: its node, its `[x, y]`
+/// position, and its `(a_pos, a_neg)` per coordinate. A `Vec<NetPin>` is the
+/// per-net pin scratch; it is rewritten per net, so it holds at most one net
+/// and stops reallocating once it has seen the largest net degree.
+#[derive(Debug, Clone, Copy)]
+struct NetPin {
+    node: usize,
+    v: [f64; 2],
+    a: [(f64, f64); 2],
+}
+
+/// Copies the pins `s..t` into `pins`, returning the net bounds
+/// `(min_x, max_x, min_y, max_y)` computed on the way.
+fn gather_net(
+    model: &PlacementModel,
+    s: usize,
+    t: usize,
+    pins: &mut Vec<NetPin>,
+) -> (f64, f64, f64, f64) {
+    pins.clear();
+    let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+    let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
+    for p in s..t {
+        let (px, py) = pin_pos(model, p);
+        min_x = min_x.min(px);
+        max_x = max_x.max(px);
+        min_y = min_y.min(py);
+        max_y = max_y.max(py);
+        pins.push(NetPin {
+            node: model.pin_node[p] as usize,
+            v: [px, py],
+            a: [(0.0, 0.0); 2],
+        });
+    }
+    (min_x, max_x, min_y, max_y)
 }
 
 /// Result of the fused wirelength kernel.
@@ -71,24 +117,12 @@ fn pin_pos(model: &PlacementModel, p: usize) -> (f64, f64) {
     (model.x[n] + model.pin_dx[p], model.y[n] + model.pin_dy[p])
 }
 
-fn bounds_of_net(model: &PlacementModel, s: usize, t: usize) -> (f64, f64, f64, f64) {
-    let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
-    for p in s..t {
-        let (px, py) = pin_pos(model, p);
-        min_x = min_x.min(px);
-        max_x = max_x.max(px);
-        min_y = min_y.min(py);
-        max_y = max_y.max(py);
-    }
-    (min_x, max_x, min_y, max_y)
-}
-
 /// Exact total HPWL, as one kernel launch.
 pub fn hpwl(device: &Device, model: &PlacementModel) -> f64 {
     let kernel = KernelInfo::new("hpwl")
         .bytes(model.num_pins() as u64 * 24)
         .flops(model.num_pins() as u64 * 8);
+    let mut pins = Vec::new();
     device.launch(kernel, || {
         let mut total = 0.0;
         for e in 0..model.num_nets() {
@@ -96,48 +130,63 @@ pub fn hpwl(device: &Device, model: &PlacementModel) -> f64 {
             if t - s < 2 {
                 continue;
             }
-            let (min_x, max_x, min_y, max_y) = bounds_of_net(model, s, t);
+            let (min_x, max_x, min_y, max_y) = gather_net(model, s, t, &mut pins);
             total += model.net_weight[e] * ((max_x - min_x) + (max_y - min_y));
         }
         total
     })
 }
 
-/// Per-net WA accumulation for one coordinate; returns the net's WA value
-/// and writes per-pin gradient contributions through `grad`.
-#[inline]
-fn wa_net_coord(
-    s: usize,
-    t: usize,
-    gamma: f64,
-    min_v: f64,
-    max_v: f64,
-    coord: impl Fn(usize) -> f64,
-    mut grad: impl FnMut(usize, f64),
-) -> f64 {
-    // Stable WA (Eq. 6): exponents shifted by the net extrema.
-    let inv_gamma = 1.0 / gamma;
-    let (mut s_pos, mut su_pos, mut s_neg, mut su_neg) = (0.0, 0.0, 0.0, 0.0);
-    for p in s..t {
-        let v = coord(p);
-        let a_pos = ((v - max_v) * inv_gamma).exp();
-        let a_neg = ((min_v - v) * inv_gamma).exp();
-        s_pos += a_pos;
-        su_pos += v * a_pos;
-        s_neg += a_neg;
-        su_neg += v * a_neg;
+/// One coordinate of a net's stable WA (Eq. 6): the exponent sums and the
+/// two weighted averages, exponents shifted by the net extrema.
+struct WaCoord {
+    inv_gamma: f64,
+    s_pos: f64,
+    s_neg: f64,
+    wl_pos: f64,
+    wl_neg: f64,
+}
+
+impl WaCoord {
+    /// Evaluates `a_pos = exp((v − max_v)·inv_γ)` and
+    /// `a_neg = exp((min_v − v)·inv_γ)` once per pin, for coordinate `c`
+    /// (0 = x, 1 = y), storing each pair in the pin for [`WaCoord::grad`],
+    /// and forms the sums.
+    #[inline]
+    fn eval(pins: &mut [NetPin], c: usize, min_v: f64, max_v: f64, inv_gamma: f64) -> Self {
+        let (mut s_pos, mut su_pos, mut s_neg, mut su_neg) = (0.0, 0.0, 0.0, 0.0);
+        for pin in pins {
+            let v = pin.v[c];
+            let a_pos = ((v - max_v) * inv_gamma).exp();
+            let a_neg = ((min_v - v) * inv_gamma).exp();
+            s_pos += a_pos;
+            su_pos += v * a_pos;
+            s_neg += a_neg;
+            su_neg += v * a_neg;
+            pin.a[c] = (a_pos, a_neg);
+        }
+        Self {
+            inv_gamma,
+            s_pos,
+            s_neg,
+            wl_pos: su_pos / s_pos,
+            wl_neg: su_neg / s_neg,
+        }
     }
-    let wl_pos = su_pos / s_pos;
-    let wl_neg = su_neg / s_neg;
-    for p in s..t {
-        let v = coord(p);
-        let a_pos = ((v - max_v) * inv_gamma).exp();
-        let a_neg = ((min_v - v) * inv_gamma).exp();
-        let d_pos = a_pos / s_pos * (1.0 + (v - wl_pos) * inv_gamma);
-        let d_neg = a_neg / s_neg * (1.0 - (v - wl_neg) * inv_gamma);
-        grad(p, d_pos - d_neg);
+
+    /// The net's WA extent along this coordinate.
+    #[inline]
+    fn wa(&self) -> f64 {
+        self.wl_pos - self.wl_neg
     }
-    wl_pos - wl_neg
+
+    /// `d WA / d v` of one pin at `v`, from its stored exponentials.
+    #[inline]
+    fn grad(&self, v: f64, (a_pos, a_neg): (f64, f64)) -> f64 {
+        let d_pos = a_pos / self.s_pos * (1.0 + (v - self.wl_pos) * self.inv_gamma);
+        let d_neg = a_neg / self.s_neg * (1.0 - (v - self.wl_neg) * self.inv_gamma);
+        d_pos - d_neg
+    }
 }
 
 /// Receives the per-node gradient terms of a [`wa_pass`]. The pass is
@@ -155,27 +204,64 @@ impl GradSink for () {
     fn add_y(&mut self, _: usize, _: f64) {}
 }
 
-impl GradSink for (&mut [f64], &mut [f64]) {
+/// Gradient accumulators for the nodes `base..base + x.len()`.
+struct GradWindow<'a> {
+    base: usize,
+    x: &'a mut [f64],
+    y: &'a mut [f64],
+}
+
+impl<'a> GradWindow<'a> {
+    /// Accumulators indexed by node from 0.
+    fn whole(x: &'a mut [f64], y: &'a mut [f64]) -> Self {
+        Self { base: 0, x, y }
+    }
+}
+
+impl GradSink for GradWindow<'_> {
     #[inline]
     fn add_x(&mut self, node: usize, d: f64) {
-        self.0[node] += d;
+        self.x[node - self.base] += d;
     }
     #[inline]
     fn add_y(&mut self, node: usize, d: f64) {
-        self.1[node] += d;
+        self.y[node - self.base] += d;
     }
+}
+
+/// The movable nodes the pins of nets `nets` touch, as one index range
+/// (empty when they touch none).
+fn movable_span(model: &PlacementModel, nets: std::ops::Range<usize>) -> std::ops::Range<usize> {
+    let nm = model.num_movable();
+    let pins = model.net_start[nets.start] as usize..model.net_start[nets.end] as usize;
+    let (mut lo, mut hi) = (nm, 0);
+    for &n in &model.pin_node[pins] {
+        let n = n as usize;
+        if n < nm {
+            lo = lo.min(n);
+            hi = hi.max(n + 1);
+        }
+    }
+    lo.min(hi)..hi
 }
 
 /// The one WA net loop: a serial pass over the nets in `nets`, returning
 /// their WA wirelength and HPWL and scattering movable-node gradients into
 /// `grad`.
+///
+/// Each net reads its pins once: [`gather_net`] copies them into `pins`
+/// while computing the bounds, [`WaCoord::eval`] evaluates every
+/// exponential once into the scratch, and the gradient reuses the stored
+/// values.
 fn wa_pass(
     model: &PlacementModel,
     gamma: f64,
     nets: std::ops::Range<usize>,
+    pins: &mut Vec<NetPin>,
     mut grad: impl GradSink,
 ) -> FusedWirelength {
     let nm = model.num_movable();
+    let inv_gamma = 1.0 / gamma;
     let mut out = FusedWirelength::default();
     for e in nets {
         let (s, t) = net_range(model, e);
@@ -183,37 +269,17 @@ fn wa_pass(
             continue;
         }
         let weight = model.net_weight[e];
-        let (min_x, max_x, min_y, max_y) = bounds_of_net(model, s, t);
+        let (min_x, max_x, min_y, max_y) = gather_net(model, s, t, pins);
         out.hpwl += weight * ((max_x - min_x) + (max_y - min_y));
-        let wx = wa_net_coord(
-            s,
-            t,
-            gamma,
-            min_x,
-            max_x,
-            |p| pin_pos(model, p).0,
-            |p, d| {
-                let n = model.pin_node[p] as usize;
-                if n < nm {
-                    grad.add_x(n, weight * d);
-                }
-            },
-        );
-        let wy = wa_net_coord(
-            s,
-            t,
-            gamma,
-            min_y,
-            max_y,
-            |p| pin_pos(model, p).1,
-            |p, d| {
-                let n = model.pin_node[p] as usize;
-                if n < nm {
-                    grad.add_y(n, weight * d);
-                }
-            },
-        );
-        out.wa += weight * (wx + wy);
+        let wx = WaCoord::eval(pins, 0, min_x, max_x, inv_gamma);
+        let wy = WaCoord::eval(pins, 1, min_y, max_y, inv_gamma);
+        for pin in pins.iter() {
+            if pin.node < nm {
+                grad.add_x(pin.node, weight * wx.grad(pin.v[0], pin.a[0]));
+                grad.add_y(pin.node, weight * wy.grad(pin.v[1], pin.a[1]));
+            }
+        }
+        out.wa += weight * (wx.wa() + wy.wa());
     }
     out
 }
@@ -237,8 +303,9 @@ pub fn wa_with_grad(
     let kernel = KernelInfo::new("wa_with_grad")
         .bytes(model.num_pins() as u64 * 56)
         .flops(model.num_pins() as u64 * 60);
+    let grad = GradWindow::whole(grad_x, grad_y);
     device.launch(kernel, || {
-        wa_pass(model, gamma, 0..model.num_nets(), (grad_x, grad_y)).wa
+        wa_pass(model, gamma, 0..model.num_nets(), &mut Vec::new(), grad).wa
     })
 }
 
@@ -255,12 +322,29 @@ pub fn wa_fused(
     grad_x: &mut [f64],
     grad_y: &mut [f64],
 ) -> FusedWirelength {
-    assert!(grad_x.len() >= model.num_movable() && grad_y.len() >= model.num_movable());
-    let kernel = KernelInfo::new("wa_fused")
+    wa_fused_serial(device, model, gamma, grad_x, grad_y, &mut Vec::new())
+}
+
+/// The launch descriptor shared by every form of the fused kernel.
+fn wa_fused_kernel(model: &PlacementModel) -> KernelInfo {
+    KernelInfo::new("wa_fused")
         .bytes(model.num_pins() as u64 * 56)
-        .flops(model.num_pins() as u64 * 68);
-    device.launch(kernel, || {
-        wa_pass(model, gamma, 0..model.num_nets(), (grad_x, grad_y))
+        .flops(model.num_pins() as u64 * 68)
+}
+
+/// [`wa_fused`] with caller-owned pin scratch.
+fn wa_fused_serial(
+    device: &Device,
+    model: &PlacementModel,
+    gamma: f64,
+    grad_x: &mut [f64],
+    grad_y: &mut [f64],
+    pins: &mut Vec<NetPin>,
+) -> FusedWirelength {
+    assert!(grad_x.len() >= model.num_movable() && grad_y.len() >= model.num_movable());
+    let grad = GradWindow::whole(grad_x, grad_y);
+    device.launch(wa_fused_kernel(model), || {
+        wa_pass(model, gamma, 0..model.num_nets(), pins, grad)
     })
 }
 
@@ -278,7 +362,7 @@ pub const NET_BLOCK: usize = 2048;
 /// loop. Each block accumulates into private gradient buffers held in `ws`,
 /// merged in block order afterwards, so the result is bit-identical for
 /// **any** thread count; designs that fit in one block take the plain
-/// serial [`wa_fused`] path.
+/// serial [`wa_fused`] pass, with its pin scratch held in `ws` too.
 ///
 /// # Panics
 ///
@@ -301,10 +385,17 @@ pub fn wa_fused_mt_ws(
 
 /// [`wa_fused_mt_ws`] with an explicit block size — the deterministic
 /// blocked core. Exposed so tests and benchmarks can force multi-block
-/// decompositions on small designs. The per-block gradient accumulators
-/// live in the caller-owned [`WaWorkspace`] instead of being allocated per
-/// call; slot `b` is zero-filled before block `b`'s pass, so a reused
-/// workspace produces bit-identical results to a fresh one.
+/// decompositions on small designs. The per-block gradient accumulators and
+/// pin scratch live in the caller-owned [`WaWorkspace`] instead of being
+/// allocated per call; slot `b` is zero-filled before block `b`'s pass, so a
+/// reused workspace produces bit-identical results to a fresh one.
+///
+/// A block's accumulators cover only the window of movable nodes its pins
+/// touch, and it merges over that window alone. Outside it the block's
+/// partial is `+0.0`, whose addition changes no bit of a gradient entry
+/// other than a `-0.0` (the engine zero-fills with `+0.0`). On designs whose
+/// nets connect nearby nodes, such as systolic grids, the windows are short
+/// and the zero-fill and merge shrink with them.
 ///
 /// # Panics
 ///
@@ -326,31 +417,37 @@ pub fn wa_fused_blocked_ws(
     let num_nets = model.num_nets();
     let blocks = num_nets.div_ceil(net_block).max(1);
     if blocks == 1 {
-        return wa_fused(device, model, gamma, grad_x, grad_y);
+        let pins = &mut ws.slots(1)[0].pins;
+        return wa_fused_serial(device, model, gamma, grad_x, grad_y, pins);
     }
     assert!(grad_x.len() >= model.num_movable() && grad_y.len() >= model.num_movable());
-    let kernel = KernelInfo::new("wa_fused")
-        .bytes(model.num_pins() as u64 * 56)
-        .flops(model.num_pins() as u64 * 68);
-    device.launch(kernel, || {
-        let nm = model.num_movable();
-        ws.prepare(blocks, nm);
-        let partials = pool.run_mut(&mut ws.slots[..blocks], threads.max(1), |b, slot| {
+    device.launch(wa_fused_kernel(model), || {
+        let slots = ws.slots(blocks);
+        let partials = pool.run_mut(slots, threads.max(1), |b, slot| {
             let lo = b * net_block;
-            let hi = (lo + net_block).min(num_nets);
-            let (gx, gy) = slot;
-            gx.fill(0.0);
-            gy.fill(0.0);
-            wa_pass(model, gamma, lo..hi, (gx.as_mut_slice(), gy.as_mut_slice()))
+            let nets = lo..(lo + net_block).min(num_nets);
+            let span = movable_span(model, nets.clone());
+            for g in [&mut slot.grad_x, &mut slot.grad_y] {
+                g.clear();
+                g.resize(span.len(), 0.0);
+            }
+            let grad = GradWindow {
+                base: span.start,
+                x: &mut slot.grad_x,
+                y: &mut slot.grad_y,
+            };
+            (wa_pass(model, gamma, nets, &mut slot.pins, grad), span)
         });
         // Merge in block order: fixed reduction order for any thread count.
         let mut total = FusedWirelength::default();
-        for (out, (gx, gy)) in partials.iter().zip(&ws.slots[..blocks]) {
+        for ((out, span), slot) in partials.iter().zip(slots.iter()) {
             total.wa += out.wa;
             total.hpwl += out.hpwl;
-            for i in 0..nm {
-                grad_x[i] += gx[i];
-                grad_y[i] += gy[i];
+            for (g, d) in grad_x[span.clone()].iter_mut().zip(&slot.grad_x) {
+                *g += d;
+            }
+            for (g, d) in grad_y[span.clone()].iter_mut().zip(&slot.grad_y) {
+                *g += d;
             }
         }
         total
@@ -363,7 +460,9 @@ pub fn wa_forward(device: &Device, model: &PlacementModel, gamma: f64) -> f64 {
         .bytes(model.num_pins() as u64 * 40)
         .flops(model.num_pins() as u64 * 40)
         .out_of_place();
-    device.launch(kernel, || wa_pass(model, gamma, 0..model.num_nets(), ()).wa)
+    device.launch(kernel, || {
+        wa_pass(model, gamma, 0..model.num_nets(), &mut Vec::new(), ()).wa
+    })
 }
 
 /// Backward WA kernel (autograd mode): recomputes the exponent sums and
@@ -385,8 +484,9 @@ pub fn wa_backward(
         .bytes(model.num_pins() as u64 * 56)
         .flops(model.num_pins() as u64 * 60)
         .out_of_place();
+    let grad = GradWindow::whole(grad_x, grad_y);
     device.launch(kernel, || {
-        wa_pass(model, gamma, 0..model.num_nets(), (grad_x, grad_y));
+        wa_pass(model, gamma, 0..model.num_nets(), &mut Vec::new(), grad);
     });
 }
 
@@ -446,11 +546,12 @@ mod tests {
         let fused = wa_fused(&device, &model, gamma, &mut gx1, &mut gy1);
         let wa_split = wa_with_grad(&device, &model, gamma, &mut gx2, &mut gy2);
         let hpwl_split = hpwl(&device, &model);
-        assert!((fused.wa - wa_split).abs() < 1e-9 * fused.wa.abs().max(1.0));
-        assert!((fused.hpwl - hpwl_split).abs() < 1e-9 * fused.hpwl.max(1.0));
+        // Every path runs the same net loop, so they agree to the bit.
+        assert_eq!(fused.wa.to_bits(), wa_split.to_bits());
+        assert_eq!(fused.hpwl.to_bits(), hpwl_split.to_bits());
         for i in 0..nm {
-            assert!((gx1[i] - gx2[i]).abs() < 1e-12);
-            assert!((gy1[i] - gy2[i]).abs() < 1e-12);
+            assert_eq!(gx1[i].to_bits(), gx2[i].to_bits(), "gx at {i}");
+            assert_eq!(gy1[i].to_bits(), gy2[i].to_bits(), "gy at {i}");
         }
     }
 

@@ -7,7 +7,7 @@ use xplace_device::{Device, DeviceConfig};
 use xplace_fft::Grid2;
 use xplace_ops::{density::DensityOp, precond, wirelength, PlacementModel};
 use xplace_testkit::prop::Config;
-use xplace_testkit::{prop_assert, props};
+use xplace_testkit::{prop_assert, prop_assert_eq, props};
 
 fn scattered_model(cells: usize, seed: u64, spread_seed: u64) -> PlacementModel {
     let design = synthesize(&SynthesisSpec::new("prop", cells, cells + 10).with_seed(seed))
@@ -37,6 +37,169 @@ fn wa_blocked(
     let mut ws = wirelength::WaWorkspace::new();
     let pool = xplace_parallel::global();
     wirelength::wa_fused_blocked_ws(device, m, 5.0, gx, gy, threads, 32, pool, &mut ws)
+}
+
+/// `scattered_model` with its nets re-cut over the same pin array: one net
+/// of `big` pins, then nets cycling through degrees 2, 1, 2, 3, 5, 2, 4 (a
+/// degree-1 net is skipped by every kernel), with non-uniform weights.
+fn recut_model(cells: usize, seed: u64, big: usize) -> PlacementModel {
+    let mut m = scattered_model(cells, seed, seed ^ 0x3c);
+    let pins = m.num_pins();
+    assert!(pins > big, "{pins} pins cannot hold a {big}-pin net");
+    let mut net_start = vec![0, big as u32];
+    let mut at = big;
+    for degree in [2, 1, 2, 3, 5, 2, 4].into_iter().cycle() {
+        at = (at + degree).min(pins);
+        net_start.push(at as u32);
+        if at == pins {
+            break;
+        }
+    }
+    m.net_weight = (0..net_start.len() - 1)
+        .map(|e| 0.5 + (e % 7) as f64 * 0.25)
+        .collect();
+    m.net_start = net_start;
+    m
+}
+
+/// Reference for one coordinate of a net's WA, in the two-evaluation form:
+/// one pass over the pins forms the sums, and a second pass re-reads every
+/// pin and re-evaluates both exponentials for the gradient. Returns the
+/// net's WA extent along the coordinate.
+fn reference_wa_net_coord(
+    pins: Range<usize>,
+    gamma: f64,
+    min_v: f64,
+    max_v: f64,
+    coord: impl Fn(usize) -> f64,
+    mut grad: impl FnMut(usize, f64),
+) -> f64 {
+    let inv_gamma = 1.0 / gamma;
+    let (mut s_pos, mut su_pos, mut s_neg, mut su_neg) = (0.0, 0.0, 0.0, 0.0);
+    for p in pins.clone() {
+        let v = coord(p);
+        let a_pos = ((v - max_v) * inv_gamma).exp();
+        let a_neg = ((min_v - v) * inv_gamma).exp();
+        s_pos += a_pos;
+        su_pos += v * a_pos;
+        s_neg += a_neg;
+        su_neg += v * a_neg;
+    }
+    let wl_pos = su_pos / s_pos;
+    let wl_neg = su_neg / s_neg;
+    for p in pins {
+        let v = coord(p);
+        let a_pos = ((v - max_v) * inv_gamma).exp();
+        let a_neg = ((min_v - v) * inv_gamma).exp();
+        let d_pos = a_pos / s_pos * (1.0 + (v - wl_pos) * inv_gamma);
+        let d_neg = a_neg / s_neg * (1.0 - (v - wl_neg) * inv_gamma);
+        grad(p, d_pos - d_neg);
+    }
+    wl_pos - wl_neg
+}
+
+/// The reference net loop over `nets`: returns `(wa, hpwl)` and adds the
+/// movable-node gradient into `gx`/`gy`.
+fn reference_wa_pass(
+    m: &PlacementModel,
+    gamma: f64,
+    nets: Range<usize>,
+    gx: &mut [f64],
+    gy: &mut [f64],
+) -> (f64, f64) {
+    let nm = m.num_movable();
+    let pos = |p: usize| {
+        let n = m.pin_node[p] as usize;
+        (m.x[n] + m.pin_dx[p], m.y[n] + m.pin_dy[p])
+    };
+    let (mut wa, mut hpwl) = (0.0, 0.0);
+    for e in nets {
+        let pins = m.net_start[e] as usize..m.net_start[e + 1] as usize;
+        if pins.len() < 2 {
+            continue;
+        }
+        let weight = m.net_weight[e];
+        let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
+        for p in pins.clone() {
+            let (px, py) = pos(p);
+            min_x = min_x.min(px);
+            max_x = max_x.max(px);
+            min_y = min_y.min(py);
+            max_y = max_y.max(py);
+        }
+        hpwl += weight * ((max_x - min_x) + (max_y - min_y));
+        let node = |p: usize| m.pin_node[p] as usize;
+        let wx = reference_wa_net_coord(
+            pins.clone(),
+            gamma,
+            min_x,
+            max_x,
+            |p| pos(p).0,
+            |p, d| {
+                if node(p) < nm {
+                    gx[node(p)] += weight * d;
+                }
+            },
+        );
+        let wy = reference_wa_net_coord(
+            pins,
+            gamma,
+            min_y,
+            max_y,
+            |p| pos(p).1,
+            |p, d| {
+                if node(p) < nm {
+                    gy[node(p)] += weight * d;
+                }
+            },
+        );
+        wa += weight * (wx + wy);
+    }
+    (wa, hpwl)
+}
+
+/// The reference for the blocked kernel: one block accumulates straight
+/// into `gx`/`gy`; several accumulate into zeroed per-block gradients that
+/// merge in block order.
+fn reference_wa_blocked(
+    m: &PlacementModel,
+    gamma: f64,
+    net_block: usize,
+    gx: &mut [f64],
+    gy: &mut [f64],
+) -> (f64, f64) {
+    let num_nets = m.num_nets();
+    if num_nets.div_ceil(net_block) <= 1 {
+        return reference_wa_pass(m, gamma, 0..num_nets, gx, gy);
+    }
+    let nm = m.num_movable();
+    let (mut wa, mut hpwl) = (0.0, 0.0);
+    for lo in (0..num_nets).step_by(net_block) {
+        let (mut bx, mut by) = (vec![0.0; nm], vec![0.0; nm]);
+        let (w, h) = reference_wa_pass(
+            m,
+            gamma,
+            lo..(lo + net_block).min(num_nets),
+            &mut bx,
+            &mut by,
+        );
+        wa += w;
+        hpwl += h;
+        for i in 0..nm {
+            gx[i] += bx[i];
+            gy[i] += by[i];
+        }
+    }
+    (wa, hpwl)
+}
+
+/// The first index at which `a` and `b` hold different bits, if any.
+fn first_bit_diff(a: &[f64], b: &[f64]) -> Option<usize> {
+    assert_eq!(a.len(), b.len());
+    a.iter()
+        .zip(b)
+        .position(|(x, y)| x.to_bits() != y.to_bits())
 }
 
 /// The WA wirelength never exceeds HPWL and tightens monotonically as
@@ -309,6 +472,65 @@ props! {
         for i in 0..n {
             prop_assert!(gx1[i].to_bits() == gx2[i].to_bits(), "gx at {}", i);
             prop_assert!(gy1[i].to_bits() == gy2[i].to_bits(), "gy at {}", i);
+        }
+    }
+
+    /// Every WA kernel matches the two-evaluation reference to the bit:
+    /// storing each pin's exponentials changes how often they are
+    /// evaluated, never an expression or its order. The models include a
+    /// net of more than 100 pins and degree-2 nets, the gradients start
+    /// nonzero, and one workspace serves all three models, so its pin
+    /// scratch grows on the big nets and is reused on the smaller ones.
+    fn wa_kernels_match_two_pass_reference_bitwise(seed in 0u64..500, gamma in 0.5..50.0f64) {
+        let device = Device::new(DeviceConfig::instant());
+        let pool = xplace_parallel::global();
+        let mut ws = wirelength::WaWorkspace::new();
+        let models = [
+            recut_model(150, seed, 120),
+            scattered_model(100, seed, seed ^ 0x42),
+            recut_model(200, seed ^ 0x1, 101),
+        ];
+        for m in &models {
+            let nm = m.num_movable();
+            let init_x: Vec<f64> = (0..nm).map(|i| (i % 13) as f64 * 0.125 - 0.75).collect();
+            let init_y: Vec<f64> = (0..nm).map(|i| (i % 7) as f64 * 0.3 - 1.1).collect();
+            let (mut rx, mut ry) = (init_x.clone(), init_y.clone());
+            let (wa, hpwl) = reference_wa_pass(m, gamma, 0..m.num_nets(), &mut rx, &mut ry);
+
+            let (mut gx, mut gy) = (init_x.clone(), init_y.clone());
+            let fused = wirelength::wa_fused(&device, m, gamma, &mut gx, &mut gy);
+            prop_assert!(fused.wa.to_bits() == wa.to_bits(), "wa_fused wa");
+            prop_assert!(fused.hpwl.to_bits() == hpwl.to_bits(), "wa_fused hpwl");
+            prop_assert_eq!(first_bit_diff(&gx, &rx), None);
+            prop_assert_eq!(first_bit_diff(&gy, &ry), None);
+
+            let (mut gx, mut gy) = (init_x.clone(), init_y.clone());
+            let merged = wirelength::wa_with_grad(&device, m, gamma, &mut gx, &mut gy);
+            prop_assert!(merged.to_bits() == wa.to_bits(), "wa_with_grad wa");
+            prop_assert_eq!(first_bit_diff(&gx, &rx), None);
+            prop_assert_eq!(first_bit_diff(&gy, &ry), None);
+
+            let (mut gx, mut gy) = (init_x.clone(), init_y.clone());
+            let forward = wirelength::wa_forward(&device, m, gamma);
+            wirelength::wa_backward(&device, m, gamma, &mut gx, &mut gy);
+            prop_assert!(forward.to_bits() == wa.to_bits(), "wa_forward wa");
+            prop_assert_eq!(first_bit_diff(&gx, &rx), None);
+            prop_assert_eq!(first_bit_diff(&gy, &ry), None);
+
+            for net_block in [32, usize::MAX] {
+                let (mut rx, mut ry) = (init_x.clone(), init_y.clone());
+                let (wa, hpwl) = reference_wa_blocked(m, gamma, net_block, &mut rx, &mut ry);
+                for threads in 1..=4 {
+                    let (mut gx, mut gy) = (init_x.clone(), init_y.clone());
+                    let out = wirelength::wa_fused_blocked_ws(
+                        &device, m, gamma, &mut gx, &mut gy, threads, net_block, pool, &mut ws,
+                    );
+                    prop_assert!(out.wa.to_bits() == wa.to_bits(), "blocked wa, width {}", threads);
+                    prop_assert!(out.hpwl.to_bits() == hpwl.to_bits(), "blocked hpwl, width {}", threads);
+                    prop_assert_eq!(first_bit_diff(&gx, &rx), None);
+                    prop_assert_eq!(first_bit_diff(&gy, &ry), None);
+                }
+            }
         }
     }
 

@@ -247,4 +247,9 @@ echo "==> coarsening smoke: 1M-cell hierarchy construction completes"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo clippy (ops + parallel, warnings are errors)"
+# Scoped to the kernel and pool crates, which are lint-clean; the rest of
+# the workspace is not yet.
+cargo clippy -p xplace-ops -p xplace-parallel --all-targets --no-deps -- -D warnings
+
 echo "CI gate passed."
