@@ -3,9 +3,7 @@
 //! `scripts/check_regression.sh`.
 //!
 //! ```text
-//! check_regression <baseline.json> <current.json>
-//!                  [--hpwl-pct 2.0] [--time-pct 5.0] [--launches-pct 2.0]
-//!                  [--wall-warn-pct 50.0] [--inject SECTION=PCT]
+//! check_regression <baseline.json> <current.json> [--inject SECTION=PCT]
 //! ```
 //!
 //! Single-run [`RunReport`]s and batch [`BatchReport`]s are accepted;
@@ -15,8 +13,12 @@
 //! run structure — per job, for batches — and every gated section of a
 //! run report: per-grid modeled transform ns for spectral, per-cell
 //! modeled ns for scaling, winner HPWL, lineage and total modeled cost
-//! for explore) hard-fail beyond tolerance; wall-clock drift beyond
-//! `--wall-warn-pct` only warns.
+//! for explore) hard-fail beyond fixed bounds — HPWL
+//! [`HPWL_PCT`](xplace_telemetry::HPWL_PCT) 2 %, modeled time
+//! [`MODELED_TIME_PCT`](xplace_telemetry::MODELED_TIME_PCT) 5 %, launches
+//! [`LAUNCHES_PCT`](xplace_telemetry::LAUNCHES_PCT) 2 %; wall-clock drift
+//! beyond [`WALL_WARN_PCT`](xplace_telemetry::WALL_WARN_PCT) 50 % only
+//! warns. The bounds are constants, not flags: the gate has one setting.
 //!
 //! `--inject SECTION=PCT` is the self-test hook CI uses to prove the gate
 //! actually fails on a regression: it inflates the current report by PCT
@@ -26,14 +28,14 @@
 //! [`GatedSection::inject`](xplace_telemetry::GatedSection::inject) to a
 //! run report. An unknown SECTION exits 2.
 
-use xplace_bench::{argv_flag, argv_parse};
+use xplace_bench::{argv_flag, argv_only};
 use xplace_telemetry::{
     compare_batch_reports, compare_reports, inject_regression, BatchReport, Comparison, FromJson,
-    Json, RunReport, Tolerances,
+    Json, RunReport,
 };
 
 enum Loaded {
-    Run(RunReport),
+    Run(Box<RunReport>),
     Batch(BatchReport),
 }
 
@@ -73,7 +75,7 @@ fn load(path: &str) -> Loaded {
     let result = if json.get("jobs").is_some() {
         BatchReport::from_json(&json).map(Loaded::Batch)
     } else {
-        RunReport::from_json(&json).map(Loaded::Run)
+        RunReport::from_json(&json).map(|report| Loaded::Run(Box::new(report)))
     };
     result.unwrap_or_else(|e| fail(format!("{path} is not a valid report: {e}")))
 }
@@ -93,6 +95,7 @@ fn inject_arg() -> Option<(String, f64)> {
 }
 
 fn main() {
+    argv_only(&["--inject"]);
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Positionals are the tokens that are neither flags nor flag values.
     let mut positionals = Vec::new();
@@ -101,7 +104,7 @@ fn main() {
         if skip {
             skip = false;
         } else if a.starts_with("--") {
-            skip = true; // every flag of this tool takes a value
+            skip = true; // --inject, the one flag, takes a value
         } else {
             positionals.push(a);
         }
@@ -111,19 +114,12 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: check_regression <baseline.json> <current.json> \
-                 [--hpwl-pct X] [--time-pct X] [--launches-pct X] [--wall-warn-pct X] \
                  [--inject hpwl|spectral|scaling|explore=PCT]"
             );
             std::process::exit(2)
         }
     };
 
-    let tol = Tolerances {
-        hpwl_pct: argv_parse("--hpwl-pct", 2.0),
-        modeled_time_pct: argv_parse("--time-pct", 5.0),
-        launches_pct: argv_parse("--launches-pct", 2.0),
-        wall_warn_pct: argv_parse("--wall-warn-pct", 50.0),
-    };
     let inject = inject_arg();
 
     let baseline = load(baseline_path);
@@ -137,8 +133,8 @@ fn main() {
     }
 
     let cmp: Comparison = match (&baseline, &current) {
-        (Loaded::Run(b), Loaded::Run(c)) => compare_reports(b, c, &tol),
-        (Loaded::Batch(b), Loaded::Batch(c)) => compare_batch_reports(b, c, &tol),
+        (Loaded::Run(b), Loaded::Run(c)) => compare_reports(b, c),
+        (Loaded::Batch(b), Loaded::Batch(c)) => compare_batch_reports(b, c),
         (b, c) => fail(format!(
             "report kind mismatch: {baseline_path} is a {} but {current_path} is a {}",
             b.kind(),

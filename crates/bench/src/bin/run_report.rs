@@ -9,9 +9,13 @@
 //! is deterministic across machines.
 //!
 //! ```text
-//! run_report [--out results/run_report.json] [--max-iters 400]
-//!            [--cells 500] [--nets 525] [--seed 20220714] [--threads N]
+//! run_report [--out results/run_report.json] [--max-iters 400] [--threads N]
 //! ```
+//!
+//! The design is fixed ([`CELLS`], [`NETS`], [`SEED`]): the baseline
+//! records it, so any other netlist is a mismatch the gate refuses.
+//! `--max-iters` changes the GP budget, for measuring the flow at other
+//! budgets (a report from another budget fails the gate's config echo).
 //!
 //! The report also embeds one section per [`GatedSection`] impl:
 //! * `spectral` — per-grid modeled transform times (and the fastest of
@@ -36,13 +40,19 @@ use xplace_bench::explore::{
 use xplace_bench::scaling::{measure_scaling, smoke_cases};
 use xplace_bench::spectral::{measure_spectral, SPECTRAL_GRIDS};
 use xplace_bench::{
-    argv_flag, argv_parse, argv_threads, default_workers, fmt, run_flow, TextTable,
+    argv_flag, argv_only, argv_parse, argv_threads, default_workers, fmt, run_flow, TextTable,
 };
 use xplace_core::XplaceConfig;
 use xplace_db::suites::SuiteEntry;
 use xplace_db::synthesis::SynthesisSpec;
 use xplace_telemetry::ToJson;
 
+/// Cell count of the canonical design.
+const CELLS: usize = 500;
+/// Net count of the canonical design.
+const NETS: usize = 525;
+/// Synthesis seed of the canonical design.
+const SEED: u64 = 20_220_714;
 /// Wall-clock repetitions per spectral grid (the fastest is recorded).
 const SPECTRAL_REPS: usize = 3;
 
@@ -78,25 +88,23 @@ fn explore_table(comparisons: &[ExploreComparison]) -> String {
 }
 
 fn main() {
+    argv_only(&["--out", "--max-iters", "--threads"]);
     let out =
         PathBuf::from(argv_flag("--out").unwrap_or_else(|| "results/run_report.json".to_string()));
-    let cells: usize = argv_parse("--cells", 500);
-    let nets: usize = argv_parse("--nets", 525);
-    let seed: u64 = argv_parse("--seed", 20_220_714);
     let max_iters: usize = argv_parse("--max-iters", 400);
     let threads = argv_threads(1);
 
     let entry = SuiteEntry {
-        published_cells: cells,
-        published_nets: nets,
+        published_cells: CELLS,
+        published_nets: NETS,
         fence_removed: false,
-        spec: SynthesisSpec::new("golden", cells, nets).with_seed(seed),
+        spec: SynthesisSpec::new("golden", CELLS, NETS).with_seed(SEED),
     };
     let mut config = XplaceConfig::xplace().with_threads(threads);
     config.schedule.max_iterations = max_iters;
 
     eprintln!(
-        "running the canonical flow ({cells} cells, {nets} nets, seed {seed}, \
+        "running the canonical flow ({CELLS} cells, {NETS} nets, seed {SEED}, \
          {max_iters} iters)..."
     );
     let flow = run_flow(&entry, config, None).unwrap_or_else(|e| fail(format!("flow failed: {e}")));

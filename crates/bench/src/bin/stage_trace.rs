@@ -97,7 +97,7 @@ mod tests {
             gamma: 80.0,
             omega: 0.1,
             r_ratio: 1e-5,
-            density_skipped: i % 2 == 0,
+            density_skipped: i.is_multiple_of(2),
             modeled_ns: 1000,
             launches: 7,
         }

@@ -73,11 +73,11 @@ fn main() {
     header.push("Avg");
     let mut table = TextTable::new(&header);
 
-    for (ri, (label, _)) in rows.iter().enumerate() {
+    for ((label, _), row) in rows.iter().zip(&ms) {
         let mut cells = vec![label.to_string()];
         let mut ratio_sum = 0.0;
-        for di in 0..suite.len() {
-            let ratio = 100.0 * ms[ri][di] / ms[xplace_row][di];
+        for (value, reference) in row.iter().zip(&ms[xplace_row]) {
+            let ratio = 100.0 * value / reference;
             ratio_sum += ratio;
             cells.push(format!("{}%", fmt(ratio, 0)));
         }
@@ -88,9 +88,9 @@ fn main() {
     for (label, ri) in [("Xplace ms/iter", xplace_row), ("DREAMPlace ms/iter", 5)] {
         let mut cells = vec![label.to_string()];
         let mut sum = 0.0;
-        for di in 0..suite.len() {
-            sum += ms[ri][di];
-            cells.push(fmt(ms[ri][di], 3));
+        for &value in &ms[ri] {
+            sum += value;
+            cells.push(fmt(value, 3));
         }
         cells.push(fmt(sum / suite.len() as f64, 3));
         table.row(cells);

@@ -12,6 +12,7 @@ pub mod explore;
 pub mod scaling;
 pub mod spectral;
 
+use xplace::cli;
 use xplace_core::{GlobalPlacer, PlacementReport, XplaceConfig};
 use xplace_db::suites::SuiteEntry;
 use xplace_db::synthesis::synthesize;
@@ -89,43 +90,6 @@ pub fn write_reports(path: &std::path::Path, reports: &[RunReport]) -> std::io::
     std::fs::write(path, array.render())
 }
 
-/// Returns the token following `flag` in `args`, `None` when the flag is
-/// absent; a flag that is last or followed by another `--flag` has no
-/// value, and the error is the message [`argv_flag`] prints.
-pub fn argv_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
-        _ => Err(format!("missing value for {flag}")),
-    }
-}
-
-/// Parses the value following `flag` in `args`, `default` when the flag is
-/// absent; the error is the message [`argv_parse`] prints.
-pub fn parse_arg<T>(args: &[String], flag: &str, default: T) -> Result<T, String>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    match argv_value(args, flag)? {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|e| format!("invalid value '{v}' for {flag}: {e}")),
-    }
-}
-
-/// Parses `--threads` from `args` like [`parse_arg`], and, like `xplace
-/// --threads`, rejects 0.
-pub fn parse_threads(args: &[String], default: usize) -> Result<usize, String> {
-    match parse_arg(args, "--threads", default)? {
-        0 => Err("--threads must be at least 1".into()),
-        threads => Ok(threads),
-    }
-}
-
 /// Unwraps a flag or knob value, exiting with status 2 on its error (bin
 /// helper).
 fn or_exit<T>(value: Result<T, String>) -> T {
@@ -141,25 +105,44 @@ fn process_args() -> Vec<String> {
 
 /// Returns the value following `--flag` in the process arguments, `None`
 /// when absent, and exits with status 2 when the flag is given without a
-/// value (bin helper).
+/// value (bin helper over [`xplace::cli::flag_value`]).
 pub fn argv_flag(flag: &str) -> Option<String> {
-    or_exit(argv_value(&process_args(), flag))
+    or_exit(cli::flag_value(&process_args(), flag))
 }
 
 /// Parses the value of `--flag` from the process arguments, exiting with
-/// status 2 on a missing or unparseable value (bin helper).
+/// status 2 on a missing or unparseable value (bin helper over
+/// [`xplace::cli::parse_flag`]).
 pub fn argv_parse<T>(flag: &str, default: T) -> T
 where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
 {
-    or_exit(parse_arg(&process_args(), flag, default))
+    or_exit(cli::parse_flag(&process_args(), flag, default))
+}
+
+/// Exits with status 2 when the process arguments hold a `--flag` outside
+/// `known`, so a removed or misspelt flag fails instead of being ignored
+/// (bin helper).
+pub fn argv_only(known: &[&str]) {
+    let args = process_args();
+    if let Some(flag) = args
+        .iter()
+        .skip(1)
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        or_exit(Err::<(), _>(format!(
+            "unknown flag {flag} (expected {})",
+            known.join(", ")
+        )))
+    }
 }
 
 /// Parses `--threads` from the process arguments, exiting with status 2
-/// on a missing, unparseable or zero value (bin helper).
+/// on a missing, unparseable or zero value (bin helper over
+/// [`xplace::cli::parse_threads`]).
 pub fn argv_threads(default: usize) -> usize {
-    or_exit(parse_threads(&process_args(), default))
+    or_exit(cli::parse_threads(&process_args(), default))
 }
 
 /// Parses `raw`, the value of environment knob `name`, as a number greater
@@ -313,39 +296,6 @@ mod tests {
             err,
             "invalid value '0' for XPLACE_CELLS: must be greater than zero"
         );
-    }
-
-    #[test]
-    fn argv_values_need_a_following_token() {
-        let args: Vec<String> = ["bin", "--out", "r.json", "--inject", "--smoke", "--threads"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(argv_value(&args, "--reps"), Ok(None));
-        assert_eq!(argv_value(&args, "--out"), Ok(Some("r.json".into())));
-        assert_eq!(
-            argv_value(&args, "--threads"),
-            Err("missing value for --threads".into())
-        );
-        assert_eq!(
-            argv_value(&args, "--inject"),
-            Err("missing value for --inject".into())
-        );
-        assert_eq!(
-            parse_threads(&args, 4),
-            Err("missing value for --threads".into())
-        );
-
-        let threads = |value: &str| {
-            let args: Vec<String> = vec!["bin".into(), "--threads".into(), value.into()];
-            parse_threads(&args, 4)
-        };
-        assert_eq!(threads("3"), Ok(3));
-        assert_eq!(threads("0"), Err("--threads must be at least 1".into()));
-        assert!(threads("many")
-            .unwrap_err()
-            .starts_with("invalid value 'many' for --threads"));
-        assert_eq!(parse_threads(&["bin".to_string()], 4), Ok(4));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! GP checkpoint/resume: a complete, JSON-serialized snapshot of the
-//! Nesterov loop state, taken every C iterations, from which a killed
+//! GP checkpoint/resume: a complete snapshot of the Nesterov loop state
+//! (JSON-serialized only when a file store writes it), taken every C
+//! iterations, from which a killed
 //! run restarts and replays a **byte-identical trace suffix** and final
 //! placement versus the uninterrupted run — at any `--threads`.
 //!
@@ -486,20 +487,20 @@ impl Perturbation {
 /// mutability) so a store can outlive a panicking placement attempt and
 /// hand the latest snapshot to a retry.
 pub trait CheckpointStore {
-    /// Persists the payload snapshotted at `iteration`. Implementations
-    /// replace any previous snapshot (only the latest is ever resumed).
+    /// Persists `checkpoint`. Implementations replace any previous
+    /// snapshot (only the latest is ever resumed).
     ///
     /// # Errors
     ///
     /// I/O errors propagate; the placer surfaces them as
     /// [`PlaceError::Checkpoint`] and fails the run rather than silently
     /// continuing without durability.
-    fn save(&self, iteration: usize, payload: &str) -> io::Result<()>;
+    fn save(&self, checkpoint: Checkpoint) -> io::Result<()>;
 }
 
-/// A checkpoint store writing each snapshot to one file, atomically
-/// (write to `<path>.tmp`, then rename): a crash mid-save leaves the
-/// previous snapshot intact.
+/// A checkpoint store writing each snapshot to one file as JSON,
+/// atomically (write to `<path>.tmp`, then rename): a crash mid-save
+/// leaves the previous snapshot intact.
 #[derive(Debug)]
 pub struct FileCheckpointStore {
     path: PathBuf,
@@ -527,11 +528,11 @@ impl FileCheckpointStore {
 }
 
 impl CheckpointStore for FileCheckpointStore {
-    fn save(&self, _iteration: usize, payload: &str) -> io::Result<()> {
+    fn save(&self, checkpoint: Checkpoint) -> io::Result<()> {
         let tmp = self.path.with_extension("tmp");
         {
             let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(payload.as_bytes())?;
+            f.write_all(checkpoint.render().as_bytes())?;
             f.sync_all()?;
         }
         std::fs::rename(&tmp, &self.path)?;
@@ -540,11 +541,12 @@ impl CheckpointStore for FileCheckpointStore {
     }
 }
 
-/// An in-memory checkpoint store keeping the latest snapshot — the
-/// scheduler's retry loop resumes crashed attempts from it.
+/// An in-memory checkpoint store keeping the latest snapshot as a value
+/// (never rendered to JSON) — the scheduler's retry loop resumes crashed
+/// attempts from it.
 #[derive(Debug, Default)]
 pub struct MemoryCheckpointStore {
-    latest: Mutex<Option<(usize, String)>>,
+    latest: Mutex<Option<Checkpoint>>,
     saves: AtomicUsize,
 }
 
@@ -554,18 +556,15 @@ impl MemoryCheckpointStore {
         MemoryCheckpointStore::default()
     }
 
-    /// The latest snapshot, parsed, if any was saved.
+    /// The latest snapshot and its iteration, if any was saved.
     ///
     /// # Errors
     ///
-    /// Returns [`PlaceError::Checkpoint`] if the stored payload does not
-    /// parse (cannot happen for payloads the placer saved).
+    /// None: the store holds values, so there is nothing to parse. The
+    /// `Result` remains for existing callers.
     pub fn latest(&self) -> Result<Option<(usize, Checkpoint)>, PlaceError> {
-        let guard = self.latest.lock().unwrap();
-        match guard.as_ref() {
-            Some((iter, payload)) => Ok(Some((*iter, Checkpoint::parse(payload)?))),
-            None => Ok(None),
-        }
+        let latest = self.latest.lock().unwrap().clone();
+        Ok(latest.map(|checkpoint| (checkpoint.iteration, checkpoint)))
     }
 
     /// Number of snapshots saved.
@@ -575,8 +574,8 @@ impl MemoryCheckpointStore {
 }
 
 impl CheckpointStore for MemoryCheckpointStore {
-    fn save(&self, iteration: usize, payload: &str) -> io::Result<()> {
-        *self.latest.lock().unwrap() = Some((iteration, payload.to_string()));
+    fn save(&self, checkpoint: Checkpoint) -> io::Result<()> {
+        *self.latest.lock().unwrap() = Some(checkpoint);
         self.saves.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -743,10 +742,10 @@ mod tests {
         let store = MemoryCheckpointStore::new();
         assert!(store.latest().unwrap().is_none());
         let cp = tiny_checkpoint();
-        store.save(7, &cp.render()).unwrap();
+        store.save(cp.clone()).unwrap();
         let mut later = cp.clone();
         later.iteration = 14;
-        store.save(14, &later.render()).unwrap();
+        store.save(later.clone()).unwrap();
         let (iter, loaded) = store.latest().unwrap().unwrap();
         assert_eq!(iter, 14);
         assert_eq!(loaded, later);
@@ -760,12 +759,12 @@ mod tests {
         let path = dir.join("ckpt.json");
         let store = FileCheckpointStore::new(&path);
         let cp = tiny_checkpoint();
-        store.save(7, &cp.render()).unwrap();
+        store.save(cp.clone()).unwrap();
         let loaded = Checkpoint::load(&path).unwrap();
         assert_eq!(loaded, cp);
         let mut later = cp.clone();
         later.iteration = 21;
-        store.save(21, &later.render()).unwrap();
+        store.save(later).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap().iteration, 21);
         assert_eq!(store.saves(), 2);
         std::fs::remove_file(&path).ok();

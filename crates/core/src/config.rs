@@ -281,12 +281,12 @@ impl XplaceConfig {
                 "max_iterations is zero".into(),
             ));
         }
-        if !(self.schedule.stop_overflow > 0.0) {
+        if not_positive(self.schedule.stop_overflow) {
             return Err(crate::PlaceError::InvalidConfig(
                 "stop_overflow must be positive".into(),
             ));
         }
-        if !(self.schedule.gamma_scale > 0.0) {
+        if not_positive(self.schedule.gamma_scale) {
             return Err(crate::PlaceError::InvalidConfig(
                 "gamma_scale must be positive".into(),
             ));
@@ -320,7 +320,7 @@ impl XplaceConfig {
                     "multilevel max_levels is zero".into(),
                 ));
             }
-            if !(self.multilevel.coarse_stop_overflow > 0.0) {
+            if not_positive(self.multilevel.coarse_stop_overflow) {
                 return Err(crate::PlaceError::InvalidConfig(
                     "multilevel coarse_stop_overflow must be positive".into(),
                 ));
@@ -328,6 +328,11 @@ impl XplaceConfig {
         }
         Ok(())
     }
+}
+
+/// `true` unless `v` is a number above zero: NaN is not positive.
+fn not_positive(v: f64) -> bool {
+    v.is_nan() || v <= 0.0
 }
 
 #[cfg(test)]
@@ -358,6 +363,21 @@ mod tests {
         let mut c = XplaceConfig::xplace();
         c.schedule.stop_overflow = 0.0;
         assert!(c.validate().is_err());
+        let nan = |set: fn(&mut XplaceConfig), want: &str| {
+            let mut c = XplaceConfig::xplace();
+            set(&mut c);
+            let err = c.validate().unwrap_err().to_string();
+            assert!(err.contains(want), "{err}");
+        };
+        nan(|c| c.schedule.stop_overflow = f64::NAN, "stop_overflow");
+        nan(|c| c.schedule.gamma_scale = f64::NAN, "gamma_scale");
+        nan(
+            |c| {
+                c.multilevel.enabled = true;
+                c.multilevel.coarse_stop_overflow = f64::NAN;
+            },
+            "coarse_stop_overflow",
+        );
         let mut c = XplaceConfig::xplace();
         c.schedule.lambda_mu_min = 2.0;
         assert!(c.validate().is_err());

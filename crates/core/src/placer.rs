@@ -419,7 +419,7 @@ impl GlobalPlacer {
                         engine: engine.state(),
                         profile,
                     };
-                    store.save(iter, &snapshot.render()).map_err(|e| {
+                    store.save(snapshot).map_err(|e| {
                         PlaceError::Checkpoint(format!("save at iteration {iter}: {e}"))
                     })?;
                 }
@@ -945,6 +945,36 @@ mod tests {
         assert_eq!(saves0, 0);
         assert!(saves25 >= 2, "expected saves at 25/50/75, got {saves25}");
         assert_eq!(plain, monitored, "checkpoint saves perturbed the trace");
+    }
+
+    #[test]
+    fn a_failing_checkpoint_store_fails_the_run_naming_the_iteration() {
+        struct FullDisk;
+        impl crate::CheckpointStore for FullDisk {
+            fn save(&self, _: Checkpoint) -> std::io::Result<()> {
+                Err(std::io::Error::other("disk full"))
+            }
+        }
+        let mut design = small_design(51);
+        let mut cfg = XplaceConfig::xplace();
+        cfg.schedule.max_iterations = 80;
+        let err = GlobalPlacer::new(cfg)
+            .place_traced_opts(
+                &mut design,
+                &mut xplace_telemetry::VecSink::new(),
+                CheckpointOptions {
+                    every: 25,
+                    store: Some(&FullDisk),
+                    ..CheckpointOptions::none()
+                },
+            )
+            .unwrap_err();
+        match err {
+            PlaceError::Checkpoint(msg) => {
+                assert_eq!(msg, "save at iteration 25: disk full")
+            }
+            other => panic!("expected a checkpoint error, got {other}"),
+        }
     }
 
     /// The resume determinism contract: a run killed at iteration N and

@@ -30,7 +30,7 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
     let opt_len = rng.gen_range(1usize..16);
     let x = wide(&mut rng, nodes);
     let y = wide(&mut rng, nodes);
-    let optimizer = if seed % 3 != 0 {
+    let optimizer = if !seed.is_multiple_of(3) {
         Some(OptimizerState {
             u_x: wide(&mut rng, opt_len),
             u_y: wide(&mut rng, opt_len),
@@ -39,7 +39,7 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
             prev_g_x: wide(&mut rng, opt_len),
             prev_g_y: wide(&mut rng, opt_len),
             a: rng.f64() * 3.0 + 1.0,
-            have_prev: rng.next_u64() % 2 == 0,
+            have_prev: rng.next_u64().is_multiple_of(2),
             initial_step: rng.f64(),
             max_disp: rng.f64() * 100.0,
             last_step: rng.f64(),
@@ -47,12 +47,12 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
     } else {
         None
     };
-    let best_u = if seed % 4 == 0 {
+    let best_u = if seed.is_multiple_of(4) {
         Some((wide(&mut rng, opt_len), wide(&mut rng, opt_len)))
     } else {
         None
     };
-    let last_eval = if seed % 5 != 0 {
+    let last_eval = if !seed.is_multiple_of(5) {
         Some(EvalResult {
             wa: rng.f64() * 1e6,
             hpwl: rng.f64() * 1e6,
@@ -60,8 +60,8 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
             wl_grad_l1: rng.f64() * 1e3,
             density_grad_l1: rng.f64() * 1e3,
             r_ratio: rng.f64() * 0.01,
-            density_skipped: rng.next_u64() % 2 == 0,
-            skip_window: rng.next_u64() % 2 == 0,
+            density_skipped: rng.next_u64().is_multiple_of(2),
+            skip_window: rng.next_u64().is_multiple_of(2),
         })
     } else {
         None
@@ -78,19 +78,19 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
             gamma: rng.f64() * 10.0,
             lambda: rng.f64() * 1e-2 + 1e-9,
             iteration: rng.gen_range(0usize..5000),
-            last_hpwl: if seed % 2 == 0 {
+            last_hpwl: if seed.is_multiple_of(2) {
                 f64::INFINITY
             } else {
                 rng.f64() * 1e6
             },
             last_overflow: rng.f64(),
-            lambda_initialized: rng.next_u64() % 2 == 0,
+            lambda_initialized: rng.next_u64().is_multiple_of(2),
         },
         omega: rng.f64(),
         optimizer,
         initial_hpwl: rng.f64() * 1e6,
         initial_overflow: rng.f64(),
-        best_overflow: if seed % 6 == 0 {
+        best_overflow: if seed.is_multiple_of(6) {
             f64::INFINITY
         } else {
             rng.f64()
@@ -102,12 +102,12 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
             1 => Stage::Intermediate,
             _ => Stage::Final,
         },
-        skip_window_open: rng.next_u64() % 2 == 0,
+        skip_window_open: rng.next_u64().is_multiple_of(2),
         last_eval,
         engine: EngineState {
             last_r: rng.f64() * 0.01,
             field_age: rng.gen_range(0usize..8),
-            has_field: rng.next_u64() % 2 == 0,
+            has_field: rng.next_u64().is_multiple_of(2),
             cached_overflow: rng.f64(),
             field_x: wide(&mut rng, nodes),
             field_y: wide(&mut rng, nodes),
@@ -127,12 +127,12 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
 props! {
     config = Config::with_cases(64);
 
-    /// A randomized state survives the `Memory` store bit-exactly, and
-    /// the payload re-renders to identical bytes.
+    /// A randomized state survives the `Memory` store bit-exactly: the
+    /// store keeps the value, so it renders to identical bytes.
     fn memory_store_round_trips_bit_exactly(seed in 0u64..1_000_000_000) {
         let cp = random_checkpoint(seed);
         let store = MemoryCheckpointStore::new();
-        store.save(cp.iteration, &cp.render()).unwrap();
+        store.save(cp.clone()).unwrap();
         let (at, back) = store.latest().unwrap().unwrap();
         prop_assert_eq!(at, cp.iteration);
         prop_assert!(back == cp, "memory round trip changed the checkpoint (seed {})", seed);
@@ -150,7 +150,7 @@ props! {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("cp-{seed}-{}.json", std::process::id()));
         let store = FileCheckpointStore::new(&path);
-        store.save(cp.iteration, &cp.render()).unwrap();
+        store.save(cp.clone()).unwrap();
         let back = Checkpoint::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert!(back == cp, "file round trip changed the checkpoint (seed {})", seed);

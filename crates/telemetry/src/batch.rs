@@ -7,7 +7,7 @@
 //! [`RunReport`] is bit-identical to the report a serial `place` run of
 //! that design would have produced.
 
-use crate::{compare_reports, Comparison, RunReport, Tolerances};
+use crate::{compare_reports, Comparison, RunReport};
 use xplace_testkit::json::{FromJson, Json, JsonError, ToJson};
 
 /// Terminal status of one job in a batch.
@@ -239,11 +239,7 @@ fn merge_prefixed(acc: &mut Comparison, name: &str, sub: Comparison) {
 /// delegate to [`compare_reports`] with their messages prefixed by the
 /// job name; paired failed jobs pass (a deliberately injected fault is
 /// part of the experiment).
-pub fn compare_batch_reports(
-    baseline: &BatchReport,
-    current: &BatchReport,
-    tol: &Tolerances,
-) -> Comparison {
+pub fn compare_batch_reports(baseline: &BatchReport, current: &BatchReport) -> Comparison {
     let mut cmp = Comparison::default();
     let base_names: Vec<&str> = baseline.jobs.iter().map(|j| j.name.as_str()).collect();
     let cur_names: Vec<&str> = current.jobs.iter().map(|j| j.name.as_str()).collect();
@@ -268,7 +264,7 @@ pub fn compare_batch_reports(
             continue;
         }
         match (&base.report, &cur.report) {
-            (Some(b), Some(c)) => merge_prefixed(&mut cmp, &base.name, compare_reports(b, c, tol)),
+            (Some(b), Some(c)) => merge_prefixed(&mut cmp, &base.name, compare_reports(b, c)),
             _ => cmp
                 .notes
                 .push(format!("[{}] failed in both runs — not gated", base.name)),
@@ -317,7 +313,7 @@ mod tests {
     #[test]
     fn identical_batches_pass() {
         let base = sample_batch();
-        let cmp = compare_batch_reports(&base, &base.clone(), &Tolerances::default());
+        let cmp = compare_batch_reports(&base, &base.clone());
         assert!(cmp.passed(), "{:?}", cmp.failures);
         assert!(cmp
             .notes
@@ -337,7 +333,7 @@ mod tests {
             .as_mut()
             .unwrap()
             .final_hpwl *= 1.10;
-        let cmp = compare_batch_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_batch_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(
             cmp.failures[0].starts_with("[second]") && cmp.failures[0].contains("HPWL regressed"),
@@ -351,7 +347,7 @@ mod tests {
         let base = sample_batch();
         let mut cur = base.clone();
         cur.jobs[0] = JobRecord::failed("golden", "oops");
-        let cmp = compare_batch_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_batch_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(
             cmp.failures[0].contains("status changed: completed -> failed (oops)"),
@@ -365,7 +361,7 @@ mod tests {
         let base = sample_batch();
         let mut cur = base.clone();
         cur.jobs.remove(1);
-        let cmp = compare_batch_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_batch_reports(&base, &cur);
         assert_eq!(cmp.failures.len(), 1);
         assert!(cmp.failures[0].contains("job set mismatch"));
     }

@@ -490,7 +490,7 @@ mod tests {
             gamma: 80.0,
             omega: 0.61,
             r_ratio: 2.5e-3,
-            density_skipped: i % 2 == 0,
+            density_skipped: i.is_multiple_of(2),
             modeled_ns: 123_456,
             launches: 17,
         }

@@ -18,12 +18,12 @@
 //!   (metrics, config echo, thread count, wall + modeled time),
 //! * [`compare_reports`] — the regression comparator behind
 //!   `scripts/check_regression.sh`: deterministic quantities (HPWL,
-//!   modeled time, launch counts, structure) hard-fail beyond tolerance,
-//!   wall-clock drift only warns,
+//!   modeled time, launch counts, structure) hard-fail beyond fixed bounds
+//!   ([`HPWL_PCT`], [`MODELED_TIME_PCT`], [`LAUNCHES_PCT`]), wall-clock
+//!   drift beyond [`WALL_WARN_PCT`] only warns,
 //! * [`BatchReport`] — the manifest-ordered array of per-job records
 //!   ([`JobRecord`]: status + optional [`RunReport`]) a batch run writes;
-//!   [`compare_batch_reports`] gates it job by job through the same
-//!   tolerances.
+//!   [`compare_batch_reports`] gates it job by job under the same bounds.
 //!
 //! Everything serializes through `xplace-testkit`'s hand-rolled
 //! [`ToJson`](xplace_testkit::json::ToJson) /
@@ -50,7 +50,10 @@ mod sink;
 
 pub use batch::{compare_batch_reports, BatchReport, JobRecord, JobStatus};
 pub use event::{stage_of, ConfigEcho, IterationRecord, ProfileDelta, Stage, TelemetryEvent};
-pub use regression::{compare_reports, inject_regression, Comparison, GatedSection, Tolerances};
+pub use regression::{
+    compare_reports, inject_regression, Comparison, GatedSection, HPWL_PCT, LAUNCHES_PCT,
+    MODELED_TIME_PCT, WALL_WARN_PCT,
+};
 pub use report::{
     DpMetrics, ExploreGeneration, ExploreMember, ExploreMetrics, GpMetrics, LgMetrics,
     RouteMetrics, RunReport, ScalingMetrics, ScalingPoint, SpectralGrid, SpectralMetrics,

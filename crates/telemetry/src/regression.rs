@@ -7,29 +7,14 @@
 
 use crate::{ExploreMetrics, RunReport, ScalingMetrics, SpectralMetrics};
 
-/// Relative tolerances, in percent, for the gated quantities.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerances {
-    /// Maximum final-HPWL regression (%).
-    pub hpwl_pct: f64,
-    /// Maximum modeled-GPU-time regression (%).
-    pub modeled_time_pct: f64,
-    /// Maximum kernel-launch-count growth (%).
-    pub launches_pct: f64,
-    /// Wall-clock growth (%) beyond which a *warning* is raised.
-    pub wall_warn_pct: f64,
-}
-
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            hpwl_pct: 2.0,
-            modeled_time_pct: 5.0,
-            launches_pct: 2.0,
-            wall_warn_pct: 50.0,
-        }
-    }
-}
+/// Maximum final-HPWL regression (%).
+pub const HPWL_PCT: f64 = 2.0;
+/// Maximum modeled-GPU-time regression (%).
+pub const MODELED_TIME_PCT: f64 = 5.0;
+/// Maximum kernel-launch-count growth (%).
+pub const LAUNCHES_PCT: f64 = 2.0;
+/// Wall-clock growth (%) beyond which a *warning* is raised.
+pub const WALL_WARN_PCT: f64 = 50.0;
 
 /// Outcome of comparing a fresh [`RunReport`] against a baseline.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -94,7 +79,7 @@ pub trait GatedSection: Sized {
     fn of_mut(report: &mut RunReport) -> &mut Option<Self>;
 
     /// Compares two sections into `cmp`.
-    fn compare(baseline: &Self, current: &Self, tol: &Tolerances, cmp: &mut Comparison);
+    fn compare(baseline: &Self, current: &Self, cmp: &mut Comparison);
 
     /// Self-test hook: fakes a regression of the section's gated metric
     /// by `factor`, so CI can prove the gate fails when it should.
@@ -119,14 +104,13 @@ fn visit_sections(visitor: &mut impl SectionVisitor) {
 struct CompareSections<'a> {
     baseline: &'a RunReport,
     current: &'a RunReport,
-    tol: &'a Tolerances,
     cmp: &'a mut Comparison,
 }
 
 impl SectionVisitor for CompareSections<'_> {
     fn visit<S: GatedSection>(&mut self) {
         match (S::of(self.baseline), S::of(self.current)) {
-            (Some(base), Some(cur)) => S::compare(base, cur, self.tol, self.cmp),
+            (Some(base), Some(cur)) => S::compare(base, cur, self.cmp),
             (Some(_), None) => self.cmp.failures.push(format!(
                 "{} missing from current report (baseline has one) — coverage was lost",
                 S::LABEL
@@ -140,12 +124,13 @@ impl SectionVisitor for CompareSections<'_> {
     }
 }
 
-/// Compares `current` against `baseline` under `tol`.
+/// Compares `current` against `baseline`.
 ///
 /// Structure (design identity, configuration echo, iteration count) must
 /// match exactly; HPWL, modeled time and launch counts may regress up to
-/// their tolerance; improvements are noted; wall-clock drift only warns.
-pub fn compare_reports(baseline: &RunReport, current: &RunReport, tol: &Tolerances) -> Comparison {
+/// their bound ([`HPWL_PCT`], [`MODELED_TIME_PCT`], [`LAUNCHES_PCT`]);
+/// improvements are noted; wall-clock drift only warns.
+pub fn compare_reports(baseline: &RunReport, current: &RunReport) -> Comparison {
     let mut cmp = Comparison::default();
 
     // --- Structure: the runs must be the same experiment. ---
@@ -181,12 +166,12 @@ pub fn compare_reports(baseline: &RunReport, current: &RunReport, tol: &Toleranc
 
     // --- Gated metrics (deterministic, so regressions hard-fail). ---
     let hpwl = pct_change(baseline.final_hpwl(), current.final_hpwl());
-    if hpwl > tol.hpwl_pct {
+    if hpwl > HPWL_PCT {
         cmp.failures.push(format!(
             "HPWL regressed {hpwl:+.2}% ({:.1} -> {:.1}), tolerance {}%",
             baseline.final_hpwl(),
             current.final_hpwl(),
-            tol.hpwl_pct
+            HPWL_PCT
         ));
     } else if hpwl < -0.01 {
         cmp.notes.push(format!(
@@ -197,12 +182,12 @@ pub fn compare_reports(baseline: &RunReport, current: &RunReport, tol: &Toleranc
     }
 
     let modeled = pct_change(baseline.gp.modeled_ns as f64, current.gp.modeled_ns as f64);
-    if modeled > tol.modeled_time_pct {
+    if modeled > MODELED_TIME_PCT {
         cmp.failures.push(format!(
             "modeled GP time regressed {modeled:+.2}% ({:.3}s -> {:.3}s), tolerance {}%",
             baseline.gp.modeled_seconds(),
             current.gp.modeled_seconds(),
-            tol.modeled_time_pct
+            MODELED_TIME_PCT
         ));
     } else if modeled < -0.01 {
         cmp.notes.push(format!(
@@ -213,16 +198,16 @@ pub fn compare_reports(baseline: &RunReport, current: &RunReport, tol: &Toleranc
     }
 
     let launches = pct_change(baseline.gp.launches as f64, current.gp.launches as f64);
-    if launches > tol.launches_pct {
+    if launches > LAUNCHES_PCT {
         cmp.failures.push(format!(
             "kernel launches grew {launches:+.2}% ({} -> {}), tolerance {}%",
-            baseline.gp.launches, current.gp.launches, tol.launches_pct
+            baseline.gp.launches, current.gp.launches, LAUNCHES_PCT
         ));
     }
 
     // --- Wall clock: machine-dependent, warn only. ---
     let wall = pct_change(baseline.gp.wall_seconds, current.gp.wall_seconds);
-    if wall > tol.wall_warn_pct {
+    if wall > WALL_WARN_PCT {
         cmp.warnings.push(format!(
             "GP wall time {wall:+.1}% ({:.2}s -> {:.2}s) — machine-dependent, not gated",
             baseline.gp.wall_seconds, current.gp.wall_seconds
@@ -233,7 +218,6 @@ pub fn compare_reports(baseline: &RunReport, current: &RunReport, tol: &Toleranc
     visit_sections(&mut CompareSections {
         baseline,
         current,
-        tol,
         cmp: &mut cmp,
     });
 
@@ -326,9 +310,9 @@ impl GatedSection for SpectralMetrics {
     ///
     /// The grid set must match exactly (dropping a grid silently would hide a
     /// regression). Per grid, `modeled_ns` is deterministic cost-model output
-    /// and hard-gates at `tol.modeled_time_pct`; `solve_wall_ns` is
-    /// machine-dependent and warns at `tol.wall_warn_pct`.
-    fn compare(baseline: &Self, current: &Self, tol: &Tolerances, cmp: &mut Comparison) {
+    /// and hard-gates at [`MODELED_TIME_PCT`]; `solve_wall_ns` is
+    /// machine-dependent and warns at [`WALL_WARN_PCT`].
+    fn compare(baseline: &Self, current: &Self, cmp: &mut Comparison) {
         let base_grids: Vec<usize> = baseline.grids.iter().map(|g| g.n).collect();
         let cur_grids: Vec<usize> = current.grids.iter().map(|g| g.n).collect();
         if base_grids != cur_grids {
@@ -340,13 +324,13 @@ impl GatedSection for SpectralMetrics {
         }
         for (base, cur) in baseline.grids.iter().zip(&current.grids) {
             let modeled = pct_change(base.modeled_ns as f64, cur.modeled_ns as f64);
-            if modeled > tol.modeled_time_pct {
+            if modeled > MODELED_TIME_PCT {
                 cmp.failures.push(format!(
                     "spectral {n}x{n} modeled transform time regressed {modeled:+.2}% \
                      ({} -> {} ns/iter), tolerance {}%",
                     base.modeled_ns,
                     cur.modeled_ns,
-                    tol.modeled_time_pct,
+                    MODELED_TIME_PCT,
                     n = base.n
                 ));
             } else if modeled < -0.01 {
@@ -359,7 +343,7 @@ impl GatedSection for SpectralMetrics {
                 ));
             }
             let wall = pct_change(base.solve_wall_ns as f64, cur.solve_wall_ns as f64);
-            if wall > tol.wall_warn_pct {
+            if wall > WALL_WARN_PCT {
                 cmp.warnings.push(format!(
                     "spectral {n}x{n} solve wall {wall:+.1}% ({} -> {} ns) — \
                      machine-dependent, not gated",
@@ -397,7 +381,7 @@ impl GatedSection for ScalingMetrics {
     /// match exactly in order (dropping a size silently would hide a
     /// regression). Per point, the iteration count must match exactly (the
     /// flow is deterministic) and the per-cell modeled cost hard-gates at
-    /// `tol.modeled_time_pct`; wall-clock drift warns at `tol.wall_warn_pct`.
+    /// [`MODELED_TIME_PCT`]; wall-clock drift warns at [`WALL_WARN_PCT`].
     /// Additionally, whenever the current report carries a flat point, every
     /// multilevel point's per-cell cost must stay at or below the *smallest*
     /// flat point's (the anchor) beyond tolerance — small grids are
@@ -405,7 +389,7 @@ impl GatedSection for ScalingMetrics {
     /// growing the design; the multilevel phase exists to keep that
     /// amortization alive at the 100k–1M scale, and this pins the claim into
     /// the gate.
-    fn compare(baseline: &Self, current: &Self, tol: &Tolerances, cmp: &mut Comparison) {
+    fn compare(baseline: &Self, current: &Self, cmp: &mut Comparison) {
         let base_keys: Vec<_> = baseline.points.iter().map(|p| p.key()).collect();
         let cur_keys: Vec<_> = current.points.iter().map(|p| p.key()).collect();
         if base_keys != cur_keys {
@@ -431,13 +415,13 @@ impl GatedSection for ScalingMetrics {
                 continue;
             }
             let per_cell = pct_change(base.ns_per_cell_iter(), cur.ns_per_cell_iter());
-            if per_cell > tol.modeled_time_pct {
+            if per_cell > MODELED_TIME_PCT {
                 cmp.failures.push(format!(
                     "{label} per-cell modeled cost regressed {per_cell:+.2}% \
                      ({:.3} -> {:.3} ns/cell/iter), tolerance {}%",
                     base.ns_per_cell_iter(),
                     cur.ns_per_cell_iter(),
-                    tol.modeled_time_pct
+                    MODELED_TIME_PCT
                 ));
             } else if per_cell < -0.01 {
                 cmp.notes.push(format!(
@@ -448,7 +432,7 @@ impl GatedSection for ScalingMetrics {
                 ));
             }
             let wall = pct_change(base.wall_seconds, cur.wall_seconds);
-            if wall > tol.wall_warn_pct {
+            if wall > WALL_WARN_PCT {
                 cmp.warnings.push(format!(
                     "{label} wall time {wall:+.1}% ({:.2}s -> {:.2}s) — \
                      machine-dependent, not gated",
@@ -466,7 +450,7 @@ impl GatedSection for ScalingMetrics {
         if let Some(anchor) = anchor {
             for ml in current.points.iter().filter(|p| p.multilevel) {
                 let delta = pct_change(anchor.ns_per_cell_iter(), ml.ns_per_cell_iter());
-                if delta > tol.modeled_time_pct {
+                if delta > MODELED_TIME_PCT {
                     cmp.failures.push(format!(
                         "scaling {}c: multilevel per-cell modeled cost exceeds the flat \
                          {}c anchor {delta:+.2}% ({:.3} vs {:.3} ns/cell/iter), tolerance {}%",
@@ -474,7 +458,7 @@ impl GatedSection for ScalingMetrics {
                         anchor.cells,
                         ml.ns_per_cell_iter(),
                         anchor.ns_per_cell_iter(),
-                        tol.modeled_time_pct
+                        MODELED_TIME_PCT
                     ));
                 } else {
                     cmp.notes.push(format!(
@@ -516,9 +500,9 @@ impl GatedSection for ExploreMetrics {
     /// winner index and winner lineage — is deterministic output of the seeded
     /// culling schedule and must match exactly (a shifted lineage means the
     /// population took a different trajectory). The winner's HPWL hard-gates at
-    /// `tol.hpwl_pct` and the total modeled exploration cost at
-    /// `tol.modeled_time_pct`; improvements are noted.
-    fn compare(baseline: &Self, current: &Self, tol: &Tolerances, cmp: &mut Comparison) {
+    /// [`HPWL_PCT`] and the total modeled exploration cost at
+    /// [`MODELED_TIME_PCT`]; improvements are noted.
+    fn compare(baseline: &Self, current: &Self, cmp: &mut Comparison) {
         let base_shape = (
             baseline.members,
             baseline.keep,
@@ -552,10 +536,10 @@ impl GatedSection for ExploreMetrics {
             return;
         }
         let hpwl = pct_change(baseline.winner_hpwl, current.winner_hpwl);
-        if hpwl > tol.hpwl_pct {
+        if hpwl > HPWL_PCT {
             cmp.failures.push(format!(
                 "exploration winner HPWL regressed {hpwl:+.2}% ({:.1} -> {:.1}), tolerance {}%",
-                baseline.winner_hpwl, current.winner_hpwl, tol.hpwl_pct
+                baseline.winner_hpwl, current.winner_hpwl, HPWL_PCT
             ));
         } else if hpwl < -0.01 {
             cmp.notes.push(format!(
@@ -567,13 +551,13 @@ impl GatedSection for ExploreMetrics {
             baseline.total_modeled_ns as f64,
             current.total_modeled_ns as f64,
         );
-        if modeled > tol.modeled_time_pct {
+        if modeled > MODELED_TIME_PCT {
             cmp.failures.push(format!(
                 "exploration total modeled time regressed {modeled:+.2}% \
                  ({:.3}s -> {:.3}s), tolerance {}%",
                 baseline.total_modeled_ns as f64 / 1e9,
                 current.total_modeled_ns as f64 / 1e9,
-                tol.modeled_time_pct
+                MODELED_TIME_PCT
             ));
         } else if modeled < -0.01 {
             cmp.notes.push(format!(
@@ -598,7 +582,7 @@ mod tests {
     #[test]
     fn identical_reports_pass() {
         let base = sample_report();
-        let cmp = compare_reports(&base, &base.clone(), &Tolerances::default());
+        let cmp = compare_reports(&base, &base.clone());
         assert!(cmp.passed(), "{:?}", cmp.failures);
         assert!(cmp.warnings.is_empty());
     }
@@ -609,7 +593,7 @@ mod tests {
         let mut cur = base.clone();
         // final_hpwl() reads the DP stage.
         cur.dp.as_mut().unwrap().final_hpwl *= 1.10;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(
             cmp.failures[0].contains("HPWL regressed"),
@@ -623,7 +607,7 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.dp.as_mut().unwrap().final_hpwl *= 0.90;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(cmp.passed());
         assert!(cmp.notes.iter().any(|n| n.contains("HPWL improved")));
     }
@@ -633,7 +617,7 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.gp.modeled_ns = (cur.gp.modeled_ns as f64 * 1.2) as u64;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(cmp
             .failures
@@ -646,7 +630,7 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.gp.launches += cur.gp.launches / 10;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(cmp.failures.iter().any(|f| f.contains("launches grew")));
     }
@@ -656,10 +640,49 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.gp.wall_seconds *= 3.0; // a slower machine, not a regression
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(cmp.passed());
         assert!(!cmp.warnings.is_empty());
         assert!(cmp.render().contains("warn"));
+    }
+
+    #[test]
+    fn each_bound_passes_just_under_and_fails_just_over() {
+        type Scale = fn(&mut RunReport, f64);
+        let base = sample_report();
+        let scaled = |pct: f64, scale: Scale| {
+            let mut cur = base.clone();
+            scale(&mut cur, 1.0 + pct / 100.0);
+            compare_reports(&base, &cur)
+        };
+        let gated: [(&str, f64, Scale); 3] = [
+            ("HPWL regressed", HPWL_PCT, |r, f| {
+                r.dp.as_mut().unwrap().final_hpwl *= f
+            }),
+            ("modeled GP time regressed", MODELED_TIME_PCT, |r, f| {
+                r.gp.modeled_ns = (r.gp.modeled_ns as f64 * f) as u64
+            }),
+            ("kernel launches grew", LAUNCHES_PCT, |r, f| {
+                r.gp.launches = (r.gp.launches as f64 * f).round() as u64
+            }),
+        ];
+        for (failure, bound, scale) in gated {
+            let under = scaled(bound - 0.05, scale);
+            assert!(under.passed(), "{failure}: {:?}", under.failures);
+            let over = scaled(bound + 0.05, scale);
+            assert!(
+                over.failures.iter().any(|f| f.contains(failure)),
+                "{failure}: {:?}",
+                over.failures
+            );
+        }
+
+        let wall: Scale = |r, f| r.gp.wall_seconds *= f;
+        let under = scaled(WALL_WARN_PCT - 0.05, wall);
+        assert!(under.warnings.is_empty(), "{:?}", under.warnings);
+        let over = scaled(WALL_WARN_PCT + 0.05, wall);
+        assert!(over.passed(), "{:?}", over.failures);
+        assert!(over.warnings.iter().any(|w| w.contains("GP wall time")));
     }
 
     #[test]
@@ -668,7 +691,7 @@ mod tests {
         let mut cur = base.clone();
         cur.design = "other".into();
         cur.dp.as_mut().unwrap().final_hpwl *= 2.0;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert_eq!(cmp.failures.len(), 1, "{:?}", cmp.failures);
         assert!(cmp.failures[0].contains("design mismatch"));
     }
@@ -678,7 +701,7 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.gp.iterations += 1;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(cmp
             .failures
             .iter()
@@ -691,7 +714,7 @@ mod tests {
         let mut cur = base.clone();
         let grid = &mut cur.spectral.as_mut().unwrap().grids[1];
         grid.modeled_ns = (grid.modeled_ns as f64 * 1.10) as u64;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(
             cmp.failures
@@ -709,7 +732,7 @@ mod tests {
         for g in &mut cur.spectral.as_mut().unwrap().grids {
             g.modeled_ns = (g.modeled_ns as f64 * 0.8) as u64;
         }
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(cmp.passed(), "{:?}", cmp.failures);
         assert!(cmp
             .notes
@@ -722,7 +745,7 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.spectral.as_mut().unwrap().grids[0].solve_wall_ns *= 3;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(cmp.passed(), "{:?}", cmp.failures);
         assert!(cmp
             .warnings
@@ -735,7 +758,7 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.spectral.as_mut().unwrap().grids.pop();
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(cmp
             .failures
@@ -749,7 +772,7 @@ mod tests {
         let mut cur = base.clone();
         let point = &mut cur.scaling.as_mut().unwrap().points[0];
         point.modeled_ns = (point.modeled_ns as f64 * 1.10) as u64;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(
             cmp.failures
@@ -767,7 +790,7 @@ mod tests {
         for p in &mut cur.scaling.as_mut().unwrap().points {
             p.modeled_ns = (p.modeled_ns as f64 * 0.8) as u64;
         }
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(cmp.passed(), "{:?}", cmp.failures);
         assert!(cmp
             .notes
@@ -780,7 +803,7 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.scaling.as_mut().unwrap().points[1].iterations += 1;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(cmp
             .failures
@@ -793,7 +816,7 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.scaling.as_mut().unwrap().points[0].wall_seconds *= 3.0;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(cmp.passed(), "{:?}", cmp.failures);
         assert!(cmp.warnings.iter().any(|w| w.contains("scaling 10000c")));
     }
@@ -803,7 +826,7 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.scaling.as_mut().unwrap().points.pop();
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(cmp
             .failures
@@ -824,7 +847,7 @@ mod tests {
             ml.modeled_ns = (ml.cells * ml.iterations) as u64 * 12;
         }
         let cur = base.clone();
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(
             cmp.failures
@@ -840,7 +863,7 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.explore.as_mut().unwrap().winner_hpwl *= 1.10;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(
             cmp.failures
@@ -860,7 +883,7 @@ mod tests {
             explore.winner_hpwl *= 0.9;
             explore.total_modeled_ns = (explore.total_modeled_ns as f64 * 0.8) as u64;
         }
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(cmp.passed(), "{:?}", cmp.failures);
         assert!(cmp
             .notes
@@ -878,7 +901,7 @@ mod tests {
         let mut cur = base.clone();
         let explore = cur.explore.as_mut().unwrap();
         explore.total_modeled_ns = (explore.total_modeled_ns as f64 * 1.2) as u64;
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(cmp
             .failures
@@ -891,7 +914,7 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.explore.as_mut().unwrap().winner_lineage = vec![0, 1];
-        let cmp = compare_reports(&base, &cur, &Tolerances::default());
+        let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
         assert!(cmp
             .failures
@@ -902,14 +925,13 @@ mod tests {
     /// The contract every [`GatedSection`] impl shares, checked through
     /// [`compare_reports`] on the sample report.
     fn gated_section_contract<S: GatedSection>() {
-        let tol = Tolerances::default();
         let base = sample_report();
-        let cmp = compare_reports(&base, &base.clone(), &tol);
+        let cmp = compare_reports(&base, &base.clone());
         assert!(cmp.passed(), "{}: identical: {:?}", S::KEY, cmp.failures);
 
         let mut inflated = base.clone();
         inject_regression(&mut inflated, S::KEY, 1.10).unwrap();
-        let cmp = compare_reports(&base, &inflated, &tol);
+        let cmp = compare_reports(&base, &inflated);
         assert!(!cmp.passed(), "{}: an injected +10% must fail", S::KEY);
 
         let mut dropped = base.clone();
@@ -921,7 +943,7 @@ mod tests {
                 S::KEY
             ))
         );
-        let cmp = compare_reports(&base, &dropped, &tol);
+        let cmp = compare_reports(&base, &dropped);
         let missing = format!("{} missing", S::LABEL);
         assert!(
             cmp.failures.iter().any(|f| f.contains(&missing)),
@@ -930,7 +952,7 @@ mod tests {
             cmp.failures
         );
 
-        let cmp = compare_reports(&dropped, &base, &tol);
+        let cmp = compare_reports(&dropped, &base);
         assert!(cmp.passed(), "{}: adding: {:?}", S::KEY, cmp.failures);
         let added = format!("{} added", S::LABEL);
         assert!(cmp.notes.iter().any(|n| n.contains(&added)), "{}", S::KEY);
@@ -955,7 +977,7 @@ mod tests {
         let base = sample_report();
         let mut inflated = base.clone();
         inject_regression(&mut inflated, "hpwl", 1.10).unwrap();
-        let cmp = compare_reports(&base, &inflated, &Tolerances::default());
+        let cmp = compare_reports(&base, &inflated);
         assert!(cmp.failures.iter().any(|f| f.contains("HPWL regressed")));
 
         let err = inject_regression(&mut base.clone(), "wirelength", 1.10).unwrap_err();

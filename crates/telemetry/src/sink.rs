@@ -306,7 +306,7 @@ mod tests {
     impl Write for FailAfter {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             if self.0 == 0 {
-                Err(io::Error::new(io::ErrorKind::Other, "disk full"))
+                Err(io::Error::other("disk full"))
             } else {
                 self.0 -= 1;
                 Ok(buf.len())

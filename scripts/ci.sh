@@ -247,9 +247,9 @@ echo "==> coarsening smoke: 1M-cell hierarchy construction completes"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy (ops + parallel, warnings are errors)"
-# Scoped to the kernel and pool crates, which are lint-clean; the rest of
-# the workspace is not yet.
-cargo clippy -p xplace-ops -p xplace-parallel --all-targets --no-deps -- -D warnings
+echo "==> cargo clippy (ops, parallel, core, sched, telemetry, bench; warnings are errors)"
+# Scoped to the lint-clean crates; the rest of the workspace is not yet.
+cargo clippy -p xplace-ops -p xplace-parallel -p xplace-core -p xplace-sched \
+    -p xplace-telemetry -p xplace-bench --all-targets --no-deps -- -D warnings
 
 echo "CI gate passed."

@@ -39,6 +39,21 @@ pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// Parses the value of an optional `flag`: `Ok(None)` when the flag is
+/// absent; a present-but-unparseable value is a hard error naming the flag.
+pub fn parse_optional_flag<T>(args: &[String], flag: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    flag_value(args, flag)?
+        .map(|v| {
+            v.parse()
+                .map_err(|e| format!("invalid value '{v}' for {flag}: {e}"))
+        })
+        .transpose()
+}
+
 /// Parses the value of a numeric `flag`, falling back to `default` only when
 /// the flag is absent; a present-but-unparseable value is a hard error, not
 /// a silent fallback.
@@ -47,12 +62,7 @@ where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
 {
-    match flag_value(args, flag)? {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|e| format!("invalid value '{v}' for {flag}: {e}")),
-    }
+    Ok(parse_optional_flag(args, flag)?.unwrap_or(default))
 }
 
 /// Returns the positional argument at `index`, or `None` when it is absent
@@ -121,13 +131,7 @@ pub fn parse_place_robust_args(args: &[String]) -> Result<PlaceRobustArgs, Strin
         checkpoint_every,
         checkpoint_file,
         resume_from: flag_value(args, "--resume-from")?.map(std::path::PathBuf::from),
-        deadline_ns: match flag_value(args, "--deadline-ns")? {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|e| format!("invalid value '{v}' for --deadline-ns: {e}"))?,
-            ),
-        },
+        deadline_ns: parse_optional_flag(args, "--deadline-ns")?,
     })
 }
 
@@ -151,14 +155,7 @@ pub struct ExploreArgs {
 /// Rejects `--explore 0`, a keep count outside `1..=K`, zero
 /// generations, orphaned satellite flags, and garbage values.
 pub fn parse_explore_args(args: &[String]) -> Result<Option<ExploreArgs>, String> {
-    let members: Option<usize> = match flag_value(args, "--explore")? {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|e| format!("invalid value '{v}' for --explore: {e}"))?,
-        ),
-    };
-    let Some(members) = members else {
+    let Some(members) = parse_optional_flag::<usize>(args, "--explore")? else {
         for orphan in ["--explore-generations", "--explore-keep"] {
             if has_flag(args, orphan) {
                 return Err(format!("{orphan} requires --explore"));
@@ -223,13 +220,7 @@ pub fn parse_batch_args(
         threads: parse_threads(args, default_threads)?,
         trace_dir: flag_value(args, "--trace-dir")?.map(std::path::PathBuf::from),
         report: flag_value(args, "--report")?.map(std::path::PathBuf::from),
-        retries: match flag_value(args, "--retries")? {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|e| format!("invalid value '{v}' for --retries: {e}"))?,
-            ),
-        },
+        retries: parse_optional_flag(args, "--retries")?,
     }))
 }
 
@@ -402,6 +393,17 @@ mod tests {
     fn flag_value_rejects_trailing_flag_without_value() {
         let args = argv(&["d.aux", "-o"]);
         assert!(flag_value(&args, "-o").is_err());
+        let args = argv(&["--out", "r.json", "--inject", "--smoke", "--threads"]);
+        assert_eq!(flag_value(&args, "--reps"), Ok(None));
+        assert_eq!(flag_value(&args, "--out"), Ok(Some("r.json".into())));
+        assert_eq!(
+            flag_value(&args, "--inject"),
+            Err("missing value for --inject".into())
+        );
+        assert_eq!(
+            flag_value(&args, "--threads"),
+            Err("missing value for --threads".into())
+        );
     }
 
     #[test]
@@ -466,10 +468,17 @@ mod tests {
     fn threads_zero_is_rejected() {
         let args = argv(&["--threads", "0"]);
         let err = parse_threads(&args, 4).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
+        assert_eq!(err, "--threads must be at least 1");
         let args = argv(&["--threads", "2"]);
         assert_eq!(parse_threads(&args, 4).unwrap(), 2);
         assert_eq!(parse_threads(&argv(&[]), 4).unwrap(), 4);
+        let err = parse_threads(&argv(&["--threads", "many"]), 4).unwrap_err();
+        assert!(
+            err.starts_with("invalid value 'many' for --threads"),
+            "{err}"
+        );
+        let err = parse_threads(&argv(&["--threads", "--smoke"]), 4).unwrap_err();
+        assert_eq!(err, "missing value for --threads");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 use xplace::sched::{run_batch, BatchManifest, CANCELLED_MSG};
 use xplace::serve::{Client, ServeConfig, Server, Submission};
-use xplace::telemetry::{compare_batch_reports, JobStatus, Json, Tolerances};
+use xplace::telemetry::{compare_batch_reports, JobStatus, Json};
 
 const MAX_ITERS: usize = 120;
 
@@ -95,7 +95,7 @@ fn wire_submission_matches_batch_bytewise_for_any_thread_count() {
         // Reports: equivalent under the regression comparator (which
         // hard-compares every deterministic quantity and the config
         // echo, and only warns on wall-clock drift).
-        let cmp = compare_batch_reports(&reference.report, &wire.report, &Tolerances::default());
+        let cmp = compare_batch_reports(&reference.report, &wire.report);
         assert!(
             cmp.passed(),
             "wire report diverged at {threads} thread(s): {:?}",

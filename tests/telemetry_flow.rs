@@ -7,7 +7,6 @@ use xplace::db::synthesis::{synthesize, SynthesisSpec};
 use xplace::sched::finish_flow;
 use xplace::telemetry::{
     compare_reports, parse_trace, FromJson, JsonLinesSink, RunReport, TelemetryEvent, ToJson,
-    Tolerances,
 };
 
 fn config(max_iters: usize) -> XplaceConfig {
@@ -128,7 +127,7 @@ fn comparator_passes_identical_runs_and_fails_injected_regressions() {
     };
     let baseline = run();
     let fresh = run();
-    let cmp = compare_reports(&baseline, &fresh, &Tolerances::default());
+    let cmp = compare_reports(&baseline, &fresh);
     assert!(
         cmp.passed(),
         "identical deterministic runs must pass: {:?}",
@@ -137,6 +136,6 @@ fn comparator_passes_identical_runs_and_fails_injected_regressions() {
 
     let mut regressed = fresh.clone();
     regressed.gp.final_hpwl *= 1.10;
-    let cmp = compare_reports(&baseline, &regressed, &Tolerances::default());
+    let cmp = compare_reports(&baseline, &regressed);
     assert!(!cmp.passed(), "a +10% HPWL regression must fail the gate");
 }
