@@ -3,15 +3,14 @@
 //! determinism invariants checked after the dust settles.
 //!
 //! ```text
-//! chaos_soak [--smoke] [--seed N] [--jobs N] [--kills N] [--cells N]
-//!            [--iters N] [--clients N] [--batches N] [--drops N]
+//! chaos_soak [--smoke] [--seed N]
 //! ```
 //!
 //! Three legs, all driven by one seeded pseudo-random schedule so a
 //! failure reproduces from the printed seed:
 //!
-//! 1. **Kill random jobs** — a batch of `--jobs` jobs where `--kills`
-//!    randomly chosen jobs crash (injected GP panic, once) under a
+//! 1. **Kill random jobs** — a batch of jobs where a few randomly
+//!    chosen ones crash (injected GP panic, once) under a
 //!    retry budget and a checkpoint cadence. Invariants: every job
 //!    completes exactly once (zero lost, zero duplicated), killed jobs
 //!    record their retry and at least one snapshot, and every final
@@ -20,18 +19,20 @@
 //! 2. **Checkpoint-resume bit-equality** — each recovered job's trace is
 //!    the resumed suffix; its tail must be a byte-exact suffix of the
 //!    fault-free trace.
-//! 3. **Drop random clients** — `--clients` concurrent clients submit
-//!    `--batches` manifests each to an in-process daemon; `--drops`
-//!    randomly chosen submissions sever their connection mid-stream.
+//! 3. **Drop random clients** — concurrent clients submit several
+//!    manifests each to an in-process daemon; randomly chosen
+//!    submissions sever their connection mid-stream.
 //!    Invariants: the daemon finishes every admitted batch (completed +
 //!    failed job counts conserve the total exactly — nothing lost,
 //!    nothing run twice), and surviving clients' artifacts are
 //!    byte-identical to an undisturbed `run_batch`.
 //!
-//! `--smoke` shrinks every knob to a seconds-scale variant for CI.
+//! `--smoke` runs the seconds-scale variant for CI (6 jobs with 2 kills,
+//! 3 clients x 2 batches with 2 drops); the full run is 12 jobs with 4
+//! kills and 4 clients x 3 batches with 4 drops.
 
 use std::time::{Duration, Instant};
-use xplace_bench::argv_parse;
+use xplace_bench::{argv_only, argv_parse};
 use xplace_sched::{run_batch, BatchManifest};
 use xplace_serve::{Client, ServeConfig, Server};
 use xplace_telemetry::Json;
@@ -87,13 +88,13 @@ fn chaos_config(smoke: bool) -> ChaosConfig {
     };
     ChaosConfig {
         seed: argv_parse("--seed", 0xc4a05),
-        jobs: argv_parse("--jobs", jobs),
-        kills: argv_parse("--kills", kills),
-        cells: argv_parse("--cells", cells),
-        iters: argv_parse("--iters", iters),
-        clients: argv_parse("--clients", clients),
-        batches: argv_parse("--batches", batches),
-        drops: argv_parse("--drops", drops),
+        jobs,
+        kills,
+        cells,
+        iters,
+        clients,
+        batches,
+        drops,
     }
 }
 
@@ -395,6 +396,7 @@ fn drop_random_clients(cfg: &ChaosConfig, chaos: &mut Chaos) {
 }
 
 fn main() {
+    argv_only(&["--smoke", "--seed"]);
     let smoke = std::env::args().any(|a| a == "--smoke");
     let cfg = chaos_config(smoke);
     println!(

@@ -1,16 +1,14 @@
 //! Soak-tests the serving daemon under sustained multi-client load.
 //!
 //! ```text
-//! serve_soak [--smoke] [--addr HOST:PORT] [--clients N] [--batches N]
-//!            [--jobs N] [--cells N] [--iters N] [--designs N]
-//!            [--threads N] [--queue-depth N] [--out-dir DIR]
+//! serve_soak [--smoke] [--addr HOST:PORT] [--out-dir DIR]
 //! ```
 //!
-//! Spawns an in-process daemon (or attaches to `--addr`) and drives it
-//! with `--clients` concurrent clients, each submitting `--batches`
-//! manifests of `--jobs` jobs back to back. The queue depth is kept
-//! deliberately small so load shedding fires and the polite retry loop
-//! is exercised. Afterwards the harness asserts the soak invariants:
+//! Spawns an in-process daemon (2 threads, queue depth 2) or attaches to
+//! `--addr`, and drives it with concurrent clients, each submitting
+//! several manifests back to back. The queue depth is kept deliberately
+//! small so load shedding fires and the polite retry loop is exercised.
+//! Afterwards the harness asserts the soak invariants:
 //!
 //! * **zero lost completions** — every submitted job comes back as a
 //!   completed record with an intact trace, and the daemon's
@@ -19,18 +17,26 @@
 //! * **fairness** — the per-client completion counts never drift apart
 //!   by more than the client count (round-robin admission must not
 //!   starve anyone);
-//! * **cache hit floor** — all clients draw from one pool of `--designs`
-//!   distinct synthetic designs, so the daemon's design cache may miss
+//! * **cache hit floor** — all clients draw from one pool of distinct
+//!   synthetic designs, so the daemon's design cache may miss
 //!   at most once per distinct design and must hit everything else.
 //!
-//! `--smoke` shrinks every knob to a seconds-scale variant for CI.
+//! The full run is 4 clients x 5 batches x 10 jobs over 8 designs;
+//! `--smoke` runs the seconds-scale variant for CI, 3 clients x 2 batches
+//! x 4 jobs over 4 designs. `--out-dir` writes a JSON summary there.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use xplace_bench::{argv_flag, argv_parse, argv_threads, fmt, TextTable};
+use xplace_bench::{argv_flag, argv_only, fmt, TextTable};
 use xplace_serve::{Client, ServeConfig, Server, Submission};
 use xplace_telemetry::Json;
+
+/// Worker threads of the in-process daemon.
+const THREADS: usize = 2;
+/// Queue depth of the in-process daemon: small enough that shedding
+/// actually fires under full load.
+const QUEUE_DEPTH: usize = 2;
 
 struct SoakConfig {
     clients: usize,
@@ -39,8 +45,6 @@ struct SoakConfig {
     cells: usize,
     iters: usize,
     designs: usize,
-    threads: usize,
-    queue_depth: usize,
 }
 
 fn soak_config(smoke: bool) -> SoakConfig {
@@ -50,15 +54,12 @@ fn soak_config(smoke: bool) -> SoakConfig {
         (4, 5, 10, 80, 20, 8)
     };
     SoakConfig {
-        clients: argv_parse("--clients", clients),
-        batches: argv_parse("--batches", batches),
-        jobs: argv_parse("--jobs", jobs),
-        cells: argv_parse("--cells", cells),
-        iters: argv_parse("--iters", iters),
-        designs: argv_parse("--designs", designs),
-        threads: argv_threads(2),
-        // Small enough that shedding actually fires under full load.
-        queue_depth: argv_parse("--queue-depth", 2),
+        clients,
+        batches,
+        jobs,
+        cells,
+        iters,
+        designs,
     }
 }
 
@@ -99,12 +100,9 @@ struct ClientTally {
 }
 
 fn main() {
+    argv_only(&["--smoke", "--addr", "--out-dir"]);
     let smoke = std::env::args().any(|a| a == "--smoke");
     let cfg = soak_config(smoke);
-    assert!(
-        cfg.clients >= 3,
-        "a soak needs at least 3 concurrent clients"
-    );
     let total_batches = cfg.clients * cfg.batches;
     let total_jobs = total_batches * cfg.jobs;
     println!(
@@ -122,8 +120,8 @@ fn main() {
         Some(addr) => (addr, None),
         None => {
             let server = Server::bind(ServeConfig {
-                threads: cfg.threads,
-                queue_depth: cfg.queue_depth,
+                threads: THREADS,
+                queue_depth: QUEUE_DEPTH,
                 ..Default::default()
             })
             .expect("bind ephemeral port");

@@ -7,7 +7,7 @@
 //! The snapshot captures everything the loop carries across iterations:
 //! the reference solution held in the model (`x`/`y`, fillers included),
 //! the optimizer's main solution / BB history / momentum scalars, the
-//! scheduler parameters (γ, λ and their private update bookkeeping), ω,
+//! scheduler parameters (γ, λ and their update bookkeeping), ω,
 //! the best-overflow rollback snapshot, the telemetry edge-trigger state
 //! (current stage, skip-window flag), the previous evaluation, the
 //! engine's skip-window bookkeeping **including the cached electrostatic
@@ -15,7 +15,10 @@
 //! device profile accumulated so far (so `RunEnd` totals match).
 //!
 //! Saving emits no telemetry and reads no clocks, so a checkpointing
-//! run's trace is byte-identical to a non-checkpointing run's.
+//! run's trace is byte-identical to a non-checkpointing run's. The
+//! profile is stored in the trace's [`ProfileDelta`] form, without the
+//! measured `cpu_ns`, so two runs that save at the same iteration write
+//! the same bytes.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -24,11 +27,10 @@ use std::sync::Mutex;
 
 use crate::engine::{unit_hash, EngineState};
 use crate::optimizer::OptimizerState;
-use crate::params::ParamState;
-use crate::{EvalResult, PlaceError, XplaceConfig};
+use crate::{EvalResult, Parameters, PlaceError, XplaceConfig};
 use xplace_db::Design;
 use xplace_device::ProfileSnapshot;
-use xplace_telemetry::{ConfigEcho, FromJson, Json, JsonError, Stage, ToJson};
+use xplace_telemetry::{ConfigEcho, FromJson, Json, JsonError, ProfileDelta, Stage, ToJson};
 
 /// Format tag embedded in every checkpoint payload.
 const FORMAT: &str = "xplace-checkpoint";
@@ -56,7 +58,7 @@ pub struct Checkpoint {
     /// Model y positions.
     pub y: Vec<f64>,
     /// Scheduler parameters (γ, λ, update bookkeeping).
-    pub params: ParamState,
+    pub params: Parameters,
     /// Precondition weighted ratio ω after the previous step.
     pub omega: f64,
     /// Optimizer state; `None` if the first step had not happened yet.
@@ -79,7 +81,8 @@ pub struct Checkpoint {
     pub last_eval: Option<EvalResult>,
     /// Engine cross-iteration state (skip bookkeeping + cached field).
     pub engine: EngineState,
-    /// Modeled device profile accumulated up to the snapshot.
+    /// Modeled device profile accumulated up to the snapshot (`cpu_ns`
+    /// is not saved and parses back as 0).
     pub profile: ProfileSnapshot,
 }
 
@@ -135,7 +138,7 @@ fn eval_from_json(value: &Json) -> Result<EvalResult, JsonError> {
     })
 }
 
-fn params_to_json(p: &ParamState) -> Json {
+fn params_to_json(p: &Parameters) -> Json {
     Json::obj([
         ("gamma", Json::num(p.gamma)),
         ("lambda", Json::num(p.lambda)),
@@ -146,8 +149,8 @@ fn params_to_json(p: &ParamState) -> Json {
     ])
 }
 
-fn params_from_json(value: &Json) -> Result<ParamState, JsonError> {
-    Ok(ParamState {
+fn params_from_json(value: &Json) -> Result<Parameters, JsonError> {
+    Ok(Parameters {
         gamma: value.field("gamma")?.as_f64()?,
         lambda: value.field("lambda")?.as_f64()?,
         iteration: value.field("iteration")?.as_usize()?,
@@ -211,30 +214,6 @@ fn engine_from_json(value: &Json) -> Result<EngineState, JsonError> {
     })
 }
 
-fn profile_to_json(p: &ProfileSnapshot) -> Json {
-    Json::obj([
-        ("launches", p.launches.to_json()),
-        ("syncs", p.syncs.to_json()),
-        ("launch_overhead_ns", p.launch_overhead_ns.to_json()),
-        ("exec_ns", p.exec_ns.to_json()),
-        ("pipelined_ns", p.pipelined_ns.to_json()),
-        ("sync_stall_ns", p.sync_stall_ns.to_json()),
-        ("cpu_ns", p.cpu_ns.to_json()),
-    ])
-}
-
-fn profile_from_json(value: &Json) -> Result<ProfileSnapshot, JsonError> {
-    Ok(ProfileSnapshot {
-        launches: value.field("launches")?.as_u64()?,
-        syncs: value.field("syncs")?.as_u64()?,
-        launch_overhead_ns: value.field("launch_overhead_ns")?.as_u64()?,
-        exec_ns: value.field("exec_ns")?.as_u64()?,
-        pipelined_ns: value.field("pipelined_ns")?.as_u64()?,
-        sync_stall_ns: value.field("sync_stall_ns")?.as_u64()?,
-        cpu_ns: value.field("cpu_ns")?.as_u64()?,
-    })
-}
-
 impl ToJson for Checkpoint {
     fn to_json(&self) -> Json {
         let mut pairs = vec![
@@ -270,7 +249,7 @@ impl ToJson for Checkpoint {
                 },
             ),
             ("engine", engine_to_json(&self.engine)),
-            ("profile", profile_to_json(&self.profile)),
+            ("profile", ProfileDelta::from(self.profile).to_json()),
         ];
         if let Some((ux, uy)) = &self.best_u {
             pairs.push(("best_u_x", ux.to_json()));
@@ -327,7 +306,7 @@ impl FromJson for Checkpoint {
                 other => Some(eval_from_json(other)?),
             },
             engine: engine_from_json(value.field("engine")?)?,
-            profile: profile_from_json(value.field("profile")?)?,
+            profile: ProfileDelta::from_json(value.field("profile")?)?.into(),
         })
     }
 }
@@ -622,7 +601,7 @@ mod tests {
             iteration: 7,
             x: vec![1.0, 2.5, -0.125, 9.0],
             y: vec![0.0, 4.0, 8.0, -1.5],
-            params: ParamState {
+            params: Parameters {
                 gamma: 3.5,
                 lambda: 1e-4,
                 iteration: 7,
@@ -676,7 +655,7 @@ mod tests {
                 exec_ns: 200,
                 pipelined_ns: 300,
                 sync_stall_ns: 400,
-                cpu_ns: 500,
+                cpu_ns: 0,
             },
         }
     }
@@ -694,6 +673,10 @@ mod tests {
         assert_eq!(cp.x[2].to_bits(), back.x[2].to_bits());
         // Idempotent re-render.
         assert_eq!(text, back.render());
+        // The measured wall time is not part of the payload.
+        let mut timed = cp.clone();
+        timed.profile.cpu_ns = 500;
+        assert_eq!(timed.render(), text);
     }
 
     #[test]

@@ -54,54 +54,28 @@ impl OperatorConfig {
     }
 }
 
-/// Parameter-scheduling knobs (§3.2 and the ePlace updates Xplace keeps).
+/// The schedule settings a caller chooses; every one is in the
+/// [`XplaceConfig::echo`]. The γ/λ update rules, the intermediate-stage
+/// period and the stop-test windows are fixed constants in `params.rs`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleConfig {
     /// Hard iteration cap.
     pub max_iterations: usize,
-    /// Minimum iterations before the stop test applies.
-    pub min_iterations: usize,
-    /// Stop when the overflow ratio drops below this.
+    /// Stop when the overflow ratio drops below this (once
+    /// `MIN_ITERATIONS` have run).
     pub stop_overflow: f64,
-    /// γ = `gamma_scale * bin_size * 10^(gamma_k * ovfl + gamma_b)`
-    /// (the ePlace coarse-to-sharp smoothing schedule).
-    pub gamma_scale: f64,
-    /// Slope of the γ exponent in overflow.
-    pub gamma_k: f64,
-    /// Intercept of the γ exponent.
-    pub gamma_b: f64,
-    /// λ0 = `lambda_init_factor * |∇WL| / |∇D|` (DREAMPlace's 8e-5).
-    pub lambda_init_factor: f64,
-    /// Per-update multiplier cap for λ (growth when HPWL behaves).
-    pub lambda_mu_max: f64,
-    /// Per-update multiplier floor for λ.
-    pub lambda_mu_min: f64,
     /// Enable the placement-stage-aware slowdown of Algorithm 1
-    /// (parameters update once per 3 iterations while 0.5 < ω < 0.95).
+    /// (parameters update once per `INTERMEDIATE_UPDATE_PERIOD` = 3
+    /// iterations while 0.5 < ω < 0.95).
     pub stage_aware: bool,
-    /// How many iterations between parameter updates in the intermediate
-    /// stage (3 in the paper).
-    pub intermediate_update_period: usize,
-    /// Early-stop window: give up (and roll back to the best solution)
-    /// after this many iterations without an overflow improvement.
-    pub plateau_window: usize,
 }
 
 impl Default for ScheduleConfig {
     fn default() -> Self {
         ScheduleConfig {
             max_iterations: 1500,
-            min_iterations: 30,
             stop_overflow: 0.10,
-            gamma_scale: 8.0,
-            gamma_k: 20.0 / 9.0,
-            gamma_b: -11.0 / 9.0,
-            lambda_init_factor: 8e-5,
-            lambda_mu_max: 1.1,
-            lambda_mu_min: 1.0,
             stage_aware: true,
-            intermediate_update_period: 3,
-            plateau_window: 250,
         }
     }
 }
@@ -127,11 +101,9 @@ pub struct MultilevelConfig {
     /// Hard cap on coarse levels.
     pub max_levels: usize,
     /// Iteration cap per coarse level (the full schedule only runs at the
-    /// finest level).
+    /// finest level). Coarse levels stop at the relaxed overflow
+    /// `max(COARSE_STOP_OVERFLOW, schedule.stop_overflow)`.
     pub coarse_max_iterations: usize,
-    /// Relaxed overflow stop for coarse levels; the effective coarse
-    /// target is `max(coarse_stop_overflow, schedule.stop_overflow)`.
-    pub coarse_stop_overflow: f64,
 }
 
 impl Default for MultilevelConfig {
@@ -141,7 +113,6 @@ impl Default for MultilevelConfig {
             min_cells: 5_000,
             max_levels: 8,
             coarse_max_iterations: 200,
-            coarse_stop_overflow: 0.15,
         }
     }
 }
@@ -272,8 +243,8 @@ impl XplaceConfig {
     /// # Errors
     ///
     /// Returns [`crate::PlaceError::InvalidConfig`] for inconsistent
-    /// schedules (zero iterations, non-positive overflow target, bad γ
-    /// scale, or a grid override that is not a power of two or exceeds
+    /// schedules (zero iterations, non-positive overflow target, or a grid
+    /// override that is not a power of two or exceeds
     /// [`xplace_fft::MAX_GRID_SIDE`]).
     pub fn validate(&self) -> Result<(), crate::PlaceError> {
         if self.schedule.max_iterations == 0 {
@@ -284,16 +255,6 @@ impl XplaceConfig {
         if not_positive(self.schedule.stop_overflow) {
             return Err(crate::PlaceError::InvalidConfig(
                 "stop_overflow must be positive".into(),
-            ));
-        }
-        if not_positive(self.schedule.gamma_scale) {
-            return Err(crate::PlaceError::InvalidConfig(
-                "gamma_scale must be positive".into(),
-            ));
-        }
-        if self.schedule.lambda_mu_min > self.schedule.lambda_mu_max {
-            return Err(crate::PlaceError::InvalidConfig(
-                "lambda_mu_min exceeds lambda_mu_max".into(),
             ));
         }
         if let Some(g) = self.grid {
@@ -318,11 +279,6 @@ impl XplaceConfig {
             if self.multilevel.max_levels == 0 {
                 return Err(crate::PlaceError::InvalidConfig(
                     "multilevel max_levels is zero".into(),
-                ));
-            }
-            if not_positive(self.multilevel.coarse_stop_overflow) {
-                return Err(crate::PlaceError::InvalidConfig(
-                    "multilevel coarse_stop_overflow must be positive".into(),
                 ));
             }
         }
@@ -363,24 +319,10 @@ mod tests {
         let mut c = XplaceConfig::xplace();
         c.schedule.stop_overflow = 0.0;
         assert!(c.validate().is_err());
-        let nan = |set: fn(&mut XplaceConfig), want: &str| {
-            let mut c = XplaceConfig::xplace();
-            set(&mut c);
-            let err = c.validate().unwrap_err().to_string();
-            assert!(err.contains(want), "{err}");
-        };
-        nan(|c| c.schedule.stop_overflow = f64::NAN, "stop_overflow");
-        nan(|c| c.schedule.gamma_scale = f64::NAN, "gamma_scale");
-        nan(
-            |c| {
-                c.multilevel.enabled = true;
-                c.multilevel.coarse_stop_overflow = f64::NAN;
-            },
-            "coarse_stop_overflow",
-        );
         let mut c = XplaceConfig::xplace();
-        c.schedule.lambda_mu_min = 2.0;
-        assert!(c.validate().is_err());
+        c.schedule.stop_overflow = f64::NAN;
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("stop_overflow"), "{err}");
         let mut c = XplaceConfig::xplace();
         c.grid = Some(48);
         assert!(c.validate().is_err());
@@ -395,6 +337,30 @@ mod tests {
     fn builders_set_fields() {
         let c = XplaceConfig::xplace().with_seed(9);
         assert_eq!(c.seed, 9);
+    }
+
+    #[test]
+    fn every_schedule_setting_reaches_the_config_echo() {
+        // The gate's same-experiment check and checkpoint resume compare
+        // echoes, so each settable schedule field must show up in it.
+        use xplace_telemetry::ToJson;
+        let base = XplaceConfig::xplace();
+        let changes: [fn(&mut ScheduleConfig); 3] = [
+            |s| s.max_iterations += 1,
+            |s| s.stop_overflow *= 0.5,
+            |s| s.stage_aware = !s.stage_aware,
+        ];
+        for change in changes {
+            let mut other = base.clone();
+            change(&mut other.schedule);
+            assert_ne!(other.schedule, base.schedule);
+            assert_ne!(
+                other.echo().to_json_string(),
+                base.echo().to_json_string(),
+                "{:?}",
+                other.schedule
+            );
+        }
     }
 
     #[test]

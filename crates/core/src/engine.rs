@@ -495,7 +495,6 @@ pub fn seed_from_coarse(finer: &mut Design, coarse: &Design, map: &[u32], seed: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScheduleConfig;
     use xplace_db::synthesis::{synthesize, SynthesisSpec};
     use xplace_device::DeviceConfig;
 
@@ -510,9 +509,8 @@ mod tests {
     }
 
     fn params(model: &PlacementModel) -> Parameters {
-        let s = ScheduleConfig::default();
-        let mut p = Parameters::new(&s, model.bin_w());
-        p.initialize_lambda(&s, 100.0, 100.0);
+        let mut p = Parameters::new(model.bin_w());
+        p.initialize_lambda(100.0, 100.0);
         p
     }
 
@@ -663,10 +661,9 @@ mod tests {
         let ops = OperatorConfig::all();
         let (model, mut engine, device) = setup(Framework::Xplace, ops);
         // Initialize λ from the real gradient norms, as the placer does.
-        let s = ScheduleConfig::default();
-        let mut p = Parameters::new(&s, model.bin_w());
+        let mut p = Parameters::new(model.bin_w());
         let warm = engine.evaluate(&device, &model, &p, 0.0).unwrap();
-        p.initialize_lambda(&s, warm.wl_grad_l1, warm.density_grad_l1);
+        p.initialize_lambda(warm.wl_grad_l1, warm.density_grad_l1);
         p.advance();
         // Next iteration: r reflects the freshly initialized λ.
         let r0 = engine.evaluate(&device, &model, &p, 0.0).unwrap();

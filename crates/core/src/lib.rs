@@ -62,7 +62,7 @@ pub use engine::{seed_from_coarse, EngineState, EvalResult, GradientEngine};
 pub use error::PlaceError;
 pub use guidance::{sigma_blend, DensityGuidance};
 pub use optimizer::{NesterovOptimizer, OptimizerState};
-pub use params::{ParamState, Parameters};
+pub use params::Parameters;
 pub use placer::{GlobalPlacer, PlacementReport};
 // The telemetry sink trait and record types live in `xplace-telemetry`;
 // re-exported here for placer callers.

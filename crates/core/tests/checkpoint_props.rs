@@ -4,7 +4,7 @@
 
 use xplace_core::{
     Checkpoint, CheckpointStore, EngineState, EvalResult, FileCheckpointStore,
-    MemoryCheckpointStore, OptimizerState, ParamState, Perturbation, XplaceConfig,
+    MemoryCheckpointStore, OptimizerState, Parameters, Perturbation, XplaceConfig,
 };
 use xplace_device::ProfileSnapshot;
 use xplace_telemetry::{Stage, ToJson};
@@ -74,7 +74,7 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
         iteration: rng.gen_range(0usize..5000),
         x,
         y,
-        params: ParamState {
+        params: Parameters {
             gamma: rng.f64() * 10.0,
             lambda: rng.f64() * 1e-2 + 1e-9,
             iteration: rng.gen_range(0usize..5000),
@@ -119,7 +119,8 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
             exec_ns: rng.next_u64() % u64::pow(10, 12),
             pipelined_ns: rng.next_u64() % u64::pow(10, 12),
             sync_stall_ns: rng.next_u64() % u64::pow(10, 12),
-            cpu_ns: rng.next_u64() % u64::pow(10, 12),
+            // Wall-clock time is not saved: it reads back as 0.
+            cpu_ns: 0,
         },
     }
 }

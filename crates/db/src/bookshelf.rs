@@ -83,7 +83,7 @@ fn parse_nodes(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
 }
 
 fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
-    let mut current: Option<(String, usize, Vec<(String, Point)>)> = None;
+    let mut current: Option<(String, Vec<(String, Point)>)> = None;
     let mut anon = 0usize;
     for (lineno, raw) in content.lines().enumerate() {
         let line = strip_comment(raw).trim();
@@ -95,7 +95,7 @@ fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("NetDegree") {
-            if let Some((name, _deg, pins)) = current.take() {
+            if let Some((name, pins)) = current.take() {
                 data.nets.push((name, pins));
             }
             let rest = rest.trim_start().strip_prefix(':').unwrap_or(rest).trim();
@@ -109,9 +109,9 @@ fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
                 anon += 1;
                 format!("net_{anon}")
             });
-            current = Some((name, degree, Vec::with_capacity(degree)));
+            current = Some((name, Vec::with_capacity(degree)));
         } else {
-            let (_, _, pins) = current
+            let (_, pins) = current
                 .as_mut()
                 .ok_or_else(|| DbError::parse("nets", lineno + 1, "pin before NetDegree"))?;
             // "cellname I/O/B : dx dy" (offsets optional)
@@ -136,7 +136,7 @@ fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
             pins.push((cell, Point::new(dx, dy)));
         }
     }
-    if let Some((name, _deg, pins)) = current.take() {
+    if let Some((name, pins)) = current.take() {
         data.nets.push((name, pins));
     }
     Ok(())

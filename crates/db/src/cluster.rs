@@ -94,7 +94,7 @@ fn heavy_edge_matching(design: &Design) -> Vec<CellId> {
             let net = nl.pin(p).net;
             let span = nl.net_pin_range(net);
             let degree = span.len();
-            if degree < 2 || degree > MATCH_MAX_NET_DEGREE {
+            if !(2..=MATCH_MAX_NET_DEGREE).contains(&degree) {
                 continue;
             }
             let w = nl.net_weights()[net.index()] / (degree - 1) as f64;

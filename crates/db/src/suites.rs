@@ -28,17 +28,13 @@ impl SuiteEntry {
     }
 }
 
-fn entry(
-    name: &str,
-    cells_k: usize,
-    nets_k: usize,
-    scale: f64,
-    seed: u64,
-    macros: usize,
-    macro_frac: f64,
-    utilization: f64,
-    fence_removed: bool,
-) -> SuiteEntry {
+/// One published design: name, published cells and nets (thousands),
+/// synthesis seed, macro count, macro area fraction, utilization, and
+/// whether the paper evaluated it with fence regions removed.
+type Row = (&'static str, usize, usize, u64, usize, f64, f64, bool);
+
+fn entry(row: Row, scale: f64) -> SuiteEntry {
+    let (name, cells_k, nets_k, seed, macros, macro_frac, utilization, fence_removed) = row;
     let cells = ((cells_k * 1000) as f64 * scale).round().max(400.0) as usize;
     let nets = ((nets_k * 1000) as f64 * scale).round().max(400.0) as usize;
     let mut spec = SynthesisSpec::new(name, cells, nets)
@@ -59,6 +55,17 @@ fn entry(
     }
 }
 
+const ISPD2005: [Row; 8] = [
+    ("adaptec1", 211, 221, 101, 12, 0.18, 0.62, false),
+    ("adaptec2", 255, 266, 102, 16, 0.22, 0.58, false),
+    ("adaptec3", 452, 467, 103, 20, 0.20, 0.55, false),
+    ("adaptec4", 496, 516, 104, 24, 0.21, 0.52, false),
+    ("bigblue1", 278, 284, 105, 8, 0.10, 0.60, false),
+    ("bigblue2", 558, 577, 106, 18, 0.16, 0.56, false),
+    ("bigblue3", 1097, 1123, 107, 25, 0.14, 0.58, false),
+    ("bigblue4", 2177, 2230, 108, 30, 0.12, 0.55, false),
+];
+
 /// The ISPD 2005 contest suite (adaptec1-4, bigblue1-4) at `scale`.
 ///
 /// ```
@@ -67,17 +74,31 @@ fn entry(
 /// assert_eq!(suite[0].name(), "adaptec1");
 /// ```
 pub fn ispd2005_like(scale: f64) -> Vec<SuiteEntry> {
-    vec![
-        entry("adaptec1", 211, 221, scale, 101, 12, 0.18, 0.62, false),
-        entry("adaptec2", 255, 266, scale, 102, 16, 0.22, 0.58, false),
-        entry("adaptec3", 452, 467, scale, 103, 20, 0.20, 0.55, false),
-        entry("adaptec4", 496, 516, scale, 104, 24, 0.21, 0.52, false),
-        entry("bigblue1", 278, 284, scale, 105, 8, 0.10, 0.60, false),
-        entry("bigblue2", 558, 577, scale, 106, 18, 0.16, 0.56, false),
-        entry("bigblue3", 1097, 1123, scale, 107, 25, 0.14, 0.58, false),
-        entry("bigblue4", 2177, 2230, scale, 108, 30, 0.12, 0.55, false),
-    ]
+    ISPD2005.iter().map(|&row| entry(row, scale)).collect()
 }
+
+const ISPD2015: [Row; 20] = [
+    ("des_perf_1", 113, 113, 201, 0, 0.0, 0.72, false),
+    ("fft_1", 35, 33, 202, 0, 0.0, 0.68, false),
+    ("fft_2", 35, 33, 203, 0, 0.0, 0.50, false),
+    ("fft_a", 34, 32, 204, 4, 0.12, 0.40, false),
+    ("fft_b", 34, 32, 205, 4, 0.12, 0.45, false),
+    ("matrix_mult_1", 160, 159, 206, 0, 0.0, 0.60, false),
+    ("matrix_mult_2", 160, 159, 207, 0, 0.0, 0.55, false),
+    ("matrix_mult_a", 154, 154, 208, 6, 0.10, 0.42, false),
+    ("superblue12", 1293, 1293, 209, 24, 0.15, 0.55, false),
+    ("superblue14", 634, 620, 210, 16, 0.14, 0.56, false),
+    ("superblue19", 522, 512, 211, 14, 0.13, 0.52, false),
+    ("des_perf_a", 108, 115, 212, 4, 0.08, 0.50, true),
+    ("des_perf_b", 113, 113, 213, 0, 0.0, 0.50, true),
+    ("edit_dist_a", 127, 134, 214, 6, 0.10, 0.46, true),
+    ("matrix_mult_b", 146, 152, 215, 4, 0.08, 0.42, true),
+    ("matrix_mult_c", 146, 152, 216, 4, 0.08, 0.42, true),
+    ("pci_bridge32_a", 30, 34, 217, 4, 0.10, 0.38, true),
+    ("pci_bridge32_b", 29, 33, 218, 6, 0.20, 0.30, true),
+    ("superblue11_a", 926, 936, 219, 20, 0.14, 0.52, true),
+    ("superblue16_a", 680, 697, 220, 14, 0.12, 0.50, true),
+];
 
 /// The ISPD 2015 contest suite (20 designs) at `scale`. Designs the paper
 /// evaluated with fence regions removed are flagged `fence_removed`.
@@ -88,28 +109,7 @@ pub fn ispd2005_like(scale: f64) -> Vec<SuiteEntry> {
 /// assert!(suite.iter().filter(|e| e.fence_removed).count() == 9);
 /// ```
 pub fn ispd2015_like(scale: f64) -> Vec<SuiteEntry> {
-    vec![
-        entry("des_perf_1", 113, 113, scale, 201, 0, 0.0, 0.72, false),
-        entry("fft_1", 35, 33, scale, 202, 0, 0.0, 0.68, false),
-        entry("fft_2", 35, 33, scale, 203, 0, 0.0, 0.50, false),
-        entry("fft_a", 34, 32, scale, 204, 4, 0.12, 0.40, false),
-        entry("fft_b", 34, 32, scale, 205, 4, 0.12, 0.45, false),
-        entry("matrix_mult_1", 160, 159, scale, 206, 0, 0.0, 0.60, false),
-        entry("matrix_mult_2", 160, 159, scale, 207, 0, 0.0, 0.55, false),
-        entry("matrix_mult_a", 154, 154, scale, 208, 6, 0.10, 0.42, false),
-        entry("superblue12", 1293, 1293, scale, 209, 24, 0.15, 0.55, false),
-        entry("superblue14", 634, 620, scale, 210, 16, 0.14, 0.56, false),
-        entry("superblue19", 522, 512, scale, 211, 14, 0.13, 0.52, false),
-        entry("des_perf_a", 108, 115, scale, 212, 4, 0.08, 0.50, true),
-        entry("des_perf_b", 113, 113, scale, 213, 0, 0.0, 0.50, true),
-        entry("edit_dist_a", 127, 134, scale, 214, 6, 0.10, 0.46, true),
-        entry("matrix_mult_b", 146, 152, scale, 215, 4, 0.08, 0.42, true),
-        entry("matrix_mult_c", 146, 152, scale, 216, 4, 0.08, 0.42, true),
-        entry("pci_bridge32_a", 30, 34, scale, 217, 4, 0.10, 0.38, true),
-        entry("pci_bridge32_b", 29, 33, scale, 218, 6, 0.20, 0.30, true),
-        entry("superblue11_a", 926, 936, scale, 219, 20, 0.14, 0.52, true),
-        entry("superblue16_a", 680, 697, scale, 220, 14, 0.12, 0.50, true),
-    ]
+    ISPD2015.iter().map(|&row| entry(row, scale)).collect()
 }
 
 #[cfg(test)]

@@ -179,8 +179,7 @@ pub fn detailed_place(design: &mut Design, config: &DpConfig) -> DpReport {
 
     for _pass in 0..config.passes {
         // --- 1. Intra-row slides. ---
-        for ri in 0..rows.len() {
-            let row = &rows[ri];
+        for (ri, row) in rows.iter().enumerate() {
             for k in 0..state.row_cells[ri].len() {
                 let cell = state.row_cells[ri][k];
                 if design.fence_of(cell).is_some() {
@@ -232,7 +231,7 @@ pub fn detailed_place(design: &mut Design, config: &DpConfig) -> DpReport {
         }
 
         // --- 2. Adjacent reorders. ---
-        for ri in 0..rows.len() {
+        for (ri, row) in rows.iter().enumerate() {
             for k in 0..state.row_cells[ri].len().saturating_sub(1) {
                 let a = state.row_cells[ri][k];
                 let b = state.row_cells[ri][k + 1];
@@ -254,7 +253,7 @@ pub fn detailed_place(design: &mut Design, config: &DpConfig) -> DpReport {
                 // a and b must share one free segment: a macro may sit
                 // between row-order neighbours, and the swap must not
                 // slide either cell into it.
-                let same_segment = rows[ri]
+                let same_segment = row
                     .segments
                     .iter()
                     .any(|s| a_left >= s.x0 - 1e-6 && b_right <= s.x1 + 1e-6);

@@ -237,8 +237,7 @@ props! {
             Some(e) => e,
             None => writer
                 .finish()
-                .err()
-                .expect("a budget under the clean length must fail"),
+                .expect_err("a budget under the clean length must fail"),
         };
         prop_assert_eq!(error.to_string(), INJECTED_WRITE_ERROR.to_string());
 

@@ -55,8 +55,9 @@ pub struct JobRecord {
     /// Failure message (panic payload or error display); `None` for
     /// completed jobs.
     pub error: Option<String>,
-    /// The run summary; `None` for failed jobs.
-    pub report: Option<RunReport>,
+    /// The run summary; `None` for failed jobs. Boxed: a report is many
+    /// times the size of the rest of the record.
+    pub report: Option<Box<RunReport>>,
     /// Retries the scheduler spent on this job (0 = first attempt won).
     pub retries: usize,
     /// Checkpoint snapshots saved across all attempts of this job.
@@ -72,7 +73,7 @@ impl JobRecord {
             name: name.into(),
             status: JobStatus::Completed,
             error: None,
-            report: Some(report),
+            report: Some(Box::new(report)),
             retries: 0,
             checkpoints: 0,
             deadline_exceeded: false,
@@ -165,7 +166,10 @@ impl ToJson for JobRecord {
             ("name", self.name.to_json()),
             ("status", self.status.to_json()),
             ("error", self.error.to_json()),
-            ("report", self.report.to_json()),
+            (
+                "report",
+                self.report.as_ref().map_or(Json::Null, |r| r.to_json()),
+            ),
             ("retries", self.retries.to_json()),
             ("checkpoints", self.checkpoints.to_json()),
             ("deadline_exceeded", self.deadline_exceeded.to_json()),
@@ -179,7 +183,7 @@ impl FromJson for JobRecord {
             name: String::from_json(value.field("name")?)?,
             status: JobStatus::from_json(value.field("status")?)?,
             error: Option::<String>::from_json(value.field("error")?)?,
-            report: Option::<RunReport>::from_json(value.field("report")?)?,
+            report: Option::<RunReport>::from_json(value.field("report")?)?.map(Box::new),
             // Fault bookkeeping arrived after the first baselines were
             // captured; absent keys mean a pre-fault-plan record.
             retries: match value.get("retries") {

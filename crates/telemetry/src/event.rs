@@ -106,6 +106,22 @@ impl From<ProfileSnapshot> for ProfileDelta {
     }
 }
 
+/// The inverse of the conversion above, with the wall-clock `cpu_ns` at 0:
+/// how a checkpoint reads back the profile it stored in this form.
+impl From<ProfileDelta> for ProfileSnapshot {
+    fn from(p: ProfileDelta) -> Self {
+        ProfileSnapshot {
+            launches: p.launches,
+            syncs: p.syncs,
+            launch_overhead_ns: p.launch_overhead_ns,
+            exec_ns: p.exec_ns,
+            pipelined_ns: p.pipelined_ns,
+            sync_stall_ns: p.sync_stall_ns,
+            cpu_ns: 0,
+        }
+    }
+}
+
 impl ToJson for ProfileDelta {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -615,5 +631,7 @@ mod tests {
         let delta = ProfileDelta::from(snap);
         assert_eq!(delta.modeled_ns(), 30);
         assert!(!delta.to_json_string().contains("cpu_ns"));
+        let back = ProfileSnapshot::from(delta);
+        assert_eq!(back, ProfileSnapshot { cpu_ns: 0, ..snap });
     }
 }

@@ -230,7 +230,7 @@ fn batch_cli_matches_place_cli_trace_bytes() {
         let batch_text = std::fs::read_to_string(&batch_report_path).unwrap();
         let batch: xplace::telemetry::BatchReport =
             xplace::telemetry::BatchReport::from_json_str(&batch_text).unwrap();
-        let job_report = batch.job(job).unwrap().report.as_ref().unwrap().clone();
+        let job_report = batch.job(job).unwrap().report.as_deref().unwrap().clone();
         // Both reports come out of the one shared back half, so every
         // deterministic field of every stage section must agree.
         let (serial, job_report) = (without_wall_clock(serial), without_wall_clock(job_report));

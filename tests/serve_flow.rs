@@ -389,12 +389,10 @@ fn mid_stream_disconnect_skips_that_clients_remaining_jobs_only() {
         concurrency: 2,
         ..Default::default()
     });
-    let manifest_text = format!(
-        r#"{{"jobs": [
-            {{"name": "inflight", "synth": {{"cells": 420, "nets": 450, "seed": 9}}, "max_iters": 900, "seed": 7}},
-            {{"name": "notstarted", "synth": {{"cells": 200, "nets": 210, "seed": 3}}, "max_iters": 60}}
-        ]}}"#
-    );
+    let manifest_text = r#"{"jobs": [
+            {"name": "inflight", "synth": {"cells": 420, "nets": 450, "seed": 9}, "max_iters": 900, "seed": 7},
+            {"name": "notstarted", "synth": {"cells": 200, "nets": 210, "seed": 3}, "max_iters": 60}
+        ]}"#;
 
     // Submit over a raw socket so the connection can be dropped the
     // moment work starts (the high-level client blocks to completion).
@@ -457,13 +455,11 @@ fn scheduled_drop_connection_fault_severs_the_stream_after_exact_frames() {
         threads: 1,
         ..Default::default()
     });
-    let manifest_text = format!(
-        r#"{{"jobs": [
-            {{"name": "streamed", "synth": {{"cells": 200, "nets": 210, "seed": 3}}, "max_iters": 60}},
-            {{"name": "skipped", "synth": {{"cells": 200, "nets": 210, "seed": 3}}, "max_iters": 60}}
+    let manifest_text = r#"{"jobs": [
+            {"name": "streamed", "synth": {"cells": 200, "nets": 210, "seed": 3}, "max_iters": 60},
+            {"name": "skipped", "synth": {"cells": 200, "nets": 210, "seed": 3}, "max_iters": 60}
         ],
-        "faults": [{{"target": "flaky", "kind": "drop_connection", "after_frames": 3}}]}}"#
-    );
+        "faults": [{"target": "flaky", "kind": "drop_connection", "after_frames": 3}]}"#;
 
     let mut socket = std::net::TcpStream::connect(client.addr()).unwrap();
     let raw = format!(
@@ -513,16 +509,14 @@ fn drop_fault_lands_deterministically_even_when_the_job_fails_instantly() {
         threads: 1,
         ..Default::default()
     });
-    let manifest_text = format!(
-        r#"{{"jobs": [
-            {{"name": "doomed", "synth": {{"cells": 200, "nets": 210, "seed": 3}}, "max_iters": 60}},
-            {{"name": "skipped", "synth": {{"cells": 200, "nets": 210, "seed": 3}}, "max_iters": 60}}
+    let manifest_text = r#"{"jobs": [
+            {"name": "doomed", "synth": {"cells": 200, "nets": 210, "seed": 3}, "max_iters": 60},
+            {"name": "skipped", "synth": {"cells": 200, "nets": 210, "seed": 3}, "max_iters": 60}
         ],
         "faults": [
-            {{"target": "doomed", "kind": "stall", "modeled_ns": 4000000000000}},
-            {{"target": "hasty", "kind": "drop_connection", "after_frames": 1}}
-        ]}}"#
-    );
+            {"target": "doomed", "kind": "stall", "modeled_ns": 4000000000000},
+            {"target": "hasty", "kind": "drop_connection", "after_frames": 1}
+        ]}"#;
     let mut socket = std::net::TcpStream::connect(client.addr()).unwrap();
     let raw = format!(
         "POST /batch HTTP/1.1\r\nHost: x\r\nX-Client: hasty\r\nX-Deadline-Ns: 1000\r\nContent-Length: {}\r\n\r\n{manifest_text}",
@@ -569,16 +563,13 @@ fn graceful_shutdown_drains_the_in_flight_job_and_cancels_the_rest() {
         threads: 1,
         ..Default::default()
     });
-    let manifest_text = format!(
-        r#"{{"jobs": [
-            {{"name": "inflight", "synth": {{"cells": 420, "nets": 450, "seed": 9}}, "max_iters": 900, "seed": 7}},
-            {{"name": "notstarted", "synth": {{"cells": 200, "nets": 210, "seed": 3}}, "max_iters": 60}}
-        ]}}"#
-    );
+    let manifest_text = r#"{"jobs": [
+            {"name": "inflight", "synth": {"cells": 420, "nets": 450, "seed": 9}, "max_iters": 900, "seed": 7},
+            {"name": "notstarted", "synth": {"cells": 200, "nets": 210, "seed": 3}, "max_iters": 60}
+        ]}"#;
     let submitter = {
         let client = client.clone().with_identity("a");
-        let manifest_text = manifest_text.clone();
-        std::thread::spawn(move || client.submit(&manifest_text).unwrap())
+        std::thread::spawn(move || client.submit(manifest_text).unwrap())
     };
     // `running == 1` alone fires at permit-acquire, which can precede the
     // first job's cancel check; a design-cache miss proves job 0 is past
