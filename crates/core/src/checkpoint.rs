@@ -6,10 +6,8 @@
 //!
 //! The snapshot captures everything the loop carries across iterations:
 //! the reference solution held in the model (`x`/`y`, fillers included),
-//! the optimizer's main solution / BB history / momentum scalars, the
-//! scheduler parameters (γ, λ and their update bookkeeping), ω,
-//! the best-overflow rollback snapshot, the telemetry edge-trigger state
-//! (current stage, skip-window flag), the previous evaluation, the
+//! the loop's own [`LoopState`] (optimizer, scheduler parameters, ω,
+//! rollback snapshot, telemetry edge triggers, previous evaluation), the
 //! engine's skip-window bookkeeping **including the cached electrostatic
 //! field** (skipped iterations serve gradients from it), and the modeled
 //! device profile accumulated so far (so `RunEnd` totals match).
@@ -26,16 +24,67 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::engine::{unit_hash, EngineState};
-use crate::optimizer::OptimizerState;
-use crate::{EvalResult, Parameters, PlaceError, XplaceConfig};
+use crate::{EvalResult, NesterovOptimizer, Parameters, PlaceError, XplaceConfig};
 use xplace_db::Design;
 use xplace_device::ProfileSnapshot;
+use xplace_ops::PlacementModel;
 use xplace_telemetry::{ConfigEcho, FromJson, Json, JsonError, ProfileDelta, Stage, ToJson};
 
 /// Format tag embedded in every checkpoint payload.
 const FORMAT: &str = "xplace-checkpoint";
 /// Payload version; bumped on any layout change.
 const VERSION: usize = 2;
+
+/// The values the GP loop carries from one iteration to the next, apart
+/// from the positions held in the model and the engine's own state. The
+/// placer runs on one of these, and a [`Checkpoint`] stores a clone.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoopState {
+    /// Scheduler parameters (γ, λ, update bookkeeping).
+    pub params: Parameters,
+    /// Precondition weighted ratio ω after the previous step.
+    pub omega: f64,
+    /// Optimizer; `None` until the first step.
+    pub optimizer: Option<NesterovOptimizer>,
+    /// HPWL at iteration 0.
+    pub initial_hpwl: f64,
+    /// Overflow at iteration 0.
+    pub initial_overflow: f64,
+    /// Best overflow seen so far (`INFINITY` encodes as `null`).
+    pub best_overflow: f64,
+    /// Iteration of the best overflow.
+    pub best_iter: usize,
+    /// Best-solution snapshot (`u` over optimizable nodes): the
+    /// rollback target when the run does not converge. The density
+    /// system can oscillate once λ saturates, so the run keeps its best
+    /// point (DREAMPlace-style divergence guard).
+    pub best_u: Option<(Vec<f64>, Vec<f64>)>,
+    /// Telemetry edge-trigger: current ω stage.
+    pub stage: Stage,
+    /// Telemetry edge-trigger: whether the skip window was open.
+    pub skip_window_open: bool,
+    /// Result of the previous iteration's evaluation.
+    pub last_eval: Option<EvalResult>,
+}
+
+impl LoopState {
+    /// The state of a run at iteration 0.
+    pub(crate) fn new(bin_size: f64) -> LoopState {
+        LoopState {
+            params: Parameters::new(bin_size),
+            omega: 0.0,
+            optimizer: None,
+            initial_hpwl: 0.0,
+            initial_overflow: 0.0,
+            best_overflow: f64::INFINITY,
+            best_iter: 0,
+            best_u: None,
+            stage: Stage::Early,
+            skip_window_open: false,
+            last_eval: None,
+        }
+    }
+}
 
 /// A complete snapshot of the GP loop at the top of one iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,28 +106,8 @@ pub struct Checkpoint {
     pub x: Vec<f64>,
     /// Model y positions.
     pub y: Vec<f64>,
-    /// Scheduler parameters (γ, λ, update bookkeeping).
-    pub params: Parameters,
-    /// Precondition weighted ratio ω after the previous step.
-    pub omega: f64,
-    /// Optimizer state; `None` if the first step had not happened yet.
-    pub optimizer: Option<OptimizerState>,
-    /// HPWL at iteration 0.
-    pub initial_hpwl: f64,
-    /// Overflow at iteration 0.
-    pub initial_overflow: f64,
-    /// Best overflow seen so far (`INFINITY` encodes as `null`).
-    pub best_overflow: f64,
-    /// Iteration of the best overflow.
-    pub best_iter: usize,
-    /// Best-solution snapshot (`u` over optimizable nodes).
-    pub best_u: Option<(Vec<f64>, Vec<f64>)>,
-    /// Telemetry edge-trigger: current ω stage.
-    pub stage: Stage,
-    /// Telemetry edge-trigger: whether the skip window was open.
-    pub skip_window_open: bool,
-    /// Result of the previous iteration's evaluation.
-    pub last_eval: Option<EvalResult>,
+    /// The loop's cross-iteration values.
+    pub state: LoopState,
     /// Engine cross-iteration state (skip bookkeeping + cached field).
     pub engine: EngineState,
     /// Modeled device profile accumulated up to the snapshot (`cpu_ns`
@@ -160,24 +189,35 @@ fn params_from_json(value: &Json) -> Result<Parameters, JsonError> {
     })
 }
 
-fn optimizer_to_json(o: &OptimizerState) -> Json {
-    Json::obj([
-        ("u_x", o.u_x.to_json()),
-        ("u_y", o.u_y.to_json()),
-        ("prev_v_x", o.prev_v_x.to_json()),
-        ("prev_v_y", o.prev_v_y.to_json()),
-        ("prev_g_x", o.prev_g_x.to_json()),
-        ("prev_g_y", o.prev_g_y.to_json()),
+/// The optimizer's per-node vectors under their payload keys.
+fn optimizer_vectors(o: &NesterovOptimizer) -> [(&'static str, &Vec<f64>); 6] {
+    [
+        ("u_x", &o.u_x),
+        ("u_y", &o.u_y),
+        ("prev_v_x", &o.prev_v_x),
+        ("prev_v_y", &o.prev_v_y),
+        ("prev_g_x", &o.prev_g_x),
+        ("prev_g_y", &o.prev_g_y),
+    ]
+}
+
+fn optimizer_to_json(o: &NesterovOptimizer) -> Json {
+    let mut pairs: Vec<(&str, Json)> = optimizer_vectors(o)
+        .into_iter()
+        .map(|(key, v)| (key, v.to_json()))
+        .collect();
+    pairs.extend([
         ("a", Json::num(o.a)),
         ("have_prev", Json::Bool(o.have_prev)),
         ("initial_step", Json::num(o.initial_step)),
         ("max_disp", Json::num(o.max_disp)),
         ("last_step", Json::num(o.last_step)),
-    ])
+    ]);
+    Json::obj(pairs)
 }
 
-fn optimizer_from_json(value: &Json) -> Result<OptimizerState, JsonError> {
-    Ok(OptimizerState {
+fn optimizer_from_json(value: &Json) -> Result<NesterovOptimizer, JsonError> {
+    Ok(NesterovOptimizer {
         u_x: Vec::<f64>::from_json(value.field("u_x")?)?,
         u_y: Vec::<f64>::from_json(value.field("u_y")?)?,
         prev_v_x: Vec::<f64>::from_json(value.field("prev_v_x")?)?,
@@ -216,6 +256,7 @@ fn engine_from_json(value: &Json) -> Result<EngineState, JsonError> {
 
 impl ToJson for Checkpoint {
     fn to_json(&self) -> Json {
+        let s = &self.state;
         let mut pairs = vec![
             ("format", Json::str(FORMAT)),
             ("version", Json::num(VERSION as f64)),
@@ -226,24 +267,24 @@ impl ToJson for Checkpoint {
             ("iteration", Json::num(self.iteration as f64)),
             ("x", self.x.to_json()),
             ("y", self.y.to_json()),
-            ("params", params_to_json(&self.params)),
-            ("omega", Json::num(self.omega)),
+            ("params", params_to_json(&s.params)),
+            ("omega", Json::num(s.omega)),
             (
                 "optimizer",
-                match &self.optimizer {
+                match &s.optimizer {
                     Some(o) => optimizer_to_json(o),
                     None => Json::Null,
                 },
             ),
-            ("initial_hpwl", Json::num(self.initial_hpwl)),
-            ("initial_overflow", Json::num(self.initial_overflow)),
-            ("best_overflow", Json::num(self.best_overflow)),
-            ("best_iter", Json::num(self.best_iter as f64)),
-            ("stage", Json::str(stage_name(self.stage))),
-            ("skip_window_open", Json::Bool(self.skip_window_open)),
+            ("initial_hpwl", Json::num(s.initial_hpwl)),
+            ("initial_overflow", Json::num(s.initial_overflow)),
+            ("best_overflow", Json::num(s.best_overflow)),
+            ("best_iter", Json::num(s.best_iter as f64)),
+            ("stage", Json::str(stage_name(s.stage))),
+            ("skip_window_open", Json::Bool(s.skip_window_open)),
             (
                 "last_eval",
-                match &self.last_eval {
+                match &s.last_eval {
                     Some(e) => eval_to_json(e),
                     None => Json::Null,
                 },
@@ -251,7 +292,7 @@ impl ToJson for Checkpoint {
             ("engine", engine_to_json(&self.engine)),
             ("profile", ProfileDelta::from(self.profile).to_json()),
         ];
-        if let Some((ux, uy)) = &self.best_u {
+        if let Some((ux, uy)) = &s.best_u {
             pairs.push(("best_u_x", ux.to_json()));
             pairs.push(("best_u_y", uy.to_json()));
         }
@@ -288,22 +329,24 @@ impl FromJson for Checkpoint {
             iteration: value.field("iteration")?.as_usize()?,
             x: Vec::<f64>::from_json(value.field("x")?)?,
             y: Vec::<f64>::from_json(value.field("y")?)?,
-            params: params_from_json(value.field("params")?)?,
-            omega: value.field("omega")?.as_f64()?,
-            optimizer: match value.field("optimizer")? {
-                Json::Null => None,
-                other => Some(optimizer_from_json(other)?),
-            },
-            initial_hpwl: value.field("initial_hpwl")?.as_f64()?,
-            initial_overflow: value.field("initial_overflow")?.as_f64()?,
-            best_overflow: f64_or_inf(value.field("best_overflow")?)?,
-            best_iter: value.field("best_iter")?.as_usize()?,
-            best_u,
-            stage: stage_from(value.field("stage")?.as_str()?)?,
-            skip_window_open: value.field("skip_window_open")?.as_bool()?,
-            last_eval: match value.field("last_eval")? {
-                Json::Null => None,
-                other => Some(eval_from_json(other)?),
+            state: LoopState {
+                params: params_from_json(value.field("params")?)?,
+                omega: value.field("omega")?.as_f64()?,
+                optimizer: match value.field("optimizer")? {
+                    Json::Null => None,
+                    other => Some(optimizer_from_json(other)?),
+                },
+                initial_hpwl: value.field("initial_hpwl")?.as_f64()?,
+                initial_overflow: value.field("initial_overflow")?.as_f64()?,
+                best_overflow: f64_or_inf(value.field("best_overflow")?)?,
+                best_iter: value.field("best_iter")?.as_usize()?,
+                best_u,
+                stage: stage_from(value.field("stage")?.as_str()?)?,
+                skip_window_open: value.field("skip_window_open")?.as_bool()?,
+                last_eval: match value.field("last_eval")? {
+                    Json::Null => None,
+                    other => Some(eval_from_json(other)?),
+                },
             },
             engine: engine_from_json(value.field("engine")?)?,
             profile: ProfileDelta::from_json(value.field("profile")?)?.into(),
@@ -375,6 +418,34 @@ impl Checkpoint {
         Ok(())
     }
 
+    /// Checks that this snapshot's vectors fit `model`, the model a
+    /// resume builds: `x`/`y` cover every node, and each optimizer vector
+    /// and both halves of `best_u` cover the optimizable nodes (movable
+    /// cells plus fillers).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlaceError::Checkpoint`] naming the first field whose
+    /// length is wrong.
+    pub(crate) fn check_shape(&self, model: &PlacementModel) -> Result<(), PlaceError> {
+        let nodes = model.num_nodes();
+        let optimizable = model.optimizable_indices().count();
+        let mut fields = vec![("x", &self.x, nodes), ("y", &self.y, nodes)];
+        if let Some(o) = &self.state.optimizer {
+            fields.extend(optimizer_vectors(o).map(|(key, v)| (key, v, optimizable)));
+        }
+        if let Some((ux, uy)) = &self.state.best_u {
+            fields.extend([("best_u_x", ux, optimizable), ("best_u_y", uy, optimizable)]);
+        }
+        match fields.into_iter().find(|(_, v, want)| v.len() != *want) {
+            Some((key, v, want)) => Err(PlaceError::Checkpoint(format!(
+                "checkpoint {key} has {} entries, the model needs {want}",
+                v.len()
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Re-homes this snapshot under another run configuration: a clone
     /// whose config echo is `config.echo()`, so [`Checkpoint::validate`]
     /// accepts it for a run using `config`. This is the branch primitive
@@ -422,14 +493,15 @@ impl Checkpoint {
         // λ rescale (multiplicative, strictly positive for frac < 2) and
         // ω offset: nudge the schedule so the branch walks a different
         // trade-off path than its parent.
-        self.params.lambda *= 1.0 + perturbation.lambda_frac * unit_hash(0, seed ^ 0x1a3b);
-        self.omega =
-            (self.omega + perturbation.omega_shift * unit_hash(1, seed ^ 0x5c7d)).clamp(0.0, 1.0);
+        let s = &mut self.state;
+        s.params.lambda *= 1.0 + perturbation.lambda_frac * unit_hash(0, seed ^ 0x1a3b);
+        s.omega =
+            (s.omega + perturbation.omega_shift * unit_hash(1, seed ^ 0x5c7d)).clamp(0.0, 1.0);
         // Fresh momentum, fresh rollback baseline, fresh field.
-        self.optimizer = None;
-        self.best_overflow = f64::INFINITY;
-        self.best_iter = self.iteration;
-        self.best_u = None;
+        s.optimizer = None;
+        s.best_overflow = f64::INFINITY;
+        s.best_iter = self.iteration;
+        s.best_u = None;
         self.engine.has_field = false;
         self.engine.field_age = 0;
     }
@@ -601,45 +673,47 @@ mod tests {
             iteration: 7,
             x: vec![1.0, 2.5, -0.125, 9.0],
             y: vec![0.0, 4.0, 8.0, -1.5],
-            params: Parameters {
-                gamma: 3.5,
-                lambda: 1e-4,
-                iteration: 7,
-                last_hpwl: f64::INFINITY,
-                last_overflow: 0.8,
-                lambda_initialized: true,
+            state: LoopState {
+                params: Parameters {
+                    gamma: 3.5,
+                    lambda: 1e-4,
+                    iteration: 7,
+                    last_hpwl: f64::INFINITY,
+                    last_overflow: 0.8,
+                    lambda_initialized: true,
+                },
+                omega: 0.25,
+                optimizer: Some(NesterovOptimizer {
+                    u_x: vec![1.0, 2.0],
+                    u_y: vec![3.0, 4.0],
+                    prev_v_x: vec![0.5, 0.5],
+                    prev_v_y: vec![0.25, 0.25],
+                    prev_g_x: vec![0.0, -1.0],
+                    prev_g_y: vec![1.0, 0.0],
+                    a: 1.5,
+                    have_prev: true,
+                    initial_step: 0.1,
+                    max_disp: 10.0,
+                    last_step: 0.2,
+                }),
+                initial_hpwl: 100.0,
+                initial_overflow: 0.9,
+                best_overflow: f64::INFINITY,
+                best_iter: 0,
+                best_u: Some((vec![1.0], vec![2.0])),
+                stage: Stage::Intermediate,
+                skip_window_open: true,
+                last_eval: Some(EvalResult {
+                    wa: 1.0,
+                    hpwl: 2.0,
+                    overflow: 0.5,
+                    wl_grad_l1: 3.0,
+                    density_grad_l1: 4.0,
+                    r_ratio: 0.001,
+                    density_skipped: true,
+                    skip_window: true,
+                }),
             },
-            omega: 0.25,
-            optimizer: Some(OptimizerState {
-                u_x: vec![1.0, 2.0],
-                u_y: vec![3.0, 4.0],
-                prev_v_x: vec![0.5, 0.5],
-                prev_v_y: vec![0.25, 0.25],
-                prev_g_x: vec![0.0, -1.0],
-                prev_g_y: vec![1.0, 0.0],
-                a: 1.5,
-                have_prev: true,
-                initial_step: 0.1,
-                max_disp: 10.0,
-                last_step: 0.2,
-            }),
-            initial_hpwl: 100.0,
-            initial_overflow: 0.9,
-            best_overflow: f64::INFINITY,
-            best_iter: 0,
-            best_u: Some((vec![1.0], vec![2.0])),
-            stage: Stage::Intermediate,
-            skip_window_open: true,
-            last_eval: Some(EvalResult {
-                wa: 1.0,
-                hpwl: 2.0,
-                overflow: 0.5,
-                wl_grad_l1: 3.0,
-                density_grad_l1: 4.0,
-                r_ratio: 0.001,
-                density_skipped: true,
-                skip_window: true,
-            }),
             engine: EngineState {
                 last_r: 0.001,
                 field_age: 3,
@@ -667,8 +741,8 @@ mod tests {
         let back = Checkpoint::parse(&text).unwrap();
         assert_eq!(cp, back);
         // Infinity survives the null encoding.
-        assert!(back.best_overflow.is_infinite());
-        assert!(back.params.last_hpwl.is_infinite());
+        assert!(back.state.best_overflow.is_infinite());
+        assert!(back.state.params.last_hpwl.is_infinite());
         // Floats are bit-exact (testkit renders shortest round-trip).
         assert_eq!(cp.x[2].to_bits(), back.x[2].to_bits());
         // Idempotent re-render.

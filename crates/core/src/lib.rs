@@ -54,14 +54,14 @@ mod params;
 mod placer;
 
 pub use checkpoint::{
-    Checkpoint, CheckpointOptions, CheckpointStore, FileCheckpointStore, MemoryCheckpointStore,
-    Perturbation,
+    Checkpoint, CheckpointOptions, CheckpointStore, FileCheckpointStore, LoopState,
+    MemoryCheckpointStore, Perturbation,
 };
 pub use config::{Framework, MultilevelConfig, OperatorConfig, ScheduleConfig, XplaceConfig};
 pub use engine::{seed_from_coarse, EngineState, EvalResult, GradientEngine};
 pub use error::PlaceError;
 pub use guidance::{sigma_blend, DensityGuidance};
-pub use optimizer::{NesterovOptimizer, OptimizerState};
+pub use optimizer::NesterovOptimizer;
 pub use params::Parameters;
 pub use placer::{GlobalPlacer, PlacementReport};
 // The telemetry sink trait and record types live in `xplace-telemetry`;

@@ -7,28 +7,41 @@
 //! Barzilai–Borwein rule `|Δv| / |Δg|`, which removes the need for an
 //! explicit Lipschitz constant.
 
+use std::ops::Range;
 use xplace_device::{Device, KernelInfo};
 use xplace_ops::PlacementModel;
 
 /// Nesterov optimizer state over the optimizable nodes (movable cells and
-/// fillers) of a [`PlacementModel`].
+/// fillers, in [`PlacementModel::optimizable_indices`] order) of a
+/// [`PlacementModel`].
 ///
 /// The model's `x`/`y` arrays always hold the reference solution `v` — the
-/// point the gradient engine evaluates at.
-#[derive(Debug, Clone)]
+/// point the gradient engine evaluates at. The struct holds no field
+/// derived from the model, so it is its own checkpoint snapshot.
+#[derive(Debug, Clone, PartialEq)]
 pub struct NesterovOptimizer {
-    idx: Vec<u32>,
-    u_x: Vec<f64>,
-    u_y: Vec<f64>,
-    prev_v_x: Vec<f64>,
-    prev_v_y: Vec<f64>,
-    prev_g_x: Vec<f64>,
-    prev_g_y: Vec<f64>,
-    a: f64,
-    have_prev: bool,
-    initial_step: f64,
-    max_disp: f64,
-    last_step: f64,
+    /// Main solution x over optimizable nodes.
+    pub u_x: Vec<f64>,
+    /// Main solution y over optimizable nodes.
+    pub u_y: Vec<f64>,
+    /// Previous reference-point x (BB numerator).
+    pub prev_v_x: Vec<f64>,
+    /// Previous reference-point y.
+    pub prev_v_y: Vec<f64>,
+    /// Previous gradient x (BB denominator).
+    pub prev_g_x: Vec<f64>,
+    /// Previous gradient y.
+    pub prev_g_y: Vec<f64>,
+    /// Nesterov momentum scalar `a`.
+    pub a: f64,
+    /// Whether a previous reference point/gradient is stored.
+    pub have_prev: bool,
+    /// First-step length before BB prediction kicks in.
+    pub initial_step: f64,
+    /// Per-iteration displacement cap.
+    pub max_disp: f64,
+    /// The last step length used.
+    pub last_step: f64,
 }
 
 impl NesterovOptimizer {
@@ -36,9 +49,9 @@ impl NesterovOptimizer {
     /// step length (before BB prediction kicks in) and `max_disp` caps the
     /// per-iteration displacement of any node (a stability guard).
     pub fn new(model: &PlacementModel, initial_step: f64, max_disp: f64) -> Self {
-        let idx: Vec<u32> = model.optimizable_indices().map(|i| i as u32).collect();
-        let n = idx.len();
-        let gather = |src: &[f64]| -> Vec<f64> { idx.iter().map(|&i| src[i as usize]).collect() };
+        let n = model.optimizable_indices().count();
+        let gather =
+            |src: &[f64]| -> Vec<f64> { model.optimizable_indices().map(|i| src[i]).collect() };
         NesterovOptimizer {
             u_x: gather(&model.x),
             u_y: gather(&model.y),
@@ -46,18 +59,12 @@ impl NesterovOptimizer {
             prev_v_y: vec![0.0; n],
             prev_g_x: vec![0.0; n],
             prev_g_y: vec![0.0; n],
-            idx,
             a: 1.0,
             have_prev: false,
             initial_step,
             max_disp,
             last_step: initial_step,
         }
-    }
-
-    /// The last step length used.
-    pub fn last_step(&self) -> f64 {
-        self.last_step
     }
 
     /// Barzilai–Borwein step prediction from the stored previous
@@ -68,14 +75,15 @@ impl NesterovOptimizer {
         }
         let mut dv2 = 0.0;
         let mut dg2 = 0.0;
-        for (k, &i) in self.idx.iter().enumerate() {
-            let i = i as usize;
-            let dvx = model.x[i] - self.prev_v_x[k];
-            let dvy = model.y[i] - self.prev_v_y[k];
-            let dgx = gx[i] - self.prev_g_x[k];
-            let dgy = gy[i] - self.prev_g_y[k];
-            dv2 += dvx * dvx + dvy * dvy;
-            dg2 += dgx * dgx + dgy * dgy;
+        for (nodes, slots) in runs(model) {
+            for (k, i) in slots.zip(nodes) {
+                let dvx = model.x[i] - self.prev_v_x[k];
+                let dvy = model.y[i] - self.prev_v_y[k];
+                let dgx = gx[i] - self.prev_g_x[k];
+                let dgy = gy[i] - self.prev_g_y[k];
+                dv2 += dvx * dvx + dvy * dvy;
+                dg2 += dgx * dgx + dgy * dgy;
+            }
         }
         if dg2 <= 0.0 || !dv2.is_finite() || !dg2.is_finite() {
             self.initial_step
@@ -106,16 +114,17 @@ impl NesterovOptimizer {
         let mut step = self.predict_step(model, gx, gy);
         // Displacement cap.
         let mut max_g: f64 = 0.0;
-        for &i in &self.idx {
-            let i = i as usize;
-            max_g = max_g.max(gx[i].abs()).max(gy[i].abs());
+        for (nodes, _) in runs(model) {
+            for i in nodes {
+                max_g = max_g.max(gx[i].abs()).max(gy[i].abs());
+            }
         }
         if max_g * step > self.max_disp {
             step = self.max_disp / max_g;
         }
         self.last_step = step;
 
-        let n = self.idx.len() as u64;
+        let n = self.u_x.len() as u64;
         if !fused {
             // PyTorch-style: each tensor op is its own out-of-place kernel.
             for name in [
@@ -133,21 +142,32 @@ impl NesterovOptimizer {
         let a_new = 0.5 * (1.0 + (4.0 * self.a * self.a + 1.0).sqrt());
         let coef = (self.a - 1.0) / a_new;
         device.launch(kernel, || {
-            for (k, &i) in self.idx.iter().enumerate() {
-                let i = i as usize;
-                // Save the reference point and gradient for BB.
-                self.prev_v_x[k] = model.x[i];
-                self.prev_v_y[k] = model.y[i];
-                self.prev_g_x[k] = gx[i];
-                self.prev_g_y[k] = gy[i];
-                // u_{k+1} = v_k - step * g(v_k)
-                let ux_new = model.x[i] - step * gx[i];
-                let uy_new = model.y[i] - step * gy[i];
-                // v_{k+1} = u_{k+1} + coef * (u_{k+1} - u_k)
-                model.x[i] = ux_new + coef * (ux_new - self.u_x[k]);
-                model.y[i] = uy_new + coef * (uy_new - self.u_y[k]);
-                self.u_x[k] = ux_new;
-                self.u_y[k] = uy_new;
+            // Per-run slices: indexing the whole vectors by node and slot
+            // instead measured about 30% slower on a 66k-node step.
+            for (nodes, slots) in runs(model) {
+                let (x, y) = (&mut model.x[nodes.clone()], &mut model.y[nodes.clone()]);
+                let (gx, gy) = (&gx[nodes.clone()], &gy[nodes]);
+                let (ux, uy) = (&mut self.u_x[slots.clone()], &mut self.u_y[slots.clone()]);
+                let (pvx, pvy) = (
+                    &mut self.prev_v_x[slots.clone()],
+                    &mut self.prev_v_y[slots.clone()],
+                );
+                let (pgx, pgy) = (&mut self.prev_g_x[slots.clone()], &mut self.prev_g_y[slots]);
+                for j in 0..x.len() {
+                    // Save the reference point and gradient for BB.
+                    pvx[j] = x[j];
+                    pvy[j] = y[j];
+                    pgx[j] = gx[j];
+                    pgy[j] = gy[j];
+                    // u_{k+1} = v_k - step * g(v_k)
+                    let ux_new = x[j] - step * gx[j];
+                    let uy_new = y[j] - step * gy[j];
+                    // v_{k+1} = u_{k+1} + coef * (u_{k+1} - u_k)
+                    x[j] = ux_new + coef * (ux_new - ux[j]);
+                    y[j] = uy_new + coef * (uy_new - uy[j]);
+                    ux[j] = ux_new;
+                    uy[j] = uy_new;
+                }
             }
         });
         self.a = a_new;
@@ -155,123 +175,25 @@ impl NesterovOptimizer {
         model.clamp_to_region();
     }
 
-    /// Clones the main solution `u` (for best-solution snapshots).
-    pub fn u_clone(&self) -> (Vec<f64>, Vec<f64>) {
-        (self.u_x.clone(), self.u_y.clone())
-    }
-
-    /// Restores a previously snapshotted main solution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot lengths do not match this optimizer.
-    pub fn set_u(&mut self, ux: &[f64], uy: &[f64]) {
-        assert_eq!(ux.len(), self.u_x.len(), "snapshot length mismatch");
-        assert_eq!(uy.len(), self.u_y.len(), "snapshot length mismatch");
-        self.u_x.copy_from_slice(ux);
-        self.u_y.copy_from_slice(uy);
-    }
-
-    /// Snapshots the full optimizer state for checkpointing. The gather
-    /// index list is *not* included: it is a pure function of the model
-    /// and is rebuilt on restore.
-    pub fn state(&self) -> OptimizerState {
-        OptimizerState {
-            u_x: self.u_x.clone(),
-            u_y: self.u_y.clone(),
-            prev_v_x: self.prev_v_x.clone(),
-            prev_v_y: self.prev_v_y.clone(),
-            prev_g_x: self.prev_g_x.clone(),
-            prev_g_y: self.prev_g_y.clone(),
-            a: self.a,
-            have_prev: self.have_prev,
-            initial_step: self.initial_step,
-            max_disp: self.max_disp,
-            last_step: self.last_step,
-        }
-    }
-
-    /// Rebuilds an optimizer from a checkpointed [`OptimizerState`],
-    /// regathering the index list from `model`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the snapshot's vector lengths do not match
-    /// the model's optimizable-node count.
-    pub fn from_state(model: &PlacementModel, state: OptimizerState) -> Result<Self, String> {
-        let idx: Vec<u32> = model.optimizable_indices().map(|i| i as u32).collect();
-        let n = idx.len();
-        for (name, v) in [
-            ("u_x", &state.u_x),
-            ("u_y", &state.u_y),
-            ("prev_v_x", &state.prev_v_x),
-            ("prev_v_y", &state.prev_v_y),
-            ("prev_g_x", &state.prev_g_x),
-            ("prev_g_y", &state.prev_g_y),
-        ] {
-            if v.len() != n {
-                return Err(format!(
-                    "optimizer snapshot {name} has {} entries, model has {n} optimizable nodes",
-                    v.len()
-                ));
-            }
-        }
-        Ok(NesterovOptimizer {
-            idx,
-            u_x: state.u_x,
-            u_y: state.u_y,
-            prev_v_x: state.prev_v_x,
-            prev_v_y: state.prev_v_y,
-            prev_g_x: state.prev_g_x,
-            prev_g_y: state.prev_g_y,
-            a: state.a,
-            have_prev: state.have_prev,
-            initial_step: state.initial_step,
-            max_disp: state.max_disp,
-            last_step: state.last_step,
-        })
-    }
-
     /// Copies the main solution `u` (not the lookahead `v`) into the
     /// model — call once after the final iteration so the reported
     /// placement is the converged solution.
     pub fn write_u(&self, model: &mut PlacementModel) {
-        for (k, &i) in self.idx.iter().enumerate() {
-            let i = i as usize;
-            model.x[i] = self.u_x[k];
-            model.y[i] = self.u_y[k];
+        for (nodes, slots) in runs(model) {
+            model.x[nodes.clone()].copy_from_slice(&self.u_x[slots.clone()]);
+            model.y[nodes].copy_from_slice(&self.u_y[slots]);
         }
         model.clamp_to_region();
     }
 }
 
-/// A plain-data snapshot of a [`NesterovOptimizer`] used by GP
-/// checkpoints: the main solution `u`, the previous reference point and
-/// gradient (for BB step prediction), and the momentum scalars.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptimizerState {
-    /// Main solution x over optimizable nodes.
-    pub u_x: Vec<f64>,
-    /// Main solution y over optimizable nodes.
-    pub u_y: Vec<f64>,
-    /// Previous reference-point x (BB numerator).
-    pub prev_v_x: Vec<f64>,
-    /// Previous reference-point y.
-    pub prev_v_y: Vec<f64>,
-    /// Previous gradient x (BB denominator).
-    pub prev_g_x: Vec<f64>,
-    /// Previous gradient y.
-    pub prev_g_y: Vec<f64>,
-    /// Nesterov momentum scalar `a`.
-    pub a: f64,
-    /// Whether a previous reference point/gradient is stored.
-    pub have_prev: bool,
-    /// First-step length before BB prediction kicks in.
-    pub initial_step: f64,
-    /// Per-iteration displacement cap.
-    pub max_disp: f64,
-    /// The last step length used.
-    pub last_step: f64,
+/// The optimizable nodes as two runs — movable cells, then fillers —
+/// each as its model index range and its slot range in the optimizer's
+/// vectors.
+fn runs(model: &PlacementModel) -> [(Range<usize>, Range<usize>); 2] {
+    let r = model.ranges();
+    let (nm, nf) = (r.movable.len(), r.filler.len());
+    [(r.movable, 0..nm), (r.filler, nm..nm + nf)]
 }
 
 #[cfg(test)]
@@ -333,14 +255,14 @@ mod tests {
         let (mut gx, mut gy) = (vec![0.0; n], vec![0.0; n]);
         quad_grad(&model, c.x, c.y, &mut gx, &mut gy);
         opt.step(&device, &mut model, &gx, &gy, true);
-        assert_eq!(opt.last_step(), 0.001);
+        assert_eq!(opt.last_step, 0.001);
         quad_grad(&model, c.x, c.y, &mut gx, &mut gy);
         opt.step(&device, &mut model, &gx, &gy, true);
         // For a unit-curvature quadratic the BB step approaches 1.
         assert!(
-            opt.last_step() > 0.5,
+            opt.last_step > 0.5,
             "BB step {} should approach 1",
-            opt.last_step()
+            opt.last_step
         );
     }
 
@@ -408,10 +330,11 @@ mod tests {
         let c = model.region().center();
         quad_grad(&model, c.x + 1.0, c.y, &mut gx, &mut gy);
         opt.step(&device, &mut model, &gx, &gy, true);
-        let v_pos = model.x[0];
         opt.write_u(&mut model);
-        // u and v differ after a momentum step (v extrapolates past u)
-        // unless the step was zero.
-        assert!((model.x[0] - v_pos).abs() >= 0.0); // write_u must not panic
+        // Every optimizable node now sits at its main solution `u`.
+        for (k, i) in model.optimizable_indices().enumerate() {
+            assert_eq!(model.x[i], opt.u_x[k], "node {i} x is not u");
+            assert_eq!(model.y[i], opt.u_y[k], "node {i} y is not u");
+        }
     }
 }

@@ -6,13 +6,13 @@ use crate::engine::unit_hash;
 use crate::params::{gamma_for, update_period, MIN_ITERATIONS, PLATEAU_WINDOW};
 use crate::{
     Checkpoint, CheckpointOptions, DensityGuidance, Framework, GradientEngine, IterationRecord,
-    NesterovOptimizer, Parameters, PlaceError, XplaceConfig,
+    LoopState, NesterovOptimizer, PlaceError, XplaceConfig,
 };
 use std::time::Instant;
 use xplace_db::Design;
 use xplace_device::{Device, ProfileSnapshot};
 use xplace_ops::{precond, PlacementModel};
-use xplace_telemetry::{stage_of, GpMetrics, NullSink, Stage, TelemetryEvent, TelemetrySink};
+use xplace_telemetry::{stage_of, GpMetrics, NullSink, TelemetryEvent, TelemetrySink};
 
 /// Relaxed overflow stop for coarse multilevel levels; the effective
 /// coarse target is `max(COARSE_STOP_OVERFLOW, schedule.stop_overflow)`.
@@ -261,15 +261,14 @@ impl GlobalPlacer {
         Ok(report)
     }
 
-    /// Single-level global placement (the pre-multilevel `place_traced`
-    /// body).
+    /// Single-level global placement. The caller has validated the
+    /// configuration.
     fn place_flat(
         &mut self,
         design: &mut Design,
         sink: &mut dyn TelemetrySink,
         ckpt: CheckpointOptions<'_>,
     ) -> Result<PlacementReport, PlaceError> {
-        self.config.validate()?;
         if let Some(cp) = ckpt.resume {
             cp.validate(design, &self.config)?;
         }
@@ -330,65 +329,25 @@ impl GlobalPlacer {
 
         let schedule = self.config.schedule;
         let bin_size = 0.5 * (model.bin_w() + model.bin_h());
-        let mut params = Parameters::new(bin_size);
         let fused_optimizer =
             self.config.framework == Framework::Xplace && self.config.operators.reduction;
 
-        let mut optimizer: Option<NesterovOptimizer> = None;
-        let mut omega = 0.0;
-        let mut initial_hpwl = 0.0;
-        let mut initial_overflow = 0.0;
-        let mut last_eval = None;
-        let mut converged = false;
-        let mut iterations = 0;
-        // Best-solution snapshot (DREAMPlace-style divergence guard): the
-        // density system can oscillate once lambda saturates, so track the
-        // best overflow seen and roll back if the run does not converge.
-        let mut best_overflow = f64::INFINITY;
-        let mut best_iter = 0usize;
-        let mut best_u: Option<(Vec<f64>, Vec<f64>)> = None;
-        // Telemetry state: transitions are emitted on change only.
-        let mut cur_stage = Stage::Early;
-        let mut skip_window_open = false;
-        // Resume state: loop start index and the modeled profile the
-        // interrupted run had already accumulated (this run's device
-        // starts from zero, so totals add the base back at the end).
-        let mut start_iter = 0usize;
-        let mut profile_base = ProfileSnapshot::default();
-
-        if let Some(cp) = ckpt.resume {
-            if cp.x.len() != model.num_nodes() || cp.y.len() != model.num_nodes() {
-                return Err(PlaceError::Checkpoint(format!(
-                    "checkpoint has {} nodes, model has {}",
-                    cp.x.len(),
-                    model.num_nodes()
-                )));
+        // The loop's cross-iteration values, fresh or from the snapshot.
+        // A resumed run also starts at the snapshot's iteration and adds
+        // the modeled profile the interrupted run had already accumulated
+        // (this run's device starts from zero).
+        let (mut state, start_iter, profile_base) = match ckpt.resume {
+            Some(cp) => {
+                cp.check_shape(&model)?;
+                model.x.copy_from_slice(&cp.x);
+                model.y.copy_from_slice(&cp.y);
+                engine.restore_state(&cp.engine)?;
+                (cp.state.clone(), cp.iteration, cp.profile)
             }
-            model.x.copy_from_slice(&cp.x);
-            model.y.copy_from_slice(&cp.y);
-            params = cp.params;
-            omega = cp.omega;
-            optimizer = match &cp.optimizer {
-                Some(state) => Some(
-                    NesterovOptimizer::from_state(&model, state.clone())
-                        .map_err(PlaceError::Checkpoint)?,
-                ),
-                None => None,
-            };
-            initial_hpwl = cp.initial_hpwl;
-            initial_overflow = cp.initial_overflow;
-            iterations = cp.iteration;
-            best_overflow = cp.best_overflow;
-            best_iter = cp.best_iter;
-            best_u = cp.best_u.clone();
-            cur_stage = cp.stage;
-            skip_window_open = cp.skip_window_open;
-            last_eval = cp.last_eval;
-            engine.restore_state(&cp.engine)?;
-            profile_base = cp.profile;
-            start_iter = cp.iteration;
-        }
-
+            None => (LoopState::new(bin_size), 0, ProfileSnapshot::default()),
+        };
+        let mut converged = false;
+        let mut iterations = start_iter;
         let mut paused = false;
 
         for iter in start_iter..schedule.max_iterations {
@@ -407,17 +366,7 @@ impl GlobalPlacer {
                         iteration: iter,
                         x: model.x.clone(),
                         y: model.y.clone(),
-                        params,
-                        omega,
-                        optimizer: optimizer.as_ref().map(|o| o.state()),
-                        initial_hpwl,
-                        initial_overflow,
-                        best_overflow,
-                        best_iter,
-                        best_u: best_u.clone(),
-                        stage: cur_stage,
-                        skip_window_open,
-                        last_eval,
+                        state: state.clone(),
                         engine: engine.state(),
                         profile,
                     };
@@ -441,15 +390,17 @@ impl GlobalPlacer {
             }
             let (eval, prof) = {
                 let (res, prof) =
-                    device.scoped(|| engine.evaluate(&device, &model, &params, omega));
+                    device.scoped(|| engine.evaluate(&device, &model, &state.params, state.omega));
                 (res?, prof)
             };
             if iter == 0 {
-                initial_hpwl = eval.hpwl;
-                initial_overflow = eval.overflow;
-                params.initialize_lambda(eval.wl_grad_l1, eval.density_grad_l1);
+                state.initial_hpwl = eval.hpwl;
+                state.initial_overflow = eval.overflow;
+                state
+                    .params
+                    .initialize_lambda(eval.wl_grad_l1, eval.density_grad_l1);
                 // γ starts from the observed overflow.
-                params.update(bin_size, eval.overflow, eval.hpwl);
+                state.params.update(bin_size, eval.overflow, eval.hpwl);
             }
             if tracing {
                 sink.emit(&TelemetryEvent::Iteration {
@@ -458,9 +409,9 @@ impl GlobalPlacer {
                         hpwl: eval.hpwl,
                         wa: eval.wa,
                         overflow: eval.overflow,
-                        lambda: params.lambda,
-                        gamma: params.gamma,
-                        omega,
+                        lambda: state.params.lambda,
+                        gamma: state.params.gamma,
+                        omega: state.omega,
                         r_ratio: eval.r_ratio,
                         density_skipped: eval.density_skipped,
                         modeled_ns: prof.modeled_ns(),
@@ -472,20 +423,20 @@ impl GlobalPlacer {
                     // The λ initialization + first scheduler update above.
                     sink.emit(&TelemetryEvent::LambdaUpdate {
                         iteration: iter,
-                        lambda: params.lambda,
-                        gamma: params.gamma,
+                        lambda: state.params.lambda,
+                        gamma: state.params.gamma,
                     });
                 }
-                if eval.skip_window != skip_window_open {
-                    skip_window_open = eval.skip_window;
+                if eval.skip_window != state.skip_window_open {
+                    state.skip_window_open = eval.skip_window;
                     sink.emit(&TelemetryEvent::SkipWindow {
                         iteration: iter,
-                        active: skip_window_open,
+                        active: state.skip_window_open,
                     });
                 }
             }
             iterations = iter + 1;
-            last_eval = Some(eval);
+            state.last_eval = Some(eval);
 
             if eval.overflow < schedule.stop_overflow && iter >= MIN_ITERATIONS {
                 converged = true;
@@ -494,12 +445,12 @@ impl GlobalPlacer {
             // The plateau guard only applies once spreading is underway
             // (early WL-dominated iterations legitimately re-compact the
             // cells and raise overflow).
-            if best_overflow < 0.5 && iter.saturating_sub(best_iter) > PLATEAU_WINDOW {
+            if state.best_overflow < 0.5 && iter.saturating_sub(state.best_iter) > PLATEAU_WINDOW {
                 break; // no overflow progress in a long time: roll back
             }
 
             // Gradient step at the reference solution.
-            let opt = match optimizer.as_mut() {
+            let opt = match state.optimizer.as_mut() {
                 Some(o) => o,
                 None => {
                     let (gx, gy) = engine.grads();
@@ -512,63 +463,64 @@ impl GlobalPlacer {
                     } else {
                         1.0
                     };
-                    optimizer.insert(NesterovOptimizer::new(&model, step0, 5.0 * bin_size))
+                    state
+                        .optimizer
+                        .insert(NesterovOptimizer::new(&model, step0, 5.0 * bin_size))
                 }
             };
             let (gx, gy) = engine.grads();
             opt.step(&device, &mut model, gx, gy, fused_optimizer);
             model.clamp_to_fences();
-            if eval.overflow < best_overflow {
-                best_overflow = eval.overflow;
-                best_iter = iter;
-                best_u = Some(opt.u_clone());
+            if eval.overflow < state.best_overflow {
+                state.best_overflow = eval.overflow;
+                state.best_iter = iter;
+                state.best_u = Some((opt.u_x.clone(), opt.u_y.clone()));
             }
 
             // Scheduler (Algorithm 1): stage-aware parameter cadence.
-            omega = precond::omega(&model, params.lambda);
+            state.omega = precond::omega(&model, state.params.lambda);
             if tracing {
-                let stage = stage_of(omega);
-                if stage != cur_stage {
+                let stage = stage_of(state.omega);
+                if stage != state.stage {
                     sink.emit(&TelemetryEvent::StageTransition {
                         iteration: iter,
-                        from: cur_stage,
+                        from: state.stage,
                         to: stage,
-                        omega,
+                        omega: state.omega,
                     });
-                    cur_stage = stage;
+                    state.stage = stage;
                 }
             }
-            let period = update_period(schedule.stage_aware, omega);
-            params.advance();
-            if params.iteration.is_multiple_of(period) {
-                params.update(bin_size, eval.overflow, eval.hpwl);
+            let period = update_period(schedule.stage_aware, state.omega);
+            state.params.advance();
+            if state.params.iteration.is_multiple_of(period) {
+                state.params.update(bin_size, eval.overflow, eval.hpwl);
                 if tracing {
                     sink.emit(&TelemetryEvent::LambdaUpdate {
                         iteration: iter,
-                        lambda: params.lambda,
-                        gamma: params.gamma,
+                        lambda: state.params.lambda,
+                        gamma: state.params.gamma,
                     });
                 }
             } else {
                 // γ still tracks overflow even when λ is frozen.
-                params.gamma = gamma_for(bin_size, eval.overflow);
+                state.params.gamma = gamma_for(bin_size, eval.overflow);
             }
         }
 
-        if let Some(opt) = optimizer.as_mut() {
+        if let Some(opt) = state.optimizer.as_mut() {
             // If the run ended worse than its best point, restore the
             // snapshot instead of the final oscillating state.
-            let final_overflow = last_eval
-                .map(|e: crate::EvalResult| e.overflow)
-                .unwrap_or(1.0);
-            if !paused && !converged && final_overflow > best_overflow {
-                if let Some((ux, uy)) = best_u.as_ref() {
-                    opt.set_u(ux, uy);
+            let final_overflow = state.last_eval.map_or(1.0, |e| e.overflow);
+            if !paused && !converged && final_overflow > state.best_overflow {
+                if let Some((ux, uy)) = &state.best_u {
+                    opt.u_x.clone_from(ux);
+                    opt.u_y.clone_from(uy);
                     if tracing {
                         sink.emit(&TelemetryEvent::Rollback {
                             iteration: iterations.saturating_sub(1),
-                            best_iteration: best_iter,
-                            best_overflow,
+                            best_iteration: state.best_iter,
+                            best_overflow: state.best_overflow,
                         });
                     }
                 }
@@ -578,10 +530,11 @@ impl GlobalPlacer {
         }
         model.apply_to(design);
         let final_hpwl = design.total_hpwl();
-        let final_overflow = last_eval
+        let final_overflow = state
+            .last_eval
             .map(|e| e.overflow)
             .unwrap_or(1.0)
-            .min(best_overflow);
+            .min(state.best_overflow);
 
         // Whole-run profile: what this process ran plus whatever the
         // interrupted run had accumulated before the resume point — so a
@@ -595,8 +548,8 @@ impl GlobalPlacer {
                 converged,
                 final_hpwl,
                 final_overflow,
-                best_overflow: if best_overflow.is_finite() {
-                    best_overflow
+                best_overflow: if state.best_overflow.is_finite() {
+                    state.best_overflow
                 } else {
                     final_overflow
                 },
@@ -608,13 +561,13 @@ impl GlobalPlacer {
         Ok(PlacementReport {
             design: design.name().to_string(),
             iterations,
-            initial_hpwl,
+            initial_hpwl: state.initial_hpwl,
             final_hpwl,
-            initial_overflow,
+            initial_overflow: state.initial_overflow,
             final_overflow,
             converged,
             paused,
-            best_overflow,
+            best_overflow: state.best_overflow,
             profile: total_profile,
             wall_seconds: start.elapsed().as_secs_f64(),
         })
@@ -1111,6 +1064,59 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, PlaceError::Checkpoint(_)), "{err}");
+    }
+
+    /// Resume checks every snapshot vector against the model before the
+    /// loop runs: a short `x`, optimizer `u_x` or `best_u` half is a
+    /// checkpoint error that names the field, not a panic. The short
+    /// `best_u` comes with `best_overflow = 0`, so the rollback would
+    /// fire on it.
+    #[test]
+    fn resume_rejects_a_snapshot_of_the_wrong_shape() {
+        use crate::MemoryCheckpointStore;
+        let mut cfg = XplaceConfig::xplace();
+        cfg.schedule.max_iterations = 60;
+        let store = MemoryCheckpointStore::new();
+        GlobalPlacer::new(cfg.clone())
+            .place_traced_opts(
+                &mut small_design(71),
+                &mut NullSink,
+                CheckpointOptions {
+                    store: Some(&store),
+                    stop_at: Some(40),
+                    ..CheckpointOptions::none()
+                },
+            )
+            .unwrap();
+        let (_, snapshot) = store.latest().unwrap().unwrap();
+        assert!(snapshot.state.optimizer.is_some() && snapshot.state.best_u.is_some());
+
+        let mut short_x = snapshot.clone();
+        short_x.x.pop();
+        let mut short_u = snapshot.clone();
+        short_u.state.optimizer.as_mut().unwrap().u_x.pop();
+        let mut short_best = snapshot;
+        short_best.state.best_u.as_mut().unwrap().0.pop();
+        short_best.state.best_overflow = 0.0;
+        for (field, cp) in [("x", short_x), ("u_x", short_u), ("best_u_x", short_best)] {
+            let err = GlobalPlacer::new(cfg.clone())
+                .place_traced_opts(
+                    &mut small_design(71),
+                    &mut NullSink,
+                    CheckpointOptions {
+                        resume: Some(&cp),
+                        ..CheckpointOptions::none()
+                    },
+                )
+                .unwrap_err();
+            match err {
+                PlaceError::Checkpoint(msg) => assert!(
+                    msg.starts_with(&format!("checkpoint {field} has ")),
+                    "{field}: {msg}"
+                ),
+                other => panic!("{field}: expected a checkpoint error, got {other}"),
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property tests for checkpoint durability and branching: randomized
 //! Nesterov loop states round-trip bit-exactly through both store kinds,
-//! and branching/perturbation is a pure function of (snapshot, seed).
+//! branching/perturbation is a pure function of (snapshot, seed), and
+//! parsing hostile input (truncated or byte-flipped payloads) returns a
+//! checkpoint or a checkpoint error, never a panic.
 
 use xplace_core::{
-    Checkpoint, CheckpointStore, EngineState, EvalResult, FileCheckpointStore,
-    MemoryCheckpointStore, OptimizerState, Parameters, Perturbation, XplaceConfig,
+    Checkpoint, CheckpointStore, EngineState, EvalResult, FileCheckpointStore, LoopState,
+    MemoryCheckpointStore, NesterovOptimizer, Parameters, Perturbation, PlaceError, XplaceConfig,
 };
 use xplace_device::ProfileSnapshot;
 use xplace_telemetry::{Stage, ToJson};
@@ -31,7 +33,7 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
     let x = wide(&mut rng, nodes);
     let y = wide(&mut rng, nodes);
     let optimizer = if !seed.is_multiple_of(3) {
-        Some(OptimizerState {
+        Some(NesterovOptimizer {
             u_x: wide(&mut rng, opt_len),
             u_y: wide(&mut rng, opt_len),
             prev_v_x: wide(&mut rng, opt_len),
@@ -74,36 +76,38 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
         iteration: rng.gen_range(0usize..5000),
         x,
         y,
-        params: Parameters {
-            gamma: rng.f64() * 10.0,
-            lambda: rng.f64() * 1e-2 + 1e-9,
-            iteration: rng.gen_range(0usize..5000),
-            last_hpwl: if seed.is_multiple_of(2) {
+        state: LoopState {
+            params: Parameters {
+                gamma: rng.f64() * 10.0,
+                lambda: rng.f64() * 1e-2 + 1e-9,
+                iteration: rng.gen_range(0usize..5000),
+                last_hpwl: if seed.is_multiple_of(2) {
+                    f64::INFINITY
+                } else {
+                    rng.f64() * 1e6
+                },
+                last_overflow: rng.f64(),
+                lambda_initialized: rng.next_u64().is_multiple_of(2),
+            },
+            omega: rng.f64(),
+            optimizer,
+            initial_hpwl: rng.f64() * 1e6,
+            initial_overflow: rng.f64(),
+            best_overflow: if seed.is_multiple_of(6) {
                 f64::INFINITY
             } else {
-                rng.f64() * 1e6
+                rng.f64()
             },
-            last_overflow: rng.f64(),
-            lambda_initialized: rng.next_u64().is_multiple_of(2),
+            best_iter: rng.gen_range(0usize..5000),
+            best_u,
+            stage: match seed % 3 {
+                0 => Stage::Early,
+                1 => Stage::Intermediate,
+                _ => Stage::Final,
+            },
+            skip_window_open: rng.next_u64().is_multiple_of(2),
+            last_eval,
         },
-        omega: rng.f64(),
-        optimizer,
-        initial_hpwl: rng.f64() * 1e6,
-        initial_overflow: rng.f64(),
-        best_overflow: if seed.is_multiple_of(6) {
-            f64::INFINITY
-        } else {
-            rng.f64()
-        },
-        best_iter: rng.gen_range(0usize..5000),
-        best_u,
-        stage: match seed % 3 {
-            0 => Stage::Early,
-            1 => Stage::Intermediate,
-            _ => Stage::Final,
-        },
-        skip_window_open: rng.next_u64().is_multiple_of(2),
-        last_eval,
         engine: EngineState {
             last_r: rng.f64() * 0.01,
             field_age: rng.gen_range(0usize..8),
@@ -199,9 +203,52 @@ props! {
             prop_assert_eq!(a.y[i].to_bits(), cp.y[i].to_bits());
         }
         // The branch explores fresh: momentum and rollback state reset.
-        prop_assert!(a.optimizer.is_none());
-        prop_assert!(a.best_u.is_none());
-        prop_assert!(a.best_overflow.is_infinite());
+        prop_assert!(a.state.optimizer.is_none());
+        prop_assert!(a.state.best_u.is_none());
+        prop_assert!(a.state.best_overflow.is_infinite());
         prop_assert!(!a.engine.has_field);
+    }
+}
+
+props! {
+    config = Config::with_cases(8);
+
+    /// Every proper prefix of a rendered checkpoint is refused with a
+    /// checkpoint error, never a panic.
+    fn every_truncation_is_refused(seed in 0u64..1_000_000_000) {
+        let text = random_checkpoint(seed).render();
+        for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+            let parsed = Checkpoint::parse(&text[..end]);
+            prop_assert!(
+                matches!(parsed, Err(PlaceError::Checkpoint(_))),
+                "prefix of {end} bytes gave {parsed:?} (seed {seed})"
+            );
+        }
+    }
+}
+
+props! {
+    config = Config::with_cases(40);
+
+    /// A rendered checkpoint with one to three random bytes replaced
+    /// (256 variants per case, 10240 in all; invalid UTF-8 is decoded
+    /// lossily) parses to a checkpoint or is refused with a checkpoint
+    /// error, never a panic.
+    fn byte_flips_parse_or_are_refused(seed in 0u64..1_000_000_000) {
+        let bytes = random_checkpoint(seed).render().into_bytes();
+        let mut rng = Rng::seed_from_u64(seed ^ 0xf11b);
+        for _ in 0..256 {
+            let mut flipped = bytes.clone();
+            for _ in 0..rng.gen_range(1usize..4) {
+                let at = rng.gen_range(0..flipped.len());
+                flipped[at] ^= rng.gen_range(1u8..=255);
+            }
+            let text = String::from_utf8_lossy(&flipped);
+            let parsed = Checkpoint::parse(&text);
+            prop_assert!(
+                matches!(parsed, Ok(_) | Err(PlaceError::Checkpoint(_))),
+                "flipped payload gave {parsed:?} (seed {seed})"
+            );
+        }
     }
 }

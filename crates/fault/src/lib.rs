@@ -15,7 +15,9 @@
 //!
 //! The crate also provides [`FailingWriter`], an `io::Write` adapter
 //! that injects a sticky I/O error after a byte budget — the primitive
-//! behind the sink-error fault and the torn-write property suites.
+//! behind the serve crate's torn-write property suite (`http_props`).
+//! The sink-error fault does not use it: the scheduler's trace callback
+//! spends the byte budget and panics with [`INJECTED_WRITE_ERROR`].
 
 #![warn(missing_docs)]
 
@@ -264,7 +266,8 @@ pub struct FailingWriter<W> {
     remaining: usize,
 }
 
-/// The message carried by every error a [`FailingWriter`] injects.
+/// The message carried by every error a [`FailingWriter`] injects, and
+/// by the scheduler's panic when a job's sink-error budget is spent.
 pub const INJECTED_WRITE_ERROR: &str = "injected write fault";
 
 impl<W: Write> FailingWriter<W> {

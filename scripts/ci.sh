@@ -163,6 +163,24 @@ if ./target/release/xplace place "$SMOKE/ci-smoke.aux" --max-iters 120 \
 fi
 grep -q "unsupported checkpoint version" "$SMOKE/v1.err" \
     || { echo "FAIL: version-1 checkpoint rejected for the wrong reason" >&2; cat "$SMOKE/v1.err" >&2; exit 1; }
+# A checkpoint of another design must be refused by its design name.
+set +e
+./target/release/xplace place "$SMOKE/ci-blocked.aux" --max-iters 120 \
+    -o "$SMOKE/other.pl" --resume-from "$SMOKE/ckpt-t1.json" >/dev/null 2>"$SMOKE/other.err"
+OTHER_STATUS=$?
+set -e
+[ "$OTHER_STATUS" -eq 1 ] && grep -q "checkpoint is for design" "$SMOKE/other.err" \
+    || { echo "FAIL: another design's checkpoint exited $OTHER_STATUS, want 1 naming the design" >&2; cat "$SMOKE/other.err" >&2; exit 1; }
+# A checkpoint whose best-solution snapshot is one entry short must be
+# refused by its shape check (exit 1 naming the field), not panic (101).
+sed 's/"best_u_x":\[[^,]*,/"best_u_x":[/' "$SMOKE/ckpt-t1.json" > "$SMOKE/ckpt-short.json"
+set +e
+./target/release/xplace place "$SMOKE/ci-smoke.aux" --max-iters 120 \
+    -o "$SMOKE/short.pl" --resume-from "$SMOKE/ckpt-short.json" >/dev/null 2>"$SMOKE/short.err"
+SHORT_STATUS=$?
+set -e
+[ "$SHORT_STATUS" -eq 1 ] && grep -q "checkpoint best_u_x has" "$SMOKE/short.err" \
+    || { echo "FAIL: a short best_u_x exited $SHORT_STATUS, want 1 naming the field" >&2; cat "$SMOKE/short.err" >&2; exit 1; }
 
 echo "==> chaos soak: seeded fault injection, retry recovery, client-drop conservation"
 ./target/release/chaos_soak --smoke
