@@ -28,7 +28,9 @@ use crate::{EvalResult, NesterovOptimizer, Parameters, PlaceError, XplaceConfig}
 use xplace_db::Design;
 use xplace_device::ProfileSnapshot;
 use xplace_ops::PlacementModel;
-use xplace_telemetry::{ConfigEcho, FromJson, Json, JsonError, ProfileDelta, Stage, ToJson};
+use xplace_telemetry::{
+    json_struct, ConfigEcho, FromJson, Json, JsonError, ProfileDelta, Stage, ToJson,
+};
 
 /// Format tag embedded in every checkpoint payload.
 const FORMAT: &str = "xplace-checkpoint";
@@ -115,181 +117,96 @@ pub struct Checkpoint {
     pub profile: ProfileSnapshot,
 }
 
-fn stage_name(stage: Stage) -> &'static str {
-    match stage {
-        Stage::Early => "early",
-        Stage::Intermediate => "intermediate",
-        Stage::Final => "final",
+json_struct!(EvalResult {
+    wa,
+    hpwl,
+    overflow,
+    wl_grad_l1,
+    density_grad_l1,
+    r_ratio,
+    density_skipped,
+    skip_window,
+});
+
+json_struct!(NesterovOptimizer {
+    u_x,
+    u_y,
+    prev_v_x,
+    prev_v_y,
+    prev_g_x,
+    prev_g_y,
+    a,
+    have_prev,
+    initial_step,
+    max_disp,
+    last_step,
+});
+
+json_struct!(EngineState {
+    last_r,
+    field_age,
+    has_field,
+    cached_overflow,
+    field_x,
+    field_y,
+});
+
+// Hand-written: `last_hpwl`/`last_overflow` are `INFINITY` until the
+// first parameter update, which JSON can only carry as `null`.
+impl ToJson for Parameters {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("gamma", self.gamma.to_json()),
+            ("lambda", self.lambda.to_json()),
+            ("iteration", self.iteration.to_json()),
+            ("last_hpwl", self.last_hpwl.to_json()),
+            ("last_overflow", self.last_overflow.to_json()),
+            ("lambda_initialized", self.lambda_initialized.to_json()),
+        ])
     }
 }
 
-fn stage_from(name: &str) -> Result<Stage, JsonError> {
-    match name {
-        "early" => Ok(Stage::Early),
-        "intermediate" => Ok(Stage::Intermediate),
-        "final" => Ok(Stage::Final),
-        other => Err(JsonError(format!("unknown stage `{other}`"))),
+impl FromJson for Parameters {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        Ok(Parameters {
+            gamma: value.decode("gamma")?,
+            lambda: value.decode("lambda")?,
+            iteration: value.decode("iteration")?,
+            last_hpwl: value
+                .decode::<Option<_>>("last_hpwl")?
+                .unwrap_or(f64::INFINITY),
+            last_overflow: value
+                .decode::<Option<_>>("last_overflow")?
+                .unwrap_or(f64::INFINITY),
+            lambda_initialized: value.decode("lambda_initialized")?,
+        })
     }
-}
-
-/// Decodes a float that may have been `INFINITY` at save time (JSON has
-/// no Infinity; the encoder renders it as `null`).
-fn f64_or_inf(value: &Json) -> Result<f64, JsonError> {
-    match value {
-        Json::Null => Ok(f64::INFINITY),
-        other => other.as_f64(),
-    }
-}
-
-fn eval_to_json(eval: &EvalResult) -> Json {
-    Json::obj([
-        ("wa", Json::num(eval.wa)),
-        ("hpwl", Json::num(eval.hpwl)),
-        ("overflow", Json::num(eval.overflow)),
-        ("wl_grad_l1", Json::num(eval.wl_grad_l1)),
-        ("density_grad_l1", Json::num(eval.density_grad_l1)),
-        ("r_ratio", Json::num(eval.r_ratio)),
-        ("density_skipped", Json::Bool(eval.density_skipped)),
-        ("skip_window", Json::Bool(eval.skip_window)),
-    ])
-}
-
-fn eval_from_json(value: &Json) -> Result<EvalResult, JsonError> {
-    Ok(EvalResult {
-        wa: value.field("wa")?.as_f64()?,
-        hpwl: value.field("hpwl")?.as_f64()?,
-        overflow: value.field("overflow")?.as_f64()?,
-        wl_grad_l1: value.field("wl_grad_l1")?.as_f64()?,
-        density_grad_l1: value.field("density_grad_l1")?.as_f64()?,
-        r_ratio: value.field("r_ratio")?.as_f64()?,
-        density_skipped: value.field("density_skipped")?.as_bool()?,
-        skip_window: value.field("skip_window")?.as_bool()?,
-    })
-}
-
-fn params_to_json(p: &Parameters) -> Json {
-    Json::obj([
-        ("gamma", Json::num(p.gamma)),
-        ("lambda", Json::num(p.lambda)),
-        ("iteration", Json::num(p.iteration as f64)),
-        ("last_hpwl", Json::num(p.last_hpwl)),
-        ("last_overflow", Json::num(p.last_overflow)),
-        ("lambda_initialized", Json::Bool(p.lambda_initialized)),
-    ])
-}
-
-fn params_from_json(value: &Json) -> Result<Parameters, JsonError> {
-    Ok(Parameters {
-        gamma: value.field("gamma")?.as_f64()?,
-        lambda: value.field("lambda")?.as_f64()?,
-        iteration: value.field("iteration")?.as_usize()?,
-        last_hpwl: f64_or_inf(value.field("last_hpwl")?)?,
-        last_overflow: f64_or_inf(value.field("last_overflow")?)?,
-        lambda_initialized: value.field("lambda_initialized")?.as_bool()?,
-    })
-}
-
-/// The optimizer's per-node vectors under their payload keys.
-fn optimizer_vectors(o: &NesterovOptimizer) -> [(&'static str, &Vec<f64>); 6] {
-    [
-        ("u_x", &o.u_x),
-        ("u_y", &o.u_y),
-        ("prev_v_x", &o.prev_v_x),
-        ("prev_v_y", &o.prev_v_y),
-        ("prev_g_x", &o.prev_g_x),
-        ("prev_g_y", &o.prev_g_y),
-    ]
-}
-
-fn optimizer_to_json(o: &NesterovOptimizer) -> Json {
-    let mut pairs: Vec<(&str, Json)> = optimizer_vectors(o)
-        .into_iter()
-        .map(|(key, v)| (key, v.to_json()))
-        .collect();
-    pairs.extend([
-        ("a", Json::num(o.a)),
-        ("have_prev", Json::Bool(o.have_prev)),
-        ("initial_step", Json::num(o.initial_step)),
-        ("max_disp", Json::num(o.max_disp)),
-        ("last_step", Json::num(o.last_step)),
-    ]);
-    Json::obj(pairs)
-}
-
-fn optimizer_from_json(value: &Json) -> Result<NesterovOptimizer, JsonError> {
-    Ok(NesterovOptimizer {
-        u_x: Vec::<f64>::from_json(value.field("u_x")?)?,
-        u_y: Vec::<f64>::from_json(value.field("u_y")?)?,
-        prev_v_x: Vec::<f64>::from_json(value.field("prev_v_x")?)?,
-        prev_v_y: Vec::<f64>::from_json(value.field("prev_v_y")?)?,
-        prev_g_x: Vec::<f64>::from_json(value.field("prev_g_x")?)?,
-        prev_g_y: Vec::<f64>::from_json(value.field("prev_g_y")?)?,
-        a: value.field("a")?.as_f64()?,
-        have_prev: value.field("have_prev")?.as_bool()?,
-        initial_step: value.field("initial_step")?.as_f64()?,
-        max_disp: value.field("max_disp")?.as_f64()?,
-        last_step: value.field("last_step")?.as_f64()?,
-    })
-}
-
-fn engine_to_json(e: &EngineState) -> Json {
-    Json::obj([
-        ("last_r", Json::num(e.last_r)),
-        ("field_age", Json::num(e.field_age as f64)),
-        ("has_field", Json::Bool(e.has_field)),
-        ("cached_overflow", Json::num(e.cached_overflow)),
-        ("field_x", e.field_x.to_json()),
-        ("field_y", e.field_y.to_json()),
-    ])
-}
-
-fn engine_from_json(value: &Json) -> Result<EngineState, JsonError> {
-    Ok(EngineState {
-        last_r: value.field("last_r")?.as_f64()?,
-        field_age: value.field("field_age")?.as_usize()?,
-        has_field: value.field("has_field")?.as_bool()?,
-        cached_overflow: value.field("cached_overflow")?.as_f64()?,
-        field_x: Vec::<f64>::from_json(value.field("field_x")?)?,
-        field_y: Vec::<f64>::from_json(value.field("field_y")?)?,
-    })
 }
 
 impl ToJson for Checkpoint {
     fn to_json(&self) -> Json {
         let s = &self.state;
         let mut pairs = vec![
-            ("format", Json::str(FORMAT)),
-            ("version", Json::num(VERSION as f64)),
-            ("design", Json::str(&self.design)),
-            ("cells", Json::num(self.cells as f64)),
-            ("movable", Json::num(self.movable as f64)),
+            ("format", FORMAT.to_json()),
+            ("version", VERSION.to_json()),
+            ("design", self.design.to_json()),
+            ("cells", self.cells.to_json()),
+            ("movable", self.movable.to_json()),
             ("config", self.config.to_json()),
-            ("iteration", Json::num(self.iteration as f64)),
+            ("iteration", self.iteration.to_json()),
             ("x", self.x.to_json()),
             ("y", self.y.to_json()),
-            ("params", params_to_json(&s.params)),
-            ("omega", Json::num(s.omega)),
-            (
-                "optimizer",
-                match &s.optimizer {
-                    Some(o) => optimizer_to_json(o),
-                    None => Json::Null,
-                },
-            ),
-            ("initial_hpwl", Json::num(s.initial_hpwl)),
-            ("initial_overflow", Json::num(s.initial_overflow)),
-            ("best_overflow", Json::num(s.best_overflow)),
-            ("best_iter", Json::num(s.best_iter as f64)),
-            ("stage", Json::str(stage_name(s.stage))),
-            ("skip_window_open", Json::Bool(s.skip_window_open)),
-            (
-                "last_eval",
-                match &s.last_eval {
-                    Some(e) => eval_to_json(e),
-                    None => Json::Null,
-                },
-            ),
-            ("engine", engine_to_json(&self.engine)),
+            ("params", s.params.to_json()),
+            ("omega", s.omega.to_json()),
+            ("optimizer", s.optimizer.to_json()),
+            ("initial_hpwl", s.initial_hpwl.to_json()),
+            ("initial_overflow", s.initial_overflow.to_json()),
+            ("best_overflow", s.best_overflow.to_json()),
+            ("best_iter", s.best_iter.to_json()),
+            ("stage", s.stage.to_json()),
+            ("skip_window_open", s.skip_window_open.to_json()),
+            ("last_eval", s.last_eval.to_json()),
+            ("engine", self.engine.to_json()),
             ("profile", ProfileDelta::from(self.profile).to_json()),
         ];
         if let Some((ux, uy)) = &s.best_u {
@@ -312,8 +229,8 @@ impl FromJson for Checkpoint {
                 "unsupported checkpoint version {version} (this build reads {VERSION})"
             )));
         }
-        let best_u = match (value.get("best_u_x"), value.get("best_u_y")) {
-            (Some(ux), Some(uy)) => Some((Vec::<f64>::from_json(ux)?, Vec::<f64>::from_json(uy)?)),
+        let best_u = match (value.decode_opt("best_u_x")?, value.decode_opt("best_u_y")?) {
+            (Some(ux), Some(uy)) => Some((ux, uy)),
             (None, None) => None,
             _ => {
                 return Err(JsonError(
@@ -322,34 +239,30 @@ impl FromJson for Checkpoint {
             }
         };
         Ok(Checkpoint {
-            design: value.field("design")?.as_str()?.to_string(),
-            cells: value.field("cells")?.as_usize()?,
-            movable: value.field("movable")?.as_usize()?,
-            config: ConfigEcho::from_json(value.field("config")?)?,
-            iteration: value.field("iteration")?.as_usize()?,
-            x: Vec::<f64>::from_json(value.field("x")?)?,
-            y: Vec::<f64>::from_json(value.field("y")?)?,
+            design: value.decode("design")?,
+            cells: value.decode("cells")?,
+            movable: value.decode("movable")?,
+            config: value.decode("config")?,
+            iteration: value.decode("iteration")?,
+            x: value.decode("x")?,
+            y: value.decode("y")?,
             state: LoopState {
-                params: params_from_json(value.field("params")?)?,
-                omega: value.field("omega")?.as_f64()?,
-                optimizer: match value.field("optimizer")? {
-                    Json::Null => None,
-                    other => Some(optimizer_from_json(other)?),
-                },
-                initial_hpwl: value.field("initial_hpwl")?.as_f64()?,
-                initial_overflow: value.field("initial_overflow")?.as_f64()?,
-                best_overflow: f64_or_inf(value.field("best_overflow")?)?,
-                best_iter: value.field("best_iter")?.as_usize()?,
+                params: value.decode("params")?,
+                omega: value.decode("omega")?,
+                optimizer: value.decode("optimizer")?,
+                initial_hpwl: value.decode("initial_hpwl")?,
+                initial_overflow: value.decode("initial_overflow")?,
+                best_overflow: value
+                    .decode::<Option<_>>("best_overflow")?
+                    .unwrap_or(f64::INFINITY),
+                best_iter: value.decode("best_iter")?,
                 best_u,
-                stage: stage_from(value.field("stage")?.as_str()?)?,
-                skip_window_open: value.field("skip_window_open")?.as_bool()?,
-                last_eval: match value.field("last_eval")? {
-                    Json::Null => None,
-                    other => Some(eval_from_json(other)?),
-                },
+                stage: value.decode("stage")?,
+                skip_window_open: value.decode("skip_window_open")?,
+                last_eval: value.decode("last_eval")?,
             },
-            engine: engine_from_json(value.field("engine")?)?,
-            profile: ProfileDelta::from_json(value.field("profile")?)?.into(),
+            engine: value.decode("engine")?,
+            profile: value.decode::<ProfileDelta>("profile")?.into(),
         })
     }
 }
@@ -432,7 +345,14 @@ impl Checkpoint {
         let optimizable = model.optimizable_indices().count();
         let mut fields = vec![("x", &self.x, nodes), ("y", &self.y, nodes)];
         if let Some(o) = &self.state.optimizer {
-            fields.extend(optimizer_vectors(o).map(|(key, v)| (key, v, optimizable)));
+            fields.extend([
+                ("u_x", &o.u_x, optimizable),
+                ("u_y", &o.u_y, optimizable),
+                ("prev_v_x", &o.prev_v_x, optimizable),
+                ("prev_v_y", &o.prev_v_y, optimizable),
+                ("prev_g_x", &o.prev_g_x, optimizable),
+                ("prev_g_y", &o.prev_g_y, optimizable),
+            ]);
         }
         if let Some((ux, uy)) = &self.state.best_u {
             fields.extend([("best_u_x", ux, optimizable), ("best_u_y", uy, optimizable)]);

@@ -129,14 +129,10 @@ impl FromJson for Fault {
                 return Err(JsonError(format!("unknown fault kind `{other}`")));
             }
         };
-        let times = match value.get("times") {
-            Some(v) => Some(v.as_usize()?),
-            None => None,
-        };
         Ok(Fault {
             target,
             kind,
-            times,
+            times: value.get("times").map(Json::as_usize).transpose()?,
         })
     }
 }

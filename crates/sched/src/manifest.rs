@@ -177,33 +177,23 @@ impl BatchManifest {
     }
 }
 
-fn opt_field<T: FromJson>(value: &Json, key: &str) -> Result<Option<T>, JsonError> {
-    match value.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => T::from_json(v)
-            .map(Some)
-            .map_err(|e| JsonError(format!("field `{key}`: {e}"))),
-    }
-}
-
 fn parse_source(value: &Json, name: &str) -> Result<DesignSource, JsonError> {
-    let aux = opt_field::<String>(value, "aux")?;
+    let aux = value.decode_nullable::<String>("aux")?;
     let synth = value.get("synth").filter(|v| !matches!(v, Json::Null));
     match (aux, synth) {
         (Some(path), None) => Ok(DesignSource::Aux {
             path: PathBuf::from(path),
-            density: opt_field(value, "density")?.unwrap_or(0.9),
+            density: value.decode_nullable("density")?.unwrap_or(0.9),
         }),
         (None, Some(spec)) => {
             let cells: usize = spec
-                .field("cells")
-                .and_then(usize::from_json)
+                .decode("cells")
                 .map_err(|e| JsonError(format!("job `{name}` synth: {e}")))?;
             Ok(DesignSource::Synth {
                 cells,
-                nets: opt_field(spec, "nets")?.unwrap_or(cells + cells / 20),
-                seed: opt_field(spec, "seed")?.unwrap_or(1),
-                macros: opt_field(spec, "macros")?.unwrap_or(0),
+                nets: spec.decode_nullable("nets")?.unwrap_or(cells + cells / 20),
+                seed: spec.decode_nullable("seed")?.unwrap_or(1),
+                macros: spec.decode_nullable("macros")?.unwrap_or(0),
             })
         }
         (Some(_), Some(_)) => Err(JsonError(format!(
@@ -217,18 +207,18 @@ fn parse_source(value: &Json, name: &str) -> Result<DesignSource, JsonError> {
 
 impl FromJson for JobSpec {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let name = String::from_json(value.field("name")?)?;
+        let name: String = value.decode("name")?;
         if name.is_empty() {
             return Err(JsonError("job name must be non-empty".into()));
         }
         Ok(JobSpec {
             source: parse_source(value, &name)?,
-            max_iters: opt_field(value, "max_iters")?,
-            seed: opt_field(value, "seed")?,
-            baseline: opt_field(value, "baseline")?.unwrap_or(false),
-            grid: opt_field(value, "grid")?,
-            deadline_ns: opt_field(value, "deadline_ns")?,
-            checkpoint_every: opt_field(value, "checkpoint_every")?,
+            max_iters: value.decode_nullable("max_iters")?,
+            seed: value.decode_nullable("seed")?,
+            baseline: value.decode_nullable("baseline")?.unwrap_or(false),
+            grid: value.decode_nullable("grid")?,
+            deadline_ns: value.decode_nullable("deadline_ns")?,
+            checkpoint_every: value.decode_nullable("checkpoint_every")?,
             name,
         })
     }
@@ -253,9 +243,9 @@ impl FromJson for BatchManifest {
         Ok(BatchManifest {
             jobs,
             faults,
-            retries: opt_field(value, "retries")?.unwrap_or(0),
-            deadline_ns: opt_field(value, "deadline_ns")?,
-            checkpoint_every: opt_field(value, "checkpoint_every")?.unwrap_or(0),
+            retries: value.decode_nullable("retries")?.unwrap_or(0),
+            deadline_ns: value.decode_nullable("deadline_ns")?,
+            checkpoint_every: value.decode_nullable("checkpoint_every")?.unwrap_or(0),
         })
     }
 }

@@ -98,30 +98,27 @@ impl ToJson for Frame {
 
 impl FromJson for Frame {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match String::from_json(value.field("frame")?)?.as_str() {
+        match value.field("frame")?.as_str()? {
             "hello" => Ok(Frame::Hello {
-                jobs: Vec::<String>::from_json(value.field("jobs")?)?,
-                threads: usize::from_json(value.field("threads")?)?,
+                jobs: value.decode("jobs")?,
+                threads: value.decode("threads")?,
             }),
             "start" => Ok(Frame::Start {
-                job: usize::from_json(value.field("job")?)?,
+                job: value.decode("job")?,
             }),
             "trace" => Ok(Frame::Trace {
-                job: usize::from_json(value.field("job")?)?,
-                line: String::from_json(value.field("line")?)?,
+                job: value.decode("job")?,
+                line: value.decode("line")?,
             }),
             "job" => Ok(Frame::Job {
-                job: usize::from_json(value.field("job")?)?,
-                record: JobRecord::from_json(value.field("record")?)?,
+                job: value.decode("job")?,
+                record: value.decode("record")?,
             }),
             "batch" => {
                 let cache = value.field("cache")?;
                 Ok(Frame::Batch {
-                    report: BatchReport::from_json(value.field("report")?)?,
-                    cache: (
-                        usize::from_json(cache.field("hits")?)?,
-                        usize::from_json(cache.field("misses")?)?,
-                    ),
+                    report: value.decode("report")?,
+                    cache: (cache.decode("hits")?, cache.decode("misses")?),
                 })
             }
             other => Err(JsonError(format!("unknown frame kind `{other}`"))),

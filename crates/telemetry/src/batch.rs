@@ -9,6 +9,7 @@
 
 use crate::{compare_reports, Comparison, RunReport};
 use xplace_testkit::json::{FromJson, Json, JsonError, ToJson};
+use xplace_testkit::json_struct;
 
 /// Terminal status of one job in a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +38,7 @@ impl ToJson for JobStatus {
 
 impl FromJson for JobStatus {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match String::from_json(value)?.as_str() {
+        match value.as_str()? {
             "completed" => Ok(JobStatus::Completed),
             "failed" => Ok(JobStatus::Failed),
             other => Err(JsonError(format!("unknown job status `{other}`"))),
@@ -160,47 +161,17 @@ impl BatchReport {
     }
 }
 
-impl ToJson for JobRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("status", self.status.to_json()),
-            ("error", self.error.to_json()),
-            (
-                "report",
-                self.report.as_ref().map_or(Json::Null, |r| r.to_json()),
-            ),
-            ("retries", self.retries.to_json()),
-            ("checkpoints", self.checkpoints.to_json()),
-            ("deadline_exceeded", self.deadline_exceeded.to_json()),
-        ])
-    }
-}
-
-impl FromJson for JobRecord {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(JobRecord {
-            name: String::from_json(value.field("name")?)?,
-            status: JobStatus::from_json(value.field("status")?)?,
-            error: Option::<String>::from_json(value.field("error")?)?,
-            report: Option::<RunReport>::from_json(value.field("report")?)?.map(Box::new),
-            // Fault bookkeeping arrived after the first baselines were
-            // captured; absent keys mean a pre-fault-plan record.
-            retries: match value.get("retries") {
-                Some(v) => usize::from_json(v)?,
-                None => 0,
-            },
-            checkpoints: match value.get("checkpoints") {
-                Some(v) => usize::from_json(v)?,
-                None => 0,
-            },
-            deadline_exceeded: match value.get("deadline_exceeded") {
-                Some(v) => bool::from_json(v)?,
-                None => false,
-            },
-        })
-    }
-}
+// Fault bookkeeping arrived after the first baselines were captured;
+// absent keys mean a pre-fault-plan record.
+json_struct!(JobRecord {
+    name,
+    status,
+    error,
+    report,
+    retries = 0,
+    checkpoints = 0,
+    deadline_exceeded = false,
+});
 
 impl ToJson for BatchReport {
     fn to_json(&self) -> Json {
@@ -219,7 +190,7 @@ impl FromJson for BatchReport {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         // The summary counts are derived; only `jobs` is authoritative.
         Ok(BatchReport {
-            jobs: Vec::<JobRecord>::from_json(value.field("jobs")?)?,
+            jobs: value.decode("jobs")?,
         })
     }
 }
@@ -392,6 +363,23 @@ mod tests {
         assert_eq!(record.retries, 0);
         assert_eq!(record.checkpoints, 0);
         assert!(!record.deadline_exceeded);
+        // Each defaulted key on its own: dropping it round-trips.
+        let text = record.to_json_string();
+        for key in [
+            ",\"retries\":0",
+            ",\"checkpoints\":0",
+            ",\"deadline_exceeded\":false",
+        ] {
+            let stripped = text.replace(key, "");
+            assert_ne!(stripped, text, "fixture must contain {key}");
+            assert_eq!(JobRecord::from_json_str(&stripped).unwrap(), record);
+        }
+        // A default covers an absent key only: `null` is not a count.
+        let null = text.replace("\"retries\":0", "\"retries\":null");
+        assert!(JobRecord::from_json_str(&null).is_err());
+        // Fields without a default stay required, `None` ones included.
+        let err = JobRecord::from_json_str(&text.replace(",\"report\":null", "")).unwrap_err();
+        assert!(err.to_string().contains("missing field `report`"), "{err}");
     }
 
     #[test]

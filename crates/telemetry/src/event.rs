@@ -2,6 +2,7 @@
 
 use xplace_device::ProfileSnapshot;
 use xplace_testkit::json::{FromJson, Json, JsonError, ToJson};
+use xplace_testkit::json_struct;
 
 /// Metrics of one global-placement iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,41 +31,19 @@ pub struct IterationRecord {
     pub launches: u64,
 }
 
-impl ToJson for IterationRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("iteration", self.iteration.to_json()),
-            ("hpwl", self.hpwl.to_json()),
-            ("wa", self.wa.to_json()),
-            ("overflow", self.overflow.to_json()),
-            ("lambda", self.lambda.to_json()),
-            ("gamma", self.gamma.to_json()),
-            ("omega", self.omega.to_json()),
-            ("r_ratio", self.r_ratio.to_json()),
-            ("density_skipped", self.density_skipped.to_json()),
-            ("modeled_ns", self.modeled_ns.to_json()),
-            ("launches", self.launches.to_json()),
-        ])
-    }
-}
-
-impl FromJson for IterationRecord {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(IterationRecord {
-            iteration: usize::from_json(value.field("iteration")?)?,
-            hpwl: f64::from_json(value.field("hpwl")?)?,
-            wa: f64::from_json(value.field("wa")?)?,
-            overflow: f64::from_json(value.field("overflow")?)?,
-            lambda: f64::from_json(value.field("lambda")?)?,
-            gamma: f64::from_json(value.field("gamma")?)?,
-            omega: f64::from_json(value.field("omega")?)?,
-            r_ratio: f64::from_json(value.field("r_ratio")?)?,
-            density_skipped: bool::from_json(value.field("density_skipped")?)?,
-            modeled_ns: u64::from_json(value.field("modeled_ns")?)?,
-            launches: u64::from_json(value.field("launches")?)?,
-        })
-    }
-}
+json_struct!(IterationRecord {
+    iteration,
+    hpwl,
+    wa,
+    overflow,
+    lambda,
+    gamma,
+    omega,
+    r_ratio,
+    density_skipped,
+    modeled_ns,
+    launches,
+});
 
 /// The modeled-device cost of a region of the operator stream (one
 /// iteration, typically): a [`ProfileSnapshot`] difference with the
@@ -122,31 +101,14 @@ impl From<ProfileDelta> for ProfileSnapshot {
     }
 }
 
-impl ToJson for ProfileDelta {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("launches", self.launches.to_json()),
-            ("syncs", self.syncs.to_json()),
-            ("launch_overhead_ns", self.launch_overhead_ns.to_json()),
-            ("exec_ns", self.exec_ns.to_json()),
-            ("pipelined_ns", self.pipelined_ns.to_json()),
-            ("sync_stall_ns", self.sync_stall_ns.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ProfileDelta {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(ProfileDelta {
-            launches: u64::from_json(value.field("launches")?)?,
-            syncs: u64::from_json(value.field("syncs")?)?,
-            launch_overhead_ns: u64::from_json(value.field("launch_overhead_ns")?)?,
-            exec_ns: u64::from_json(value.field("exec_ns")?)?,
-            pipelined_ns: u64::from_json(value.field("pipelined_ns")?)?,
-            sync_stall_ns: u64::from_json(value.field("sync_stall_ns")?)?,
-        })
-    }
-}
+json_struct!(ProfileDelta {
+    launches,
+    syncs,
+    launch_overhead_ns,
+    exec_ns,
+    pipelined_ns,
+    sync_stall_ns,
+});
 
 /// The three placement stages classified by the precondition weighted
 /// ratio ω (§3.2).
@@ -160,17 +122,19 @@ pub enum Stage {
     Final,
 }
 
-impl Stage {
-    fn name(self) -> &'static str {
-        match self {
+impl ToJson for Stage {
+    fn to_json(&self) -> Json {
+        Json::str(match self {
             Stage::Early => "early",
             Stage::Intermediate => "intermediate",
             Stage::Final => "final",
-        }
+        })
     }
+}
 
-    fn parse(s: &str) -> Result<Self, JsonError> {
-        match s {
+impl FromJson for Stage {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        match value.as_str()? {
             "early" => Ok(Stage::Early),
             "intermediate" => Ok(Stage::Intermediate),
             "final" => Ok(Stage::Final),
@@ -224,46 +188,21 @@ pub struct ConfigEcho {
     pub multilevel: bool,
 }
 
-impl ToJson for ConfigEcho {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("framework", self.framework.to_json()),
-            ("reduction", self.reduction.to_json()),
-            ("combination", self.combination.to_json()),
-            ("extraction", self.extraction.to_json()),
-            ("skipping", self.skipping.to_json()),
-            ("stage_aware", self.stage_aware.to_json()),
-            ("max_iterations", self.max_iterations.to_json()),
-            ("stop_overflow", self.stop_overflow.to_json()),
-            ("seed", self.seed.to_json()),
-            ("grid", self.grid.to_json()),
-            ("multilevel", self.multilevel.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ConfigEcho {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(ConfigEcho {
-            framework: String::from_json(value.field("framework")?)?,
-            reduction: bool::from_json(value.field("reduction")?)?,
-            combination: bool::from_json(value.field("combination")?)?,
-            extraction: bool::from_json(value.field("extraction")?)?,
-            skipping: bool::from_json(value.field("skipping")?)?,
-            stage_aware: bool::from_json(value.field("stage_aware")?)?,
-            max_iterations: usize::from_json(value.field("max_iterations")?)?,
-            stop_overflow: f64::from_json(value.field("stop_overflow")?)?,
-            seed: u64::from_json(value.field("seed")?)?,
-            grid: Option::<usize>::from_json(value.field("grid")?)?,
-            // Absent in traces recorded before multilevel placement
-            // existed; those ran flat.
-            multilevel: match value.get("multilevel") {
-                Some(v) => bool::from_json(v)?,
-                None => false,
-            },
-        })
-    }
-}
+// `multilevel` is absent in traces recorded before multilevel placement
+// existed; those ran flat.
+json_struct!(ConfigEcho {
+    framework,
+    reduction,
+    combination,
+    extraction,
+    skipping,
+    stage_aware,
+    max_iterations,
+    stop_overflow,
+    seed,
+    grid,
+    multilevel = false,
+});
 
 /// One event of a placement run's telemetry stream.
 ///
@@ -395,8 +334,8 @@ impl ToJson for TelemetryEvent {
                 omega,
             } => {
                 pairs.push(("iteration".into(), iteration.to_json()));
-                pairs.push(("from".into(), Json::str(from.name())));
-                pairs.push(("to".into(), Json::str(to.name())));
+                pairs.push(("from".into(), from.to_json()));
+                pairs.push(("to".into(), to.to_json()));
                 pairs.push(("omega".into(), omega.to_json()));
             }
             TelemetryEvent::SkipWindow { iteration, active } => {
@@ -448,44 +387,44 @@ impl FromJson for TelemetryEvent {
         let tag = value.field("event")?.as_str()?;
         match tag {
             "run_start" => Ok(TelemetryEvent::RunStart {
-                design: String::from_json(value.field("design")?)?,
-                cells: usize::from_json(value.field("cells")?)?,
-                nets: usize::from_json(value.field("nets")?)?,
-                movable: usize::from_json(value.field("movable")?)?,
-                config: ConfigEcho::from_json(value.field("config")?)?,
+                design: value.decode("design")?,
+                cells: value.decode("cells")?,
+                nets: value.decode("nets")?,
+                movable: value.decode("movable")?,
+                config: value.decode("config")?,
             }),
             "iteration" => Ok(TelemetryEvent::Iteration {
                 record: IterationRecord::from_json(value)?,
-                profile: ProfileDelta::from_json(value.field("profile")?)?,
+                profile: value.decode("profile")?,
             }),
             "stage" => Ok(TelemetryEvent::StageTransition {
-                iteration: usize::from_json(value.field("iteration")?)?,
-                from: Stage::parse(value.field("from")?.as_str()?)?,
-                to: Stage::parse(value.field("to")?.as_str()?)?,
-                omega: f64::from_json(value.field("omega")?)?,
+                iteration: value.decode("iteration")?,
+                from: value.decode("from")?,
+                to: value.decode("to")?,
+                omega: value.decode("omega")?,
             }),
             "skip_window" => Ok(TelemetryEvent::SkipWindow {
-                iteration: usize::from_json(value.field("iteration")?)?,
-                active: bool::from_json(value.field("active")?)?,
+                iteration: value.decode("iteration")?,
+                active: value.decode("active")?,
             }),
             "lambda_update" => Ok(TelemetryEvent::LambdaUpdate {
-                iteration: usize::from_json(value.field("iteration")?)?,
-                lambda: f64::from_json(value.field("lambda")?)?,
-                gamma: f64::from_json(value.field("gamma")?)?,
+                iteration: value.decode("iteration")?,
+                lambda: value.decode("lambda")?,
+                gamma: value.decode("gamma")?,
             }),
             "rollback" => Ok(TelemetryEvent::Rollback {
-                iteration: usize::from_json(value.field("iteration")?)?,
-                best_iteration: usize::from_json(value.field("best_iteration")?)?,
-                best_overflow: f64::from_json(value.field("best_overflow")?)?,
+                iteration: value.decode("iteration")?,
+                best_iteration: value.decode("best_iteration")?,
+                best_overflow: value.decode("best_overflow")?,
             }),
             "run_end" => Ok(TelemetryEvent::RunEnd {
-                iterations: usize::from_json(value.field("iterations")?)?,
-                converged: bool::from_json(value.field("converged")?)?,
-                final_hpwl: f64::from_json(value.field("final_hpwl")?)?,
-                final_overflow: f64::from_json(value.field("final_overflow")?)?,
-                best_overflow: f64::from_json(value.field("best_overflow")?)?,
-                modeled_ns: u64::from_json(value.field("modeled_ns")?)?,
-                launches: u64::from_json(value.field("launches")?)?,
+                iterations: value.decode("iterations")?,
+                converged: value.decode("converged")?,
+                final_hpwl: value.decode("final_hpwl")?,
+                final_overflow: value.decode("final_overflow")?,
+                best_overflow: value.decode("best_overflow")?,
+                modeled_ns: value.decode("modeled_ns")?,
+                launches: value.decode("launches")?,
             }),
             other => Err(JsonError(format!("unknown event tag `{other}`"))),
         }
@@ -612,9 +551,26 @@ mod tests {
     }
 
     #[test]
+    fn traces_without_multilevel_round_trip_as_flat() {
+        let event = TelemetryEvent::RunStart {
+            design: "old".into(),
+            cells: 10,
+            nets: 9,
+            movable: 8,
+            config: sample_echo(),
+        };
+        let text = event.to_json_string();
+        let stripped = text.replace(",\"multilevel\":false", "");
+        assert_ne!(stripped, text, "fixture must contain the multilevel key");
+        assert_eq!(TelemetryEvent::from_json_str(&stripped).unwrap(), event);
+        let null = text.replace("\"multilevel\":false", "\"multilevel\":null");
+        assert!(TelemetryEvent::from_json_str(&null).is_err());
+    }
+
+    #[test]
     fn unknown_tags_and_stages_are_rejected() {
         assert!(TelemetryEvent::from_json_str(r#"{"event":"warp"}"#).is_err());
-        assert!(Stage::parse("mid").is_err());
+        assert!(Stage::from_json(&Json::str("mid")).is_err());
     }
 
     #[test]

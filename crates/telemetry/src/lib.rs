@@ -25,10 +25,11 @@
 //!   ([`JobRecord`]: status + optional [`RunReport`]) a batch run writes;
 //!   [`compare_batch_reports`] gates it job by job under the same bounds.
 //!
-//! Everything serializes through `xplace-testkit`'s hand-rolled
+//! Everything serializes through `xplace-testkit`'s
 //! [`ToJson`](xplace_testkit::json::ToJson) /
 //! [`FromJson`](xplace_testkit::json::FromJson) traits, keeping the
-//! workspace hermetic (zero registry dependencies).
+//! workspace hermetic (zero registry dependencies); a plain field-list
+//! struct declares both with one [`json_struct!`] line.
 //!
 //! # Determinism contract
 //!
@@ -62,3 +63,4 @@ pub use sink::{parse_trace, CallbackSink, JsonLinesSink, NullSink, TelemetrySink
 // Serialization traits re-exported so downstream binaries can render and
 // load telemetry artifacts without a direct `xplace-testkit` dependency.
 pub use xplace_testkit::json::{FromJson, Json, JsonError, ToJson};
+pub use xplace_testkit::json_struct;

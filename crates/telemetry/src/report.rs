@@ -1,7 +1,7 @@
 //! The machine-readable summary of one full placement run.
 
-use crate::{ConfigEcho, GatedSection};
-use xplace_testkit::json::{FromJson, Json, JsonError, ToJson};
+use crate::ConfigEcho;
+use xplace_testkit::json_struct;
 
 /// Global-placement metrics of a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -286,313 +286,112 @@ impl RunReport {
     }
 }
 
-impl ToJson for GpMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("iterations", self.iterations.to_json()),
-            ("initial_hpwl", self.initial_hpwl.to_json()),
-            ("final_hpwl", self.final_hpwl.to_json()),
-            ("initial_overflow", self.initial_overflow.to_json()),
-            ("final_overflow", self.final_overflow.to_json()),
-            ("converged", self.converged.to_json()),
-            ("modeled_ns", self.modeled_ns.to_json()),
-            ("launches", self.launches.to_json()),
-            ("syncs", self.syncs.to_json()),
-            ("wall_seconds", self.wall_seconds.to_json()),
-        ])
-    }
-}
+json_struct!(GpMetrics {
+    iterations,
+    initial_hpwl,
+    final_hpwl,
+    initial_overflow,
+    final_overflow,
+    converged,
+    modeled_ns,
+    launches,
+    syncs,
+    wall_seconds,
+});
 
-impl FromJson for GpMetrics {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(GpMetrics {
-            iterations: usize::from_json(value.field("iterations")?)?,
-            initial_hpwl: f64::from_json(value.field("initial_hpwl")?)?,
-            final_hpwl: f64::from_json(value.field("final_hpwl")?)?,
-            initial_overflow: f64::from_json(value.field("initial_overflow")?)?,
-            final_overflow: f64::from_json(value.field("final_overflow")?)?,
-            converged: bool::from_json(value.field("converged")?)?,
-            modeled_ns: u64::from_json(value.field("modeled_ns")?)?,
-            launches: u64::from_json(value.field("launches")?)?,
-            syncs: u64::from_json(value.field("syncs")?)?,
-            wall_seconds: f64::from_json(value.field("wall_seconds")?)?,
-        })
-    }
-}
+json_struct!(LgMetrics {
+    initial_hpwl,
+    final_hpwl,
+    mean_displacement,
+    max_displacement,
+    wall_seconds,
+});
 
-impl ToJson for LgMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("initial_hpwl", self.initial_hpwl.to_json()),
-            ("final_hpwl", self.final_hpwl.to_json()),
-            ("mean_displacement", self.mean_displacement.to_json()),
-            ("max_displacement", self.max_displacement.to_json()),
-            ("wall_seconds", self.wall_seconds.to_json()),
-        ])
-    }
-}
+json_struct!(DpMetrics {
+    initial_hpwl,
+    final_hpwl,
+    slides,
+    reorders,
+    swaps,
+    wall_seconds,
+});
 
-impl FromJson for LgMetrics {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(LgMetrics {
-            initial_hpwl: f64::from_json(value.field("initial_hpwl")?)?,
-            final_hpwl: f64::from_json(value.field("final_hpwl")?)?,
-            mean_displacement: f64::from_json(value.field("mean_displacement")?)?,
-            max_displacement: f64::from_json(value.field("max_displacement")?)?,
-            wall_seconds: f64::from_json(value.field("wall_seconds")?)?,
-        })
-    }
-}
+json_struct!(RouteMetrics {
+    top5_overflow,
+    max_utilization,
+});
 
-impl ToJson for DpMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("initial_hpwl", self.initial_hpwl.to_json()),
-            ("final_hpwl", self.final_hpwl.to_json()),
-            ("slides", self.slides.to_json()),
-            ("reorders", self.reorders.to_json()),
-            ("swaps", self.swaps.to_json()),
-            ("wall_seconds", self.wall_seconds.to_json()),
-        ])
-    }
-}
+json_struct!(SpectralGrid {
+    n,
+    modeled_ns,
+    solve_wall_ns,
+});
 
-impl FromJson for DpMetrics {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(DpMetrics {
-            initial_hpwl: f64::from_json(value.field("initial_hpwl")?)?,
-            final_hpwl: f64::from_json(value.field("final_hpwl")?)?,
-            slides: usize::from_json(value.field("slides")?)?,
-            reorders: usize::from_json(value.field("reorders")?)?,
-            swaps: usize::from_json(value.field("swaps")?)?,
-            wall_seconds: f64::from_json(value.field("wall_seconds")?)?,
-        })
-    }
-}
+json_struct!(SpectralMetrics { grids });
 
-impl ToJson for RouteMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("top5_overflow", self.top5_overflow.to_json()),
-            ("max_utilization", self.max_utilization.to_json()),
-        ])
-    }
-}
+json_struct!(ScalingPoint {
+    cells,
+    nets,
+    topology,
+    multilevel,
+    iterations,
+    modeled_ns,
+    final_overflow,
+    wall_seconds,
+});
 
-impl FromJson for RouteMetrics {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(RouteMetrics {
-            top5_overflow: f64::from_json(value.field("top5_overflow")?)?,
-            max_utilization: f64::from_json(value.field("max_utilization")?)?,
-        })
-    }
-}
+json_struct!(ScalingMetrics { points });
 
-impl ToJson for SpectralGrid {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("n", self.n.to_json()),
-            ("modeled_ns", self.modeled_ns.to_json()),
-            ("solve_wall_ns", self.solve_wall_ns.to_json()),
-        ])
-    }
-}
+json_struct!(ExploreMember {
+    member,
+    hpwl,
+    overflow,
+    score,
+    culled,
+    branched_from,
+    perturbation_seed,
+});
 
-impl FromJson for SpectralGrid {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(SpectralGrid {
-            n: usize::from_json(value.field("n")?)?,
-            modeled_ns: u64::from_json(value.field("modeled_ns")?)?,
-            solve_wall_ns: u64::from_json(value.field("solve_wall_ns")?)?,
-        })
-    }
-}
+json_struct!(ExploreGeneration {
+    generation,
+    iteration,
+    members,
+    best,
+});
 
-impl ToJson for SpectralMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj([("grids", self.grids.to_json())])
-    }
-}
+json_struct!(ExploreMetrics {
+    members,
+    keep,
+    generations,
+    winner,
+    winner_lineage,
+    winner_hpwl,
+    total_modeled_ns,
+});
 
-impl FromJson for SpectralMetrics {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(SpectralMetrics {
-            grids: Vec::<SpectralGrid>::from_json(value.field("grids")?)?,
-        })
-    }
-}
-
-impl ToJson for ScalingPoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cells", self.cells.to_json()),
-            ("nets", self.nets.to_json()),
-            ("topology", self.topology.to_json()),
-            ("multilevel", self.multilevel.to_json()),
-            ("iterations", self.iterations.to_json()),
-            ("modeled_ns", self.modeled_ns.to_json()),
-            ("final_overflow", self.final_overflow.to_json()),
-            ("wall_seconds", self.wall_seconds.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ScalingPoint {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(ScalingPoint {
-            cells: usize::from_json(value.field("cells")?)?,
-            nets: usize::from_json(value.field("nets")?)?,
-            topology: String::from_json(value.field("topology")?)?,
-            multilevel: bool::from_json(value.field("multilevel")?)?,
-            iterations: usize::from_json(value.field("iterations")?)?,
-            modeled_ns: u64::from_json(value.field("modeled_ns")?)?,
-            final_overflow: f64::from_json(value.field("final_overflow")?)?,
-            wall_seconds: f64::from_json(value.field("wall_seconds")?)?,
-        })
-    }
-}
-
-impl ToJson for ScalingMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj([("points", self.points.to_json())])
-    }
-}
-
-impl FromJson for ScalingMetrics {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(ScalingMetrics {
-            points: Vec::<ScalingPoint>::from_json(value.field("points")?)?,
-        })
-    }
-}
-
-impl ToJson for ExploreMember {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("member", self.member.to_json()),
-            ("hpwl", self.hpwl.to_json()),
-            ("overflow", self.overflow.to_json()),
-            ("score", self.score.to_json()),
-            ("culled", self.culled.to_json()),
-            ("branched_from", self.branched_from.to_json()),
-            ("perturbation_seed", self.perturbation_seed.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ExploreMember {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(ExploreMember {
-            member: usize::from_json(value.field("member")?)?,
-            hpwl: f64::from_json(value.field("hpwl")?)?,
-            overflow: f64::from_json(value.field("overflow")?)?,
-            score: f64::from_json(value.field("score")?)?,
-            culled: bool::from_json(value.field("culled")?)?,
-            branched_from: Option::<usize>::from_json(value.field("branched_from")?)?,
-            perturbation_seed: Option::<u64>::from_json(value.field("perturbation_seed")?)?,
-        })
-    }
-}
-
-impl ToJson for ExploreGeneration {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("generation", self.generation.to_json()),
-            ("iteration", self.iteration.to_json()),
-            ("members", self.members.to_json()),
-            ("best", self.best.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ExploreGeneration {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(ExploreGeneration {
-            generation: usize::from_json(value.field("generation")?)?,
-            iteration: usize::from_json(value.field("iteration")?)?,
-            members: Vec::<ExploreMember>::from_json(value.field("members")?)?,
-            best: usize::from_json(value.field("best")?)?,
-        })
-    }
-}
-
-impl ToJson for ExploreMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("members", self.members.to_json()),
-            ("keep", self.keep.to_json()),
-            ("generations", self.generations.to_json()),
-            ("winner", self.winner.to_json()),
-            ("winner_lineage", self.winner_lineage.to_json()),
-            ("winner_hpwl", self.winner_hpwl.to_json()),
-            ("total_modeled_ns", self.total_modeled_ns.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ExploreMetrics {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(ExploreMetrics {
-            members: usize::from_json(value.field("members")?)?,
-            keep: usize::from_json(value.field("keep")?)?,
-            generations: Vec::<ExploreGeneration>::from_json(value.field("generations")?)?,
-            winner: usize::from_json(value.field("winner")?)?,
-            winner_lineage: Vec::<usize>::from_json(value.field("winner_lineage")?)?,
-            winner_hpwl: f64::from_json(value.field("winner_hpwl")?)?,
-            total_modeled_ns: u64::from_json(value.field("total_modeled_ns")?)?,
-        })
-    }
-}
-
-impl ToJson for RunReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("design", self.design.to_json()),
-            ("cells", self.cells.to_json()),
-            ("nets", self.nets.to_json()),
-            ("config", self.config.to_json()),
-            ("threads", self.threads.to_json()),
-            ("gp", self.gp.to_json()),
-            ("lg", self.lg.to_json()),
-            ("dp", self.dp.to_json()),
-            ("route", self.route.to_json()),
-            (SpectralMetrics::KEY, self.spectral.to_json()),
-            (ScalingMetrics::KEY, self.scaling.to_json()),
-            (ExploreMetrics::KEY, self.explore.to_json()),
-            ("trace_error", self.trace_error.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RunReport {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(RunReport {
-            design: String::from_json(value.field("design")?)?,
-            cells: usize::from_json(value.field("cells")?)?,
-            nets: usize::from_json(value.field("nets")?)?,
-            config: ConfigEcho::from_json(value.field("config")?)?,
-            threads: usize::from_json(value.field("threads")?)?,
-            gp: GpMetrics::from_json(value.field("gp")?)?,
-            lg: Option::<LgMetrics>::from_json(value.field("lg")?)?,
-            dp: Option::<DpMetrics>::from_json(value.field("dp")?)?,
-            route: Option::<RouteMetrics>::from_json(value.field("route")?)?,
-            spectral: optional(value, SpectralMetrics::KEY)?,
-            scaling: optional(value, ScalingMetrics::KEY)?,
-            explore: optional(value, ExploreMetrics::KEY)?,
-            trace_error: optional(value, "trace_error")?,
-        })
-    }
-}
-
-/// Reads the optional field `key`, treating an absent key like `null`:
-/// reports written before the field existed still parse.
-fn optional<T: FromJson>(value: &Json, key: &str) -> Result<Option<T>, JsonError> {
-    value.get(key).map_or(Ok(None), Option::<T>::from_json)
-}
+// The gated sections and `trace_error` arrived after the first reports
+// were written; an absent key reads as `None`. Each section's key is its
+// `GatedSection::KEY`.
+json_struct!(RunReport {
+    design,
+    cells,
+    nets,
+    config,
+    threads,
+    gp,
+    lg,
+    dp,
+    route,
+    spectral = None,
+    scaling = None,
+    explore = None,
+    trace_error = None,
+});
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::{FromJson, GatedSection, ToJson};
 
     pub(crate) fn sample_report() -> RunReport {
         RunReport {
@@ -765,6 +564,10 @@ pub(crate) mod tests {
         let back = RunReport::from_json_str(&text).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.final_hpwl(), report.gp.final_hpwl);
+        // Without a default, an empty stage is `null`, never absent.
+        let stripped = text.replace(",\"lg\":null", "");
+        let err = RunReport::from_json_str(&stripped).unwrap_err();
+        assert!(err.to_string().contains("missing field `lg`"), "{err}");
     }
 
     #[test]

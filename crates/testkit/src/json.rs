@@ -1,6 +1,9 @@
 //! A minimal JSON layer: a value tree, an encoder, a recursive-descent
-//! parser, and the [`ToJson`] / [`FromJson`] traits the workspace's data
-//! types implement by hand (the `serde` derive replacement).
+//! parser (nesting capped at [`MAX_DEPTH`], linear in the input length),
+//! and the [`ToJson`] / [`FromJson`] traits the workspace's data types
+//! implement — a plain struct with one [`json_struct!`](crate::json_struct)
+//! line, anything else by hand on the [`Json::decode`] /
+//! [`Json::decode_opt`] field helpers (the `serde` derive replacement).
 //!
 //! ```
 //! use xplace_testkit::json::{FromJson, Json, ToJson};
@@ -73,6 +76,40 @@ impl Json {
     pub fn field(&self, key: &str) -> Result<&Json, JsonError> {
         self.get(key)
             .ok_or_else(|| JsonError(format!("missing field `{key}`")))
+    }
+
+    /// Decodes the value of the required field `key`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError`] when the key is missing or its value does not
+    /// decode as `T`; a decode error names the field.
+    pub fn decode<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
+        decode_field(key, self.field(key)?)
+    }
+
+    /// Decodes the value of the optional field `key`: `None` when the key
+    /// is absent. A present value, `null` included, must decode as `T`,
+    /// so `null` is an error unless `T` accepts it (as `Option<_>` does).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError`] when the key is present and its value does
+    /// not decode as `T`; the error names the field.
+    pub fn decode_opt<T: FromJson>(&self, key: &str) -> Result<Option<T>, JsonError> {
+        self.get(key).map(|v| decode_field(key, v)).transpose()
+    }
+
+    /// Decodes the field `key` of a hand-authored document (a manifest),
+    /// where `null` means the same as leaving the key out: `None` when the
+    /// key is absent or `null`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError`] when the value is neither `null` nor a valid
+    /// `T`; the error names the field.
+    pub fn decode_nullable<T: FromJson>(&self, key: &str) -> Result<Option<T>, JsonError> {
+        Ok(self.decode_opt::<Option<T>>(key)?.flatten())
     }
 
     /// This value as a number.
@@ -180,21 +217,27 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset on malformed input or
-    /// trailing garbage.
+    /// Returns [`JsonError`] with a byte offset on malformed input,
+    /// trailing garbage, or arrays/objects nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(JsonError(format!("trailing input at byte {}", p.pos)));
         }
         Ok(v)
     }
+}
+
+fn decode_field<T: FromJson>(key: &str, value: &Json) -> Result<T, JsonError> {
+    T::from_json(value).map_err(|e| JsonError(format!("field `{key}`: {}", e.0)))
 }
 
 fn render_string(s: &str, out: &mut String) {
@@ -217,7 +260,13 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the cap bounds its stack use on hostile
+/// input; every artifact the workspace writes nests a few levels at most.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -259,21 +308,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Parses one value nested inside `depth` arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -283,7 +336,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -296,7 +349,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -310,7 +363,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -372,13 +425,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 char (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run at once. It ends at an
+                    // ASCII quote or backslash (or the end of input), which
+                    // never falls inside a UTF-8 sequence, so the slice is
+                    // on char boundaries of the `&str` input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -407,14 +462,20 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number chars");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError(format!("invalid number `{text}` at byte {start}")))
+        // A literal like `1e999` overflows to infinity, which renders back
+        // as `null`: refuse it rather than decode what cannot round-trip.
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            _ => Err(JsonError(format!(
+                "invalid number `{text}` at byte {start}"
+            ))),
+        }
     }
 }
 
 /// Types that encode themselves as JSON (the `Serialize` replacement;
-/// implemented by hand, no derive).
+/// declared with [`json_struct!`](crate::json_struct) or by hand, no
+/// derive).
 pub trait ToJson {
     /// The JSON representation.
     fn to_json(&self) -> Json;
@@ -487,22 +548,17 @@ impl ToJson for str {
     }
 }
 
-macro_rules! uint_to_json {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Num(*self as f64)
-            }
-        }
-        impl FromJson for $t {
-            fn from_json(value: &Json) -> Result<Self, JsonError> {
-                Ok(value.as_usize()? as $t)
-            }
-        }
-    )*};
+impl ToJson for usize {
+    fn to_json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
 }
 
-uint_to_json!(u32, usize);
+impl FromJson for usize {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        value.as_usize()
+    }
+}
 
 impl ToJson for u64 {
     fn to_json(&self) -> Json {
@@ -528,6 +584,18 @@ impl<T: FromJson> FromJson for Vec<T> {
     }
 }
 
+impl<T: ToJson> ToJson for Box<T> {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+
+impl<T: FromJson> FromJson for Box<T> {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        T::from_json(value).map(Box::new)
+    }
+}
+
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Json {
         match self {
@@ -544,6 +612,64 @@ impl<T: FromJson> FromJson for Option<T> {
             other => T::from_json(other).map(Some),
         }
     }
+}
+
+/// Declares a struct's JSON codec from its field list: one [`ToJson`]
+/// impl rendering an object with one key per field, in list order, and
+/// one [`FromJson`] impl decoding it back.
+///
+/// Each key is the field's name. A field written `name = default` takes
+/// `default` when its key is absent, so artifacts written before the
+/// field existed still parse; every other key is required (an `Option`
+/// field without a default must be present, as `null` if empty).
+/// Unknown keys are ignored. The decoder builds a struct literal, so a
+/// list that misses or repeats a field does not compile.
+///
+/// ```
+/// use xplace_testkit::json::{FromJson, ToJson};
+/// use xplace_testkit::json_struct;
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Point {
+///     x: f64,
+///     label: Option<String>,
+///     pinned: bool,
+/// }
+/// json_struct!(Point { x, label, pinned = false });
+///
+/// let p = Point { x: 1.5, label: None, pinned: true };
+/// assert_eq!(p.to_json_string(), r#"{"x":1.5,"label":null,"pinned":true}"#);
+/// let old = Point::from_json_str(r#"{"x":1.5,"label":null}"#).unwrap();
+/// assert_eq!(old, Point { pinned: false, ..p });
+/// assert!(Point::from_json_str(r#"{"x":1.5}"#).is_err());
+/// ```
+#[macro_export]
+macro_rules! json_struct {
+    ($ty:ident { $($field:ident $(= $default:expr)?),+ $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::obj([$(
+                    (stringify!($field), $crate::json::ToJson::to_json(&self.$field)),
+                )+])
+            }
+        }
+
+        impl $crate::json::FromJson for $ty {
+            fn from_json(
+                value: &$crate::json::Json,
+            ) -> ::std::result::Result<Self, $crate::json::JsonError> {
+                ::std::result::Result::Ok($ty {$(
+                    $field: $crate::json_struct!(@decode value, $field $(, $default)?),
+                )+})
+            }
+        }
+    };
+    (@decode $value:ident, $field:ident) => {
+        $value.decode(stringify!($field))?
+    };
+    (@decode $value:ident, $field:ident, $default:expr) => {
+        $value.decode_opt(stringify!($field))?.unwrap_or($default)
+    };
 }
 
 #[cfg(test)]
@@ -565,6 +691,11 @@ mod tests {
             assert_eq!(Json::parse(&text).unwrap().as_f64().unwrap(), v);
         }
         assert_eq!(Json::Num(f64::NAN).render(), "null");
+        // Out-of-range literals would decode to infinity and re-render
+        // as `null`, so they are refused.
+        for text in ["1e999", "-1e400", "[1,2e308]"] {
+            assert!(Json::parse(text).is_err(), "`{text}` should fail");
+        }
     }
 
     #[test]
@@ -626,6 +757,21 @@ mod tests {
     }
 
     #[test]
+    fn field_helpers_handle_absent_and_null_keys_as_documented() {
+        let v = Json::parse(r#"{"n":2,"z":null}"#).unwrap();
+        assert_eq!(v.decode::<usize>("n").unwrap(), 2);
+        assert!(v.decode::<usize>("z").is_err());
+        assert_eq!(v.decode::<Option<usize>>("z").unwrap(), None);
+        assert_eq!(v.decode_opt::<usize>("absent").unwrap(), None);
+        assert!(v.decode_opt::<usize>("z").is_err());
+        assert_eq!(v.decode_nullable::<usize>("z").unwrap(), None);
+        assert_eq!(v.decode_nullable::<usize>("absent").unwrap(), None);
+        assert_eq!(v.decode_nullable::<usize>("n").unwrap(), Some(2));
+        let err = v.decode_nullable::<bool>("n").unwrap_err();
+        assert_eq!(err.0, "field `n`: expected bool, got Num(2.0)");
+    }
+
+    #[test]
     fn trait_impls_round_trip() {
         let xs = vec![1.0f64, -2.5, 0.0];
         assert_eq!(Vec::<f64>::from_json_str(&xs.to_json_string()).unwrap(), xs);
@@ -636,9 +782,75 @@ mod tests {
             Option::<u64>::from_json_str(&n.to_json_string()).unwrap(),
             n
         );
-        assert_eq!(u32::from_json(&Json::num(7.0)).unwrap(), 7);
-        assert!(u32::from_json(&Json::num(1.5)).is_err());
-        assert!(u32::from_json(&Json::num(-1.0)).is_err());
+        assert_eq!(usize::from_json(&Json::num(7.0)).unwrap(), 7);
+        assert!(usize::from_json(&Json::num(1.5)).is_err());
+        assert!(usize::from_json(&Json::num(-1.0)).is_err());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Sample {
+        id: usize,
+        tags: Vec<String>,
+        parent: Option<Box<Sample>>,
+        weight: f64,
+        pinned: bool,
+    }
+
+    json_struct!(Sample {
+        id,
+        tags,
+        parent,
+        weight = 1.0,
+        pinned = false,
+    });
+
+    #[test]
+    fn json_struct_renders_in_list_order_and_round_trips() {
+        let leaf = Sample {
+            id: 2,
+            tags: vec!["a".into()],
+            parent: None,
+            weight: 0.5,
+            pinned: true,
+        };
+        let root = Sample {
+            id: 1,
+            tags: vec![],
+            parent: Some(Box::new(leaf)),
+            weight: 2.0,
+            pinned: false,
+        };
+        let text = root.to_json_string();
+        assert_eq!(
+            text,
+            r#"{"id":1,"tags":[],"parent":{"id":2,"tags":["a"],"parent":null,"weight":0.5,"pinned":true},"weight":2,"pinned":false}"#
+        );
+        assert_eq!(Sample::from_json_str(&text).unwrap(), root);
+    }
+
+    #[test]
+    fn json_struct_defaults_cover_absent_keys_only() {
+        let old = Sample::from_json_str(r#"{"id":3,"tags":[],"parent":null,"extra":[1]}"#);
+        assert_eq!(
+            old.unwrap(),
+            Sample {
+                id: 3,
+                tags: vec![],
+                parent: None,
+                weight: 1.0,
+                pinned: false,
+            }
+        );
+        // A present key must decode, even where a default exists.
+        let err =
+            Sample::from_json_str(r#"{"id":3,"tags":[],"parent":null,"pinned":null}"#).unwrap_err();
+        assert!(
+            err.to_string().contains("field `pinned`: expected bool"),
+            "{err}"
+        );
+        // `Option` fields without a default are required.
+        let err = Sample::from_json_str(r#"{"id":3,"tags":[]}"#).unwrap_err();
+        assert!(err.to_string().contains("missing field `parent`"), "{err}");
     }
 
     #[test]

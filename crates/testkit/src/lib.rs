@@ -10,8 +10,9 @@
 //! - [`prop`] — a property-testing harness with range/vec/tuple
 //!   strategies, halving shrinking and failing-seed replay (replaces
 //!   `proptest`),
-//! - [`json`] — a small JSON value/encoder/parser with hand-implemented
-//!   [`json::ToJson`] / [`json::FromJson`] traits (replaces the `serde`
+//! - [`json`] — a small JSON value/encoder/parser with the
+//!   [`json::ToJson`] / [`json::FromJson`] traits and the [`json_struct!`]
+//!   macro that declares both for a plain struct (replaces the `serde`
 //!   derives).
 
 #![warn(missing_docs)]

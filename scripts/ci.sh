@@ -209,6 +209,18 @@ cmp "$SMOKE/wire-traces/s1.jsonl" "$SMOKE/t1.jsonl" \
 ./target/release/check_regression "$SMOKE/batch1.json" "$SMOKE/wire.json"
 # Multi-client soak at smoke scale against the same warm daemon.
 ./target/release/serve_soak --smoke --addr "$ADDR" >/dev/null
+# A nesting bomb: 100 KB of `[` fits the 1 MiB body cap, so it reaches the
+# manifest parser, whose depth cap must turn it into a 400 rather than a
+# stack overflow that aborts the daemon. Posted raw over bash's /dev/tcp:
+# `xplace submit` parses the manifest locally and would never send it.
+BOMB_BYTES=100000
+exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+printf 'POST /batch HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\n\r\n' "$ADDR" "$BOMB_BYTES" >&3
+head -c "$BOMB_BYTES" /dev/zero | tr '\0' '[' >&3
+head -n 1 <&3 > "$SMOKE/bomb.status" || true
+exec 3<&-
+grep -q "^HTTP/1.1 400 " "$SMOKE/bomb.status" \
+    || { echo "FAIL: a nested 100 KB manifest did not get a 400" >&2; cat "$SMOKE/bomb.status" >&2; exit 1; }
 ./target/release/xplace servectl stats --addr "$ADDR" | grep -q '"batches_completed"' \
     || { echo "FAIL: /stats is missing completion counters" >&2; exit 1; }
 ./target/release/xplace servectl shutdown --addr "$ADDR" >/dev/null

@@ -296,6 +296,27 @@ fn malformed_requests_get_contextual_rejections() {
 }
 
 #[test]
+fn deeply_nested_manifest_is_rejected_and_the_daemon_keeps_serving() {
+    // 100 KB of `[` fits the default 1 MiB body cap; an unbounded
+    // recursive parser would overflow the handler's stack and abort the
+    // whole daemon.
+    let (client, handle) = serve(ServeConfig::default());
+    match client.submit(&"[".repeat(100_000)).unwrap() {
+        Submission::Rejected {
+            status, message, ..
+        } => {
+            assert_eq!(status, 400);
+            assert!(message.contains("nesting deeper than"), "{message}");
+        }
+        Submission::Completed(_) => panic!("a nesting bomb must be rejected"),
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stat(&stats, "admitted"), 0);
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
 fn health_reports_ok_then_degraded() {
     let (client, handle) = serve(ServeConfig::default());
     let health = client.health().expect("/health responds");
