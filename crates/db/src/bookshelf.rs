@@ -39,11 +39,39 @@ fn strip_comment(line: &str) -> &str {
     }
 }
 
-fn parse_kv(line: &str, key: &str) -> Option<f64> {
-    let line = line.trim();
-    let rest = line.strip_prefix(key)?.trim_start();
-    let rest = rest.strip_prefix(':')?.trim();
-    rest.split_whitespace().next()?.parse().ok()
+/// Parses the numeric `field` of a `format` record on line `line`
+/// (1-based). A missing token, a non-number and a non-finite value
+/// (`NaN`, `inf`) are each a [`DbError::Parse`] that names the field.
+fn parse_finite(
+    token: Option<&str>,
+    format: &str,
+    line: usize,
+    field: &str,
+) -> Result<f64, DbError> {
+    let token = token.ok_or_else(|| DbError::parse(format, line, format!("missing {field}")))?;
+    let v: f64 = token
+        .parse()
+        .map_err(|_| DbError::parse(format, line, format!("{field} is not a number")))?;
+    if !v.is_finite() {
+        return Err(DbError::parse(
+            format,
+            line,
+            format!("{field} is not finite ({v})"),
+        ));
+    }
+    Ok(v)
+}
+
+/// The value of a `.scl` `key : value` line numbered `lineno` (1-based),
+/// `None` when the line is not one for `key`.
+fn parse_kv(line: &str, key: &str, lineno: usize) -> Result<Option<f64>, DbError> {
+    let Some(rest) = line.trim().strip_prefix(key) else {
+        return Ok(None);
+    };
+    let Some(rest) = rest.trim_start().strip_prefix(':') else {
+        return Ok(None);
+    };
+    parse_finite(rest.split_whitespace().next(), "scl", lineno, key).map(Some)
 }
 
 fn parse_nodes(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
@@ -60,16 +88,8 @@ fn parse_nodes(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
         let name = it
             .next()
             .ok_or_else(|| DbError::parse("nodes", lineno + 1, "missing node name"))?;
-        let w: f64 = it
-            .next()
-            .ok_or_else(|| DbError::parse("nodes", lineno + 1, "missing width"))?
-            .parse()
-            .map_err(|_| DbError::parse("nodes", lineno + 1, "width is not a number"))?;
-        let h: f64 = it
-            .next()
-            .ok_or_else(|| DbError::parse("nodes", lineno + 1, "missing height"))?
-            .parse()
-            .map_err(|_| DbError::parse("nodes", lineno + 1, "height is not a number"))?;
+        let w = parse_finite(it.next(), "nodes", lineno + 1, "width")?;
+        let h = parse_finite(it.next(), "nodes", lineno + 1, "height")?;
         let terminal = it
             .next()
             .map(|t| t.eq_ignore_ascii_case("terminal"))
@@ -125,12 +145,8 @@ fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
             let rest: Vec<&str> = it.collect();
             if let Some(colon) = rest.iter().position(|t| *t == ":") {
                 if rest.len() >= colon + 3 {
-                    dx = rest[colon + 1].parse().map_err(|_| {
-                        DbError::parse("nets", lineno + 1, "pin x offset is not a number")
-                    })?;
-                    dy = rest[colon + 2].parse().map_err(|_| {
-                        DbError::parse("nets", lineno + 1, "pin y offset is not a number")
-                    })?;
+                    dx = parse_finite(Some(rest[colon + 1]), "nets", lineno + 1, "pin x offset")?;
+                    dy = parse_finite(Some(rest[colon + 2]), "nets", lineno + 1, "pin y offset")?;
                 }
             }
             pins.push((cell, Point::new(dx, dy)));
@@ -153,11 +169,7 @@ fn parse_wts(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
         let name = it
             .next()
             .ok_or_else(|| DbError::parse("wts", lineno + 1, "missing net name"))?;
-        let weight: f64 = it
-            .next()
-            .ok_or_else(|| DbError::parse("wts", lineno + 1, "missing weight"))?
-            .parse()
-            .map_err(|_| DbError::parse("wts", lineno + 1, "weight is not a number"))?;
+        let weight = parse_finite(it.next(), "wts", lineno + 1, "weight")?;
         if weight < 0.0 {
             return Err(DbError::parse("wts", lineno + 1, "negative net weight"));
         }
@@ -176,16 +188,8 @@ fn parse_pl(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
         let name = it
             .next()
             .ok_or_else(|| DbError::parse("pl", lineno + 1, "missing cell name"))?;
-        let x: f64 = it
-            .next()
-            .ok_or_else(|| DbError::parse("pl", lineno + 1, "missing x"))?
-            .parse()
-            .map_err(|_| DbError::parse("pl", lineno + 1, "x is not a number"))?;
-        let y: f64 = it
-            .next()
-            .ok_or_else(|| DbError::parse("pl", lineno + 1, "missing y"))?
-            .parse()
-            .map_err(|_| DbError::parse("pl", lineno + 1, "y is not a number"))?;
+        let x = parse_finite(it.next(), "pl", lineno + 1, "x")?;
+        let y = parse_finite(it.next(), "pl", lineno + 1, "y")?;
         let fixed = line.contains("/FIXED");
         data.placements.insert(name.to_string(), (x, y, fixed));
     }
@@ -209,21 +213,23 @@ fn parse_scl(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
             site_width = 1.0;
             origin = None;
             num_sites = None;
-        } else if let Some(v) = parse_kv(line, "Coordinate") {
+        } else if let Some(v) = parse_kv(line, "Coordinate", lineno + 1)? {
             y = Some(v);
-        } else if let Some(v) = parse_kv(line, "Height") {
+        } else if let Some(v) = parse_kv(line, "Height", lineno + 1)? {
             height = Some(v);
-        } else if let Some(v) = parse_kv(line, "Sitewidth") {
+        } else if let Some(v) = parse_kv(line, "Sitewidth", lineno + 1)? {
             site_width = v;
         } else if line.starts_with("SubrowOrigin") {
             // "SubrowOrigin : 0 NumSites : 100"
             let tokens: Vec<&str> = line.split_whitespace().collect();
             for w in tokens.windows(3) {
-                if w[0] == "SubrowOrigin" && w[1] == ":" {
-                    origin = w[2].parse().ok();
-                }
-                if w[0] == "NumSites" && w[1] == ":" {
-                    num_sites = w[2].parse().ok();
+                let slot = match w[0] {
+                    "SubrowOrigin" => &mut origin,
+                    "NumSites" => &mut num_sites,
+                    _ => continue,
+                };
+                if w[1] == ":" {
+                    *slot = Some(parse_finite(Some(w[2]), "scl", lineno + 1, w[0])?);
                 }
             }
         } else if line.starts_with("End") {
@@ -629,6 +635,52 @@ mod tests {
         match err {
             DbError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected_naming_file_line_and_field() {
+        type Parser = fn(&str, &mut BookshelfData) -> Result<(), DbError>;
+        let cases: [(Parser, &str, &str); 7] = [
+            (
+                parse_pl,
+                "UCLA pl 1.0\no1 NaN 3 : N\n",
+                "pl parse error at line 2: x is not finite (NaN)",
+            ),
+            (
+                parse_pl,
+                "p0 5 inf : N /FIXED\n",
+                "pl parse error at line 1: y is not finite (inf)",
+            ),
+            (
+                parse_nodes,
+                "UCLA nodes 1.0\n a inf 1\n",
+                "nodes parse error at line 2: width is not finite (inf)",
+            ),
+            (
+                parse_nets,
+                "NetDegree : 2 n\n a B : nan 0\n",
+                "nets parse error at line 2: pin x offset is not finite (NaN)",
+            ),
+            (
+                parse_wts,
+                "net_a NaN\n",
+                "wts parse error at line 1: weight is not finite (NaN)",
+            ),
+            (
+                parse_scl,
+                "CoreRow Horizontal\n Coordinate : -inf\n",
+                "scl parse error at line 2: Coordinate is not finite (-inf)",
+            ),
+            (
+                parse_scl,
+                "CoreRow Horizontal\n SubrowOrigin : 0 NumSites : infinity\n",
+                "scl parse error at line 2: NumSites is not finite (inf)",
+            ),
+        ];
+        for (parse, text, expected) in cases {
+            let err = parse(text, &mut BookshelfData::default()).unwrap_err();
+            assert_eq!(err.to_string(), expected);
         }
     }
 

@@ -67,10 +67,6 @@ pub struct CongestionMap {
     pub demand_h: Grid2,
     /// Vertical routing demand per gcell.
     pub demand_v: Grid2,
-    /// Gcell dimensions.
-    pub gcell_w: f64,
-    /// Gcell height.
-    pub gcell_h: f64,
 }
 
 impl CongestionMap {
@@ -106,44 +102,6 @@ impl CongestionMap {
     pub fn max_utilization(&self) -> f64 {
         100.0 * self.utilizations().iter().copied().fold(0.0, f64::max)
     }
-}
-
-/// Pin density per gcell: the number of pins falling in each gcell.
-///
-/// Cell inflation flows target this alongside wire demand — local
-/// interconnect (pin access) congestion is what spreading cells reliably
-/// relieves.
-pub fn pin_density_map(design: &Design, config: &RouteConfig) -> Grid2 {
-    let n = config.gcells.max(1);
-    let region = design.region();
-    let gw = region.width() / n as f64;
-    let gh = region.height() / n as f64;
-    let mut map = Grid2::new(n, n);
-    let nl = design.netlist();
-    for p in 0..nl.num_pins() {
-        let pos = design.pin_position(xplace_db::PinId(p as u32));
-        let bx = (((pos.x - region.lx) / gw).max(0.0) as usize).min(n - 1);
-        let by = (((pos.y - region.ly) / gh).max(0.0) as usize).min(n - 1);
-        map[(bx, by)] += 1.0;
-    }
-    map
-}
-
-/// Mean of the top `frac` fraction of grid samples (e.g. the peak-pin
-/// metric `top_fraction_mean(&pins, 0.05)`).
-///
-/// # Panics
-///
-/// Panics if `frac` is not in `(0, 1]`.
-pub fn top_fraction_mean(grid: &Grid2, frac: f64) -> f64 {
-    assert!(frac > 0.0 && frac <= 1.0, "fraction must be in (0, 1]");
-    if grid.is_empty() {
-        return 0.0;
-    }
-    let mut v: Vec<f64> = grid.as_slice().to_vec();
-    v.sort_by(|a, b| b.partial_cmp(a).expect("finite samples"));
-    let k = ((v.len() as f64 * frac).ceil() as usize).max(1);
-    v[..k].iter().sum::<f64>() / k as f64
 }
 
 /// Estimates routing congestion of a placement with RUDY.
@@ -211,12 +169,7 @@ pub fn estimate_congestion(design: &Design, config: &RouteConfig) -> CongestionM
             }
         }
     }
-    CongestionMap {
-        demand_h,
-        demand_v,
-        gcell_w: gw,
-        gcell_h: gh,
-    }
+    CongestionMap { demand_h, demand_v }
 }
 
 #[cfg(test)]
@@ -349,31 +302,6 @@ mod tests {
         assert!(map.demand_h[(3, 3)] > 0.0);
         assert_eq!(map.demand_h[(12, 12)], 0.0);
         assert_eq!(map.demand_v[(1, 12)], 0.0);
-    }
-
-    #[test]
-    fn pin_density_counts_every_pin() {
-        let d = synthesize(&SynthesisSpec::new("pd", 200, 210).with_seed(13)).unwrap();
-        let map = pin_density_map(&d, &RouteConfig::default());
-        assert_eq!(map.sum() as usize, d.netlist().num_pins());
-        assert!(map.min() >= 0.0);
-    }
-
-    #[test]
-    fn top_fraction_mean_is_monotone_and_bounded() {
-        let g = Grid2::from_vec(2, 4, vec![8.0, 1.0, 2.0, 7.0, 3.0, 6.0, 4.0, 5.0]);
-        let top1 = top_fraction_mean(&g, 0.125); // exactly the max
-        let all = top_fraction_mean(&g, 1.0);
-        assert_eq!(top1, 8.0);
-        assert!((all - 4.5).abs() < 1e-12);
-        assert!(top_fraction_mean(&g, 0.5) <= top1);
-        assert!(top_fraction_mean(&g, 0.5) >= all);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn top_fraction_mean_rejects_zero() {
-        top_fraction_mean(&Grid2::new(2, 2), 0.0);
     }
 
     #[test]

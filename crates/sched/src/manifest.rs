@@ -364,6 +364,22 @@ mod tests {
     }
 
     #[test]
+    fn huge_mistyped_values_give_small_errors() {
+        let long_string = format!(r#"{{"jobs":"{}"}}"#, "x".repeat(500_000));
+        let big_object = format!(r#"{{"jobs":{{"k":[{}0]}}}}"#, "0,".repeat(400_000));
+        let huge_count = r#"{"jobs":[{"name":"a","synth":{"cells":1e300}}]}"#.to_string();
+        for (text, expected) in [
+            (long_string, "expected array"),
+            (big_object, "expected array"),
+            (huge_count, "expected unsigned integer"),
+        ] {
+            let err = BatchManifest::parse(&text).unwrap_err().to_string();
+            assert!(err.len() <= 256, "{} bytes", err.len());
+            assert!(err.contains(expected), "{err}");
+        }
+    }
+
+    #[test]
     fn empty_job_list_is_rejected() {
         let err = BatchManifest::parse(r#"{"jobs": []}"#).unwrap_err();
         assert!(err.to_string().contains("no jobs"), "{err}");

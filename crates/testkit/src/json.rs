@@ -36,6 +36,47 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// At most this many bytes of an offending value's text go into a
+/// type-mismatch error, so the error stays small however large the value
+/// is.
+const PREVIEW_BYTES: usize = 64;
+
+/// The error for a value that is not the `expected` kind. It quotes `got`
+/// cut to [`PREVIEW_BYTES`] on a char boundary, with `…` appended when
+/// cut; formatting stops at the cap, so a large value is never rendered
+/// in full.
+fn type_error(expected: &str, got: fmt::Arguments<'_>) -> JsonError {
+    struct Capped {
+        text: String,
+        cut: bool,
+    }
+    impl fmt::Write for Capped {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            if self.cut {
+                return Err(fmt::Error);
+            }
+            let room = PREVIEW_BYTES - self.text.len();
+            if s.len() <= room {
+                self.text.push_str(s);
+                return Ok(());
+            }
+            self.text.push_str(&s[..s.floor_char_boundary(room)]);
+            self.cut = true;
+            Err(fmt::Error)
+        }
+    }
+    let mut preview = Capped {
+        text: String::new(),
+        cut: false,
+    };
+    // The only error is the cap's own stop signal.
+    let _ = fmt::write(&mut preview, got);
+    if preview.cut {
+        preview.text.push('…');
+    }
+    JsonError(format!("expected {expected}, got {}", preview.text))
+}
+
 /// A JSON encode/decode error with a short context description.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError(pub String);
@@ -116,7 +157,7 @@ impl Json {
     pub fn as_f64(&self) -> Result<f64, JsonError> {
         match self {
             Json::Num(v) => Ok(*v),
-            other => Err(JsonError(format!("expected number, got {other:?}"))),
+            other => Err(type_error("number", format_args!("{other:?}"))),
         }
     }
 
@@ -126,7 +167,7 @@ impl Json {
         if v >= 0.0 && v.fract() == 0.0 && v <= u32::MAX as f64 * 4096.0 {
             Ok(v as usize)
         } else {
-            Err(JsonError(format!("expected unsigned integer, got {v}")))
+            Err(type_error("unsigned integer", format_args!("{v}")))
         }
     }
 
@@ -138,7 +179,7 @@ impl Json {
         if v >= 0.0 && v.fract() == 0.0 && v <= (1u64 << 53) as f64 {
             Ok(v as u64)
         } else {
-            Err(JsonError(format!("expected u64, got {v}")))
+            Err(type_error("u64", format_args!("{v}")))
         }
     }
 
@@ -146,7 +187,7 @@ impl Json {
     pub fn as_str(&self) -> Result<&str, JsonError> {
         match self {
             Json::Str(s) => Ok(s),
-            other => Err(JsonError(format!("expected string, got {other:?}"))),
+            other => Err(type_error("string", format_args!("{other:?}"))),
         }
     }
 
@@ -154,7 +195,7 @@ impl Json {
     pub fn as_bool(&self) -> Result<bool, JsonError> {
         match self {
             Json::Bool(b) => Ok(*b),
-            other => Err(JsonError(format!("expected bool, got {other:?}"))),
+            other => Err(type_error("bool", format_args!("{other:?}"))),
         }
     }
 
@@ -162,7 +203,7 @@ impl Json {
     pub fn as_arr(&self) -> Result<&[Json], JsonError> {
         match self {
             Json::Arr(items) => Ok(items),
-            other => Err(JsonError(format!("expected array, got {other:?}"))),
+            other => Err(type_error("array", format_args!("{other:?}"))),
         }
     }
 
@@ -769,6 +810,34 @@ mod tests {
         assert_eq!(v.decode_nullable::<usize>("n").unwrap(), Some(2));
         let err = v.decode_nullable::<bool>("n").unwrap_err();
         assert_eq!(err.0, "field `n`: expected bool, got Num(2.0)");
+    }
+
+    #[test]
+    fn type_errors_preview_large_values_within_a_bound() {
+        let err = Json::str("x".repeat(500_000)).as_arr().unwrap_err();
+        assert_eq!(
+            err.0,
+            format!("expected array, got Str(\"{}…", "x".repeat(59))
+        );
+        // The cut lands on a char boundary.
+        let err = Json::str("é".repeat(100)).as_bool().unwrap_err();
+        assert_eq!(
+            err.0,
+            format!("expected bool, got Str(\"{}…", "é".repeat(29))
+        );
+        // A huge number written out in full is cut too.
+        let err = Json::num(1e300).as_usize().unwrap_err();
+        assert_eq!(
+            err.0,
+            format!("expected unsigned integer, got 1{}…", "0".repeat(63))
+        );
+        // Short values keep their whole text.
+        let err = Json::Arr(vec![Json::Null]).as_str().unwrap_err();
+        assert_eq!(err.0, "expected string, got Arr([Null])");
+        assert_eq!(
+            Json::num(-1.0).as_u64().unwrap_err().0,
+            "expected u64, got -1"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use xplace::core::{GlobalPlacer, XplaceConfig};
 use xplace::db::synthesis::{synthesize, SynthesisSpec};
-use xplace::legal::{check_legality, detailed_place, legalize, DpConfig};
+use xplace::sched::finish_flow;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Three fences along the top edge, each owning ~3% of the cells.
@@ -23,15 +23,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let gp = GlobalPlacer::new(XplaceConfig::xplace()).place(&mut design)?;
+    let config = XplaceConfig::xplace();
+    let gp = GlobalPlacer::new(config.clone()).place(&mut design)?;
     println!(
         "\nGP: {} iterations, overflow {:.3}, HPWL {:.0}",
         gp.iterations, gp.final_overflow, gp.final_hpwl
     );
 
-    legalize(&mut design)?;
-    detailed_place(&mut design, &DpConfig::default());
-    check_legality(&design)?; // includes fence containment
+    // LG -> DP -> legality check (which includes fence containment).
+    finish_flow(&mut design, &config, &gp)?;
     println!("final placement is legal, all fence members contained");
 
     // Show where the members ended up.

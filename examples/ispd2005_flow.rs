@@ -9,7 +9,7 @@ use xplace::core::{GlobalPlacer, XplaceConfig};
 use xplace::db::suites::ispd2005_like;
 use xplace::db::synthesis::synthesize;
 use xplace::db::{bookshelf, DesignStats};
-use xplace::legal::{detailed_place, legalize, DpConfig};
+use xplace::sched::finish_flow;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // adaptec1 at 1% scale (set scale to 1.0 for the full contest size).
@@ -30,19 +30,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if results.is_empty() {
             println!("instance: {}", DesignStats::of(&design));
         }
-        let gp = GlobalPlacer::new(config).place(&mut design)?;
-        let lg = legalize(&mut design)?;
-        let dp = detailed_place(&mut design, &DpConfig::default());
-        println!(
-            "{label:>16}: HPWL {:.0}, GP {:.3} s modeled ({} iters, {:.3} ms/iter), \
-             LG+DP {:.2} s wall",
-            dp.final_hpwl,
-            gp.modeled_gp_seconds(),
-            gp.iterations,
-            gp.modeled_ms_per_iter(),
-            lg.wall_seconds + dp.wall_seconds,
-        );
-        results.push((label, design, dp.final_hpwl, gp.modeled_gp_seconds()));
+        let gp = GlobalPlacer::new(config.clone()).place(&mut design)?;
+        let run = finish_flow(&mut design, &config, &gp)?;
+        if let (Some(lg), Some(dp)) = (&run.lg, &run.dp) {
+            println!(
+                "{label:>16}: HPWL {:.0}, GP {:.3} s modeled ({} iters, {:.3} ms/iter), \
+                 LG+DP {:.2} s wall",
+                dp.final_hpwl,
+                gp.modeled_gp_seconds(),
+                gp.iterations,
+                gp.modeled_ms_per_iter(),
+                lg.wall_seconds + dp.wall_seconds,
+            );
+        }
+        results.push((label, design, run.final_hpwl(), gp.modeled_gp_seconds()));
     }
 
     let (_, xp_design, xp_hpwl, xp_gp) = &results[1];

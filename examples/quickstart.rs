@@ -5,7 +5,7 @@
 use xplace::core::{GlobalPlacer, XplaceConfig};
 use xplace::db::synthesis::{synthesize, SynthesisSpec};
 use xplace::db::DesignStats;
-use xplace::legal::{check_legality, detailed_place, legalize, DpConfig};
+use xplace::sched::finish_flow;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A 2000-cell synthetic design (use xplace::db::bookshelf::read_aux
@@ -17,7 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("design: {}", DesignStats::of(&design));
 
     // 2. Global placement with the full Xplace configuration.
-    let report = GlobalPlacer::new(XplaceConfig::xplace()).place(&mut design)?;
+    let config = XplaceConfig::xplace();
+    let report = GlobalPlacer::new(config.clone()).place(&mut design)?;
     println!(
         "global placement: {} iterations, overflow {:.3} -> {:.3}, HPWL {:.0} -> {:.0}",
         report.iterations,
@@ -34,22 +35,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.profile.launches
     );
 
-    // 3. Legalization.
-    let lg = legalize(&mut design)?;
-    println!(
-        "legalization: HPWL {:.0} -> {:.0}, mean displacement {:.2}",
-        lg.initial_hpwl, lg.final_hpwl, lg.mean_displacement
-    );
+    // 3. Legalization, detailed placement, legality check and congestion
+    //    estimate: the back half every placement flow shares.
+    let run = finish_flow(&mut design, &config, &report)?;
+    if let (Some(lg), Some(dp), Some(route)) = (&run.lg, &run.dp, &run.route) {
+        println!(
+            "legalization: HPWL {:.0} -> {:.0}, mean displacement {:.2}",
+            lg.initial_hpwl, lg.final_hpwl, lg.mean_displacement
+        );
+        println!(
+            "detailed placement: HPWL {:.0} -> {:.0} ({} slides, {} reorders, {} swaps)",
+            dp.initial_hpwl, dp.final_hpwl, dp.slides, dp.reorders, dp.swaps
+        );
+        println!(
+            "routability: top5 overflow {:.2}, max utilization {:.2}",
+            route.top5_overflow, route.max_utilization
+        );
+    }
 
-    // 4. Detailed placement.
-    let dp = detailed_place(&mut design, &DpConfig::default());
-    println!(
-        "detailed placement: HPWL {:.0} -> {:.0} ({} slides, {} reorders, {} swaps)",
-        dp.initial_hpwl, dp.final_hpwl, dp.slides, dp.reorders, dp.swaps
-    );
-
-    // 5. The result is legal.
-    check_legality(&design)?;
+    // 4. `finish_flow` returns only after the legality check passed.
     println!(
         "final placement is legal; total HPWL = {:.0}",
         design.total_hpwl()

@@ -182,6 +182,29 @@ set -e
 [ "$SHORT_STATUS" -eq 1 ] && grep -q "checkpoint best_u_x has" "$SMOKE/short.err" \
     || { echo "FAIL: a short best_u_x exited $SHORT_STATUS, want 1 naming the field" >&2; cat "$SMOKE/short.err" >&2; exit 1; }
 
+echo "==> non-finite Bookshelf number: an inf terminal coordinate is a named parse error"
+mkdir "$SMOKE/inf"
+cp "$SMOKE"/ci-smoke.* "$SMOKE/inf/"
+sed -i 's/^p0 [^ ]* /p0 inf /' "$SMOKE/inf/ci-smoke.pl"
+set +e
+./target/release/xplace place "$SMOKE/inf/ci-smoke.aux" --max-iters 120 \
+    -o "$SMOKE/inf.pl" >/dev/null 2>"$SMOKE/inf.err"
+INF_STATUS=$?
+set -e
+[ "$INF_STATUS" -eq 1 ] && grep -q "pl parse error at line [0-9]*: x is not finite (inf)" "$SMOKE/inf.err" \
+    || { echo "FAIL: an inf .pl coordinate exited $INF_STATUS, want 1 naming the field" >&2; cat "$SMOKE/inf.err" >&2; exit 1; }
+
+echo "==> examples: each runs GP then finish_flow to a legal placement"
+for EXAMPLE in quickstart fence_regions ispd2005_flow; do
+    # ispd2005_flow exports its result under the temp dir; keep it in $SMOKE.
+    TMPDIR="$SMOKE" cargo run --release -q --example "$EXAMPLE" >"$SMOKE/example-$EXAMPLE.out" \
+        || { echo "FAIL: example $EXAMPLE exited non-zero" >&2; exit 1; }
+done
+for EXAMPLE in quickstart fence_regions; do
+    grep -q "^final placement is legal" "$SMOKE/example-$EXAMPLE.out" \
+        || { echo "FAIL: example $EXAMPLE did not report a legal placement" >&2; exit 1; }
+done
+
 echo "==> chaos soak: seeded fault injection, retry recovery, client-drop conservation"
 ./target/release/chaos_soak --smoke
 

@@ -105,7 +105,7 @@ pub struct PlaceRobustArgs {
     /// disabled).
     pub checkpoint_every: usize,
     /// Checkpoint file (`--checkpoint-file`); required when the cadence
-    /// is non-zero.
+    /// is non-zero, and rejected when it is zero.
     pub checkpoint_file: Option<std::path::PathBuf>,
     /// Checkpoint file to resume from (`--resume-from`).
     pub resume_from: Option<std::path::PathBuf>,
@@ -120,12 +120,16 @@ pub struct PlaceRobustArgs {
 /// # Errors
 ///
 /// A non-zero checkpoint cadence without `--checkpoint-file` is
-/// rejected, as are the usual flag-parsing failures.
+/// rejected, and so is a `--checkpoint-file` without one (it would
+/// silently write nothing), as are the usual flag-parsing failures.
 pub fn parse_place_robust_args(args: &[String]) -> Result<PlaceRobustArgs, String> {
     let checkpoint_every: usize = parse_flag(args, "--checkpoint-every", 0)?;
     let checkpoint_file = flag_value(args, "--checkpoint-file")?.map(std::path::PathBuf::from);
     if checkpoint_every > 0 && checkpoint_file.is_none() {
         return Err("--checkpoint-every requires --checkpoint-file".into());
+    }
+    if checkpoint_every == 0 && checkpoint_file.is_some() {
+        return Err("--checkpoint-file requires a non-zero --checkpoint-every".into());
     }
     Ok(PlaceRobustArgs {
         checkpoint_every,
@@ -556,6 +560,20 @@ mod tests {
         let err = parse_place_robust_args(&argv(&["--checkpoint-every", "25"])).unwrap_err();
         assert!(err.contains("requires --checkpoint-file"), "{err}");
         assert!(parse_place_robust_args(&argv(&["--deadline-ns", "soon"])).is_err());
+    }
+
+    #[test]
+    fn checkpoint_file_without_a_cadence_is_rejected() {
+        for args in [
+            &["--checkpoint-file", "ck.json"][..],
+            &["--checkpoint-file", "ck.json", "--checkpoint-every", "0"],
+        ] {
+            let err = parse_place_robust_args(&argv(args)).unwrap_err();
+            assert_eq!(
+                err,
+                "--checkpoint-file requires a non-zero --checkpoint-every"
+            );
+        }
     }
 
     #[test]

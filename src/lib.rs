@@ -28,7 +28,7 @@
 //! ```
 //! use xplace::core::{GlobalPlacer, XplaceConfig};
 //! use xplace::db::synthesis::{synthesize, SynthesisSpec};
-//! use xplace::legal::{detailed_place, legalize, DpConfig};
+//! use xplace::sched::finish_flow;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // 1. Get a design (synthetic here; Bookshelf/DEF parsers in xplace::db).
@@ -37,12 +37,12 @@
 //! // 2. Global placement.
 //! let mut config = XplaceConfig::xplace();
 //! config.schedule.max_iterations = 80; // keep the doc test fast
-//! let gp = GlobalPlacer::new(config).place(&mut design)?;
+//! let gp = GlobalPlacer::new(config.clone()).place(&mut design)?;
 //! assert!(gp.final_overflow < gp.initial_overflow);
 //!
-//! // 3. Legalize + detailed placement.
-//! legalize(&mut design)?;
-//! let dp = detailed_place(&mut design, &DpConfig::default());
+//! // 3. Legalize, detailed-place, check legality, estimate congestion.
+//! let report = finish_flow(&mut design, &config, &gp)?;
+//! let dp = report.dp.expect("finish_flow runs detailed placement");
 //! assert!(dp.final_hpwl <= dp.initial_hpwl);
 //! # Ok(())
 //! # }
@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod flow;
 
 pub use xplace_core as core;
 pub use xplace_db as db;

@@ -1,19 +1,7 @@
 //! The `xplace` command-line placer.
 //!
-//! ```text
-//! xplace place  <design.aux> [-o out.pl] [--density 0.9] [--baseline] [--max-iters N]
-//!               [--multilevel] [--coarse-iters N] [--trace out.jsonl] [--report out.json]
-//! xplace batch  <manifest.json> [--threads N] [--trace-dir DIR] [--report out.json]
-//! xplace serve  [--addr HOST:PORT] [--threads N] [--queue-depth N]
-//!               [--max-inflight-per-client N]
-//! xplace submit <manifest.json> [--addr HOST:PORT] [--client NAME]
-//!               [--trace-dir DIR] [--report out.json]
-//! xplace servectl <stats|shutdown> [--addr HOST:PORT]
-//! xplace synth  <name> <cells> [--out dir] [--seed N] [--macros N] [--nets N]
-//!               [--topology random|systolic|butterfly]
-//! xplace stats  <design.aux>
-//! xplace plot   <design.aux> [-o out.svg] [--nets N] [--density D]
-//! ```
+//! Every subcommand and flag is listed once, in `usage()`, which prints
+//! when `xplace` runs with no arguments or an unknown subcommand.
 //!
 //! `place` reads a Bookshelf benchmark, runs global placement +
 //! legalization + detailed placement, reports the metrics the paper's
