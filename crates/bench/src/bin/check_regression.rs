@@ -20,6 +20,13 @@
 //! beyond [`WALL_WARN_PCT`](xplace_telemetry::WALL_WARN_PCT) 50 % only
 //! warns. The bounds are constants, not flags: the gate has one setting.
 //!
+//! Every gated quantity goes through one of the comparator's three rules,
+//! so the output has three shapes: `FAIL <label> regressed +Δ% (base ->
+//! cur), tolerance P%` past a bound (with a `<label> improved` note below
+//! −0.01 %), `FAIL <label> changed: baseline … vs current …` when a
+//! structural value moved, and `warn <label> +Δ% (…) — machine-dependent,
+//! not gated` for wall-clock drift.
+//!
 //! `--inject SECTION=PCT` is the self-test hook CI uses to prove the gate
 //! actually fails on a regression: it inflates the current report by PCT
 //! percent *after loading*, through [`inject_regression`]. SECTION `hpwl`

@@ -16,7 +16,7 @@
 use crate::rows::build_rows;
 use std::time::Instant;
 use xplace_db::{CellId, Design, NetId, Point};
-use xplace_testkit::Rng;
+use xplace_testkit::{json_struct, Rng};
 
 /// Detailed-placement knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,6 +55,16 @@ pub struct DpReport {
     /// Wall-clock seconds.
     pub wall_seconds: f64,
 }
+
+// The `dp` section of a run report: these keys, in this order.
+json_struct!(DpReport {
+    initial_hpwl,
+    final_hpwl,
+    slides,
+    reorders,
+    swaps,
+    wall_seconds,
+});
 
 struct DpState<'a> {
     design: &'a Design,

@@ -4,6 +4,7 @@ use crate::rows::{build_rows, RowModel};
 use crate::LegalError;
 use std::time::Instant;
 use xplace_db::{CellId, Design, Point};
+use xplace_testkit::json_struct;
 
 /// Outcome of a legalization run.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,6 +20,15 @@ pub struct LegalizeReport {
     /// Wall-clock seconds.
     pub wall_seconds: f64,
 }
+
+// The `lg` section of a run report: these keys, in this order.
+json_struct!(LegalizeReport {
+    initial_hpwl,
+    final_hpwl,
+    mean_displacement,
+    max_displacement,
+    wall_seconds,
+});
 
 /// Per-segment packing state used by the Tetris pass: the list of free
 /// gaps (so space skipped while honouring a cell's desired position can

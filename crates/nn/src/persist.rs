@@ -84,14 +84,19 @@ impl Fno {
             .and_then(|v| v.trim().parse().ok())
             .ok_or_else(|| bad("malformed params line"))?;
 
-        let mut fno = Fno::new(&config, 0)?;
-        if count != fno.num_params() {
+        // Every count is checked before anything is allocated, so no header
+        // number sizes an allocation: the parameter vector grows with the
+        // lines actually present, and `Fno::new` only runs once the
+        // architecture's count matches both the header and those lines.
+        let needed = config
+            .param_count()
+            .ok_or_else(|| bad("model architecture's parameter count overflows"))?;
+        if count != needed {
             return Err(bad(format!(
-                "model file declares {count} parameters but the architecture needs {}",
-                fno.num_params()
+                "model file declares {count} parameters but the architecture needs {needed}"
             )));
         }
-        let mut params = Vec::with_capacity(count);
+        let mut params = Vec::new();
         for (i, line) in lines.enumerate() {
             let line = line.trim();
             if line.is_empty() {
@@ -107,6 +112,7 @@ impl Fno {
                 params.len()
             )));
         }
+        let mut fno = Fno::new(&config, 0)?;
         fno.set_params(&params);
         Ok(fno)
     }
@@ -189,6 +195,41 @@ mod tests {
         // Count/architecture mismatch.
         let text = fno.to_text().replace("params ", "params 1");
         assert!(Fno::from_text(&text).is_err());
+    }
+
+    #[test]
+    fn oversized_headers_are_rejected_before_allocating() {
+        let header = |width: &str, params: &str, lines: usize| {
+            let mut text = format!(
+                "xplace-fno 1\nwidth {width} modes 1 layers 1 proj_hidden 1\nparams {params}\n"
+            );
+            text.push_str(&"0000000000000000\n".repeat(lines));
+            text
+        };
+        // 2^63: the lift's 3 x width overflows usize.
+        let overflow = header("9223372036854775808", "3", 3);
+        assert!(matches!(
+            Fno::from_text(&overflow),
+            Err(NnError::InvalidInput(_))
+        ));
+        // 2^20 declares ~5.5e12 parameters, matching its header, with only
+        // three present: rejected without allocating for the declared count.
+        let w: u64 = 1 << 20;
+        let needed = (5 * w * w + 6 * w + 3).to_string();
+        for params in [needed.as_str(), "3"] {
+            assert!(matches!(
+                Fno::from_text(&header("1048576", params, 3)),
+                Err(NnError::InvalidInput(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn architecture_param_count_matches_the_allocation() {
+        for config in [FnoConfig::tiny(), FnoConfig::paper()] {
+            let fno = Fno::new(&config, 0).unwrap();
+            assert_eq!(config.param_count(), Some(fno.num_params()));
+        }
     }
 
     #[test]

@@ -51,8 +51,7 @@ use xplace_fault::{FaultPlan, GpFault};
 use xplace_legal::{check_legality, detailed_place, legalize, DpConfig};
 use xplace_route::{estimate_congestion, RouteConfig};
 use xplace_telemetry::{
-    BatchReport, CallbackSink, DpMetrics, JobRecord, LgMetrics, RouteMetrics, RunReport,
-    TelemetrySink, VecSink,
+    BatchReport, CallbackSink, JobRecord, RouteMetrics, RunReport, TelemetrySink, VecSink,
 };
 
 /// The failure message of a job skipped because its batch was cancelled
@@ -129,21 +128,8 @@ pub fn finish_flow(
         config: config.echo(),
         threads: config.threads,
         gp: gp.gp_metrics(),
-        lg: Some(LgMetrics {
-            initial_hpwl: lg.initial_hpwl,
-            final_hpwl: lg.final_hpwl,
-            mean_displacement: lg.mean_displacement,
-            max_displacement: lg.max_displacement,
-            wall_seconds: lg.wall_seconds,
-        }),
-        dp: Some(DpMetrics {
-            initial_hpwl: dp.initial_hpwl,
-            final_hpwl: dp.final_hpwl,
-            slides: dp.slides,
-            reorders: dp.reorders,
-            swaps: dp.swaps,
-            wall_seconds: dp.wall_seconds,
-        }),
+        lg: Some(lg),
+        dp: Some(dp),
         route: Some(RouteMetrics {
             top5_overflow: congestion.top_overflow(0.05),
             max_utilization: congestion.max_utilization(),

@@ -56,8 +56,8 @@ pub use regression::{
     MODELED_TIME_PCT, WALL_WARN_PCT,
 };
 pub use report::{
-    DpMetrics, ExploreGeneration, ExploreMember, ExploreMetrics, GpMetrics, LgMetrics,
-    RouteMetrics, RunReport, ScalingMetrics, ScalingPoint, SpectralGrid, SpectralMetrics,
+    ExploreGeneration, ExploreMember, ExploreMetrics, GpMetrics, RouteMetrics, RunReport,
+    ScalingMetrics, ScalingPoint, SpectralGrid, SpectralMetrics,
 };
 pub use sink::{parse_trace, CallbackSink, JsonLinesSink, NullSink, TelemetrySink, VecSink};
 // Serialization traits re-exported so downstream binaries can render and

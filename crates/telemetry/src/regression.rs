@@ -4,8 +4,14 @@
 //! launch counts, HPWL, iteration counts), so regressions in those
 //! quantities hard-fail: there is no run-to-run noise to absorb. Only
 //! wall-clock times are machine-dependent, and those merely warn.
+//!
+//! Every gated quantity goes through one of three [`Comparison`] rules:
+//! `bound` (fail past a percentage bound, note an improvement), `wall`
+//! (warn past [`WALL_WARN_PCT`]) and `same` (fail on any change, for
+//! structure and iteration counts), so a new gated quantity is one call.
 
 use crate::{ExploreMetrics, RunReport, ScalingMetrics, SpectralMetrics};
+use std::fmt::Debug;
 
 /// Maximum final-HPWL regression (%).
 pub const HPWL_PCT: f64 = 2.0;
@@ -48,6 +54,40 @@ impl Comparison {
         }
         out
     }
+
+    /// Gates a deterministic quantity: a failure when `cur` exceeds
+    /// `base` by more than `pct` percent, a note when it improved.
+    fn bound(&mut self, label: &str, base: f64, cur: f64, pct: f64) {
+        let delta = pct_change(base, cur);
+        let change = format!("{delta:+.2}% ({} -> {})", num(base), num(cur));
+        if delta > pct {
+            self.failures
+                .push(format!("{label} regressed {change}, tolerance {pct}%"));
+        } else if delta < -0.01 {
+            self.notes.push(format!("{label} improved {change}"));
+        }
+    }
+
+    /// Warns when a wall-clock quantity grew past [`WALL_WARN_PCT`].
+    fn wall(&mut self, label: &str, base: f64, cur: f64) {
+        let delta = pct_change(base, cur);
+        if delta > WALL_WARN_PCT {
+            self.warnings.push(format!(
+                "{label} {delta:+.1}% ({} -> {}) — machine-dependent, not gated",
+                num(base),
+                num(cur)
+            ));
+        }
+    }
+
+    /// Fails when a value that must not move did; `true` when it held.
+    fn same<T: PartialEq + Debug>(&mut self, label: &str, base: &T, cur: &T) -> bool {
+        if base != cur {
+            let failure = format!("{label} changed: baseline {base:?} vs current {cur:?}");
+            self.failures.push(failure);
+        }
+        base == cur
+    }
 }
 
 fn pct_change(baseline: f64, current: f64) -> f64 {
@@ -60,6 +100,12 @@ fn pct_change(baseline: f64, current: f64) -> f64 {
     } else {
         (current - baseline) / baseline * 100.0
     }
+}
+
+/// `v` to three decimals with trailing zeros dropped.
+fn num(v: f64) -> String {
+    let s = format!("{v:.3}");
+    s.trim_end_matches('0').trim_end_matches('.').to_string()
 }
 
 /// A report section the regression gate compares as a unit. Spectral,
@@ -126,93 +172,47 @@ impl SectionVisitor for CompareSections<'_> {
 
 /// Compares `current` against `baseline`.
 ///
-/// Structure (design identity, configuration echo, iteration count) must
-/// match exactly; HPWL, modeled time and launch counts may regress up to
-/// their bound ([`HPWL_PCT`], [`MODELED_TIME_PCT`], [`LAUNCHES_PCT`]);
-/// improvements are noted; wall-clock drift only warns.
+/// Structure (design identity, netlist size, configuration echo) and the
+/// iteration count must match exactly; HPWL, modeled time and launch
+/// counts may regress up to their bound ([`HPWL_PCT`],
+/// [`MODELED_TIME_PCT`], [`LAUNCHES_PCT`]); improvements are noted;
+/// wall-clock drift only warns.
 pub fn compare_reports(baseline: &RunReport, current: &RunReport) -> Comparison {
     let mut cmp = Comparison::default();
 
-    // --- Structure: the runs must be the same experiment. ---
-    if baseline.design != current.design {
-        cmp.failures.push(format!(
-            "design mismatch: baseline `{}` vs current `{}`",
-            baseline.design, current.design
-        ));
-    }
-    if (baseline.cells, baseline.nets) != (current.cells, current.nets) {
-        cmp.failures.push(format!(
-            "netlist mismatch: baseline {}c/{}n vs current {}c/{}n",
-            baseline.cells, baseline.nets, current.cells, current.nets
-        ));
-    }
-    if baseline.config != current.config {
-        cmp.failures
-            .push("config echo mismatch: the runs used different placer configurations".into());
-    }
-    if !cmp.failures.is_empty() {
-        // Metric deltas are meaningless across different experiments.
+    // --- Structure: metric deltas across different experiments mean
+    // nothing. `&` rather than `&&`, so every mismatch is reported. ---
+    let netlist = |r: &RunReport| (r.cells, r.nets);
+    let same_experiment = cmp.same("design", &baseline.design, &current.design)
+        & cmp.same("netlist", &netlist(baseline), &netlist(current))
+        & cmp.same("config echo", &baseline.config, &current.config);
+    if !same_experiment {
         return cmp;
     }
 
-    // --- Determinism: same experiment must take the same trajectory. ---
-    if baseline.gp.iterations != current.gp.iterations {
-        cmp.failures.push(format!(
-            "iteration count changed: {} -> {} (the flow is deterministic; \
-             re-record the baseline if this is intentional)",
-            baseline.gp.iterations, current.gp.iterations
-        ));
-    }
-
-    // --- Gated metrics (deterministic, so regressions hard-fail). ---
-    let hpwl = pct_change(baseline.final_hpwl(), current.final_hpwl());
-    if hpwl > HPWL_PCT {
-        cmp.failures.push(format!(
-            "HPWL regressed {hpwl:+.2}% ({:.1} -> {:.1}), tolerance {}%",
-            baseline.final_hpwl(),
-            current.final_hpwl(),
-            HPWL_PCT
-        ));
-    } else if hpwl < -0.01 {
-        cmp.notes.push(format!(
-            "HPWL improved {hpwl:+.2}% ({:.1} -> {:.1})",
-            baseline.final_hpwl(),
-            current.final_hpwl()
-        ));
-    }
-
-    let modeled = pct_change(baseline.gp.modeled_ns as f64, current.gp.modeled_ns as f64);
-    if modeled > MODELED_TIME_PCT {
-        cmp.failures.push(format!(
-            "modeled GP time regressed {modeled:+.2}% ({:.3}s -> {:.3}s), tolerance {}%",
-            baseline.gp.modeled_seconds(),
-            current.gp.modeled_seconds(),
-            MODELED_TIME_PCT
-        ));
-    } else if modeled < -0.01 {
-        cmp.notes.push(format!(
-            "modeled GP time improved {modeled:+.2}% ({:.3}s -> {:.3}s)",
-            baseline.gp.modeled_seconds(),
-            current.gp.modeled_seconds()
-        ));
-    }
-
-    let launches = pct_change(baseline.gp.launches as f64, current.gp.launches as f64);
-    if launches > LAUNCHES_PCT {
-        cmp.failures.push(format!(
-            "kernel launches grew {launches:+.2}% ({} -> {}), tolerance {}%",
-            baseline.gp.launches, current.gp.launches, LAUNCHES_PCT
-        ));
-    }
-
-    // --- Wall clock: machine-dependent, warn only. ---
-    let wall = pct_change(baseline.gp.wall_seconds, current.gp.wall_seconds);
-    if wall > WALL_WARN_PCT {
-        cmp.warnings.push(format!(
-            "GP wall time {wall:+.1}% ({:.2}s -> {:.2}s) — machine-dependent, not gated",
-            baseline.gp.wall_seconds, current.gp.wall_seconds
-        ));
-    }
+    // --- Determinism and gated metrics: the same experiment takes the
+    // same trajectory, so regressions hard-fail. ---
+    let (base, cur) = (&baseline.gp, &current.gp);
+    cmp.same("iteration count", &base.iterations, &cur.iterations);
+    cmp.bound(
+        "HPWL",
+        baseline.final_hpwl(),
+        current.final_hpwl(),
+        HPWL_PCT,
+    );
+    cmp.bound(
+        "modeled GP time",
+        base.modeled_ns as f64,
+        cur.modeled_ns as f64,
+        MODELED_TIME_PCT,
+    );
+    cmp.bound(
+        "kernel launches",
+        base.launches as f64,
+        cur.launches as f64,
+        LAUNCHES_PCT,
+    );
+    cmp.wall("GP wall time", base.wall_seconds, cur.wall_seconds);
 
     // --- Gated sections (each compared when the baseline recorded it). ---
     visit_sections(&mut CompareSections {
@@ -225,8 +225,8 @@ pub fn compare_reports(baseline: &RunReport, current: &RunReport) -> Comparison 
         cmp.notes.push(format!(
             "HPWL {:.1}, modeled GP {:.3}s, {} launches — within tolerance of baseline",
             current.final_hpwl(),
-            current.gp.modeled_seconds(),
-            current.gp.launches
+            cur.modeled_seconds(),
+            cur.launches
         ));
     }
     cmp
@@ -313,45 +313,23 @@ impl GatedSection for SpectralMetrics {
     /// and hard-gates at [`MODELED_TIME_PCT`]; `solve_wall_ns` is
     /// machine-dependent and warns at [`WALL_WARN_PCT`].
     fn compare(baseline: &Self, current: &Self, cmp: &mut Comparison) {
-        let base_grids: Vec<usize> = baseline.grids.iter().map(|g| g.n).collect();
-        let cur_grids: Vec<usize> = current.grids.iter().map(|g| g.n).collect();
-        if base_grids != cur_grids {
-            cmp.failures.push(format!(
-                "spectral grid set changed: baseline {base_grids:?} vs current {cur_grids:?} \
-                 (re-record the baseline if intentional)"
-            ));
+        let grids = |s: &Self| s.grids.iter().map(|g| g.n).collect::<Vec<_>>();
+        if !cmp.same("spectral grid set", &grids(baseline), &grids(current)) {
             return;
         }
         for (base, cur) in baseline.grids.iter().zip(&current.grids) {
-            let modeled = pct_change(base.modeled_ns as f64, cur.modeled_ns as f64);
-            if modeled > MODELED_TIME_PCT {
-                cmp.failures.push(format!(
-                    "spectral {n}x{n} modeled transform time regressed {modeled:+.2}% \
-                     ({} -> {} ns/iter), tolerance {}%",
-                    base.modeled_ns,
-                    cur.modeled_ns,
-                    MODELED_TIME_PCT,
-                    n = base.n
-                ));
-            } else if modeled < -0.01 {
-                cmp.notes.push(format!(
-                    "spectral {n}x{n} modeled transform time improved {modeled:+.2}% \
-                     ({} -> {} ns/iter)",
-                    base.modeled_ns,
-                    cur.modeled_ns,
-                    n = base.n
-                ));
-            }
-            let wall = pct_change(base.solve_wall_ns as f64, cur.solve_wall_ns as f64);
-            if wall > WALL_WARN_PCT {
-                cmp.warnings.push(format!(
-                    "spectral {n}x{n} solve wall {wall:+.1}% ({} -> {} ns) — \
-                     machine-dependent, not gated",
-                    base.solve_wall_ns,
-                    cur.solve_wall_ns,
-                    n = base.n
-                ));
-            }
+            let label = format!("spectral {n}x{n}", n = base.n);
+            cmp.bound(
+                &format!("{label} modeled transform time"),
+                base.modeled_ns as f64,
+                cur.modeled_ns as f64,
+                MODELED_TIME_PCT,
+            );
+            cmp.wall(
+                &format!("{label} solve wall"),
+                base.solve_wall_ns as f64,
+                cur.solve_wall_ns as f64,
+            );
         }
     }
 
@@ -377,99 +355,54 @@ impl GatedSection for ScalingMetrics {
 
     /// Compares two scaling-bench sections into `cmp`.
     ///
-    /// The point set — identified by (cells, topology, multilevel) — must
-    /// match exactly in order (dropping a size silently would hide a
-    /// regression). Per point, the iteration count must match exactly (the
-    /// flow is deterministic) and the per-cell modeled cost hard-gates at
-    /// [`MODELED_TIME_PCT`]; wall-clock drift warns at [`WALL_WARN_PCT`].
-    /// Additionally, whenever the current report carries a flat point, every
-    /// multilevel point's per-cell cost must stay at or below the *smallest*
-    /// flat point's (the anchor) beyond tolerance — small grids are
-    /// launch-latency-bound, so per-cell cost can only be amortized by
-    /// growing the design; the multilevel phase exists to keep that
-    /// amortization alive at the 100k–1M scale, and this pins the claim into
-    /// the gate.
+    /// The point set — (cells, topology, multilevel), in order — and each
+    /// point's iteration count must match exactly; per point, the per-cell
+    /// modeled cost hard-gates at [`MODELED_TIME_PCT`] and wall time warns.
+    /// Every multilevel point of the current report must also stay within
+    /// [`MODELED_TIME_PCT`] of the smallest flat point's per-cell cost (the
+    /// anchor): small grids are launch-latency-bound, and the multilevel
+    /// phase exists to keep per-cell cost amortized at the 100k–1M scale.
     fn compare(baseline: &Self, current: &Self, cmp: &mut Comparison) {
-        let base_keys: Vec<_> = baseline.points.iter().map(|p| p.key()).collect();
-        let cur_keys: Vec<_> = current.points.iter().map(|p| p.key()).collect();
-        if base_keys != cur_keys {
-            cmp.failures.push(format!(
-                "scaling point set changed: baseline {base_keys:?} vs current {cur_keys:?} \
-                 (re-record the baseline if intentional)"
-            ));
+        let keys = |s: &Self| s.points.iter().map(|p| p.key()).collect::<Vec<_>>();
+        if !cmp.same("scaling point set", &keys(baseline), &keys(current)) {
             return;
         }
         for (base, cur) in baseline.points.iter().zip(&current.points) {
-            let label = format!(
-                "scaling {}c/{}{}",
-                base.cells,
-                base.topology,
-                if base.multilevel { "/multilevel" } else { "" }
-            );
-            if base.iterations != cur.iterations {
-                cmp.failures.push(format!(
-                    "{label} iteration count changed: {} -> {} (the flow is deterministic; \
-                     re-record the baseline if this is intentional)",
-                    base.iterations, cur.iterations
-                ));
+            let ml = if base.multilevel { "/multilevel" } else { "" };
+            let point = format!("scaling {}c/{}{ml}", base.cells, base.topology);
+            let label = |what: &str| format!("{point} {what}");
+            if !cmp.same(&label("iteration count"), &base.iterations, &cur.iterations) {
                 continue;
             }
-            let per_cell = pct_change(base.ns_per_cell_iter(), cur.ns_per_cell_iter());
-            if per_cell > MODELED_TIME_PCT {
-                cmp.failures.push(format!(
-                    "{label} per-cell modeled cost regressed {per_cell:+.2}% \
-                     ({:.3} -> {:.3} ns/cell/iter), tolerance {}%",
-                    base.ns_per_cell_iter(),
-                    cur.ns_per_cell_iter(),
-                    MODELED_TIME_PCT
-                ));
-            } else if per_cell < -0.01 {
-                cmp.notes.push(format!(
-                    "{label} per-cell modeled cost improved {per_cell:+.2}% \
-                     ({:.3} -> {:.3} ns/cell/iter)",
-                    base.ns_per_cell_iter(),
-                    cur.ns_per_cell_iter()
-                ));
-            }
-            let wall = pct_change(base.wall_seconds, cur.wall_seconds);
-            if wall > WALL_WARN_PCT {
-                cmp.warnings.push(format!(
-                    "{label} wall time {wall:+.1}% ({:.2}s -> {:.2}s) — \
-                     machine-dependent, not gated",
-                    base.wall_seconds, cur.wall_seconds
-                ));
-            }
+            cmp.bound(
+                &label("per-cell modeled cost"),
+                base.ns_per_cell_iter(),
+                cur.ns_per_cell_iter(),
+                MODELED_TIME_PCT,
+            );
+            cmp.wall(&label("wall time"), base.wall_seconds, cur.wall_seconds);
         }
         // The multilevel-vs-flat-anchor invariant, checked on the current
-        // report: per-cell cost at scale must not exceed the flat baseline.
-        let anchor = current
-            .points
-            .iter()
-            .filter(|p| !p.multilevel)
-            .min_by_key(|p| p.cells);
-        if let Some(anchor) = anchor {
-            for ml in current.points.iter().filter(|p| p.multilevel) {
-                let delta = pct_change(anchor.ns_per_cell_iter(), ml.ns_per_cell_iter());
-                if delta > MODELED_TIME_PCT {
-                    cmp.failures.push(format!(
-                        "scaling {}c: multilevel per-cell modeled cost exceeds the flat \
-                         {}c anchor {delta:+.2}% ({:.3} vs {:.3} ns/cell/iter), tolerance {}%",
-                        ml.cells,
-                        anchor.cells,
-                        ml.ns_per_cell_iter(),
-                        anchor.ns_per_cell_iter(),
-                        MODELED_TIME_PCT
-                    ));
-                } else {
-                    cmp.notes.push(format!(
-                        "scaling {}c: multilevel per-cell modeled cost {:.3} vs flat {}c \
-                         anchor {:.3} ns/cell/iter ({delta:+.2}%)",
-                        ml.cells,
-                        ml.ns_per_cell_iter(),
-                        anchor.cells,
-                        anchor.ns_per_cell_iter()
-                    ));
-                }
+        // report alone: per-cell cost at scale must not exceed the flat one.
+        let flat = current.points.iter().filter(|p| !p.multilevel);
+        let Some(anchor) = flat.min_by_key(|p| p.cells) else {
+            return;
+        };
+        for ml in current.points.iter().filter(|p| p.multilevel) {
+            let (a, m) = (anchor.ns_per_cell_iter(), ml.ns_per_cell_iter());
+            let delta = pct_change(a, m);
+            if delta > MODELED_TIME_PCT {
+                cmp.failures.push(format!(
+                    "scaling {}c: multilevel per-cell modeled cost exceeds the flat {}c anchor \
+                     {delta:+.2}% ({m:.3} vs {a:.3} ns/cell/iter), tolerance {MODELED_TIME_PCT}%",
+                    ml.cells, anchor.cells
+                ));
+            } else {
+                cmp.notes.push(format!(
+                    "scaling {}c: multilevel per-cell modeled cost {m:.3} vs flat {}c anchor \
+                     {a:.3} ns/cell/iter ({delta:+.2}%)",
+                    ml.cells, anchor.cells
+                ));
             }
         }
     }
@@ -496,76 +429,36 @@ impl GatedSection for ExploreMetrics {
 
     /// Compares two exploration sections into `cmp`.
     ///
-    /// The population shape — member count, survivor count, generation count,
-    /// winner index and winner lineage — is deterministic output of the seeded
-    /// culling schedule and must match exactly (a shifted lineage means the
-    /// population took a different trajectory). The winner's HPWL hard-gates at
+    /// The population shape — (members, keep, generation count, winner,
+    /// winner lineage) — is deterministic output of the seeded culling
+    /// schedule and must match exactly. The winner's HPWL hard-gates at
     /// [`HPWL_PCT`] and the total modeled exploration cost at
-    /// [`MODELED_TIME_PCT`]; improvements are noted.
+    /// [`MODELED_TIME_PCT`].
     fn compare(baseline: &Self, current: &Self, cmp: &mut Comparison) {
-        let base_shape = (
-            baseline.members,
-            baseline.keep,
-            baseline.generations.len(),
-            baseline.winner,
-            &baseline.winner_lineage,
-        );
-        let cur_shape = (
-            current.members,
-            current.keep,
-            current.generations.len(),
-            current.winner,
-            &current.winner_lineage,
-        );
-        if base_shape != cur_shape {
-            cmp.failures.push(format!(
-                "exploration structure changed: baseline {}m/keep{}/{}gen winner {} lineage {:?} \
-                 vs current {}m/keep{}/{}gen winner {} lineage {:?} \
-                 (re-record the baseline if intentional)",
-                baseline.members,
-                baseline.keep,
-                baseline.generations.len(),
-                baseline.winner,
-                baseline.winner_lineage,
-                current.members,
-                current.keep,
-                current.generations.len(),
-                current.winner,
-                current.winner_lineage,
-            ));
+        let shape = |s: &Self| {
+            (
+                s.members,
+                s.keep,
+                s.generations.len(),
+                s.winner,
+                s.winner_lineage.clone(),
+            )
+        };
+        if !cmp.same("exploration structure", &shape(baseline), &shape(current)) {
             return;
         }
-        let hpwl = pct_change(baseline.winner_hpwl, current.winner_hpwl);
-        if hpwl > HPWL_PCT {
-            cmp.failures.push(format!(
-                "exploration winner HPWL regressed {hpwl:+.2}% ({:.1} -> {:.1}), tolerance {}%",
-                baseline.winner_hpwl, current.winner_hpwl, HPWL_PCT
-            ));
-        } else if hpwl < -0.01 {
-            cmp.notes.push(format!(
-                "exploration winner HPWL improved {hpwl:+.2}% ({:.1} -> {:.1})",
-                baseline.winner_hpwl, current.winner_hpwl
-            ));
-        }
-        let modeled = pct_change(
+        cmp.bound(
+            "exploration winner HPWL",
+            baseline.winner_hpwl,
+            current.winner_hpwl,
+            HPWL_PCT,
+        );
+        cmp.bound(
+            "exploration total modeled time",
             baseline.total_modeled_ns as f64,
             current.total_modeled_ns as f64,
+            MODELED_TIME_PCT,
         );
-        if modeled > MODELED_TIME_PCT {
-            cmp.failures.push(format!(
-                "exploration total modeled time regressed {modeled:+.2}% \
-                 ({:.3}s -> {:.3}s), tolerance {}%",
-                baseline.total_modeled_ns as f64 / 1e9,
-                current.total_modeled_ns as f64 / 1e9,
-                MODELED_TIME_PCT
-            ));
-        } else if modeled < -0.01 {
-            cmp.notes.push(format!(
-                "exploration total modeled time improved {modeled:+.2}% ({:.3}s -> {:.3}s)",
-                baseline.total_modeled_ns as f64 / 1e9,
-                current.total_modeled_ns as f64 / 1e9
-            ));
-        }
     }
 
     /// Inflates the population winner's HPWL.
@@ -632,7 +525,10 @@ mod tests {
         cur.gp.launches += cur.gp.launches / 10;
         let cmp = compare_reports(&base, &cur);
         assert!(!cmp.passed());
-        assert!(cmp.failures.iter().any(|f| f.contains("launches grew")));
+        assert!(cmp
+            .failures
+            .iter()
+            .any(|f| f.contains("kernel launches regressed")));
     }
 
     #[test]
@@ -655,25 +551,64 @@ mod tests {
             scale(&mut cur, 1.0 + pct / 100.0);
             compare_reports(&base, &cur)
         };
-        let gated: [(&str, f64, Scale); 3] = [
-            ("HPWL regressed", HPWL_PCT, |r, f| {
+        // Every `bound` call: its label, its bound and how to scale it.
+        let gated: [(&str, f64, Scale); 7] = [
+            ("HPWL", HPWL_PCT, |r, f| {
                 r.dp.as_mut().unwrap().final_hpwl *= f
             }),
-            ("modeled GP time regressed", MODELED_TIME_PCT, |r, f| {
+            ("modeled GP time", MODELED_TIME_PCT, |r, f| {
                 r.gp.modeled_ns = (r.gp.modeled_ns as f64 * f) as u64
             }),
-            ("kernel launches grew", LAUNCHES_PCT, |r, f| {
+            ("kernel launches", LAUNCHES_PCT, |r, f| {
                 r.gp.launches = (r.gp.launches as f64 * f).round() as u64
             }),
+            (
+                "spectral 256x256 modeled transform time",
+                MODELED_TIME_PCT,
+                |r, f| {
+                    for grid in &mut r.spectral.as_mut().unwrap().grids {
+                        grid.modeled_ns = (grid.modeled_ns as f64 * f) as u64;
+                    }
+                },
+            ),
+            (
+                "scaling 10000c/random per-cell modeled cost",
+                MODELED_TIME_PCT,
+                |r, f| {
+                    for point in &mut r.scaling.as_mut().unwrap().points {
+                        point.modeled_ns = (point.modeled_ns as f64 * f) as u64;
+                    }
+                },
+            ),
+            ("exploration winner HPWL", HPWL_PCT, |r, f| {
+                r.explore.as_mut().unwrap().winner_hpwl *= f
+            }),
+            (
+                "exploration total modeled time",
+                MODELED_TIME_PCT,
+                |r, f| {
+                    let explore = r.explore.as_mut().unwrap();
+                    explore.total_modeled_ns = (explore.total_modeled_ns as f64 * f) as u64;
+                },
+            ),
         ];
-        for (failure, bound, scale) in gated {
+        for (label, bound, scale) in gated {
             let under = scaled(bound - 0.05, scale);
-            assert!(under.passed(), "{failure}: {:?}", under.failures);
+            assert!(under.passed(), "{label}: {:?}", under.failures);
             let over = scaled(bound + 0.05, scale);
+            let failure = format!("{label} regressed");
             assert!(
-                over.failures.iter().any(|f| f.contains(failure)),
-                "{failure}: {:?}",
+                over.failures.iter().any(|f| f.starts_with(&failure)),
+                "{label}: {:?}",
                 over.failures
+            );
+            let better = scaled(-bound, scale);
+            assert!(better.passed(), "{label}: {:?}", better.failures);
+            let note = format!("{label} improved");
+            assert!(
+                better.notes.iter().any(|n| n.starts_with(&note)),
+                "{label}: {:?}",
+                better.notes
             );
         }
 
@@ -693,7 +628,7 @@ mod tests {
         cur.dp.as_mut().unwrap().final_hpwl *= 2.0;
         let cmp = compare_reports(&base, &cur);
         assert_eq!(cmp.failures.len(), 1, "{:?}", cmp.failures);
-        assert!(cmp.failures[0].contains("design mismatch"));
+        assert!(cmp.failures[0].contains("design changed"));
     }
 
     #[test]

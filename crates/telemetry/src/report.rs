@@ -1,6 +1,7 @@
 //! The machine-readable summary of one full placement run.
 
 use crate::ConfigEcho;
+use xplace_legal::{DpReport, LegalizeReport};
 use xplace_testkit::json_struct;
 
 /// Global-placement metrics of a run.
@@ -43,38 +44,6 @@ impl GpMetrics {
             self.modeled_ns as f64 / 1e6 / self.iterations as f64
         }
     }
-}
-
-/// Legalization metrics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LgMetrics {
-    /// HPWL before legalization.
-    pub initial_hpwl: f64,
-    /// HPWL after legalization.
-    pub final_hpwl: f64,
-    /// Mean displacement of movable cells.
-    pub mean_displacement: f64,
-    /// Maximum displacement of a movable cell.
-    pub max_displacement: f64,
-    /// Wall-clock seconds.
-    pub wall_seconds: f64,
-}
-
-/// Detailed-placement metrics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DpMetrics {
-    /// HPWL before detailed placement.
-    pub initial_hpwl: f64,
-    /// HPWL after detailed placement.
-    pub final_hpwl: f64,
-    /// Applied intra-row slides.
-    pub slides: usize,
-    /// Applied adjacent reorders.
-    pub reorders: usize,
-    /// Applied global swaps.
-    pub swaps: usize,
-    /// Wall-clock seconds.
-    pub wall_seconds: f64,
 }
 
 /// Routability metrics from the RUDY congestion estimator.
@@ -252,9 +221,9 @@ pub struct RunReport {
     /// Global placement.
     pub gp: GpMetrics,
     /// Legalization (absent for GP-only runs).
-    pub lg: Option<LgMetrics>,
+    pub lg: Option<LegalizeReport>,
     /// Detailed placement (absent for GP-only runs).
-    pub dp: Option<DpMetrics>,
+    pub dp: Option<DpReport>,
     /// Routability estimate (absent when not computed).
     pub route: Option<RouteMetrics>,
     /// Spectral microbench (absent unless the run recorded it). Reports
@@ -296,23 +265,6 @@ json_struct!(GpMetrics {
     modeled_ns,
     launches,
     syncs,
-    wall_seconds,
-});
-
-json_struct!(LgMetrics {
-    initial_hpwl,
-    final_hpwl,
-    mean_displacement,
-    max_displacement,
-    wall_seconds,
-});
-
-json_struct!(DpMetrics {
-    initial_hpwl,
-    final_hpwl,
-    slides,
-    reorders,
-    swaps,
     wall_seconds,
 });
 
@@ -424,14 +376,14 @@ pub(crate) mod tests {
                 syncs: 400,
                 wall_seconds: 1.25,
             },
-            lg: Some(LgMetrics {
+            lg: Some(LegalizeReport {
                 initial_hpwl: 14026.78,
                 final_hpwl: 14500.0,
                 mean_displacement: 1.2,
                 max_displacement: 9.5,
                 wall_seconds: 0.01,
             }),
-            dp: Some(DpMetrics {
+            dp: Some(DpReport {
                 initial_hpwl: 14500.0,
                 final_hpwl: 14100.0,
                 slides: 120,

@@ -9,6 +9,9 @@
 # section's modeled metrics) hard-fail beyond tolerance; wall-clock drift
 # only warns, so the gate is not flaky across machines.
 #
+# The fresh report goes to the untracked target/run_report.json unless a
+# second argument names another path, so a gate run leaves the tree clean.
+#
 # After an *intentional* change to placer numerics, re-record the
 # baseline and commit it:
 #   cargo run --release -p xplace-bench --bin run_report -- --out BENCH_baseline.json
@@ -16,7 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BASELINE="${1:-BENCH_baseline.json}"
-OUT="${2:-results/run_report.json}"
+OUT="${2:-target/run_report.json}"
 
 if [[ ! -f "$BASELINE" ]]; then
     echo "error: baseline $BASELINE not found" >&2

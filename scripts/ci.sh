@@ -251,9 +251,13 @@ wait "$SERVE_PID" || { echo "FAIL: daemon exited non-zero after drain" >&2; exit
 SERVE_PID=""
 
 echo "==> bench regression gate (deterministic metrics vs BENCH_baseline.json)"
-scripts/check_regression.sh
+# The gate writes its fresh report under target/; the tracked
+# results/run_report.json carries wall-clock fields and must not change.
+REPORT=target/run_report.json
+TRACKED_REPORT_SUM=$(sha256sum results/run_report.json)
+scripts/check_regression.sh BENCH_baseline.json "$REPORT"
 echo "==> regression gate self-test: an injected regression must fail"
-if ./target/release/check_regression BENCH_baseline.json results/run_report.json \
+if ./target/release/check_regression BENCH_baseline.json "$REPORT" \
     --inject hpwl=10 >/dev/null 2>&1; then
     echo "FAIL: the regression gate passed an injected +10% HPWL regression" >&2
     exit 1
@@ -263,13 +267,15 @@ fi
 # section the report never recorded.
 for SECTION in spectral scaling explore; do
     set +e
-    ./target/release/check_regression BENCH_baseline.json results/run_report.json \
+    ./target/release/check_regression BENCH_baseline.json "$REPORT" \
         --inject "$SECTION=10" >/dev/null 2>&1
     INJECT_STATUS=$?
     set -e
     [ "$INJECT_STATUS" -eq 1 ] \
         || { echo "FAIL: an injected +10% $SECTION regression exited $INJECT_STATUS, want 1" >&2; exit 1; }
 done
+sha256sum --check --quiet <<<"$TRACKED_REPORT_SUM" \
+    || { echo "FAIL: the regression gate rewrote the tracked results/run_report.json" >&2; exit 1; }
 
 echo "==> explore smoke: --explore 4 place, trace parity across thread counts"
 ./target/release/xplace place "$SMOKE/ci-smoke.aux" --explore 4 --max-iters 120 --threads 1 \
