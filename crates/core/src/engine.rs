@@ -378,20 +378,21 @@ impl GradientEngine {
             }
         }
 
-        // Unit-λ density gradient norm (CPU-side readback of the cached
-        // field; no kernel — folded into the gradient op's bookkeeping).
-        let density_grad_l1 = self.density.gradient_l1_norm(model);
-
         // --- Density gradient + preconditioner. ---
-        if params.lambda > 0.0 {
-            self.density.accumulate_gradient(
+        // The unit-λ density gradient norm comes from the gradient kernel's
+        // own field samples; at λ = 0 nothing is launched and the host
+        // reads it back from the cached field.
+        let density_grad_l1 = if params.lambda > 0.0 {
+            self.density.accumulate_gradient_l1(
                 device,
                 model,
                 params.lambda,
                 &mut self.grad_x,
                 &mut self.grad_y,
-            );
-        }
+            )
+        } else {
+            self.density.gradient_l1_norm(model)
+        };
         if !ops.reduction {
             // Autograd accumulation of the two gradient sources is two
             // extra out-of-place adds in PyTorch.
@@ -557,6 +558,25 @@ mod tests {
             assert!((gx1[i] - gx2[i]).abs() < 1e-12, "gx mismatch at {i}");
             assert!((gy1[i] - gy2[i]).abs() < 1e-12, "gy mismatch at {i}");
         }
+    }
+
+    #[test]
+    fn density_gradient_norm_is_fused_only_when_lambda_is_positive() {
+        // λ > 0 forms the norm inside the density-gradient launch; λ = 0
+        // reads it on the host and launches nothing for the gradient.
+        let (model, mut at_zero, device) = setup(Framework::Xplace, OperatorConfig::all());
+        let (_, mut at_lambda, _) = setup(Framework::Xplace, OperatorConfig::all());
+        let zero = Parameters::new(model.bin_w());
+        assert_eq!(zero.lambda, 0.0);
+        let (r0, p0) = device.scoped(|| at_zero.evaluate(&device, &model, &zero, 0.0).unwrap());
+        let (r1, p1) = device.scoped(|| {
+            at_lambda
+                .evaluate(&device, &model, &params(&model), 0.0)
+                .unwrap()
+        });
+        assert!(r0.density_grad_l1 > 0.0);
+        assert_eq!(r0.density_grad_l1.to_bits(), r1.density_grad_l1.to_bits());
+        assert_eq!(p1.launches, p0.launches + 1);
     }
 
     #[test]

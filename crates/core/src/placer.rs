@@ -474,7 +474,9 @@ impl GlobalPlacer {
             if eval.overflow < state.best_overflow {
                 state.best_overflow = eval.overflow;
                 state.best_iter = iter;
-                state.best_u = Some((opt.u_x.clone(), opt.u_y.clone()));
+                let (best_x, best_y) = state.best_u.get_or_insert_with(Default::default);
+                best_x.clone_from(&opt.u_x);
+                best_y.clone_from(&opt.u_y);
             }
 
             // Scheduler (Algorithm 1): stage-aware parameter cadence.

@@ -558,41 +558,77 @@ impl DensityOp {
         grad_x: &mut [f64],
         grad_y: &mut [f64],
     ) {
+        self.accumulate_gradient_l1(device, model, lambda, grad_x, grad_y);
+    }
+
+    /// [`DensityOp::accumulate_gradient`] that also returns
+    /// [`DensityOp::gradient_l1_norm`], formed from the same field samples
+    /// inside the one launch: same products, same movable-order sum, same
+    /// bits as the host norm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gradient slices are shorter than the node count.
+    pub fn accumulate_gradient_l1(
+        &self,
+        device: &Device,
+        model: &PlacementModel,
+        lambda: f64,
+        grad_x: &mut [f64],
+        grad_y: &mut [f64],
+    ) -> f64 {
         assert!(grad_x.len() >= model.num_nodes() && grad_y.len() >= model.num_nodes());
         let n = (model.num_movable() + model.num_fillers()) as u64;
         let kernel = KernelInfo::new("density_gradient")
             .bytes(n * 48)
             .flops(n * 8);
         device.launch(kernel, || {
-            let region = model.region();
-            let inv_bw = 1.0 / model.bin_w();
-            let inv_bh = 1.0 / model.bin_h();
+            let (inv_bw, inv_bh) = (1.0 / model.bin_w(), 1.0 / model.bin_h());
+            let nm = model.num_movable();
+            let mut total = 0.0;
             for i in model.optimizable_indices() {
-                let bx = (((model.x[i] - region.lx) * inv_bw) as usize).min(self.nx - 1);
-                let by = (((model.y[i] - region.ly) * inv_bh) as usize).min(self.ny - 1);
+                let (ex, ey) = self.field_at(model, i, (inv_bw, inv_bh));
                 let q = model.node_area(i);
-                grad_x[i] -= lambda * q * self.solution.field_x[(bx, by)] * inv_bw;
-                grad_y[i] -= lambda * q * self.solution.field_y[(bx, by)] * inv_bh;
+                if i < nm {
+                    total += (q * ex * inv_bw).abs() + (q * ey * inv_bh).abs();
+                }
+                grad_x[i] -= lambda * q * ex * inv_bw;
+                grad_y[i] -= lambda * q * ey * inv_bh;
             }
-        });
+            total
+        })
     }
 
     /// Norm helpers: the summed absolute density-gradient magnitude over
     /// movable nodes for the last field solve, used for λ initialization
     /// and the operator-skipping ratio `r` (§3.1.4).
     pub fn gradient_l1_norm(&self, model: &PlacementModel) -> f64 {
-        let region = model.region();
-        let inv_bw = 1.0 / model.bin_w();
-        let inv_bh = 1.0 / model.bin_h();
+        let (inv_bw, inv_bh) = (1.0 / model.bin_w(), 1.0 / model.bin_h());
         let mut total = 0.0;
         for i in 0..model.num_movable() {
-            let bx = (((model.x[i] - region.lx) * inv_bw) as usize).min(self.nx - 1);
-            let by = (((model.y[i] - region.ly) * inv_bh) as usize).min(self.ny - 1);
+            let (ex, ey) = self.field_at(model, i, (inv_bw, inv_bh));
             let q = model.node_area(i);
-            total += (q * self.solution.field_x[(bx, by)] * inv_bw).abs()
-                + (q * self.solution.field_y[(bx, by)] * inv_bh).abs();
+            total += (q * ex * inv_bw).abs() + (q * ey * inv_bh).abs();
         }
         total
+    }
+
+    /// The field `(E_x, E_y)` of the bin holding node `i`'s center, given
+    /// the inverse bin sizes.
+    #[inline]
+    fn field_at(
+        &self,
+        model: &PlacementModel,
+        i: usize,
+        (inv_bw, inv_bh): (f64, f64),
+    ) -> (f64, f64) {
+        let region = model.region();
+        let bx = (((model.x[i] - region.lx) * inv_bw) as usize).min(self.nx - 1);
+        let by = (((model.y[i] - region.ly) * inv_bh) as usize).min(self.ny - 1);
+        (
+            self.solution.field_x[(bx, by)],
+            self.solution.field_y[(bx, by)],
+        )
     }
 }
 
@@ -832,6 +868,29 @@ mod tests {
         let (model, mut op, device) = setup();
         op.accumulate_all(&device, &model);
         op.solve_field(&device).unwrap();
-        assert!(op.gradient_l1_norm(&model) > 0.0);
+        let host = op.gradient_l1_norm(&model);
+        assert!(host > 0.0);
+        // The norm formed inside the gradient launch has the host norm's
+        // bits, and the gradient is the per-node `λ·q·E·(1/b)` it was
+        // before the norm moved into the launch.
+        let (lambda, inv_b) = (3.5, (1.0 / model.bin_w(), 1.0 / model.bin_h()));
+        let n = model.num_nodes();
+        let init: Vec<f64> = (0..n).map(|i| (i % 11) as f64 * 0.25 - 1.0).collect();
+        let (mut want_x, mut want_y) = (init.clone(), init.clone());
+        for i in model.optimizable_indices() {
+            let (ex, ey) = op.field_at(&model, i, inv_b);
+            let q = model.node_area(i);
+            want_x[i] -= lambda * q * ex * inv_b.0;
+            want_y[i] -= lambda * q * ey * inv_b.1;
+        }
+        let (mut gx, mut gy) = (init.clone(), init);
+        let (fused, prof) =
+            device.scoped(|| op.accumulate_gradient_l1(&device, &model, lambda, &mut gx, &mut gy));
+        assert_eq!(fused.to_bits(), host.to_bits());
+        assert_eq!(prof.launches, 1);
+        for i in 0..n {
+            assert_eq!(gx[i].to_bits(), want_x[i].to_bits(), "gx at {i}");
+            assert_eq!(gy[i].to_bits(), want_y[i].to_bits(), "gy at {i}");
+        }
     }
 }

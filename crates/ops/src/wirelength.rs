@@ -15,7 +15,8 @@
 //! All WA math uses the numerically stable form of Eq. (6): exponents are
 //! shifted by the per-net extrema so they never overflow. Every WA kernel
 //! runs one net loop, `wa_pass`, which reads each pin once into a per-net
-//! scratch and evaluates each exponential once (see [`WaWorkspace`]).
+//! scratch and evaluates each exponential once (see [`WaWorkspace`]); a
+//! two-pin net skips the scratch and needs one exponential per coordinate.
 
 use crate::PlacementModel;
 use xplace_device::{Device, KernelInfo};
@@ -165,6 +166,35 @@ impl WaCoord {
             su_neg += v * a_neg;
             pin.a[c] = (a_pos, a_neg);
         }
+        Self::from_sums(inv_gamma, s_pos, su_pos, s_neg, su_neg)
+    }
+
+    /// [`WaCoord::eval`] for a two-pin net at the finite positions `v`,
+    /// with a finite `inv_gamma`: one `exp` instead of four, same bits.
+    ///
+    /// The pin at the max has `a_pos = exp(±0) = 1` and the pin at the min
+    /// `a_neg = 1`. For `v0 < v1`, `min`/`max` return the bits of `v0`/`v1`,
+    /// so the two exponents left, `(v0 − max)·inv_γ` and `(min − v1)·inv_γ`,
+    /// are both `(min − max)·inv_γ`; on a tie that is `±0` and `e = 1`. The
+    /// sums then run from `0.0`, pin 0 then pin 1, as in `eval`.
+    #[inline]
+    fn eval_two(v: [f64; 2], min_v: f64, max_v: f64, inv_gamma: f64) -> (Self, [(f64, f64); 2]) {
+        let e = ((min_v - max_v) * inv_gamma).exp();
+        let pick = |below: bool| if below { e } else { 1.0 };
+        let a = [
+            (pick(v[0] < v[1]), pick(v[1] < v[0])),
+            (pick(v[1] < v[0]), pick(v[0] < v[1])),
+        ];
+        let s_pos = 0.0 + a[0].0 + a[1].0;
+        let su_pos = 0.0 + v[0] * a[0].0 + v[1] * a[1].0;
+        let s_neg = 0.0 + a[0].1 + a[1].1;
+        let su_neg = 0.0 + v[0] * a[0].1 + v[1] * a[1].1;
+        (Self::from_sums(inv_gamma, s_pos, su_pos, s_neg, su_neg), a)
+    }
+
+    /// The coordinate's two weighted averages from its exponent sums.
+    #[inline]
+    fn from_sums(inv_gamma: f64, s_pos: f64, su_pos: f64, s_neg: f64, su_neg: f64) -> Self {
         Self {
             inv_gamma,
             s_pos,
@@ -252,7 +282,9 @@ fn movable_span(model: &PlacementModel, nets: std::ops::Range<usize>) -> std::op
 /// Each net reads its pins once: [`gather_net`] copies them into `pins`
 /// while computing the bounds, [`WaCoord::eval`] evaluates every
 /// exponential once into the scratch, and the gradient reuses the stored
-/// values.
+/// values. A two-pin net with finite coordinates (and a finite `1/γ`)
+/// skips the scratch and takes [`WaCoord::eval_two`]'s one `exp` per
+/// coordinate, with the same bits.
 fn wa_pass(
     model: &PlacementModel,
     gamma: f64,
@@ -262,6 +294,7 @@ fn wa_pass(
 ) -> FusedWirelength {
     let nm = model.num_movable();
     let inv_gamma = 1.0 / gamma;
+    let two_pin_exact = inv_gamma.is_finite();
     let mut out = FusedWirelength::default();
     for e in nets {
         let (s, t) = net_range(model, e);
@@ -269,6 +302,31 @@ fn wa_pass(
             continue;
         }
         let weight = model.net_weight[e];
+        if t - s == 2 && two_pin_exact {
+            let ((x0, y0), (x1, y1)) = (pin_pos(model, s), pin_pos(model, s + 1));
+            if [x0, y0, x1, y1].iter().all(|v| v.is_finite()) {
+                let (min_x, max_x) = (
+                    f64::INFINITY.min(x0).min(x1),
+                    f64::NEG_INFINITY.max(x0).max(x1),
+                );
+                let (min_y, max_y) = (
+                    f64::INFINITY.min(y0).min(y1),
+                    f64::NEG_INFINITY.max(y0).max(y1),
+                );
+                out.hpwl += weight * ((max_x - min_x) + (max_y - min_y));
+                let (wx, ax) = WaCoord::eval_two([x0, x1], min_x, max_x, inv_gamma);
+                let (wy, ay) = WaCoord::eval_two([y0, y1], min_y, max_y, inv_gamma);
+                for (k, (vx, vy)) in [(x0, y0), (x1, y1)].into_iter().enumerate() {
+                    let node = model.pin_node[s + k] as usize;
+                    if node < nm {
+                        grad.add_x(node, weight * wx.grad(vx, ax[k]));
+                        grad.add_y(node, weight * wy.grad(vy, ay[k]));
+                    }
+                }
+                out.wa += weight * (wx.wa() + wy.wa());
+                continue;
+            }
+        }
         let (min_x, max_x, min_y, max_y) = gather_net(model, s, t, pins);
         out.hpwl += weight * ((max_x - min_x) + (max_y - min_y));
         let wx = WaCoord::eval(pins, 0, min_x, max_x, inv_gamma);
@@ -611,6 +669,28 @@ mod tests {
         for i in 0..nm {
             assert!(gx[i].is_finite() && gx[i].abs() < 1e-9);
             assert!(gy[i].is_finite() && gy[i].abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn two_pin_net_with_a_non_finite_coordinate_has_non_finite_wa() {
+        let (mut model, device) = setup(60);
+        // Re-cut the pins into two-pin nets, so every net takes the two-pin
+        // path unless a coordinate is not finite.
+        let pins = model.num_pins();
+        model.net_start = (0..pins as u32).step_by(2).chain([pins as u32]).collect();
+        model.net_weight = vec![1.0; model.net_start.len() - 1];
+        let nm = model.num_movable();
+        let node = model.pin_node[1] as usize;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for coord in [0, 1] {
+                let mut m = model.clone();
+                [&mut m.x, &mut m.y][coord][node] = bad;
+                let (mut gx, mut gy) = (vec![0.0; nm], vec![0.0; nm]);
+                let fused = wa_fused(&device, &m, 2.0, &mut gx, &mut gy);
+                assert!(!fused.wa.is_finite(), "{bad} in coordinate {coord}");
+                assert!(!wa_forward(&device, &m, 2.0).is_finite());
+            }
         }
     }
 

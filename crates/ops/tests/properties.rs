@@ -62,6 +62,72 @@ fn recut_model(cells: usize, seed: u64, big: usize) -> PlacementModel {
     m
 }
 
+/// The extent, in x, of every eighth net of [`two_pin_model`]; its y extent
+/// is twice as large.
+const TWO_PIN_SPAN: f64 = 90.0;
+/// A γ at which `exp(−TWO_PIN_SPAN / γ) = exp(−720)` is subnormal.
+const GAMMA_SUBNORMAL: f64 = 0.125;
+/// A γ at which `exp(−TWO_PIN_SPAN / γ) = exp(−900)` underflows to 0.
+const GAMMA_UNDERFLOW: f64 = 0.1;
+
+/// `scattered_model` re-cut into two-pin nets over the same pin array, on a
+/// 1/8-unit grid so that pin offsets can place pins exactly. The nets cycle
+/// through eight shapes: both pins on one node; coincident pins on two
+/// nodes; both pins on one node at one offset; a `(−0, −0)` pin against a
+/// `(+0, −0)` pin on a fixed terminal; one pin on a fixed node; both on
+/// fixed nodes; a `(−0, +0)` pin against a scattered one; and a net spanning
+/// exactly [`TWO_PIN_SPAN`] by twice that.
+fn two_pin_model(cells: usize, seed: u64) -> PlacementModel {
+    let mut m = scattered_model(cells, seed, seed ^ 0x2b);
+    let snap = |v: &mut f64| *v = (*v * 8.0).round() / 8.0;
+    m.x.iter_mut()
+        .chain(m.y.iter_mut())
+        .chain(m.pin_dx.iter_mut())
+        .chain(m.pin_dy.iter_mut())
+        .for_each(snap);
+    let fixed = m.ranges().fixed;
+    assert!(fixed.len() >= 2, "the model needs two fixed nodes");
+    let (zero, terminal) = (0, fixed.start);
+    (m.x[zero], m.y[zero]) = (-0.0, -0.0);
+    (m.x[terminal], m.y[terminal]) = (0.0, -0.0);
+    let pins = m.num_pins();
+    m.net_start = (0..pins as u32).step_by(2).chain([pins as u32]).collect();
+    m.net_weight = (0..m.net_start.len() - 1)
+        .map(|e| 0.5 + (e % 5) as f64 * 0.25)
+        .collect();
+    for e in 0..pins / 2 {
+        let (a, b) = (2 * e, 2 * e + 1);
+        let node_of = |m: &PlacementModel, p: usize| m.pin_node[p] as usize;
+        // Offsets that put pin `b` at pin `a`'s position plus `(dx, dy)`,
+        // exact on the 1/8 grid.
+        let place_b = |m: &mut PlacementModel, dx: f64, dy: f64| {
+            let (na, nb) = (node_of(m, a), node_of(m, b));
+            m.pin_dx[b] = m.x[na] + m.pin_dx[a] + dx - m.x[nb];
+            m.pin_dy[b] = m.y[na] + m.pin_dy[a] + dy - m.y[nb];
+        };
+        match e % 8 {
+            0 => {
+                m.pin_node[b] = m.pin_node[a];
+                m.pin_dx[b] = m.pin_dx[a] + 0.5;
+            }
+            1 => place_b(&mut m, 0.0, 0.0),
+            2 => {
+                m.pin_node[b] = m.pin_node[a];
+                (m.pin_dx[b], m.pin_dy[b]) = (m.pin_dx[a], m.pin_dy[a]);
+            }
+            3 => {
+                (m.pin_node[a], m.pin_dx[a], m.pin_dy[a]) = (zero as u32, -0.0, -0.0);
+                (m.pin_node[b], m.pin_dx[b], m.pin_dy[b]) = (terminal as u32, 0.0, -0.0);
+            }
+            4 => m.pin_node[b] = fixed.end as u32 - 1,
+            5 => (m.pin_node[a], m.pin_node[b]) = (terminal as u32, fixed.end as u32 - 1),
+            6 => (m.pin_node[a], m.pin_dx[a], m.pin_dy[a]) = (zero as u32, -0.0, 0.0),
+            _ => place_b(&mut m, TWO_PIN_SPAN, -2.0 * TWO_PIN_SPAN),
+        }
+    }
+    m
+}
+
 /// Reference for one coordinate of a net's WA, in the two-evaluation form:
 /// one pass over the pins forms the sums, and a second pass re-reads every
 /// pin and re-evaluates both exponentials for the gradient. Returns the
@@ -476,21 +542,33 @@ props! {
     }
 
     /// Every WA kernel matches the two-evaluation reference to the bit:
-    /// storing each pin's exponentials changes how often they are
-    /// evaluated, never an expression or its order. The models include a
-    /// net of more than 100 pins and degree-2 nets, the gradients start
-    /// nonzero, and one workspace serves all three models, so its pin
-    /// scratch grows on the big nets and is reused on the smaller ones.
+    /// storing each pin's exponentials, and the two-pin path's one `exp`
+    /// per coordinate, change how often they are evaluated, never an
+    /// expression or its order. The models include a net of more than 100
+    /// pins and degree-2 nets, the gradients start nonzero, and one
+    /// workspace serves every model, so its pin scratch grows on the big
+    /// nets and is reused on the smaller ones. The all-two-pin model holds
+    /// ties, signed zeros, shared nodes and fixed terminals, and also runs
+    /// at a γ whose exponential is subnormal, one where it underflows to 0
+    /// and γ = 0 (an infinite `1/γ`, which keeps the general path).
     fn wa_kernels_match_two_pass_reference_bitwise(seed in 0u64..500, gamma in 0.5..50.0f64) {
         let device = Device::new(DeviceConfig::instant());
         let pool = xplace_parallel::global();
         let mut ws = wirelength::WaWorkspace::new();
-        let models = [
-            recut_model(150, seed, 120),
-            scattered_model(100, seed, seed ^ 0x42),
-            recut_model(200, seed ^ 0x1, 101),
+        assert!((-TWO_PIN_SPAN / GAMMA_SUBNORMAL).exp().is_subnormal());
+        assert_eq!((-TWO_PIN_SPAN / GAMMA_UNDERFLOW).exp(), 0.0);
+        let two_pin = two_pin_model(160, seed);
+        let cases = [
+            (recut_model(150, seed, 120), gamma),
+            (scattered_model(100, seed, seed ^ 0x42), gamma),
+            (recut_model(200, seed ^ 0x1, 101), gamma),
+            (two_pin.clone(), gamma),
+            (two_pin.clone(), GAMMA_SUBNORMAL),
+            (two_pin.clone(), GAMMA_UNDERFLOW),
+            (two_pin, 0.0),
         ];
-        for m in &models {
+        for (m, gamma) in &cases {
+            let gamma = *gamma;
             let nm = m.num_movable();
             let init_x: Vec<f64> = (0..nm).map(|i| (i % 13) as f64 * 0.125 - 0.75).collect();
             let init_y: Vec<f64> = (0..nm).map(|i| (i % 7) as f64 * 0.3 - 1.1).collect();

@@ -28,6 +28,9 @@ cargo test --workspace -q
 echo "==> multithreaded leg: pool, ops + fft suites, golden flow with threads > 1"
 cargo test -q -p xplace-parallel
 cargo test -q -p xplace-ops --test properties
+# Optimized codegen too: the benchmark and users run release builds, and
+# the WA kernels' bitwise match against the reference must hold there.
+cargo test -q --release -p xplace-ops --test properties
 cargo test -q -p xplace-fft --test parallel
 cargo test -q --test golden_flow golden_flow_is_thread_count_invariant
 
