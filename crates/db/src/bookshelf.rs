@@ -120,16 +120,17 @@ fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
             }
             let rest = rest.trim_start().strip_prefix(':').unwrap_or(rest).trim();
             let mut it = rest.split_whitespace();
-            let degree: usize = it
-                .next()
+            // The declared degree is checked for syntax only: the pin
+            // lines that follow are the net, so no allocation trusts it.
+            it.next()
                 .ok_or_else(|| DbError::parse("nets", lineno + 1, "missing net degree"))?
-                .parse()
+                .parse::<usize>()
                 .map_err(|_| DbError::parse("nets", lineno + 1, "degree is not a number"))?;
             let name = it.next().map(str::to_string).unwrap_or_else(|| {
                 anon += 1;
                 format!("net_{anon}")
             });
-            current = Some((name, Vec::with_capacity(degree)));
+            current = Some((name, Vec::new()));
         } else {
             let (_, pins) = current
                 .as_mut()
@@ -689,6 +690,21 @@ mod tests {
         let mut data = BookshelfData::default();
         let err = parse_nets("a B : 0 0\n", &mut data).unwrap_err();
         assert!(matches!(err, DbError::Parse { .. }));
+    }
+
+    #[test]
+    fn huge_declared_net_degree_is_not_trusted() {
+        let mut data = BookshelfData::default();
+        let text = "NetDegree : 18446744073709551615 n0\n a I : 0 0\n b O : 0 0\n";
+        parse_nets(text, &mut data).unwrap();
+        assert_eq!(data.nets[0].1.len(), 2);
+
+        // The same line with no pin lines is an empty net, named at assembly.
+        let mut data = BookshelfData::default();
+        parse_nodes("a 1 1\n", &mut data).unwrap();
+        parse_nets("NetDegree : 18446744073709551615 n0\n", &mut data).unwrap();
+        let err = assemble("x", data, 0.9).unwrap_err();
+        assert_eq!(err.to_string(), "invalid design: net `n0` has no pins");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::fence::{validate_fences, FenceRegion};
 use crate::{CellId, CellKind, DbError, NetId, Netlist, Point, Rect};
 
-/// A placement row (as in the Bookshelf `.scl` / DEF `ROW` records).
+/// A placement row (as in a Bookshelf `.scl` `CoreRow` record).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Row {
     /// Lower y coordinate of the row.
@@ -54,8 +54,8 @@ impl Design {
     /// # Errors
     ///
     /// Returns [`DbError::InvalidDesign`] if `positions.len()` differs from
-    /// the cell count, the region is degenerate, or `target_density` is not
-    /// in `(0, 1]`.
+    /// the cell count, the region is degenerate or non-finite, a row has a
+    /// non-finite coordinate, or `target_density` is not in `(0, 1]`.
     pub fn new(
         name: impl Into<String>,
         netlist: Netlist,
@@ -74,6 +74,22 @@ impl Design {
         if region.width() <= 0.0 || region.height() <= 0.0 {
             return Err(DbError::InvalidDesign(format!(
                 "degenerate region {region}"
+            )));
+        }
+        if !(region.width().is_finite() && region.height().is_finite()) {
+            return Err(DbError::InvalidDesign(format!(
+                "non-finite region {region}"
+            )));
+        }
+        let finite_row = |r: &Row| {
+            [r.y, r.y + r.height, r.x_min, r.x_max, r.site_width]
+                .iter()
+                .all(|v| v.is_finite())
+        };
+        if let Some(i) = rows.iter().position(|r| !finite_row(r)) {
+            return Err(DbError::InvalidDesign(format!(
+                "row {i} has a non-finite coordinate: {:?}",
+                rows[i]
             )));
         }
         if !(target_density > 0.0 && target_density <= 1.0) {
@@ -391,6 +407,40 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DbError::InvalidDesign(_)));
+    }
+
+    #[test]
+    fn non_finite_region_or_row_is_rejected() {
+        let design = |region: Rect, x_max: f64| {
+            let mut b = NetlistBuilder::new();
+            b.add_cell("a", 1.0, 1.0, CellKind::Movable);
+            let row = Row {
+                y: 0.0,
+                height: 1.0,
+                x_min: 0.0,
+                x_max,
+                site_width: 10.0,
+            };
+            Design::new(
+                "inf",
+                b.finish().unwrap(),
+                region,
+                vec![row],
+                0.9,
+                vec![Point::default()],
+            )
+        };
+        // A `.scl` row `Sitewidth : 10`, `NumSites : 1e308` spans 1e309 = inf.
+        let err = design(Rect::new(0.0, 0.0, f64::INFINITY, 1.0), f64::INFINITY).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid design: non-finite region [0, inf] x [0, 1]"
+        );
+        let err = design(Rect::new(0.0, 0.0, 20.0, 1.0), f64::INFINITY).unwrap_err();
+        assert!(
+            matches!(err, DbError::InvalidDesign(m) if m.starts_with("row 0 has a non-finite"))
+        );
+        assert!(design(Rect::new(0.0, 0.0, 20.0, 1.0), 20.0).is_ok());
     }
 
     #[test]

@@ -8,7 +8,7 @@ pub enum DbError {
     /// A text-format parse failed; carries file kind, line number (1-based)
     /// and a description of what went wrong.
     Parse {
-        /// Which format/file was being parsed (e.g. `"nodes"`, `"def"`).
+        /// Which format/file was being parsed (e.g. `"nodes"`, `"scl"`).
         format: String,
         /// 1-based line number of the offending line (0 when unknown).
         line: usize,

@@ -10,8 +10,6 @@
 //! * [`stats`] — design statistics (the contents of the paper's Table 1),
 //! * [`bookshelf`] — reader/writer for the GSRC Bookshelf format used by
 //!   the ISPD 2005 contest (`.aux`, `.nodes`, `.nets`, `.pl`, `.scl`),
-//! * [`def`] — reader/writer for a practical subset of DEF as used by the
-//!   ISPD 2015 contest releases,
 //! * [`synthesis`] — a parameterized circuit synthesizer that generates
 //!   designs matching the published statistics of each contest benchmark
 //!   (the documented substitution for the proprietary contest data),
@@ -40,7 +38,6 @@
 pub mod bookshelf;
 pub mod cache;
 pub mod cluster;
-pub mod def;
 pub mod design;
 mod error;
 pub mod fence;

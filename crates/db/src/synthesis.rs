@@ -8,8 +8,8 @@
 //! (net spans drawn log-uniformly over a conceptual linear hierarchy),
 //! macro/terminal fractions, row geometry and whitespace.
 //!
-//! Real contest data still drops in through [`crate::bookshelf`] /
-//! [`crate::def`] when available.
+//! Real ISPD 2005 contest data still drops in through [`crate::bookshelf`]
+//! when available.
 
 use crate::netlist::NetlistBuilder;
 use crate::{CellId, CellKind, DbError, Design, Point, Rect, Row};

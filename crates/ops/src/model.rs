@@ -74,7 +74,8 @@ impl PlacementModel {
     /// # Errors
     ///
     /// Returns [`OpsError::InvalidModel`] when the design has no movable
-    /// cells or a degenerate region.
+    /// cells, a degenerate region, or more fillers than a `u32` node index
+    /// holds.
     pub fn from_design(design: &Design) -> Result<Self, OpsError> {
         Self::from_design_with(design, None, true, 0x5eed)
     }
@@ -86,8 +87,9 @@ impl PlacementModel {
     /// # Errors
     ///
     /// Returns [`OpsError::InvalidModel`] for designs with no movable
-    /// cells, degenerate regions, or grid overrides that are not a power of
-    /// two or exceed [`xplace_fft::MAX_GRID_SIDE`].
+    /// cells, degenerate regions, more fillers than the `u32` node index
+    /// holds, or grid overrides that are not a power of two or exceed
+    /// [`xplace_fft::MAX_GRID_SIDE`].
     pub fn from_design_with(
         design: &Design,
         grid: Option<usize>,
@@ -192,7 +194,23 @@ impl PlacementModel {
                 let mean_h: f64 = (0..num_movable).map(|i| h[i]).sum::<f64>() / num_movable as f64;
                 let filler_w = mean_w.max(1e-9);
                 let filler_h = mean_h.max(1e-9);
-                num_fillers = (filler_total / (filler_w * filler_h)).floor() as usize;
+                // Node indices are `u32` with `u32::MAX` as the "no node"
+                // marker, so a count past that room (tiny cells in a wide
+                // region) is refused before anything is pushed.
+                let count = (filler_total / (filler_w * filler_h)).floor();
+                let room = (u32::MAX as usize).saturating_sub(num_movable + num_fixed);
+                if count > room as f64 {
+                    return Err(OpsError::InvalidModel(format!(
+                        "filler count {count:.3e} exceeds the u32 node index \
+                         (mean cell {filler_w:e} x {filler_h:e})"
+                    )));
+                }
+                num_fillers = count as usize;
+                for v in [&mut x, &mut y, &mut w, &mut h] {
+                    v.try_reserve_exact(num_fillers).map_err(|e| {
+                        OpsError::InvalidModel(format!("cannot hold {num_fillers} fillers: {e}"))
+                    })?;
+                }
                 let mut rng = Rng::seed_from_u64(filler_seed);
                 for _ in 0..num_fillers {
                     x.push(region.lx + rng.f64() * region.width());
@@ -471,6 +489,42 @@ mod tests {
         for i in m.ranges().filler {
             assert_eq!(m.node_degree[i], 0);
         }
+    }
+
+    #[test]
+    fn filler_count_past_the_node_index_is_refused_before_allocating() {
+        // Two 1e-9 x 1e-9 cells in one 20-site row ask for ~1.8e19 fillers.
+        let mut b = xplace_db::netlist::NetlistBuilder::new();
+        for name in ["a", "b"] {
+            b.add_cell(name, 1e-9, 1e-9, CellKind::Movable);
+        }
+        let row = xplace_db::Row {
+            y: 0.0,
+            height: 1.0,
+            x_min: 0.0,
+            x_max: 20.0,
+            site_width: 1.0,
+        };
+        let region = Rect::new(0.0, 0.0, 20.0, 1.0);
+        let positions = vec![region.center(); 2];
+        let design = Design::new(
+            "tiny",
+            b.finish().unwrap(),
+            region,
+            vec![row],
+            0.9,
+            positions,
+        )
+        .unwrap();
+        let err = PlacementModel::from_design(&design).unwrap_err();
+        assert!(
+            err.to_string().starts_with(
+                "invalid placement model: filler count 1.800e19 exceeds the u32 node index"
+            ),
+            "{err}"
+        );
+        let m = PlacementModel::from_design_with(&design, None, false, 0).unwrap();
+        assert_eq!(m.num_fillers(), 0);
     }
 
     #[test]

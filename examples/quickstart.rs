@@ -9,7 +9,7 @@ use xplace::sched::finish_flow;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A 2000-cell synthetic design (use xplace::db::bookshelf::read_aux
-    //    or xplace::db::def::parse_def for real benchmark data).
+    //    for real Bookshelf benchmark data).
     let spec = SynthesisSpec::new("quickstart", 2_000, 2_100)
         .with_seed(42)
         .with_macro_count(4);

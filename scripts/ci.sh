@@ -94,12 +94,42 @@ if ./target/release/xplace batch "$SMOKE/fail-suite.json" --threads 2 \
 fi
 grep -q "fine .*completed" "$SMOKE/batch-fail.out" \
     || { echo "FAIL: the healthy sibling did not complete" >&2; exit 1; }
-# An oversized grid override fails its own job with a named error; it must
-# not abort the process on the allocation.
+# An oversized grid override, and a design whose 1e-9-sized cells would
+# need ~1.8e19 fillers, each fail their own job with a named error; neither
+# may abort the process on the allocation.
+cat > "$SMOKE/tiny.aux" <<EOF
+RowBasedPlacement : tiny.nodes tiny.nets tiny.pl tiny.scl
+EOF
+cat > "$SMOKE/tiny.nodes" <<EOF
+UCLA nodes 1.0
+a 1e-9 1e-9
+b 1e-9 1e-9
+EOF
+cat > "$SMOKE/tiny.nets" <<EOF
+UCLA nets 1.0
+NetDegree : 2 n0
+ a I : 0 0
+ b O : 0 0
+EOF
+cat > "$SMOKE/tiny.pl" <<EOF
+UCLA pl 1.0
+a 0 0 : N
+b 2 0 : N
+EOF
+cat > "$SMOKE/tiny.scl" <<EOF
+UCLA scl 1.0
+CoreRow Horizontal
+ Coordinate : 0
+ Height : 1
+ Sitewidth : 1
+ SubrowOrigin : 0 NumSites : 20
+End
+EOF
 cat > "$SMOKE/huge-suite.json" <<EOF
 {"jobs": [
   {"name": "fine", "aux": "$SMOKE/ci-smoke.aux", "max_iters": 120},
-  {"name": "huge", "aux": "$SMOKE/ci-smoke.aux", "max_iters": 120, "grid": 65536}
+  {"name": "huge", "aux": "$SMOKE/ci-smoke.aux", "max_iters": 120, "grid": 65536},
+  {"name": "tiny", "aux": "$SMOKE/tiny.aux", "max_iters": 120}
 ]}
 EOF
 set +e
@@ -111,6 +141,8 @@ set -e
     || { echo "FAIL: an oversized grid job exited $HUGE_STATUS, want 1" >&2; exit 1; }
 grep -q "huge .*FAILED .*grid override 65536 exceeds the maximum" "$SMOKE/batch-huge.out" \
     || { echo "FAIL: the oversized grid job did not fail by name" >&2; exit 1; }
+grep -q "tiny .*FAILED .*filler count .* exceeds the u32 node index" "$SMOKE/batch-huge.out" \
+    || { echo "FAIL: the tiny-cell job did not fail by name" >&2; exit 1; }
 grep -q "fine .*completed" "$SMOKE/batch-huge.out" \
     || { echo "FAIL: the sibling of the oversized grid job did not complete" >&2; exit 1; }
 

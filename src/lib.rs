@@ -11,7 +11,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`parallel`] | `xplace-parallel` | persistent deterministic worker pool behind every CPU kernel body |
-//! | [`db`] | `xplace-db` | netlist/design model, Bookshelf & DEF/LEF parsers, ISPD-like synthetic suites |
+//! | [`db`] | `xplace-db` | netlist/design model, Bookshelf reader/writer, ISPD-like synthetic suites |
 //! | [`fft`] | `xplace-fft` | FFT/DCT family and the electrostatic (Poisson) solver |
 //! | [`device`] | `xplace-device` | the GPU execution model (launch accounting, profiler) |
 //! | [`ops`] | `xplace-ops` | wirelength/density/preconditioner operators, fused and split |
@@ -31,7 +31,7 @@
 //! use xplace::sched::finish_flow;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // 1. Get a design (synthetic here; Bookshelf/DEF parsers in xplace::db).
+//! // 1. Get a design (synthetic here; the Bookshelf reader is in xplace::db).
 //! let mut design = synthesize(&SynthesisSpec::new("demo", 400, 420).with_seed(1))?;
 //!
 //! // 2. Global placement.

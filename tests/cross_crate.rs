@@ -1,10 +1,10 @@
-//! Cross-crate integration tests: parser round-trips through the full
+//! Cross-crate integration tests: Bookshelf round-trips through the full
 //! model pipeline, neural guidance inside the placer, device accounting
 //! across a whole run.
 
 use xplace::core::{sigma_blend, GlobalPlacer, XplaceConfig};
+use xplace::db::bookshelf;
 use xplace::db::synthesis::{synthesize, SynthesisSpec};
-use xplace::db::{bookshelf, def};
 use xplace::nn::{train, DataConfig, Fno, FnoConfig, FnoGuidance, TrainConfig};
 use xplace::ops::PlacementModel;
 use xplace::telemetry::VecSink;
@@ -30,23 +30,6 @@ fn bookshelf_round_trip_preserves_placement_model_semantics() {
     assert_eq!(m1.num_pins(), m2.num_pins());
     assert!((m1.movable_area() - m2.movable_area()).abs() < 1e-9);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn def_export_can_be_placed() {
-    let design =
-        synthesize(&SynthesisSpec::new("defp", 150, 160).with_seed(5)).expect("synthesis succeeds");
-    let lef = def::write_lef(&design);
-    let def_text = def::write_def(&design);
-    let lib = def::parse_lef(&lef).expect("lef parses");
-    let mut back = def::parse_def(&def_text, &lib, 0.9).expect("def parses");
-    let mut cfg = XplaceConfig::xplace();
-    cfg.schedule.max_iterations = 100;
-    let report = GlobalPlacer::new(cfg)
-        .place(&mut back)
-        .expect("placement succeeds");
-    assert!(report.iterations > 0);
-    assert!(report.final_hpwl.is_finite());
 }
 
 #[test]
