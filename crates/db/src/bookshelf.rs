@@ -103,7 +103,7 @@ fn parse_nodes(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
 }
 
 fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
-    let mut current: Option<(String, Vec<(String, Point)>)> = None;
+    let mut current: Option<OpenNet> = None;
     let mut anon = 0usize;
     for (lineno, raw) in content.lines().enumerate() {
         let line = strip_comment(raw).trim();
@@ -115,14 +115,15 @@ fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("NetDegree") {
-            if let Some((name, pins)) = current.take() {
-                data.nets.push((name, pins));
+            if let Some(net) = current.take() {
+                data.nets.push(net.close()?);
             }
             let rest = rest.trim_start().strip_prefix(':').unwrap_or(rest).trim();
             let mut it = rest.split_whitespace();
-            // The declared degree is checked for syntax only: the pin
-            // lines that follow are the net, so no allocation trusts it.
-            it.next()
+            // The declared degree is checked against the pin lines when the
+            // net closes; no allocation trusts it.
+            let degree = it
+                .next()
                 .ok_or_else(|| DbError::parse("nets", lineno + 1, "missing net degree"))?
                 .parse::<usize>()
                 .map_err(|_| DbError::parse("nets", lineno + 1, "degree is not a number"))?;
@@ -130,11 +131,17 @@ fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
                 anon += 1;
                 format!("net_{anon}")
             });
-            current = Some((name, Vec::new()));
+            current = Some(OpenNet {
+                name,
+                degree,
+                line: lineno + 1,
+                pins: Vec::new(),
+            });
         } else {
-            let (_, pins) = current
+            let pins = &mut current
                 .as_mut()
-                .ok_or_else(|| DbError::parse("nets", lineno + 1, "pin before NetDegree"))?;
+                .ok_or_else(|| DbError::parse("nets", lineno + 1, "pin before NetDegree"))?
+                .pins;
             // "cellname I/O/B : dx dy" (offsets optional)
             let mut it = line.split_whitespace();
             let cell = it
@@ -153,10 +160,40 @@ fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
             pins.push((cell, Point::new(dx, dy)));
         }
     }
-    if let Some((name, pins)) = current.take() {
-        data.nets.push((name, pins));
+    if let Some(net) = current.take() {
+        data.nets.push(net.close()?);
     }
     Ok(())
+}
+
+/// A `.nets` net whose pin lines are still being read.
+struct OpenNet {
+    name: String,
+    /// The `NetDegree` value as declared.
+    degree: usize,
+    /// 1-based line of the `NetDegree` record.
+    line: usize,
+    pins: Vec<(String, Point)>,
+}
+
+impl OpenNet {
+    /// The finished net, or a parse error naming it when its pin lines do
+    /// not match its declared degree (a truncated or garbled file).
+    fn close(self) -> Result<(String, Vec<(String, Point)>), DbError> {
+        if self.pins.len() != self.degree {
+            return Err(DbError::parse(
+                "nets",
+                self.line,
+                format!(
+                    "net `{}` declares {} pins but {} follow",
+                    self.name,
+                    self.degree,
+                    self.pins.len()
+                ),
+            ));
+        }
+        Ok((self.name, self.pins))
+    }
 }
 
 /// Parses a `.wts` net-weights file: `netname weight` per line.
@@ -694,17 +731,43 @@ mod tests {
 
     #[test]
     fn huge_declared_net_degree_is_not_trusted() {
+        // A degree no file can hold is refused by name, with both counts,
+        // and sizes no allocation.
         let mut data = BookshelfData::default();
         let text = "NetDegree : 18446744073709551615 n0\n a I : 0 0\n b O : 0 0\n";
-        parse_nets(text, &mut data).unwrap();
-        assert_eq!(data.nets[0].1.len(), 2);
+        let err = parse_nets(text, &mut data).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "nets parse error at line 1: net `n0` declares 18446744073709551615 pins but 2 follow"
+        );
 
-        // The same line with no pin lines is an empty net, named at assembly.
+        // A declared empty net parses and is named at assembly.
         let mut data = BookshelfData::default();
         parse_nodes("a 1 1\n", &mut data).unwrap();
-        parse_nets("NetDegree : 18446744073709551615 n0\n", &mut data).unwrap();
+        parse_nets("NetDegree : 0 n0\n", &mut data).unwrap();
         let err = assemble("x", data, 0.9).unwrap_err();
         assert_eq!(err.to_string(), "invalid design: net `n0` has no pins");
+    }
+
+    #[test]
+    fn truncated_net_is_a_named_parse_error() {
+        // The file ends two pins short of the last net's declared degree.
+        let text = "UCLA nets 1.0\nNumNets : 2\n\
+                    NetDegree : 2 n0\n a I : 0 0\n b O : 0 0\n\
+                    NetDegree : 4 n1\n a I : 0 0\n b O : 0 0\n";
+        let err = parse_nets(text, &mut BookshelfData::default()).unwrap_err();
+        assert_eq!(
+            err,
+            DbError::parse("nets", 6, "net `n1` declares 4 pins but 2 follow")
+        );
+
+        // A net cut short in the middle names that net, anonymous or not.
+        let text = "NetDegree : 3\n a I : 0 0\nNetDegree : 1 n1\n a I : 0 0\n";
+        let err = parse_nets(text, &mut BookshelfData::default()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "nets parse error at line 1: net `net_1` declares 3 pins but 1 follow"
+        );
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! independent transforms of the same length at once.
 //!
 //! A tile is stored sample-major, `[sample][lane]`, so every step of the
-//! transform touches `TILE_LANES` contiguous doubles and the per-lane loops
-//! compile to SIMD arithmetic; each twiddle is loaded once per tile instead
-//! of once per transform.
+//! transform touches `TILE_LANES` contiguous doubles; each twiddle is loaded
+//! once per tile instead of once per transform.
 //!
 //! Every lane runs exactly the scalar sequence of [`DctPlan`] →
 //! [`RealFftPlan`](crate::RealFftPlan) → [`FftPlan`](crate::FftPlan): the
@@ -15,6 +14,16 @@
 //! bit-reversal permutation is folded into the load, and the recombination
 //! feeds the phase rotation (or the inverse FFT) directly instead of
 //! materializing the half spectrum.
+//!
+//! The transform body is written once, generically over [`LaneMath`], the
+//! eight-lane arithmetic it needs (add, sub, mul, negate, broadcast). It is
+//! instantiated twice: on [`Lanes`] (eight scalar operations per step, the
+//! portable path) and, on x86-64 hosts with AVX-512F, on one `__m512d`
+//! register per sample row. The vector path uses only
+//! `_mm512_{add,sub,mul}_pd`, a sign-bit XOR for negation and broadcasts —
+//! never FMA — in the same order as the scalar path, so every lane returns
+//! the scalar bits by construction. [`DctTile::from_plan`] picks the path
+//! once, by runtime feature detection.
 
 use crate::{Complex, DctPlan, FftError};
 
@@ -25,8 +34,10 @@ pub const TILE_LANES: usize = 8;
 /// One sample of every lane in a tile.
 pub(crate) type Lanes = [f64; TILE_LANES];
 
-/// One complex sample of every lane in a tile.
+/// One complex sample of every lane in a tile. Aligned so that each half is
+/// one 64-byte row.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
 struct CLanes {
     re: Lanes,
     im: Lanes,
@@ -37,6 +48,79 @@ impl CLanes {
         re: [0.0; TILE_LANES],
         im: [0.0; TILE_LANES],
     };
+}
+
+/// The eight-lane arithmetic the transform body is written in. Every
+/// method is one IEEE operation per lane (no fusion, no reassociation), so
+/// any two implementations return the same bits lane for lane.
+///
+/// The methods and the generic body are `#[inline(always)]` so that the
+/// AVX-512 entry points compile all of it, intrinsics included, with the
+/// `avx512f` feature; an out-of-line call would lose it.
+trait LaneMath: Copy {
+    /// Every lane set to `x`.
+    fn splat(x: f64) -> Self;
+    /// One sample row.
+    fn load(x: &Lanes) -> Self;
+    /// Writes every lane to `out`.
+    fn store(self, out: &mut Lanes);
+    fn add(self, rhs: Self) -> Self;
+    fn sub(self, rhs: Self) -> Self;
+    fn mul(self, rhs: Self) -> Self;
+    /// `-self`: flips each lane's sign bit.
+    fn neg(self) -> Self;
+}
+
+impl LaneMath for Lanes {
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        [x; TILE_LANES]
+    }
+    #[inline(always)]
+    fn load(x: &Lanes) -> Self {
+        *x
+    }
+    #[inline(always)]
+    fn store(self, out: &mut Lanes) {
+        *out = self;
+    }
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        std::array::from_fn(|l| self[l] + rhs[l])
+    }
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        std::array::from_fn(|l| self[l] - rhs[l])
+    }
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        std::array::from_fn(|l| self[l] * rhs[l])
+    }
+    #[inline(always)]
+    fn neg(self) -> Self {
+        self.map(|x| -x)
+    }
+}
+
+/// Which [`LaneMath`] instantiation a tile runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LanePath {
+    /// Eight scalar operations per step; every target.
+    Scalar,
+    /// One AVX-512F register per sample row.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl LanePath {
+    /// The fastest path this CPU runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return LanePath::Avx512;
+        }
+        LanePath::Scalar
+    }
 }
 
 /// A lane-batched plan for the DCT/DST family of a fixed power-of-two
@@ -82,6 +166,8 @@ pub struct DctTile {
     phase_inv: Vec<Complex>,
     /// Packed complex work tile, `len` samples.
     z: Vec<CLanes>,
+    /// The lane arithmetic every transform of this tile runs on.
+    path: LanePath,
 }
 
 impl DctTile {
@@ -106,7 +192,7 @@ impl DctTile {
     }
 
     /// Builds a tile plan from copies of `plan`'s tables, so every lane is
-    /// bit-identical to that plan.
+    /// bit-identical to that plan, and picks the lane path for this CPU.
     fn from_plan(plan: &DctPlan) -> Self {
         let fft = &plan.rfft.half;
         DctTile {
@@ -117,6 +203,7 @@ impl DctTile {
             phase_fwd: plan.phase_fwd.clone(),
             phase_inv: plan.phase_inv.clone(),
             z: vec![CLanes::ZERO; plan.len()],
+            path: LanePath::detect(),
         }
     }
 
@@ -172,55 +259,13 @@ impl DctTile {
     pub(crate) fn analyze_with(
         &mut self,
         load: impl Fn(usize) -> Lanes,
-        mut store: impl FnMut(usize, Lanes),
+        store: impl FnMut(usize, Lanes),
     ) {
-        let n = self.len;
-        // Even extension y = [x, reverse(x)], packed two real samples per
-        // complex slot and dropped straight into bit-reversed order: slot j
-        // holds (y[2j], y[2j+1]) and its mirror slot n-1-j holds
-        // (y[2j+1], y[2j]).
-        if n == 1 {
-            let x = load(0);
-            self.z[0] = CLanes { re: x, im: x };
-        } else {
-            for j in 0..n / 2 {
-                let (x0, x1) = (load(2 * j), load(2 * j + 1));
-                self.z[self.bitrev[j] as usize] = CLanes { re: x0, im: x1 };
-                self.z[self.bitrev[n - 1 - j] as usize] = CLanes { re: x1, im: x0 };
-            }
-        }
-        butterflies(&mut self.z, &self.fft_tw, false);
-        // Real-FFT recombination X[k] = E[k] + w^k O[k], fused with the
-        // phase rotation C[k] = Re(X[k] e^{-i pi k / 2N}) / 2.
-        let phase = |s: &CLanes, p: Complex| -> Lanes {
-            std::array::from_fn(|l| 0.5 * (s.re[l] * p.re - s.im[l] * p.im))
-        };
-        let z0 = self.z[0];
-        let s0 = CLanes {
-            re: std::array::from_fn(|l| z0.re[l] + z0.im[l]),
-            im: [0.0; TILE_LANES],
-        };
-        store(0, phase(&s0, self.phase_fwd[0]));
-        for k in 1..=n / 2 {
-            let (zk, zn) = (self.z[k], self.z[n - k]);
-            let w = self.rfft_tw[k];
-            let (mut sk, mut sn) = (CLanes::ZERO, CLanes::ZERO);
-            for l in 0..TILE_LANES {
-                let er = 0.5 * (zk.re[l] + zn.re[l]);
-                let ei = 0.5 * (zk.im[l] - zn.im[l]);
-                let or = 0.5 * (zk.im[l] + zn.im[l]);
-                let oi = 0.5 * (zn.re[l] - zk.re[l]);
-                let tr = w.re * or - w.im * oi;
-                let ti = w.re * oi + w.im * or;
-                sk.re[l] = er + tr;
-                sk.im[l] = ei + ti;
-                sn.re[l] = er - tr;
-                sn.im[l] = -(ei - ti);
-            }
-            store(k, phase(&sk, self.phase_fwd[k]));
-            if k != n - k {
-                store(n - k, phase(&sn, self.phase_fwd[n - k]));
-            }
+        match self.path {
+            LanePath::Scalar => self.analyze_body::<Lanes>(load, store),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `path` is `Avx512` only when `avx512f` was detected.
+            LanePath::Avx512 => unsafe { avx512::analyze(self, load, store) },
         }
     }
 
@@ -229,18 +274,13 @@ impl DctTile {
     pub(crate) fn cosine_with(
         &mut self,
         load: impl Fn(usize) -> Lanes,
-        mut store: impl FnMut(usize, Lanes),
+        store: impl FnMut(usize, Lanes),
     ) {
-        let c0 = load(0);
-        // Hermitian half spectrum Z[k] = c[k] e^{i pi k/2N}, Z[0] = c[0].
-        self.inverse_packed(c0, &load);
-        // out[i] = (ext[i] + c[0]) / 2, ext[2j] = z[j].re, ext[2j+1] = z[j].im.
-        let n = self.len;
-        for (j, z) in self.z.iter().take(n.div_ceil(2)).enumerate() {
-            store(2 * j, std::array::from_fn(|l| 0.5 * (z.re[l] + c0[l])));
-            if 2 * j + 1 < n {
-                store(2 * j + 1, std::array::from_fn(|l| 0.5 * (z.im[l] + c0[l])));
-            }
+        match self.path {
+            LanePath::Scalar => self.cosine_body::<Lanes>(load, store),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `analyze_with`.
+            LanePath::Avx512 => unsafe { avx512::cosine(self, load, store) },
         }
     }
 
@@ -249,17 +289,111 @@ impl DctTile {
     pub(crate) fn sine_with(
         &mut self,
         load: impl Fn(usize) -> Lanes,
+        store: impl FnMut(usize, Lanes),
+    ) {
+        match self.path {
+            LanePath::Scalar => self.sine_body::<Lanes>(load, store),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `analyze_with`.
+            LanePath::Avx512 => unsafe { avx512::sine(self, load, store) },
+        }
+    }
+
+    #[inline(always)]
+    fn analyze_body<V: LaneMath>(
+        &mut self,
+        load: impl Fn(usize) -> Lanes,
+        mut store: impl FnMut(usize, Lanes),
+    ) {
+        let n = self.len;
+        let z = &mut self.z;
+        // Even extension y = [x, reverse(x)], packed two real samples per
+        // complex slot and dropped straight into bit-reversed order: slot j
+        // holds (y[2j], y[2j+1]) and its mirror slot n-1-j holds
+        // (y[2j+1], y[2j]).
+        if n == 1 {
+            let x = V::load(&load(0));
+            x.store(&mut z[0].re);
+            x.store(&mut z[0].im);
+        } else {
+            for j in 0..n / 2 {
+                let (x0, x1) = (V::load(&load(2 * j)), V::load(&load(2 * j + 1)));
+                let slot = &mut z[self.bitrev[j] as usize];
+                x0.store(&mut slot.re);
+                x1.store(&mut slot.im);
+                let mirror = &mut z[self.bitrev[n - 1 - j] as usize];
+                x1.store(&mut mirror.re);
+                x0.store(&mut mirror.im);
+            }
+        }
+        butterflies::<V>(z, &self.fft_tw, false);
+        // Real-FFT recombination X[k] = E[k] + w^k O[k], fused with the
+        // phase rotation C[k] = Re(X[k] e^{-i pi k / 2N}) / 2.
+        let half = V::splat(0.5);
+        let (z0_re, z0_im) = (V::load(&z[0].re), V::load(&z[0].im));
+        store(
+            0,
+            rotate(half, z0_re.add(z0_im), V::splat(0.0), self.phase_fwd[0]),
+        );
+        for k in 1..=n / 2 {
+            let (zk, zn) = (&z[k], &z[n - k]);
+            let (zk_re, zk_im) = (V::load(&zk.re), V::load(&zk.im));
+            let (zn_re, zn_im) = (V::load(&zn.re), V::load(&zn.im));
+            let w = self.rfft_tw[k];
+            let (wr, wi) = (V::splat(w.re), V::splat(w.im));
+            let er = half.mul(zk_re.add(zn_re));
+            let ei = half.mul(zk_im.sub(zn_im));
+            let or = half.mul(zk_im.add(zn_im));
+            let oi = half.mul(zn_re.sub(zk_re));
+            let tr = wr.mul(or).sub(wi.mul(oi));
+            let ti = wr.mul(oi).add(wi.mul(or));
+            store(k, rotate(half, er.add(tr), ei.add(ti), self.phase_fwd[k]));
+            if k != n - k {
+                let sn_im = ei.sub(ti).neg();
+                store(
+                    n - k,
+                    rotate(half, er.sub(tr), sn_im, self.phase_fwd[n - k]),
+                );
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn cosine_body<V: LaneMath>(
+        &mut self,
+        load: impl Fn(usize) -> Lanes,
+        mut store: impl FnMut(usize, Lanes),
+    ) {
+        let c0 = V::load(&load(0));
+        // Hermitian half spectrum Z[k] = c[k] e^{i pi k/2N}, Z[0] = c[0].
+        self.inverse_packed(c0, &load);
+        // out[i] = (ext[i] + c[0]) / 2, ext[2j] = z[j].re, ext[2j+1] = z[j].im.
+        let n = self.len;
+        let half = V::splat(0.5);
+        for (j, z) in self.z.iter().take(n.div_ceil(2)).enumerate() {
+            store(2 * j, lanes(half.mul(V::load(&z.re).add(c0))));
+            if 2 * j + 1 < n {
+                store(2 * j + 1, lanes(half.mul(V::load(&z.im).add(c0))));
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn sine_body<V: LaneMath>(
+        &mut self,
+        load: impl Fn(usize) -> Lanes,
         mut store: impl FnMut(usize, Lanes),
     ) {
         let n = self.len;
         // Cosine spectrum of the reversed coefficients c'[k] = c[N-k],
         // c'[0] = 0.
-        self.inverse_packed([0.0; TILE_LANES], |k| load(n - k));
+        self.inverse_packed(V::splat(0.0), |k| load(n - k));
         // out[2j] = ext[2j] / 2, out[2j+1] = -ext[2j+1] / 2.
+        let (half, neg_half) = (V::splat(0.5), V::splat(-0.5));
         for (j, z) in self.z.iter().take(n.div_ceil(2)).enumerate() {
-            store(2 * j, std::array::from_fn(|l| 0.5 * z.re[l]));
+            store(2 * j, lanes(half.mul(V::load(&z.re))));
             if 2 * j + 1 < n {
-                store(2 * j + 1, std::array::from_fn(|l| -0.5 * z.im[l]));
+                store(2 * j + 1, lanes(neg_half.mul(V::load(&z.im))));
             }
         }
     }
@@ -269,51 +403,62 @@ impl DctTile {
     /// `coeff(k) e^{i pi k/2N}` and whose `k = N` bin is zero, writes the
     /// packed slots in bit-reversed order and runs the unscaled inverse
     /// butterflies, leaving `ext[2j] + i ext[2j+1]` in `self.z[j]`.
-    fn inverse_packed(&mut self, x0: Lanes, coeff: impl Fn(usize) -> Lanes) {
+    #[inline(always)]
+    fn inverse_packed<V: LaneMath>(&mut self, x0: V, coeff: impl Fn(usize) -> Lanes) {
         let n = self.len;
-        let pinv = &self.phase_inv;
-        let spec = |k: usize| {
-            let (c, p) = (coeff(k), pinv[k]);
-            CLanes {
-                re: std::array::from_fn(|l| p.re * c[l]),
-                im: std::array::from_fn(|l| p.im * c[l]),
-            }
-        };
-        let xn = 0.0;
-        self.z[0] = CLanes {
-            re: std::array::from_fn(|l| x0[l] + xn),
-            im: std::array::from_fn(|l| x0[l] - xn),
-        };
+        let z = &mut self.z;
+        let xn = V::splat(0.0);
+        x0.add(xn).store(&mut z[0].re);
+        x0.sub(xn).store(&mut z[0].im);
         for k in 1..=n / 2 {
-            let (xk, xm) = (spec(k), spec(n - k));
+            let (xk_re, xk_im) = spectrum(V::load(&coeff(k)), self.phase_inv[k]);
+            let (xm_re, xm_im) = spectrum(V::load(&coeff(n - k)), self.phase_inv[n - k]);
             let w = self.rfft_tw[k];
-            let (wr, wi) = (w.re, -w.im);
-            let (mut pk, mut pm) = (CLanes::ZERO, CLanes::ZERO);
-            for l in 0..TILE_LANES {
-                let ar = xk.re[l] + xm.re[l];
-                let ai = xk.im[l] - xm.im[l];
-                let br = xk.re[l] - xm.re[l];
-                let bi = xk.im[l] + xm.im[l];
-                let cr = wr * br - wi * bi;
-                let ci = wr * bi + wi * br;
-                let (ur, ui) = (-ci, cr);
-                pk.re[l] = ar + ur;
-                pk.im[l] = ai + ui;
-                pm.re[l] = ar - ur;
-                pm.im[l] = -(ai - ui);
-            }
-            self.z[self.bitrev[k] as usize] = pk;
+            let (wr, wi) = (V::splat(w.re), V::splat(-w.im));
+            let ar = xk_re.add(xm_re);
+            let ai = xk_im.sub(xm_im);
+            let br = xk_re.sub(xm_re);
+            let bi = xk_im.add(xm_im);
+            let cr = wr.mul(br).sub(wi.mul(bi));
+            let ci = wr.mul(bi).add(wi.mul(br));
+            let (ur, ui) = (ci.neg(), cr);
+            let pk = &mut z[self.bitrev[k] as usize];
+            ar.add(ur).store(&mut pk.re);
+            ai.add(ui).store(&mut pk.im);
             if k != n - k {
-                self.z[self.bitrev[n - k] as usize] = pm;
+                let pm = &mut z[self.bitrev[n - k] as usize];
+                ar.sub(ur).store(&mut pm.re);
+                ai.sub(ui).neg().store(&mut pm.im);
             }
         }
-        butterflies(&mut self.z, &self.fft_tw, true);
+        butterflies::<V>(z, &self.fft_tw, true);
     }
+}
+
+/// `v` spilled to one sample row.
+#[inline(always)]
+fn lanes<V: LaneMath>(v: V) -> Lanes {
+    let mut out = [0.0; TILE_LANES];
+    v.store(&mut out);
+    out
+}
+
+/// `Re((re + i im) p) / 2`, the phase rotation of the DCT-II analysis.
+#[inline(always)]
+fn rotate<V: LaneMath>(half: V, re: V, im: V, p: Complex) -> Lanes {
+    lanes(half.mul(re.mul(V::splat(p.re)).sub(im.mul(V::splat(p.im)))))
+}
+
+/// `p c` for a real coefficient `c`, as `(re, im)`.
+#[inline(always)]
+fn spectrum<V: LaneMath>(c: V, p: Complex) -> (V, V) {
+    (V::splat(p.re).mul(c), V::splat(p.im).mul(c))
 }
 
 /// The radix-2 decimation-in-time butterflies of
 /// [`FftPlan`](crate::FftPlan) on bit-reversed input, every lane at once.
-fn butterflies(z: &mut [CLanes], twiddles: &[Complex], inverse: bool) {
+#[inline(always)]
+fn butterflies<V: LaneMath>(z: &mut [CLanes], twiddles: &[Complex], inverse: bool) {
     let mut half = 1;
     let mut tw_base = 0;
     while half < z.len() {
@@ -322,19 +467,124 @@ fn butterflies(z: &mut [CLanes], twiddles: &[Complex], inverse: bool) {
             let (lo, hi) = block.split_at_mut(half);
             for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
                 let (wr, wi) = if inverse { (w.re, -w.im) } else { (w.re, w.im) };
-                for l in 0..TILE_LANES {
-                    let br = b.re[l] * wr - b.im[l] * wi;
-                    let bi = b.re[l] * wi + b.im[l] * wr;
-                    let (ar, ai) = (a.re[l], a.im[l]);
-                    a.re[l] = ar + br;
-                    a.im[l] = ai + bi;
-                    b.re[l] = ar - br;
-                    b.im[l] = ai - bi;
-                }
+                let (wr, wi) = (V::splat(wr), V::splat(wi));
+                let (b_re, b_im) = (V::load(&b.re), V::load(&b.im));
+                let br = b_re.mul(wr).sub(b_im.mul(wi));
+                let bi = b_re.mul(wi).add(b_im.mul(wr));
+                let (ar, ai) = (V::load(&a.re), V::load(&a.im));
+                ar.add(br).store(&mut a.re);
+                ai.add(bi).store(&mut a.im);
+                ar.sub(br).store(&mut b.re);
+                ai.sub(bi).store(&mut b.im);
             }
         }
         tw_base += half;
         half *= 2;
+    }
+}
+
+/// The AVX-512F instantiation: one `__m512d` per sample row.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{DctTile, LaneMath, Lanes};
+    use std::arch::x86_64::{
+        __m512d, _mm512_add_pd, _mm512_castpd_si512, _mm512_castsi512_pd, _mm512_loadu_pd,
+        _mm512_mul_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_storeu_pd, _mm512_sub_pd,
+        _mm512_xor_si512,
+    };
+
+    /// Eight lanes in one AVX-512 register.
+    ///
+    /// Only the `#[target_feature(enable = "avx512f")]` functions below
+    /// create and use values of this type, and they are called only once
+    /// `avx512f` has been detected, so the `unsafe` blocks in its methods
+    /// never run on a CPU without AVX-512F.
+    #[derive(Clone, Copy)]
+    struct V(__m512d);
+
+    impl LaneMath for V {
+        #[inline(always)]
+        fn splat(x: f64) -> Self {
+            // SAFETY: see the type's documentation.
+            V(unsafe { _mm512_set1_pd(x) })
+        }
+        #[inline(always)]
+        fn load(x: &Lanes) -> Self {
+            // SAFETY: `x` is eight readable doubles; see the type's
+            // documentation for the feature.
+            V(unsafe { _mm512_loadu_pd(x.as_ptr()) })
+        }
+        #[inline(always)]
+        fn store(self, out: &mut Lanes) {
+            // SAFETY: `out` is eight writable doubles; see the type's
+            // documentation for the feature.
+            unsafe { _mm512_storeu_pd(out.as_mut_ptr(), self.0) }
+        }
+        #[inline(always)]
+        fn add(self, rhs: Self) -> Self {
+            // SAFETY: see the type's documentation.
+            V(unsafe { _mm512_add_pd(self.0, rhs.0) })
+        }
+        #[inline(always)]
+        fn sub(self, rhs: Self) -> Self {
+            // SAFETY: see the type's documentation.
+            V(unsafe { _mm512_sub_pd(self.0, rhs.0) })
+        }
+        #[inline(always)]
+        fn mul(self, rhs: Self) -> Self {
+            // SAFETY: see the type's documentation.
+            V(unsafe { _mm512_mul_pd(self.0, rhs.0) })
+        }
+        #[inline(always)]
+        fn neg(self) -> Self {
+            // SAFETY: see the type's documentation.
+            V(unsafe {
+                let sign = _mm512_set1_epi64(i64::MIN);
+                _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(self.0), sign))
+            })
+        }
+    }
+
+    /// [`DctTile::analyze_with`] on AVX-512F.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn analyze(
+        tile: &mut DctTile,
+        load: impl Fn(usize) -> Lanes,
+        store: impl FnMut(usize, Lanes),
+    ) {
+        tile.analyze_body::<V>(load, store);
+    }
+
+    /// [`DctTile::cosine_with`] on AVX-512F.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn cosine(
+        tile: &mut DctTile,
+        load: impl Fn(usize) -> Lanes,
+        store: impl FnMut(usize, Lanes),
+    ) {
+        tile.cosine_body::<V>(load, store);
+    }
+
+    /// [`DctTile::sine_with`] on AVX-512F.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn sine(
+        tile: &mut DctTile,
+        load: impl Fn(usize) -> Lanes,
+        store: impl FnMut(usize, Lanes),
+    ) {
+        tile.sine_body::<V>(load, store);
     }
 }
 
@@ -355,6 +605,75 @@ pub(crate) fn put_lanes(tile: &mut [f64], k: usize, v: Lanes) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xplace_testkit::rng::Rng;
+
+    /// A sample of magnitude class `class`: ordinary values, subnormals,
+    /// values near `f64::MAX`, ordinary values with the odd infinity, or
+    /// signed zeros only; every class draws signed zeros.
+    fn sample(rng: &mut Rng, class: u32) -> f64 {
+        let sign = if rng.gen_range(0u32..2) == 0 {
+            1.0
+        } else {
+            -1.0
+        };
+        sign * match (class, rng.gen_range(0u32..16)) {
+            (_, 0) => 0.0,
+            (1, _) => f64::from_bits(rng.gen_range(1u64..1 << 52)),
+            (2, _) => f64::MAX * rng.gen_range(0.5..1.0),
+            (3, 1) => f64::INFINITY,
+            (4, _) => 0.0,
+            _ => rng.gen_range(0.0..100.0),
+        }
+    }
+
+    /// Runs all three transforms of a length-`n` tile on `input` with the
+    /// lane arithmetic `path`, returning the outputs back to back.
+    fn transforms(path: LanePath, n: usize, input: &[f64]) -> Vec<f64> {
+        let mut tile = DctTile::new(n).unwrap();
+        tile.path = path;
+        let mut out = vec![0.0; 3 * n * TILE_LANES];
+        let (a, rest) = out.split_at_mut(n * TILE_LANES);
+        let (c, s) = rest.split_at_mut(n * TILE_LANES);
+        tile.analyze(input, a).unwrap();
+        tile.cosine_synthesis(input, c).unwrap();
+        tile.sine_synthesis(input, s).unwrap();
+        out
+    }
+
+    #[test]
+    fn vector_path_matches_scalar_path_bitwise() {
+        let mut rng = Rng::seed_from_u64(32);
+        for p in 0..=10 {
+            let n = 1usize << p;
+            for _ in 0..4 {
+                let classes: [u32; TILE_LANES] = std::array::from_fn(|_| rng.gen_range(0u32..5));
+                let input: Vec<f64> = (0..n * TILE_LANES)
+                    .map(|i| sample(&mut rng, classes[i % TILE_LANES]))
+                    .collect();
+                let want = transforms(LanePath::Scalar, n, &input);
+                let got = transforms(LanePath::detect(), n, &input);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    // NaN payloads are not fixed by Rust; NaN only has to
+                    // meet NaN.
+                    assert!(
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                        "n={n} at {i}: {g} vs {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dispatch_takes_avx512_whenever_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            assert_eq!(DctTile::new(64).unwrap().path, LanePath::Avx512);
+            assert_eq!(DctTile::cached(64).unwrap().path, LanePath::Avx512);
+            return;
+        }
+        assert_eq!(DctTile::new(64).unwrap().path, LanePath::Scalar);
+    }
 
     #[test]
     fn mismatched_tiles_error() {

@@ -19,26 +19,52 @@ fn signal_strategy(max_pow: u32) -> impl Strategy<Value = Vec<f64>> {
     })
 }
 
-/// A random sample that is sometimes an exact signed zero, so sign-of-zero
-/// handling is compared too.
-fn sample(rng: &mut Rng) -> f64 {
-    match rng.gen_range(0u32..16) {
-        0 => 0.0,
-        1 => -0.0,
+/// Magnitude classes of [`sample`]: each draws signed zeros too, so
+/// sign-of-zero handling is compared in every class.
+const ORDINARY: u32 = 0;
+const SUBNORMAL: u32 = 1;
+/// Near `f64::MAX`: sums overflow to infinity and `inf - inf` makes NaN.
+const HUGE: u32 = 2;
+/// Ordinary values with the odd `±inf`.
+const INFINITE: u32 = 3;
+/// `±0` only: lanes whose every sign-of-zero rule shows in the output.
+const ZEROS: u32 = 4;
+
+/// A random sample of magnitude class `class`.
+fn sample(rng: &mut Rng, class: u32) -> f64 {
+    let k = rng.gen_range(0u32..16);
+    let sign = if k.is_multiple_of(2) { 1.0 } else { -1.0 };
+    match (class, k) {
+        (_, 0) => 0.0,
+        (_, 1) => -0.0,
+        (SUBNORMAL, _) => sign * f64::from_bits(rng.gen_range(1u64..1 << 52)),
+        (HUGE, _) => sign * f64::MAX * rng.gen_range(0.5..1.0),
+        (INFINITE, 2 | 3) => sign * f64::INFINITY,
+        (ZEROS, _) => sign * 0.0,
         _ => rng.gen_range(-100.0..100.0),
     }
 }
 
+/// Equal bits, except that any NaN meets any NaN: Rust does not fix NaN
+/// payloads, so two correct evaluations may carry different ones.
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
 /// A `[sample][lane]` tile of length 1..=1024 whose first `live` lanes hold
-/// random samples and whose spare lanes are zero (a partial tile).
+/// random samples, each lane of its own magnitude class, and whose spare
+/// lanes are zero (a partial tile).
 fn tile_strategy() -> impl Strategy<Value = (usize, usize, Vec<f64>)> {
     prop::from_fn(|rng: &mut Rng| {
         let n = 1usize << rng.gen_range(0u32..=10);
         let live = rng.gen_range(1usize..=TILE_LANES);
+        let classes: Vec<u32> = (0..TILE_LANES)
+            .map(|_| rng.gen_range(0u32..=ZEROS))
+            .collect();
         let mut tile = vec![0.0; n * TILE_LANES];
         for (i, v) in tile.iter_mut().enumerate() {
             if i % TILE_LANES < live {
-                *v = sample(rng);
+                *v = sample(rng, classes[i % TILE_LANES]);
             }
         }
         (n, live, tile)
@@ -58,7 +84,7 @@ fn grid_strategy() -> impl Strategy<Value = Grid2> {
             (64, 16),
         ];
         let (nx, ny) = dims[rng.gen_range(0usize..dims.len())];
-        Grid2::from_fn(nx, ny, |_, _| sample(rng).abs())
+        Grid2::from_fn(nx, ny, |_, _| sample(rng, ORDINARY).abs())
     })
 }
 
@@ -208,7 +234,9 @@ props! {
     config = Config::with_cases(64);
 
     /// Every lane of a (possibly partial) tile equals the scalar
-    /// `DctPlan` transform of that lane, bit for bit, for lengths 1–1024.
+    /// `DctPlan` transform of that lane, bit for bit, for lengths 1–1024 —
+    /// on whichever lane path (AVX-512 or scalar) this CPU dispatches to,
+    /// and for subnormal, huge and infinite inputs too.
     fn tile_lanes_match_scalar_plan_bitwise(case in tile_strategy()) {
         let (n, live, input) = case;
         let mut tile = DctTile::new(n).expect("power-of-two length");
@@ -232,7 +260,7 @@ props! {
                 .expect("scalar transform");
                 for (k, (got, want)) in lane(&out, l).iter().zip(&want).enumerate() {
                     prop_assert!(
-                        got.to_bits() == want.to_bits(),
+                        same_bits(*got, *want),
                         "{} n={} live={} lane={} k={}: {} vs {}", op, n, live, l, k, got, want
                     );
                 }

@@ -60,6 +60,11 @@ pub struct PlacementModel {
     ny: usize,
     /// Target density.
     target_density: f64,
+    /// `sum |S_i|` over movable cells, summed in index order at
+    /// construction (the `|H_W|` of [`crate::precond::omega`]).
+    movable_degree: f64,
+    /// `sum A_i` over movable cells, summed in index order at construction.
+    movable_area: f64,
     /// Fence index per node (`u32::MAX` = unfenced). Only movable nodes
     /// can be fenced.
     node_fence: Vec<u32>,
@@ -226,6 +231,9 @@ impl PlacementModel {
         for &n in &pin_node {
             node_degree[n as usize] += 1;
         }
+        // Like `movable_area`, fixed by the model and read by the stage
+        // ratio every iteration, so summed once here.
+        let movable_degree = node_degree[..num_movable].iter().map(|&d| d as f64).sum();
 
         // Fence assignment (movable nodes only).
         let mut node_fence = vec![u32::MAX; total];
@@ -256,6 +264,8 @@ impl PlacementModel {
             nx,
             ny,
             target_density: design.target_density(),
+            movable_degree,
+            movable_area,
             node_fence,
             fences: design.fences().to_vec(),
         })
@@ -331,9 +341,15 @@ impl PlacementModel {
         self.target_density
     }
 
-    /// Total movable cell area.
+    /// Total movable cell area, summed once when the model is built.
     pub fn movable_area(&self) -> f64 {
-        (0..self.num_movable).map(|i| self.w[i] * self.h[i]).sum()
+        self.movable_area
+    }
+
+    /// Total pin count of the movable cells, `sum |S_i|`, summed once when
+    /// the model is built.
+    pub(crate) fn movable_degree(&self) -> f64 {
+        self.movable_degree
     }
 
     /// Area of node `i`.

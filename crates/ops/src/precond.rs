@@ -45,12 +45,7 @@ pub fn apply(
 ///
 /// Returns a value in `[0, 1]`; 0 when `lambda = 0`.
 pub fn omega(model: &PlacementModel, lambda: f64) -> f64 {
-    let mut hw = 0.0;
-    let mut hd = 0.0;
-    for i in 0..model.num_movable() {
-        hw += model.node_degree[i] as f64;
-        hd += model.node_area(i);
-    }
+    let (hw, hd) = (model.movable_degree(), model.movable_area());
     let weighted = lambda * hd;
     if hw + weighted == 0.0 {
         0.0

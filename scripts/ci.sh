@@ -29,8 +29,10 @@ echo "==> multithreaded leg: pool, ops + fft suites, golden flow with threads > 
 cargo test -q -p xplace-parallel
 cargo test -q -p xplace-ops --test properties
 # Optimized codegen too: the benchmark and users run release builds, and
-# the WA kernels' bitwise match against the reference must hold there.
+# the WA kernels' bitwise match against the reference must hold there, as
+# must the vector DCT tiles' bitwise match against the scalar plan.
 cargo test -q --release -p xplace-ops --test properties
+cargo test -q --release -p xplace-fft
 cargo test -q -p xplace-fft --test parallel
 cargo test -q --test golden_flow golden_flow_is_thread_count_invariant
 
