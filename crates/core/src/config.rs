@@ -1,5 +1,4 @@
 use xplace_device::DeviceConfig;
-use xplace_fault::GpFault;
 
 /// Which operator stream the engine emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,14 +142,6 @@ pub struct XplaceConfig {
     pub threads: usize,
     /// Multilevel coarsen/uncoarsen controls.
     pub multilevel: MultilevelConfig,
-    /// Injected fault resolved from a [`xplace_fault::FaultPlan`] for the
-    /// current job attempt (the scheduler fills this in; standalone runs
-    /// leave it at [`GpFault::NONE`]).
-    ///
-    /// Deliberately **excluded** from [`Self::echo`]: it is not a
-    /// placement parameter, and a faulted run's trace prefix must stay
-    /// byte-identical to the healthy run's.
-    pub fault: GpFault,
 }
 
 impl XplaceConfig {
@@ -166,7 +157,6 @@ impl XplaceConfig {
             seed: 0x5eed,
             threads: 1,
             multilevel: MultilevelConfig::default(),
-            fault: GpFault::NONE,
         }
     }
 
@@ -361,20 +351,5 @@ mod tests {
                 other.schedule
             );
         }
-    }
-
-    #[test]
-    fn fault_hook_is_excluded_from_the_config_echo() {
-        // A faulted run's trace prefix must stay byte-identical to the
-        // healthy run's, so the hook must not leak into the echo.
-        let healthy = XplaceConfig::xplace();
-        assert_eq!(healthy.fault, GpFault::NONE);
-        use xplace_telemetry::ToJson;
-        let mut faulted = healthy.clone();
-        faulted.fault.panic_at = Some(3);
-        assert_eq!(
-            healthy.echo().to_json_string(),
-            faulted.echo().to_json_string()
-        );
     }
 }

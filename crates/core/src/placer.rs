@@ -229,7 +229,6 @@ impl GlobalPlacer {
         for li in (0..levels.len()).rev() {
             let mut cfg = self.config.clone();
             cfg.multilevel.enabled = false;
-            cfg.fault = xplace_fault::GpFault::NONE;
             cfg.schedule.max_iterations = ml.coarse_max_iterations;
             cfg.schedule.stop_overflow =
                 COARSE_STOP_OVERFLOW.max(self.config.schedule.stop_overflow);
@@ -381,12 +380,6 @@ impl GlobalPlacer {
                 // resume continues the trace byte-identically.
                 paused = true;
                 break;
-            }
-            if self.config.fault.panic_at == Some(iter) {
-                // Injected fault (resolved from a fault plan): simulates a
-                // design crashing mid-GP so failure-isolation and retry
-                // paths can be exercised.
-                panic!("injected failure at GP iteration {iter}");
             }
             let (eval, prof) = {
                 let (res, prof) =
@@ -788,23 +781,6 @@ mod tests {
         assert_eq!(a, b, "same-seed traces differ");
         let c = trace_with(4);
         assert_eq!(a, c, "threads=4 trace differs from threads=1");
-    }
-
-    #[test]
-    fn gp_panic_fault_fires_at_the_requested_iteration() {
-        let mut design = small_design(31);
-        let mut cfg = XplaceConfig::xplace();
-        cfg.schedule.max_iterations = 50;
-        cfg.fault.panic_at = Some(5);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            GlobalPlacer::new(cfg).place(&mut design)
-        }))
-        .unwrap_err();
-        let msg = xplace_parallel::panic_message(err.as_ref());
-        assert!(
-            msg.contains("injected failure at GP iteration 5"),
-            "unexpected panic message: {msg}"
-        );
     }
 
     fn multilevel_cfg(max_final_iters: usize) -> XplaceConfig {

@@ -34,12 +34,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod fault;
 mod manifest;
 mod population;
 
 pub use manifest::{BatchManifest, DesignSource, JobSpec};
 pub use population::{run_population, PopulationOptions, PopulationOutcome};
 
+use fault::{FaultPlan, INJECTED_WRITE_ERROR};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use xplace_core::{
@@ -47,11 +49,10 @@ use xplace_core::{
     XplaceConfig,
 };
 use xplace_db::{Design, DesignCache};
-use xplace_fault::{FaultPlan, GpFault};
 use xplace_legal::{check_legality, detailed_place, legalize, DpConfig};
 use xplace_route::{estimate_congestion, RouteConfig};
 use xplace_telemetry::{
-    BatchReport, CallbackSink, JobRecord, RouteMetrics, RunReport, TelemetrySink, VecSink,
+    BatchReport, JobRecord, RouteMetrics, RunReport, TelemetryEvent, TelemetrySink, ToJson,
 };
 
 /// The failure message of a job skipped because its batch was cancelled
@@ -77,16 +78,6 @@ pub const DEADLINE_MSG: &str = "deadline exceeded";
 /// accounting is bit-identical on every run.
 pub fn backoff_ns(retry: usize) -> u64 {
     (1_000_000u64 << retry.min(6)).min(64_000_000)
-}
-
-/// One completed job: its run summary plus the trace text a serial
-/// `--trace` run would have written.
-#[derive(Debug, Clone)]
-pub struct JobOutcome {
-    /// The run summary (same shape as `xplace place --report`).
-    pub report: RunReport,
-    /// JSON-lines telemetry trace (byte-identical to the serial run's).
-    pub trace: String,
 }
 
 /// The result of a whole batch.
@@ -141,46 +132,19 @@ pub fn finish_flow(
     })
 }
 
-/// Runs one job of a manifest: load (through `cache`) → GP →
-/// [`finish_flow`].
+/// One attempt of a job: load (through `cache`) → GP → [`finish_flow`],
+/// tracing into `sink`. `ckpt` carries the checkpoint cadence/store plus
+/// an optional snapshot to resume from.
 ///
 /// `threads` is the kernel launch width; it never changes metrics, only
 /// wall-clock time. When the job runs on a pool worker (a concurrent
 /// batch), nested kernel launches degrade to inline serial execution —
 /// bit-identical by the workspace determinism contract.
-///
-/// # Errors
-///
-/// Returns the failure message that becomes the job's
-/// [`JobRecord::error`]: design load errors, placement errors, and
-/// legality-check failures. Panics (including injected GP faults) are
-/// *not* caught here — [`run_batch`] fences them per job.
-pub fn run_job(job: &JobSpec, threads: usize, cache: &DesignCache) -> Result<JobOutcome, String> {
-    let mut sink = VecSink::new();
-    let report = run_job_attempt(
-        job,
-        threads,
-        cache,
-        &mut sink,
-        GpFault::NONE,
-        CheckpointOptions::none(),
-    )?;
-    Ok(JobOutcome {
-        report,
-        trace: sink.to_jsonl(),
-    })
-}
-
-/// One attempt of a job under the scheduler's fault machinery: `fault`
-/// is the GP fault resolved from the batch plan for this attempt, and
-/// `ckpt` carries the checkpoint cadence/store plus an optional snapshot
-/// to resume from.
 fn run_job_attempt(
     job: &JobSpec,
     threads: usize,
     cache: &DesignCache,
     sink: &mut dyn TelemetrySink,
-    fault: GpFault,
     ckpt: CheckpointOptions<'_>,
 ) -> Result<RunReport, String> {
     let mut design = match &job.source {
@@ -194,8 +158,7 @@ fn run_job_attempt(
                 .map_err(|e| format!("synthesizing {}: {e}", spec.name))?
         }
     };
-    let mut config = job.config(threads);
-    config.fault = fault;
+    let config = job.config(threads);
     let gp = GlobalPlacer::new(config.clone())
         .place_traced_opts(&mut design, sink, ckpt)
         .map_err(|e| format!("global placement: {e}"))?;
@@ -512,9 +475,56 @@ fn run_job_fenced(
     }
 }
 
-/// One fenced attempt: resolves the attempt's faults from the plan,
-/// wires the checkpoint store (and any resume snapshot) into the run,
-/// and injects the sink byte budget into the trace callback.
+/// The trace sink of one job attempt, and the point where the attempt's
+/// injected faults fire. Each event is rendered once and the line goes
+/// to the session observer, or into `trace` for a silent session.
+///
+/// A planned GP panic fires when the `iteration` event of its iteration
+/// arrives: after that iteration's checkpoint save and before any of its
+/// lines, so the streamed prefix and saved snapshots are those of a
+/// healthy run. A sink error fires on the first line that would overrun
+/// the byte budget. Both surface as panics, which the retry loop
+/// classifies as retryable crashes; whichever comes first in the stream
+/// decides the failure.
+struct JobSink<'a> {
+    job: usize,
+    observer: Option<&'a (dyn Fn(BatchEvent<'_>) + Sync)>,
+    trace: String,
+    panic_at: Option<usize>,
+    budget: Option<usize>,
+}
+
+impl TelemetrySink for JobSink<'_> {
+    fn emit(&mut self, event: &TelemetryEvent) {
+        if let TelemetryEvent::Iteration { record, .. } = event {
+            if self.panic_at == Some(record.iteration) {
+                panic!("injected failure at GP iteration {}", record.iteration);
+            }
+        }
+        let line = event.to_json_string();
+        if let Some(remaining) = self.budget.as_mut() {
+            let bytes = line.len() + 1;
+            if bytes > *remaining {
+                panic!("{INJECTED_WRITE_ERROR}");
+            }
+            *remaining -= bytes;
+        }
+        match self.observer {
+            Some(observer) => observer(BatchEvent::TraceLine {
+                job: self.job,
+                line: &line,
+            }),
+            None => {
+                self.trace.push_str(&line);
+                self.trace.push('\n');
+            }
+        }
+    }
+}
+
+/// One fenced attempt: resolves the attempt's faults from the plan into
+/// its [`JobSink`] and wires the checkpoint store (and any resume
+/// snapshot) into the run.
 fn run_one_attempt(
     job: &JobSpec,
     index: usize,
@@ -524,8 +534,6 @@ fn run_one_attempt(
     store: &MemoryCheckpointStore,
     resumed: &Option<(usize, Checkpoint)>,
 ) -> (AttemptEnd, Option<String>) {
-    let gp_fault = policy.plan.gp_fault(&job.name, attempt);
-    let sink_budget = policy.plan.sink_error_after(&job.name, attempt);
     let ckpt = if policy.checkpoint_every > 0 {
         CheckpointOptions {
             every: policy.checkpoint_every,
@@ -536,51 +544,28 @@ fn run_one_attempt(
     } else {
         CheckpointOptions::none()
     };
-    let mut trace = String::new();
-    let result = {
-        let trace = &mut trace;
-        let mut budget = sink_budget;
-        let mut sink = CallbackSink::new(|line: &str| {
-            // The injected sink fault: once the byte budget is spent,
-            // the next line "fails to write" — surfaced as a crash so
-            // the retry loop classifies it as retryable.
-            if let Some(remaining) = budget.as_mut() {
-                let bytes = line.len() + 1;
-                if bytes > *remaining {
-                    panic!("{}", xplace_fault::INJECTED_WRITE_ERROR);
-                }
-                *remaining -= bytes;
-            }
-            if let Some(observer) = session.observer {
-                observer(BatchEvent::TraceLine { job: index, line });
-            } else {
-                trace.push_str(line);
-                trace.push('\n');
-            }
-        });
-        catch_unwind(AssertUnwindSafe(|| {
-            run_job_attempt(
-                job,
-                session.threads,
-                session.cache,
-                &mut sink,
-                gp_fault,
-                ckpt,
-            )
-        }))
+    let mut sink = JobSink {
+        job: index,
+        observer: session.observer,
+        trace: String::new(),
+        panic_at: policy.plan.gp_panic_at(&job.name, attempt),
+        budget: policy.plan.sink_error_after(&job.name, attempt),
     };
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        run_job_attempt(job, session.threads, session.cache, &mut sink, ckpt)
+    }));
     let end = match result {
         Ok(Ok(report)) => AttemptEnd::Completed(Box::new(report)),
         Ok(Err(error)) => AttemptEnd::Errored(error),
         Err(payload) => AttemptEnd::Crashed(xplace_parallel::panic_message(payload.as_ref())),
     };
-    (end, session.observer.is_none().then_some(trace))
+    (end, session.observer.is_none().then_some(sink.trace))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xplace_telemetry::{JobStatus, ToJson};
+    use xplace_telemetry::{FromJson, JobStatus, VecSink};
 
     fn manifest(jobs: &str) -> BatchManifest {
         BatchManifest::parse(&format!("{{\"jobs\": [{jobs}]}}")).expect("test manifest parses")
@@ -591,21 +576,30 @@ mod tests {
     const TINY_B: &str =
         r#"{"name": "b", "synth": {"cells": 220, "nets": 230, "seed": 4}, "max_iters": 60}"#;
 
+    /// The serial reference for a synth job: GP traced into a
+    /// [`VecSink`], then [`finish_flow`] — no cache, pool or fault plan.
+    fn serial_run(job: &JobSpec) -> (RunReport, String) {
+        let spec = job.source.synth_spec().expect("synth job");
+        let mut design = xplace_db::synthesis::synthesize(&spec).unwrap();
+        let config = job.config(1);
+        let mut sink = VecSink::new();
+        let gp = GlobalPlacer::new(config.clone())
+            .place_traced(&mut design, &mut sink)
+            .unwrap();
+        let report = finish_flow(&mut design, &config, &gp).unwrap();
+        (report, sink.to_jsonl())
+    }
+
     #[test]
     fn batch_matches_serial_for_any_thread_count() {
         let m = manifest(&format!("{TINY_A}, {TINY_B}"));
-        let serial_cache = DesignCache::new();
-        let serial: Vec<JobOutcome> = m
-            .jobs
-            .iter()
-            .map(|j| run_job(j, 1, &serial_cache).unwrap())
-            .collect();
+        let serial: Vec<(RunReport, String)> = m.jobs.iter().map(serial_run).collect();
         for threads in [1, 4] {
             let batch = run_batch(&m, threads);
             assert!(batch.report.all_completed());
             for (i, job) in batch.report.jobs.iter().enumerate() {
                 let got = job.report.as_ref().unwrap();
-                let want = &serial[i].report;
+                let want = &serial[i].0;
                 assert_eq!(
                     got.final_hpwl().to_bits(),
                     want.final_hpwl().to_bits(),
@@ -617,7 +611,7 @@ mod tests {
                 );
                 assert_eq!(
                     batch.traces[i].as_deref(),
-                    Some(serial[i].trace.as_str()),
+                    Some(serial[i].1.as_str()),
                     "job {i} trace diverged at {threads} threads"
                 );
             }
@@ -721,10 +715,48 @@ mod tests {
                 .error
                 .as_deref()
                 .unwrap()
-                .contains(xplace_fault::INJECTED_WRITE_ERROR),
+                .contains(INJECTED_WRITE_ERROR),
             "{:?}",
             batch.report.jobs[0].error
         );
+    }
+
+    #[test]
+    fn first_fault_in_the_stream_decides_the_failure() {
+        // A GP panic at iteration 5 and a sink budget on one attempt. The
+        // panic fires before the `iteration` 5 line is written, so a
+        // budget that holds every earlier line exactly loses to the panic,
+        // and one byte less fails the last earlier line first.
+        let job = r#"{"name": "both", "synth": {"cells": 200, "nets": 210, "seed": 3},
+                "max_iters": 60}"#;
+        let clean = run_batch(&manifest(job), 1);
+        let trace = clean.traces[0].as_deref().unwrap();
+        let before: usize = trace
+            .lines()
+            .take_while(|line| {
+                !matches!(
+                    TelemetryEvent::from_json_str(line),
+                    Ok(TelemetryEvent::Iteration { record, .. }) if record.iteration == 5
+                )
+            })
+            .map(|line| line.len() + 1)
+            .sum();
+        assert!(before < trace.len(), "iteration 5 must be traced");
+        let error_with_budget = |after_bytes: usize| {
+            let m = BatchManifest::parse(&format!(
+                r#"{{"jobs": [{job}],
+                     "faults": [{{"target": "both", "kind": "gp_panic", "iteration": 5}},
+                                {{"target": "both", "kind": "sink_error",
+                                  "after_bytes": {after_bytes}}}]}}"#
+            ))
+            .unwrap();
+            let batch = run_batch(&m, 1);
+            batch.report.jobs[0].error.clone().unwrap()
+        };
+        let gp = error_with_budget(before);
+        assert!(gp.contains("injected failure at GP iteration 5"), "{gp}");
+        let sink = error_with_budget(before - 1);
+        assert!(sink.contains(INJECTED_WRITE_ERROR), "{sink}");
     }
 
     #[test]
@@ -771,7 +803,7 @@ mod tests {
             .contains("\"deadline_exceeded\":1"));
         // Without the stall the same deadline is comfortably met.
         let mut clean = m.clone();
-        clean.faults = xplace_fault::FaultPlan::none();
+        clean.faults = FaultPlan::none();
         let batch = run_batch(&clean, 2);
         assert!(batch.report.all_completed(), "{:?}", batch.report);
     }

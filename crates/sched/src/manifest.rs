@@ -19,10 +19,10 @@
 //!
 //! [`JobRecord`]: xplace_telemetry::JobRecord
 
+use crate::fault::FaultPlan;
 use std::path::PathBuf;
 use xplace_core::XplaceConfig;
 use xplace_db::synthesis::SynthesisSpec;
-use xplace_fault::FaultPlan;
 use xplace_telemetry::{FromJson, Json, JsonError};
 
 /// Where a job's design comes from.
@@ -122,8 +122,6 @@ impl JobSpec {
         if let Some(g) = self.grid {
             cfg.grid = Some(g);
         }
-        // The fault hook stays disarmed here: the scheduler resolves the
-        // batch's fault plan per attempt and arms `cfg.fault` itself.
         cfg.threads = threads.max(1);
         cfg
     }
@@ -296,8 +294,8 @@ mod tests {
         assert_eq!(m.retries, 2);
         assert_eq!(m.deadline_ns, None);
         assert_eq!(m.checkpoint_every, 50);
-        assert_eq!(m.faults.gp_fault("board", 0).panic_at, Some(5));
-        assert_eq!(m.faults.gp_fault("board", 1).panic_at, None);
+        assert_eq!(m.faults.gp_panic_at("board", 0), Some(5));
+        assert_eq!(m.faults.gp_panic_at("board", 1), None);
     }
 
     #[test]
@@ -347,12 +345,9 @@ mod tests {
         assert_eq!(cfg.schedule.max_iterations, 120);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.fault, xplace_fault::GpFault::NONE);
         let cfg = m.jobs[1].config(0);
         assert_eq!(cfg.framework, xplace_core::Framework::DreamplaceLike);
         assert_eq!(cfg.grid, Some(64));
-        // Faults are armed by the scheduler per attempt, never here.
-        assert_eq!(cfg.fault, xplace_fault::GpFault::NONE);
         assert_eq!(cfg.threads, 1);
     }
 

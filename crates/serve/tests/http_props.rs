@@ -5,13 +5,73 @@
 //! connections surface as errors without ever corrupting the prefix
 //! that made it onto the wire.
 
-use xplace_fault::{FailingWriter, INJECTED_WRITE_ERROR};
+use std::io::{self, Write};
 use xplace_serve::http::{
     read_chunked_body, ChunkedWriter, HttpError, Request, RequestParser, DEFAULT_MAX_BODY_BYTES,
 };
 use xplace_testkit::prop::{from_fn, Config};
 use xplace_testkit::rng::Rng;
 use xplace_testkit::{prop_assert, prop_assert_eq, props};
+
+/// The message carried by every error a [`FailingWriter`] injects.
+const INJECTED_WRITE_ERROR: &str = "injected write fault";
+
+/// An `io::Write` adapter that injects a sticky error once a byte
+/// budget is exhausted. Writes that straddle the budget are truncated
+/// to the remaining budget (a short write), and every write after the
+/// budget is spent fails with [`io::ErrorKind::BrokenPipe`] — the same
+/// shape as a real torn pipe.
+#[derive(Debug)]
+struct FailingWriter<W> {
+    inner: W,
+    remaining: usize,
+}
+
+impl<W: Write> FailingWriter<W> {
+    fn new(inner: W, budget: usize) -> FailingWriter<W> {
+        FailingWriter {
+            inner,
+            remaining: budget,
+        }
+    }
+
+    fn into_inner(self) -> W {
+        self.inner
+    }
+}
+
+impl<W: Write> Write for FailingWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if buf.is_empty() {
+            return Ok(0);
+        }
+        if self.remaining == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                INJECTED_WRITE_ERROR,
+            ));
+        }
+        let n = buf.len().min(self.remaining);
+        let written = self.inner.write(&buf[..n])?;
+        self.remaining -= written;
+        Ok(written)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+#[test]
+fn failing_writer_truncates_at_the_budget_then_errors() {
+    let mut w = FailingWriter::new(Vec::new(), 5);
+    assert_eq!(w.write(b"abc").unwrap(), 3);
+    assert_eq!(w.write(b"defg").unwrap(), 2);
+    let err = w.write(b"h").unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    assert_eq!(err.to_string(), INJECTED_WRITE_ERROR);
+    assert_eq!(w.into_inner(), b"abcde");
+}
 
 /// A random HTTP token (header names, method-ish strings).
 fn token(rng: &mut Rng, max_len: usize) -> String {
@@ -245,7 +305,7 @@ props! {
         // a failed chunk (finish would write more), so check the prefix
         // invariant on FailingWriter directly: replay the clean wire.
         let mut failing = FailingWriter::new(Vec::new(), budget);
-        let _ = std::io::Write::write_all(&mut failing, &clean);
+        let _ = failing.write_all(&clean);
         let reached_wire = failing.into_inner();
         prop_assert_eq!(reached_wire.as_slice(), &clean[..budget]);
     }

@@ -59,7 +59,7 @@ pub use report::{
     ExploreGeneration, ExploreMember, ExploreMetrics, GpMetrics, RouteMetrics, RunReport,
     ScalingMetrics, ScalingPoint, SpectralGrid, SpectralMetrics,
 };
-pub use sink::{parse_trace, CallbackSink, JsonLinesSink, NullSink, TelemetrySink, VecSink};
+pub use sink::{parse_trace, JsonLinesSink, NullSink, TelemetrySink, VecSink};
 // Serialization traits re-exported so downstream binaries can render and
 // load telemetry artifacts without a direct `xplace-testkit` dependency.
 pub use xplace_testkit::json::{FromJson, Json, JsonError, ToJson};

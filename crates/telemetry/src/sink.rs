@@ -77,52 +77,6 @@ impl TelemetrySink for VecSink {
     }
 }
 
-/// Streams each event to a callback as one rendered JSON line — the
-/// incremental counterpart of [`VecSink`]: nothing is buffered, the line
-/// is handed over the moment the event is emitted.
-///
-/// This is the sink a placement *service* runs jobs under: the callback
-/// forwards lines onto a live network stream while the run progresses,
-/// instead of holding the whole trace in memory until the job ends. The
-/// line is passed **without** a trailing newline; appending `'\n'` per
-/// line reconstructs exactly what [`VecSink::to_jsonl`] or a
-/// [`JsonLinesSink`] would have produced, so the streaming path keeps the
-/// byte-identity contract.
-pub struct CallbackSink<F: FnMut(&str)> {
-    callback: F,
-    emitted: usize,
-}
-
-impl<F: FnMut(&str)> CallbackSink<F> {
-    /// Wraps a per-line callback.
-    pub fn new(callback: F) -> Self {
-        CallbackSink {
-            callback,
-            emitted: 0,
-        }
-    }
-
-    /// Events forwarded so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-}
-
-impl<F: FnMut(&str)> std::fmt::Debug for CallbackSink<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CallbackSink")
-            .field("emitted", &self.emitted)
-            .finish()
-    }
-}
-
-impl<F: FnMut(&str)> TelemetrySink for CallbackSink<F> {
-    fn emit(&mut self, event: &TelemetryEvent) {
-        (self.callback)(&event.to_json_string());
-        self.emitted += 1;
-    }
-}
-
 /// Streams events as JSON-lines to any [`Write`] (a `BufWriter<File>`
 /// for `--trace`, a `Vec<u8>` in tests).
 ///
@@ -260,27 +214,6 @@ mod tests {
         let text = String::from_utf8(bytes).unwrap();
         let back = parse_trace(&text).unwrap();
         assert_eq!(back, vec![event(0), event(1)]);
-    }
-
-    #[test]
-    fn callback_sink_streams_lines_matching_vec_sink() {
-        let mut lines: Vec<String> = Vec::new();
-        let mut v = VecSink::new();
-        {
-            let mut c = CallbackSink::new(|line: &str| lines.push(line.to_string()));
-            for i in 0..3 {
-                c.emit(&event(i));
-                v.emit(&event(i));
-                // Incremental: the line is available immediately, not at
-                // the end of the run.
-                assert_eq!(c.emitted(), i + 1);
-            }
-            assert_eq!(c.emitted(), 3);
-        }
-        assert_eq!(lines.len(), 3);
-        let rebuilt: String = lines.iter().map(|l| format!("{l}\n")).collect();
-        assert_eq!(rebuilt, v.to_jsonl(), "streamed lines must match to_jsonl");
-        assert!(!lines[0].contains('\n'), "lines arrive without newlines");
     }
 
     #[test]

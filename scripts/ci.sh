@@ -96,6 +96,9 @@ if ./target/release/xplace batch "$SMOKE/fail-suite.json" --threads 2 \
 fi
 grep -q "fine .*completed" "$SMOKE/batch-fail.out" \
     || { echo "FAIL: the healthy sibling did not complete" >&2; exit 1; }
+# The GP panic fires from the scheduler's job sink at the planned iteration.
+grep -q "crash .*FAILED .*injected failure at GP iteration 5" "$SMOKE/batch-fail.out" \
+    || { echo "FAIL: the injected GP panic did not fail its job at iteration 5" >&2; exit 1; }
 # An oversized grid override, and a design whose 1e-9-sized cells would
 # need ~1.8e19 fillers, each fail their own job with a named error; neither
 # may abort the process on the allocation.

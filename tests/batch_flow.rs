@@ -8,7 +8,6 @@
 
 use std::path::PathBuf;
 use xplace::core::GlobalPlacer;
-use xplace::db::DesignCache;
 use xplace::legal::{detailed_place, legalize, DpConfig};
 use xplace::sched::{run_batch, BatchManifest};
 use xplace::telemetry::{FromJson, JobStatus, RunReport, VecSink};
@@ -31,8 +30,8 @@ fn synth_manifest() -> BatchManifest {
 }
 
 /// The serial reference: the exact flow `xplace place --trace` runs,
-/// written out independently of `run_job` so the test checks the
-/// scheduler against the flow, not against itself.
+/// written out independently of the scheduler so the test checks it
+/// against the flow, not against itself.
 fn serial_reference(manifest: &BatchManifest) -> Vec<(f64, f64, String)> {
     manifest
         .jobs
@@ -352,7 +351,7 @@ fn batch_cli_rejects_bad_manifests() {
 #[test]
 fn shared_cache_does_not_change_results() {
     // Two jobs on the same design share one cache entry; their results
-    // must match jobs run with fresh caches.
+    // must match each job run alone, as a batch with a fresh cache.
     let manifest = BatchManifest::parse(
         r#"{"jobs": [
             {"name": "x", "synth": {"cells": 240, "nets": 260, "seed": 6}, "max_iters": 80, "seed": 1},
@@ -363,7 +362,8 @@ fn shared_cache_does_not_change_results() {
     let batch = run_batch(&manifest, 2);
     assert_eq!(batch.cache_stats, (1, 1), "second job must hit the cache");
     for (i, job) in manifest.jobs.iter().enumerate() {
-        let fresh = xplace::sched::run_job(job, 1, &DesignCache::new()).unwrap();
+        let fresh = run_batch(&BatchManifest::plain(vec![job.clone()]), 1);
+        assert_eq!(fresh.cache_stats, (0, 1), "a fresh cache loads once");
         assert_eq!(
             batch.report.jobs[i]
                 .report
@@ -371,7 +371,12 @@ fn shared_cache_does_not_change_results() {
                 .unwrap()
                 .final_hpwl()
                 .to_bits(),
-            fresh.report.final_hpwl().to_bits(),
+            fresh.report.jobs[0]
+                .report
+                .as_ref()
+                .unwrap()
+                .final_hpwl()
+                .to_bits(),
             "job {i}: cached design must place identically to a fresh load"
         );
     }
