@@ -411,17 +411,7 @@ fn main() {
     );
     // Injected GP panics are the point of the exercise; keep their
     // backtraces out of the log while real failures still print.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(|s| s.contains("injected failure at GP iteration"))
-            .unwrap_or(false);
-        if !injected {
-            default_hook(info);
-        }
-    }));
+    xplace_sched::fault::silence_injected_panics();
     let start = Instant::now();
     let mut chaos = Chaos(cfg.seed);
     kill_random_jobs(&cfg, &mut chaos);

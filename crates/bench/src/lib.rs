@@ -123,19 +123,12 @@ where
 
 /// Exits with status 2 when the process arguments hold a `--flag` outside
 /// `known`, so a removed or misspelt flag fails instead of being ignored
-/// (bin helper).
+/// (bin helper over [`xplace::cli::only_flags`]).
 pub fn argv_only(known: &[&str]) {
-    let args = process_args();
-    if let Some(flag) = args
-        .iter()
-        .skip(1)
-        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
-    {
-        or_exit(Err::<(), _>(format!(
-            "unknown flag {flag} (expected {})",
-            known.join(", ")
-        )))
-    }
+    or_exit(cli::only_flags(
+        process_args().get(1..).unwrap_or_default(),
+        known,
+    ))
 }
 
 /// Parses `--threads` from the process arguments, exiting with status 2

@@ -37,6 +37,16 @@ const FORMAT: &str = "xplace-checkpoint";
 /// Payload version; bumped on any layout change.
 const VERSION: usize = 2;
 
+/// [`Checkpoint::perturb`]'s position jitter amplitude, as a fraction of
+/// the snapshot's movable bounding-box span.
+const PERTURB_POSITION_FRAC: f64 = 0.02;
+/// [`Checkpoint::perturb`]'s maximum relative λ rescale (factor in
+/// `[0.8, 1.2)`).
+const PERTURB_LAMBDA_FRAC: f64 = 0.4;
+/// [`Checkpoint::perturb`]'s maximum absolute ω offset (result clamped to
+/// `[0, 1]`).
+const PERTURB_OMEGA_SHIFT: f64 = 0.1;
+
 /// The values the GP loop carries from one iteration to the next, apart
 /// from the positions held in the model and the engine's own state. The
 /// placer runs on one of these, and a [`Checkpoint`] stores a clone.
@@ -388,11 +398,10 @@ impl Checkpoint {
     /// branched trajectory genuinely explores from the perturbed point
     /// instead of being pulled back to the parent's. The cached
     /// electrostatic field is invalidated so the first branched iteration
-    /// sees the perturbed density. Same snapshot + same `perturbation`
-    /// ⇒ bit-identical branched state.
-    pub fn perturb(&mut self, perturbation: &Perturbation) {
-        let seed = perturbation.seed;
-        if perturbation.position_frac > 0.0 && self.movable > 0 {
+    /// sees the perturbed density. Same snapshot + same `seed` ⇒
+    /// bit-identical branched state.
+    pub fn perturb(&mut self, seed: u64) {
+        if self.movable > 0 {
             let bounds = |v: &[f64]| {
                 let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
                 for &p in v {
@@ -403,20 +412,19 @@ impl Checkpoint {
             };
             let (min_x, max_x) = bounds(&self.x);
             let (min_y, max_y) = bounds(&self.y);
-            let amp_x = (max_x - min_x) * perturbation.position_frac;
-            let amp_y = (max_y - min_y) * perturbation.position_frac;
+            let amp_x = (max_x - min_x) * PERTURB_POSITION_FRAC;
+            let amp_y = (max_y - min_y) * PERTURB_POSITION_FRAC;
             for i in 0..self.movable.min(self.x.len()) {
                 self.x[i] = (self.x[i] + amp_x * unit_hash(i, seed)).clamp(min_x, max_x);
                 self.y[i] = (self.y[i] + amp_y * unit_hash(i, seed ^ 0xabcd)).clamp(min_y, max_y);
             }
         }
-        // λ rescale (multiplicative, strictly positive for frac < 2) and
-        // ω offset: nudge the schedule so the branch walks a different
-        // trade-off path than its parent.
+        // λ rescale (multiplicative, strictly positive since the fraction
+        // is below 2) and ω offset: nudge the schedule so the branch walks
+        // a different trade-off path than its parent.
         let s = &mut self.state;
-        s.params.lambda *= 1.0 + perturbation.lambda_frac * unit_hash(0, seed ^ 0x1a3b);
-        s.omega =
-            (s.omega + perturbation.omega_shift * unit_hash(1, seed ^ 0x5c7d)).clamp(0.0, 1.0);
+        s.params.lambda *= 1.0 + PERTURB_LAMBDA_FRAC * unit_hash(0, seed ^ 0x1a3b);
+        s.omega = (s.omega + PERTURB_OMEGA_SHIFT * unit_hash(1, seed ^ 0x5c7d)).clamp(0.0, 1.0);
         // Fresh momentum, fresh rollback baseline, fresh field.
         s.optimizer = None;
         s.best_overflow = f64::INFINITY;
@@ -424,33 +432,6 @@ impl Checkpoint {
         s.best_u = None;
         self.engine.has_field = false;
         self.engine.field_age = 0;
-    }
-}
-
-/// A seeded, deterministic perturbation applied to a branched
-/// [`Checkpoint`] — the exploration layer's diversification knob.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Perturbation {
-    /// Seed deriving every jitter value (same seed ⇒ same perturbation).
-    pub seed: u64,
-    /// Position jitter amplitude as a fraction of the snapshot's movable
-    /// bounding-box span.
-    pub position_frac: f64,
-    /// Maximum relative λ rescale (`0.2` ⇒ factor in `[0.9, 1.1)`).
-    pub lambda_frac: f64,
-    /// Maximum absolute ω offset (result clamped to `[0, 1]`).
-    pub omega_shift: f64,
-}
-
-impl Perturbation {
-    /// The exploration default: noticeable but non-destructive diversity.
-    pub fn with_seed(seed: u64) -> Perturbation {
-        Perturbation {
-            seed,
-            position_frac: 0.02,
-            lambda_frac: 0.4,
-            omega_shift: 0.1,
-        }
     }
 }
 

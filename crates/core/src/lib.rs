@@ -55,7 +55,7 @@ mod placer;
 
 pub use checkpoint::{
     Checkpoint, CheckpointOptions, CheckpointStore, FileCheckpointStore, LoopState,
-    MemoryCheckpointStore, Perturbation,
+    MemoryCheckpointStore,
 };
 pub use config::{Framework, MultilevelConfig, OperatorConfig, ScheduleConfig, XplaceConfig};
 pub use engine::{seed_from_coarse, EngineState, EvalResult, GradientEngine};

@@ -1215,7 +1215,7 @@ mod tests {
     /// a different seed diverges.
     #[test]
     fn same_perturbation_seed_branches_byte_identically() {
-        use crate::{MemoryCheckpointStore, Perturbation};
+        use crate::MemoryCheckpointStore;
         let mut cfg = XplaceConfig::xplace();
         cfg.schedule.max_iterations = 80;
 
@@ -1237,7 +1237,7 @@ mod tests {
 
         let branch_trace = |seed: u64| {
             let mut cp = snapshot.branch_for(&cfg);
-            cp.perturb(&Perturbation::with_seed(seed));
+            cp.perturb(seed);
             let mut d = small_design(67);
             let mut sink = xplace_telemetry::VecSink::new();
             GlobalPlacer::new(cfg.clone())

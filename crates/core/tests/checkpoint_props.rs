@@ -6,7 +6,7 @@
 
 use xplace_core::{
     Checkpoint, CheckpointStore, EngineState, EvalResult, FileCheckpointStore, LoopState,
-    MemoryCheckpointStore, NesterovOptimizer, Parameters, Perturbation, PlaceError, XplaceConfig,
+    MemoryCheckpointStore, NesterovOptimizer, Parameters, PlaceError, XplaceConfig,
 };
 use xplace_device::ProfileSnapshot;
 use xplace_telemetry::{Stage, ToJson};
@@ -172,12 +172,10 @@ props! {
     fn branch_and_perturb_are_pure(seed in 0u64..1_000_000_000, pseed in 0u64..1_000_000) {
         let cp = random_checkpoint(seed);
         let target = XplaceConfig::xplace().with_seed(seed ^ 0xdead_beef);
-        let perturbation = Perturbation::with_seed(pseed);
-
         let mut a = cp.branch_for(&target);
-        a.perturb(&perturbation);
+        a.perturb(pseed);
         let mut b = cp.branch_for(&target);
-        b.perturb(&perturbation);
+        b.perturb(pseed);
         prop_assert!(a == b, "same perturbation seed produced different branches");
         prop_assert_eq!(a.render(), b.render());
         prop_assert_eq!(

@@ -40,23 +40,6 @@ impl FnoConfig {
         }
     }
 
-    /// The parameter count [`Fno::new`] allocates for this architecture,
-    /// or `None` when it overflows `usize`. Mirrors the layer layout: the
-    /// 3-channel lift, per block a 1x1 conv plus the complex spectral
-    /// weights of both kept-mode corners, then the two-layer projection.
-    pub(crate) fn param_count(&self) -> Option<usize> {
-        let pointwise = |ci: usize, co: usize| co.checked_mul(ci)?.checked_add(co);
-        let (w, m) = (self.width, self.modes);
-        let spectral = [w, w, m, m]
-            .iter()
-            .try_fold(4usize, |n, &k| n.checked_mul(k))?;
-        let block = pointwise(w, w)?.checked_add(spectral)?;
-        pointwise(3, w)?
-            .checked_add(block.checked_mul(self.num_layers)?)?
-            .checked_add(pointwise(w, self.proj_hidden)?)?
-            .checked_add(pointwise(self.proj_hidden, 1)?)
-    }
-
     fn validate(&self) -> Result<(), NnError> {
         if self.width == 0 || self.modes == 0 || self.num_layers == 0 || self.proj_hidden == 0 {
             return Err(NnError::InvalidConfig(
@@ -144,20 +127,6 @@ impl Fno {
     /// Borrows the parameter store (for the trainer).
     pub fn store_mut(&mut self) -> &mut ParamStore {
         &mut self.store
-    }
-
-    /// The flat parameter vector (for persistence).
-    pub fn params(&self) -> &[f64] {
-        self.store.values()
-    }
-
-    /// Overwrites the flat parameter vector (for persistence).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from [`Fno::num_params`].
-    pub fn set_params(&mut self, params: &[f64]) {
-        self.store.set_values(params);
     }
 
     fn check_grid(&self, h: usize, w: usize) -> Result<(), NnError> {

@@ -44,7 +44,6 @@ mod guidance;
 mod layers;
 mod loss;
 mod param;
-mod persist;
 mod spectral_util;
 mod train;
 

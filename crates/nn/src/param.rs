@@ -91,25 +91,6 @@ impl ParamStore {
         }
     }
 
-    /// Borrows the full parameter vector.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Overwrites the full parameter vector (resets optimizer moments,
-    /// since the loaded weights have no Adam history).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the allocated count.
-    pub fn set_values(&mut self, values: &[f64]) {
-        assert_eq!(values.len(), self.values.len(), "parameter count mismatch");
-        self.values.copy_from_slice(values);
-        self.m.fill(0.0);
-        self.v.fill(0.0);
-        self.step = 0;
-    }
-
     /// Directly perturbs one parameter (used by finite-difference tests).
     pub fn nudge(&mut self, index: usize, delta: f64) {
         self.values[index] += delta;

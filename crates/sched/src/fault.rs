@@ -19,11 +19,30 @@
 //! a line would overrun the byte budget (panicking with
 //! [`INJECTED_WRITE_ERROR`]). Stalls and poisoned entries are charged by
 //! the retry loop; connection drops are applied by the serving daemon.
+//! [`silence_injected_panics`] keeps both injected panics off stderr; the
+//! failed job's record still carries the message.
 
 use xplace_telemetry::{FromJson, Json, JsonError};
 
+/// The panic message of a planned GP panic, followed by the iteration.
+pub const INJECTED_GP_PANIC: &str = "injected failure at GP iteration";
+
 /// The panic message of the scheduler's injected sink write fault.
 pub const INJECTED_WRITE_ERROR: &str = "injected write fault";
+
+/// Installs a process-wide panic hook that prints nothing for the two
+/// injected panics ([`INJECTED_GP_PANIC`], [`INJECTED_WRITE_ERROR`]) and
+/// hands every other panic to the hook it replaces, so a real failure
+/// still reaches stderr.
+pub fn silence_injected_panics() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = xplace_parallel::panic_message(info.payload());
+        if !message.starts_with(INJECTED_GP_PANIC) && message != INJECTED_WRITE_ERROR {
+            previous(info);
+        }
+    }));
+}
 
 /// One kind of injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -41,7 +41,7 @@ mod population;
 pub use manifest::{BatchManifest, DesignSource, JobSpec};
 pub use population::{run_population, PopulationOptions, PopulationOutcome};
 
-use fault::{FaultPlan, INJECTED_WRITE_ERROR};
+use fault::{FaultPlan, INJECTED_GP_PANIC, INJECTED_WRITE_ERROR};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use xplace_core::{
@@ -498,7 +498,7 @@ impl TelemetrySink for JobSink<'_> {
     fn emit(&mut self, event: &TelemetryEvent) {
         if let TelemetryEvent::Iteration { record, .. } = event {
             if self.panic_at == Some(record.iteration) {
-                panic!("injected failure at GP iteration {}", record.iteration);
+                panic!("{INJECTED_GP_PANIC} {}", record.iteration);
             }
         }
         let line = event.to_json_string();

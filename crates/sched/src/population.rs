@@ -6,8 +6,8 @@
 //! barriers (the generation boundaries), where the driver scores every
 //! member (HPWL weighted by density overflow), culls the worst, and
 //! refills the culled slots by branching the best survivor's snapshot
-//! under a seeded [`Perturbation`] (position jitter plus λ/ω schedule
-//! offsets). The final generation runs members to completion; the winner
+//! and applying a seeded [`Checkpoint::perturb`] (position jitter plus
+//! λ/ω schedule offsets). The final generation runs members to completion; the winner
 //! is finished through legalization and detailed placement.
 //!
 //! Determinism contract: the whole population is a pure function of
@@ -26,8 +26,8 @@
 //! degenerates to a plain `xplace place` run.
 
 use xplace_core::{
-    Checkpoint, CheckpointOptions, GlobalPlacer, MemoryCheckpointStore, Perturbation,
-    PlacementReport, XplaceConfig,
+    Checkpoint, CheckpointOptions, GlobalPlacer, MemoryCheckpointStore, PlacementReport,
+    XplaceConfig,
 };
 use xplace_db::Design;
 use xplace_telemetry::{ExploreGeneration, ExploreMember, ExploreMetrics, RunReport, VecSink};
@@ -324,7 +324,7 @@ pub fn run_population(
                     .as_ref()
                     .expect("source holds a snapshot")
                     .branch_for(&configs[slot]);
-                cp.perturb(&Perturbation::with_seed(seed));
+                cp.perturb(seed);
                 snapshots[slot] = Some(cp);
                 traces[slot] = traces[source].clone();
                 history[slot] = history[source].clone();

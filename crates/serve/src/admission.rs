@@ -5,10 +5,10 @@
 //! The model:
 //!
 //! * Every batch request becomes a **ticket**. A ticket is either
-//!   *queued* (waiting for a run slot) or *running*.
+//!   *queued* (waiting for the one run slot) or *running*.
 //! * Each client identity has its own FIFO; a global **round-robin
-//!   cursor** walks the clients in first-seen order, granting one run
-//!   slot per non-empty queue per turn. One client flooding the queue
+//!   cursor** walks the clients in first-seen order, granting the run
+//!   slot to one non-empty queue per turn. One client flooding the queue
 //!   cannot starve another: with `k` active clients, a newly arriving
 //!   client waits at most `k - 1` grants before its first ticket runs.
 //! * The *queued* population is bounded by `queue_depth`; beyond it
@@ -23,7 +23,7 @@
 //! ticket. Dropping an unacquired ticket (client disconnected while
 //! queued) cleanly withdraws it.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Why a request was not admitted.
@@ -64,9 +64,9 @@ impl std::fmt::Display for Reject {
 /// A live snapshot of the admission state (the `/stats` payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmissionStats {
-    /// Tickets waiting for a run slot.
+    /// Tickets waiting for the run slot.
     pub queued: usize,
-    /// Tickets currently holding a run slot.
+    /// Tickets holding the run slot (0 or 1).
     pub running: usize,
     /// Requests shed because the queue was full.
     pub shed_queue_full: usize,
@@ -89,12 +89,10 @@ struct State {
     queues: HashMap<String, VecDeque<u64>>,
     /// Queued + running tickets per client (the quota quantity).
     inflight: HashMap<String, usize>,
-    /// Tickets promoted to a run slot, not yet picked up by their
-    /// waiting thread (plus those actively running; `running` counts
-    /// both).
-    runnable: HashSet<u64>,
+    /// The ticket holding the run slot, whether or not its waiting
+    /// thread has picked it up yet.
+    slot: Option<u64>,
     queued: usize,
-    running: usize,
     cursor: usize,
     next_ticket: u64,
     shed_queue_full: usize,
@@ -104,32 +102,28 @@ struct State {
 }
 
 impl State {
-    /// Grants run slots to queued tickets, round-robin across clients.
-    fn promote(&mut self, concurrency: usize) {
-        while self.running < concurrency && self.queued > 0 {
-            // Find the next client (from the cursor) with queued work.
-            let n = self.clients.len();
-            let mut granted = false;
-            for step in 0..n {
-                let idx = (self.cursor + step) % n;
-                let client = &self.clients[idx];
-                if let Some(id) = self.queues.get_mut(client).and_then(VecDeque::pop_front) {
-                    self.runnable.insert(id);
-                    self.queued -= 1;
-                    self.running += 1;
-                    // Deliberately not reduced modulo `n` here: a client
-                    // first seen *after* this grant is appended to the
-                    // ring, and an eagerly wrapped cursor would skip it.
-                    // The scan above folds with the ring size of the day.
-                    self.cursor = idx + 1;
-                    granted = true;
-                    break;
-                }
-            }
-            debug_assert!(granted, "queued > 0 implies some non-empty queue");
-            if !granted {
-                break;
-            }
+    /// Grants the free run slot to the next queued ticket, round-robin
+    /// across clients.
+    fn promote(&mut self) {
+        if self.slot.is_some() || self.queued == 0 {
+            return;
+        }
+        // Find the next client (from the cursor) with queued work.
+        let n = self.clients.len();
+        let (clients, queues) = (&self.clients, &mut self.queues);
+        let grant = (0..n).map(|step| (self.cursor + step) % n).find_map(|idx| {
+            let id = queues.get_mut(&clients[idx])?.pop_front()?;
+            Some((idx, id))
+        });
+        debug_assert!(grant.is_some(), "queued > 0 implies some non-empty queue");
+        if let Some((idx, id)) = grant {
+            self.slot = Some(id);
+            self.queued -= 1;
+            // Deliberately not reduced modulo `n` here: a client first
+            // seen *after* this grant is appended to the ring, and an
+            // eagerly wrapped cursor would skip it. The scan above folds
+            // with the ring size of the day.
+            self.cursor = idx + 1;
         }
     }
 }
@@ -139,20 +133,18 @@ impl State {
 pub struct Admission {
     queue_depth: usize,
     quota: usize,
-    concurrency: usize,
     state: Mutex<State>,
     wake: Condvar,
 }
 
 impl Admission {
-    /// A controller admitting up to `queue_depth` waiting tickets, at
-    /// most `quota` live tickets per client, and `concurrency`
-    /// simultaneous run slots. Zero values are clamped to 1.
-    pub fn new(queue_depth: usize, quota: usize, concurrency: usize) -> Self {
+    /// A controller admitting up to `queue_depth` waiting tickets and at
+    /// most `quota` live tickets per client, running one at a time. Zero
+    /// values are clamped to 1.
+    pub fn new(queue_depth: usize, quota: usize) -> Self {
         Admission {
             queue_depth: queue_depth.max(1),
             quota: quota.max(1),
-            concurrency: concurrency.max(1),
             state: Mutex::new(State::default()),
             wake: Condvar::new(),
         }
@@ -204,7 +196,7 @@ impl Admission {
         *state.inflight.entry(client.to_string()).or_insert(0) += 1;
         state.queued += 1;
         state.admitted += 1;
-        state.promote(self.concurrency);
+        state.promote();
         drop(state);
         self.wake.notify_all();
         Ok(Ticket {
@@ -226,7 +218,7 @@ impl Admission {
     /// Call after [`Admission::shutdown`] to drain.
     pub fn wait_idle(&self) {
         let mut state = self.lock();
-        while state.queued + state.running > 0 {
+        while state.queued > 0 || state.slot.is_some() {
             state = self.wake.wait(state).unwrap_or_else(|e| e.into_inner());
         }
     }
@@ -236,7 +228,7 @@ impl Admission {
         let state = self.lock();
         AdmissionStats {
             queued: state.queued,
-            running: state.running,
+            running: usize::from(state.slot.is_some()),
             shed_queue_full: state.shed_queue_full,
             shed_quota: state.shed_quota,
             shed_shutdown: state.shed_shutdown,
@@ -247,20 +239,20 @@ impl Admission {
 
     fn release(&self, client: &str) {
         let mut state = self.lock();
-        state.running -= 1;
+        state.slot = None;
         if let Some(count) = state.inflight.get_mut(client) {
             *count -= 1;
         }
-        state.promote(self.concurrency);
+        state.promote();
         drop(state);
         self.wake.notify_all();
     }
 
     fn withdraw(&self, id: u64, client: &str) {
         let mut state = self.lock();
-        if state.runnable.remove(&id) {
-            // Promoted but never picked up: it held a run slot.
-            state.running -= 1;
+        if state.slot == Some(id) {
+            // Promoted but never picked up: it held the run slot.
+            state.slot = None;
         } else {
             // Still queued: pull it out of its client's FIFO.
             if let Some(queue) = state.queues.get_mut(client) {
@@ -273,7 +265,7 @@ impl Admission {
         if let Some(count) = state.inflight.get_mut(client) {
             *count -= 1;
         }
-        state.promote(self.concurrency);
+        state.promote();
         drop(state);
         self.wake.notify_all();
     }
@@ -293,14 +285,13 @@ impl Ticket {
     /// Blocks until this ticket holds a run slot.
     pub fn acquire(mut self) -> RunningPermit {
         let mut state = self.admission.lock();
-        while !state.runnable.contains(&self.id) {
+        while state.slot != Some(self.id) {
             state = self
                 .admission
                 .wake
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
         }
-        state.runnable.remove(&self.id);
         drop(state);
         self.resolved = true;
         RunningPermit {
@@ -318,8 +309,8 @@ impl Drop for Ticket {
     }
 }
 
-/// A held run slot; dropping it releases the slot and promotes the next
-/// queued ticket.
+/// The held run slot; dropping it releases the slot and promotes the
+/// next queued ticket.
 #[derive(Debug)]
 pub struct RunningPermit {
     admission: Arc<Admission>,
@@ -338,7 +329,7 @@ mod tests {
 
     #[test]
     fn single_client_fifo_order() {
-        let adm = Arc::new(Admission::new(8, 8, 1));
+        let adm = Arc::new(Admission::new(8, 8));
         let t1 = adm.try_enqueue("a").unwrap();
         let t2 = adm.try_enqueue("a").unwrap();
         let p1 = t1.acquire(); // promoted immediately (slot free)
@@ -354,9 +345,9 @@ mod tests {
 
     #[test]
     fn queue_depth_sheds_beyond_bound() {
-        // Concurrency 1: first ticket takes the slot, next two wait,
+        // First ticket takes the slot, next two wait,
         // fourth is shed (queue_depth 2 counts only *waiting* tickets).
-        let adm = Arc::new(Admission::new(2, 8, 1));
+        let adm = Arc::new(Admission::new(2, 8));
         let _t1 = adm.try_enqueue("a").unwrap();
         let _t2 = adm.try_enqueue("b").unwrap();
         let _t3 = adm.try_enqueue("c").unwrap();
@@ -367,7 +358,7 @@ mod tests {
 
     #[test]
     fn per_client_quota_rejects_before_queue_depth() {
-        let adm = Arc::new(Admission::new(64, 2, 1));
+        let adm = Arc::new(Admission::new(64, 2));
         let _t1 = adm.try_enqueue("a").unwrap();
         let _t2 = adm.try_enqueue("a").unwrap();
         let err = adm.try_enqueue("a").unwrap_err();
@@ -388,7 +379,7 @@ mod tests {
         // Client a floods 3 tickets, then b submits 1. Grant order must
         // be a, b, a, a — b's first ticket is served after exactly one
         // of a's, not after all of them.
-        let adm = Arc::new(Admission::new(16, 16, 1));
+        let adm = Arc::new(Admission::new(16, 16));
         let a1 = adm.try_enqueue("a").unwrap(); // takes the slot
         let a2 = adm.try_enqueue("a").unwrap();
         let a3 = adm.try_enqueue("a").unwrap();
@@ -417,7 +408,7 @@ mod tests {
 
     #[test]
     fn shutdown_sheds_new_but_drains_admitted() {
-        let adm = Arc::new(Admission::new(8, 8, 1));
+        let adm = Arc::new(Admission::new(8, 8));
         let t1 = adm.try_enqueue("a").unwrap();
         adm.shutdown();
         assert_eq!(adm.try_enqueue("b").unwrap_err(), Reject::ShuttingDown);
@@ -432,7 +423,7 @@ mod tests {
 
     #[test]
     fn dropping_a_queued_ticket_withdraws_it() {
-        let adm = Arc::new(Admission::new(8, 8, 1));
+        let adm = Arc::new(Admission::new(8, 8));
         let t1 = adm.try_enqueue("a").unwrap();
         let t2 = adm.try_enqueue("a").unwrap();
         assert_eq!(adm.stats().queued, 1);
@@ -450,7 +441,7 @@ mod tests {
 
     #[test]
     fn dropping_a_promoted_but_unacquired_ticket_frees_the_slot() {
-        let adm = Arc::new(Admission::new(8, 8, 1));
+        let adm = Arc::new(Admission::new(8, 8));
         let t1 = adm.try_enqueue("a").unwrap(); // holds the slot
         assert_eq!(adm.stats().running, 1);
         drop(t1);
@@ -458,23 +449,5 @@ mod tests {
         // The slot is usable again.
         let t2 = adm.try_enqueue("b").unwrap();
         drop(t2.acquire());
-    }
-
-    #[test]
-    fn concurrency_two_runs_two_at_once() {
-        let adm = Arc::new(Admission::new(8, 8, 2));
-        let t1 = adm.try_enqueue("a").unwrap();
-        let t2 = adm.try_enqueue("b").unwrap();
-        let t3 = adm.try_enqueue("c").unwrap();
-        let p1 = t1.acquire();
-        let p2 = t2.acquire();
-        assert_eq!(adm.stats().running, 2);
-        assert_eq!(adm.stats().queued, 1);
-        drop(p1);
-        let p3 = t3.acquire();
-        assert_eq!(adm.stats().running, 2);
-        drop(p2);
-        drop(p3);
-        adm.wait_idle();
     }
 }

@@ -58,10 +58,6 @@ pub struct ServeConfig {
     /// Maximum queued + running batches per client identity (429
     /// beyond it).
     pub max_inflight_per_client: usize,
-    /// Batches executing simultaneously. The default of 1 runs batches
-    /// strictly in admission order; higher values trade that for
-    /// throughput (per-job artifacts stay deterministic either way).
-    pub concurrency: usize,
     /// Request-body cap in bytes (413 beyond it).
     pub max_body_bytes: usize,
 }
@@ -73,7 +69,6 @@ impl Default for ServeConfig {
             threads: 1,
             queue_depth: 16,
             max_inflight_per_client: 4,
-            concurrency: 1,
             max_body_bytes: crate::http::DEFAULT_MAX_BODY_BYTES,
         }
     }
@@ -121,7 +116,6 @@ impl Server {
         let admission = Arc::new(Admission::new(
             config.queue_depth,
             config.max_inflight_per_client,
-            config.concurrency,
         ));
         Ok(Server {
             listener,

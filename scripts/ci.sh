@@ -50,6 +50,15 @@ cmp "$SMOKE/t1.jsonl" "$SMOKE/t4.jsonl" \
 ./target/release/telemetry_check trace "$SMOKE/t1.jsonl"
 ./target/release/telemetry_check report "$SMOKE/t1.json"
 
+echo "==> unknown flag: a misspelt place flag exits non-zero naming it"
+if ./target/release/xplace place "$SMOKE/ci-smoke.aux" --max-iters 30 --multilevle \
+    -o "$SMOKE/misspelt.pl" >/dev/null 2>"$SMOKE/misspelt.err"; then
+    echo "FAIL: a misspelt flag was accepted" >&2
+    exit 1
+fi
+grep -q "unknown flag --multilevle" "$SMOKE/misspelt.err" \
+    || { echo "FAIL: a misspelt flag was rejected without naming it" >&2; cat "$SMOKE/misspelt.err" >&2; exit 1; }
+
 echo "==> blocked density leg: a 5000-cell place spans several NODE_BLOCK blocks"
 ./target/release/xplace synth ci-blocked 5000 --seed 3 --out "$SMOKE" >/dev/null
 for T in 1 2; do
@@ -90,7 +99,7 @@ cat > "$SMOKE/fail-suite.json" <<EOF
 "faults": [{"target": "crash", "kind": "gp_panic", "iteration": 5}]}
 EOF
 if ./target/release/xplace batch "$SMOKE/fail-suite.json" --threads 2 \
-    --report "$SMOKE/batch-fail.json" >"$SMOKE/batch-fail.out" 2>/dev/null; then
+    --report "$SMOKE/batch-fail.json" >"$SMOKE/batch-fail.out" 2>"$SMOKE/batch-fail.err"; then
     echo "FAIL: a batch with a failing job exited zero" >&2
     exit 1
 fi
@@ -99,6 +108,12 @@ grep -q "fine .*completed" "$SMOKE/batch-fail.out" \
 # The GP panic fires from the scheduler's job sink at the planned iteration.
 grep -q "crash .*FAILED .*injected failure at GP iteration 5" "$SMOKE/batch-fail.out" \
     || { echo "FAIL: the injected GP panic did not fail its job at iteration 5" >&2; exit 1; }
+# The job's FAILED line reports the injected panic; it must not also print.
+if grep -q "panicked at" "$SMOKE/batch-fail.err"; then
+    echo "FAIL: the injected GP panic printed a panic message" >&2
+    cat "$SMOKE/batch-fail.err" >&2
+    exit 1
+fi
 # An oversized grid override, and a design whose 1e-9-sized cells would
 # need ~1.8e19 fillers, each fail their own job with a named error; neither
 # may abort the process on the allocation.

@@ -12,6 +12,8 @@
 //! * `--threads 0` is rejected up front: the worker pool needs at least
 //!   one lane, and silently clamping would misreport the run's
 //!   configuration in telemetry.
+//! * A `--flag` outside the subcommand's own list is a hard error naming
+//!   it ([`only_flags`]): a misspelt flag must not run with the default.
 
 /// Returns the value following `flag`, `Ok(None)` when the flag is absent,
 /// or an error when the flag is present without a usable value.
@@ -31,6 +33,22 @@ pub fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String>
             Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
             _ => Err(format!("missing value for {flag}")),
         },
+    }
+}
+
+/// Rejects the first `--flag` in `args` that is not in `known`, naming it.
+/// No value starts with `--` (see [`flag_value`]), so every such token is
+/// a flag.
+pub fn only_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        Some(flag) => Err(format!(
+            "unknown flag {flag} (expected {})",
+            known.join(", ")
+        )),
+        None => Ok(()),
     }
 }
 
@@ -486,6 +504,30 @@ mod tests {
     }
 
     #[test]
+    fn only_flags_rejects_an_unknown_flag_by_name() {
+        let known = ["-o", "--max-iters", "--multilevel"];
+        assert_eq!(
+            only_flags(&argv(&["d.aux", "--max-iters", "30"]), &known),
+            Ok(())
+        );
+        assert_eq!(
+            only_flags(&argv(&["d.aux", "-o", "x.pl", "--multilevel"]), &known),
+            Ok(())
+        );
+        // Single-dash tokens are values (negative numbers) or short flags.
+        assert_eq!(only_flags(&argv(&["--max-iters", "-3"]), &known), Ok(()));
+        let err =
+            only_flags(&argv(&["d.aux", "--multilevle", "--thraeds", "3"]), &known).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown flag --multilevle (expected -o, --max-iters, --multilevel)"
+        );
+        // Exact match only: a known flag's prefix or extension is unknown.
+        assert!(only_flags(&argv(&["--max-iter"]), &known).is_err());
+        assert!(only_flags(&argv(&["--max-iters=30"]), &known).is_err());
+    }
+
+    #[test]
     fn has_flag_is_exact_match() {
         let args = argv(&["--baseline", "x"]);
         assert!(has_flag(&args, "--baseline"));
@@ -680,7 +722,11 @@ mod tests {
         assert_eq!(config.threads, 2);
         assert_eq!(config.queue_depth, 3);
         assert_eq!(config.max_inflight_per_client, 1);
-        assert_eq!(config.concurrency, 1, "defaults fill the rest");
+        assert_eq!(
+            config.max_body_bytes,
+            xplace_serve::ServeConfig::default().max_body_bytes,
+            "defaults fill the rest"
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The `xplace` command-line placer.
 //!
-//! Every subcommand and flag is listed once, in `usage()`, which prints
-//! when `xplace` runs with no arguments or an unknown subcommand.
+//! Every subcommand and flag is listed in `usage()`, which prints when
+//! `xplace` runs with no arguments or an unknown subcommand. Each
+//! subcommand rejects a `--flag` outside its own list, naming it.
 //!
 //! `place` reads a Bookshelf benchmark, runs global placement +
 //! legalization + detailed placement, reports the metrics the paper's
@@ -25,8 +26,8 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use xplace::cli::{
-    flag_value, has_flag, load_manifest, parse_batch_args, parse_explore_args, parse_flag,
-    parse_place_robust_args, parse_positional, parse_serve_args, parse_servectl_args,
+    flag_value, has_flag, load_manifest, only_flags, parse_batch_args, parse_explore_args,
+    parse_flag, parse_place_robust_args, parse_positional, parse_serve_args, parse_servectl_args,
     parse_submit_args, parse_threads, positional, ServeCtl,
 };
 use xplace::core::{
@@ -78,6 +79,28 @@ fn main() {
 }
 
 fn cmd_place(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    only_flags(
+        args,
+        &[
+            "-o",
+            "--density",
+            "--baseline",
+            "--max-iters",
+            "--seed",
+            "--threads",
+            "--multilevel",
+            "--coarse-iters",
+            "--trace",
+            "--report",
+            "--checkpoint-every",
+            "--checkpoint-file",
+            "--resume-from",
+            "--deadline-ns",
+            "--explore",
+            "--explore-generations",
+            "--explore-keep",
+        ],
+    )?;
     let aux = positional(args, 0).unwrap_or_else(|| usage());
     let density: f64 = parse_flag(args, "--density", 0.9)?;
     let out: PathBuf = flag_value(args, "-o")?
@@ -316,6 +339,7 @@ fn place_population(
 }
 
 fn cmd_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    only_flags(args, &["--threads", "--trace-dir", "--report", "--retries"])?;
     let parsed =
         parse_batch_args(args, xplace::parallel::available_threads())?.unwrap_or_else(|| usage());
     let mut manifest = load_manifest(&parsed.manifest)?;
@@ -329,6 +353,7 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         parsed.threads
     );
 
+    xplace::sched::fault::silence_injected_panics();
     let outcome = xplace::sched::run_batch(&manifest, parsed.threads);
     write_batch_outcome(
         &outcome.report,
@@ -393,6 +418,15 @@ fn write_batch_outcome(
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    only_flags(
+        args,
+        &[
+            "--addr",
+            "--threads",
+            "--queue-depth",
+            "--max-inflight-per-client",
+        ],
+    )?;
     let parsed = parse_serve_args(args, xplace::parallel::available_threads())?;
     let server = xplace::serve::Server::bind(parsed.to_config())?;
     println!(
@@ -403,12 +437,14 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         parsed.max_inflight_per_client
     );
     println!("endpoints: POST /batch, GET /stats, POST /shutdown");
+    xplace::sched::fault::silence_injected_panics();
     server.run()?;
     println!("drained; goodbye");
     Ok(())
 }
 
 fn cmd_submit(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    only_flags(args, &["--addr", "--client", "--trace-dir", "--report"])?;
     let parsed = parse_submit_args(args)?.unwrap_or_else(|| usage());
     // Parse locally first so a bad manifest is a clear local error, not a
     // wire rejection — then submit the raw text, not a re-rendering.
@@ -442,6 +478,7 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_servectl(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    only_flags(args, &["--addr"])?;
     let (action, addr) = parse_servectl_args(args)?.unwrap_or_else(|| usage());
     let client = xplace::serve::Client::new(addr);
     match action {
@@ -455,6 +492,10 @@ fn cmd_servectl(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_synth(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    only_flags(
+        args,
+        &["--out", "--seed", "--macros", "--nets", "--topology"],
+    )?;
     let name = positional(args, 0).unwrap_or_else(|| usage());
     let cells: usize = parse_positional(args, 1, "cells")?.unwrap_or_else(|| usage());
     let out: PathBuf = flag_value(args, "--out")?
@@ -480,6 +521,7 @@ fn cmd_synth(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    only_flags(args, &["--density"])?;
     let aux = positional(args, 0).unwrap_or_else(|| usage());
     let density: f64 = parse_flag(args, "--density", 0.9)?;
     let design = bookshelf::read_aux(Path::new(aux), density)?;
@@ -492,6 +534,7 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_plot(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    only_flags(args, &["-o", "--nets", "--density"])?;
     let aux = positional(args, 0).unwrap_or_else(|| usage());
     let out: PathBuf = flag_value(args, "-o")?
         .map(PathBuf::from)

@@ -276,9 +276,14 @@ fn batch_cli_exits_nonzero_when_a_job_fails() {
     );
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("FAILED"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
-        String::from_utf8_lossy(&output.stderr).contains("1 of 2 job(s) failed"),
+        stderr.contains("1 of 2 job(s) failed"),
         "stderr must summarize the failure"
+    );
+    assert!(
+        !stderr.contains("panicked at"),
+        "the injected panic must not print: {stderr}"
     );
     // The report is still written, with exactly one failed record.
     let report = xplace::telemetry::BatchReport::from_json_str(
@@ -324,6 +329,21 @@ fn batch_cli_fails_an_oversized_grid_job_by_name() {
     );
     assert!(line("fine").contains("completed"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn place_cli_rejects_a_misspelt_flag_by_name() {
+    // The flag is checked before the design is read, so no file is needed.
+    let output = std::process::Command::new(xplace_bin())
+        .args(["place", "missing.aux", "--max-iters", "30", "--multilevle"])
+        .output()
+        .expect("spawn xplace place");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("unknown flag --multilevle"),
+        "stderr must name the flag: {stderr}"
+    );
 }
 
 #[test]

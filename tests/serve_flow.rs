@@ -403,11 +403,11 @@ fn wire_deadline_header_caps_every_job_of_the_batch() {
 
 #[test]
 fn mid_stream_disconnect_skips_that_clients_remaining_jobs_only() {
-    // threads=1 serializes the disconnected batch's jobs; concurrency=2
-    // lets a sibling batch run at the same time to prove isolation.
+    // threads=1 serializes the disconnected batch's jobs. The daemon
+    // runs one batch at a time, so a sibling batch submitted after the
+    // disconnect runs once the quitter's batch has drained.
     let (client, handle) = serve(ServeConfig {
         threads: 1,
-        concurrency: 2,
         ..Default::default()
     });
     let manifest_text = r#"{"jobs": [
@@ -438,8 +438,8 @@ fn mid_stream_disconnect_skips_that_clients_remaining_jobs_only() {
     }
     drop(socket); // mid-stream disconnect
 
-    // A sibling client's batch, running concurrently, is unaffected —
-    // byte-identical to an undisturbed run.
+    // A sibling client's batch, which runs after the quitter's batch, is
+    // unaffected — byte-identical to an undisturbed run.
     let sibling = client
         .clone()
         .with_identity("steady")
