@@ -16,23 +16,21 @@
 //! materializing the half spectrum.
 //!
 //! The transform body is written once, generically over [`LaneMath`], the
-//! eight-lane arithmetic it needs (add, sub, mul, negate, broadcast). It is
-//! instantiated twice: on [`Lanes`] (eight scalar operations per step, the
-//! portable path) and, on x86-64 hosts with AVX-512F, on one `__m512d`
-//! register per sample row. The vector path uses only
-//! `_mm512_{add,sub,mul}_pd`, a sign-bit XOR for negation and broadcasts —
-//! never FMA — in the same order as the scalar path, so every lane returns
-//! the scalar bits by construction. [`DctTile::from_plan`] picks the path
-//! once, by runtime feature detection.
+//! shared eight-lane arithmetic of `xplace-parallel`, and run through
+//! [`LanePath::dispatch`]: on scalar lanes (the portable path) or, on
+//! x86-64 hosts with AVX-512F, on one `__m512d` register per sample row.
+//! The body uses only add, sub, mul, a sign-bit negation and broadcasts —
+//! never FMA — so every lane returns the scalar bits by construction.
+//! [`DctTile::from_plan`] picks the path once, by runtime feature
+//! detection.
 
 use crate::{Complex, DctPlan, FftError};
+pub(crate) use xplace_parallel::lanes::Lanes;
+use xplace_parallel::lanes::{LaneKernel, LaneMath, LanePath, LANES};
 
 /// Number of independent transforms carried by one [`DctTile`] call — one
 /// per SIMD lane.
-pub const TILE_LANES: usize = 8;
-
-/// One sample of every lane in a tile.
-pub(crate) type Lanes = [f64; TILE_LANES];
+pub const TILE_LANES: usize = LANES;
 
 /// One complex sample of every lane in a tile. Aligned so that each half is
 /// one 64-byte row.
@@ -48,79 +46,6 @@ impl CLanes {
         re: [0.0; TILE_LANES],
         im: [0.0; TILE_LANES],
     };
-}
-
-/// The eight-lane arithmetic the transform body is written in. Every
-/// method is one IEEE operation per lane (no fusion, no reassociation), so
-/// any two implementations return the same bits lane for lane.
-///
-/// The methods and the generic body are `#[inline(always)]` so that the
-/// AVX-512 entry points compile all of it, intrinsics included, with the
-/// `avx512f` feature; an out-of-line call would lose it.
-trait LaneMath: Copy {
-    /// Every lane set to `x`.
-    fn splat(x: f64) -> Self;
-    /// One sample row.
-    fn load(x: &Lanes) -> Self;
-    /// Writes every lane to `out`.
-    fn store(self, out: &mut Lanes);
-    fn add(self, rhs: Self) -> Self;
-    fn sub(self, rhs: Self) -> Self;
-    fn mul(self, rhs: Self) -> Self;
-    /// `-self`: flips each lane's sign bit.
-    fn neg(self) -> Self;
-}
-
-impl LaneMath for Lanes {
-    #[inline(always)]
-    fn splat(x: f64) -> Self {
-        [x; TILE_LANES]
-    }
-    #[inline(always)]
-    fn load(x: &Lanes) -> Self {
-        *x
-    }
-    #[inline(always)]
-    fn store(self, out: &mut Lanes) {
-        *out = self;
-    }
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        std::array::from_fn(|l| self[l] + rhs[l])
-    }
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        std::array::from_fn(|l| self[l] - rhs[l])
-    }
-    #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
-        std::array::from_fn(|l| self[l] * rhs[l])
-    }
-    #[inline(always)]
-    fn neg(self) -> Self {
-        self.map(|x| -x)
-    }
-}
-
-/// Which [`LaneMath`] instantiation a tile runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LanePath {
-    /// Eight scalar operations per step; every target.
-    Scalar,
-    /// One AVX-512F register per sample row.
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-impl LanePath {
-    /// The fastest path this CPU runs.
-    fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return LanePath::Avx512;
-        }
-        LanePath::Scalar
-    }
 }
 
 /// A lane-batched plan for the DCT/DST family of a fixed power-of-two
@@ -261,12 +186,12 @@ impl DctTile {
         load: impl Fn(usize) -> Lanes,
         store: impl FnMut(usize, Lanes),
     ) {
-        match self.path {
-            LanePath::Scalar => self.analyze_body::<Lanes>(load, store),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `path` is `Avx512` only when `avx512f` was detected.
-            LanePath::Avx512 => unsafe { avx512::analyze(self, load, store) },
-        }
+        self.path.dispatch(Transform {
+            tile: self,
+            kind: Kind::Analyze,
+            load,
+            store,
+        });
     }
 
     /// Cosine synthesis; `load`/`store` as in [`Self::analyze_with`], with
@@ -276,12 +201,12 @@ impl DctTile {
         load: impl Fn(usize) -> Lanes,
         store: impl FnMut(usize, Lanes),
     ) {
-        match self.path {
-            LanePath::Scalar => self.cosine_body::<Lanes>(load, store),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `analyze_with`.
-            LanePath::Avx512 => unsafe { avx512::cosine(self, load, store) },
-        }
+        self.path.dispatch(Transform {
+            tile: self,
+            kind: Kind::Cosine,
+            load,
+            store,
+        });
     }
 
     /// Sine synthesis (`idxst`); `load`/`store` as in
@@ -291,12 +216,12 @@ impl DctTile {
         load: impl Fn(usize) -> Lanes,
         store: impl FnMut(usize, Lanes),
     ) {
-        match self.path {
-            LanePath::Scalar => self.sine_body::<Lanes>(load, store),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `analyze_with`.
-            LanePath::Avx512 => unsafe { avx512::sine(self, load, store) },
-        }
+        self.path.dispatch(Transform {
+            tile: self,
+            kind: Kind::Sine,
+            load,
+            store,
+        });
     }
 
     #[inline(always)]
@@ -435,6 +360,41 @@ impl DctTile {
     }
 }
 
+/// Which transform a [`Transform`] kernel runs.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Analyze,
+    Cosine,
+    Sine,
+}
+
+/// One tile transform as a [`LaneKernel`], so [`LanePath::dispatch`] runs
+/// it on the tile's lane arithmetic.
+struct Transform<'a, L, S> {
+    tile: &'a mut DctTile,
+    kind: Kind,
+    load: L,
+    store: S,
+}
+
+impl<L: Fn(usize) -> Lanes, S: FnMut(usize, Lanes)> LaneKernel for Transform<'_, L, S> {
+    type Output = ();
+    #[inline(always)]
+    fn run<V: LaneMath>(self) {
+        let Transform {
+            tile,
+            kind,
+            load,
+            store,
+        } = self;
+        match kind {
+            Kind::Analyze => tile.analyze_body::<V>(load, store),
+            Kind::Cosine => tile.cosine_body::<V>(load, store),
+            Kind::Sine => tile.sine_body::<V>(load, store),
+        }
+    }
+}
+
 /// `v` spilled to one sample row.
 #[inline(always)]
 fn lanes<V: LaneMath>(v: V) -> Lanes {
@@ -480,111 +440,6 @@ fn butterflies<V: LaneMath>(z: &mut [CLanes], twiddles: &[Complex], inverse: boo
         }
         tw_base += half;
         half *= 2;
-    }
-}
-
-/// The AVX-512F instantiation: one `__m512d` per sample row.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::{DctTile, LaneMath, Lanes};
-    use std::arch::x86_64::{
-        __m512d, _mm512_add_pd, _mm512_castpd_si512, _mm512_castsi512_pd, _mm512_loadu_pd,
-        _mm512_mul_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_storeu_pd, _mm512_sub_pd,
-        _mm512_xor_si512,
-    };
-
-    /// Eight lanes in one AVX-512 register.
-    ///
-    /// Only the `#[target_feature(enable = "avx512f")]` functions below
-    /// create and use values of this type, and they are called only once
-    /// `avx512f` has been detected, so the `unsafe` blocks in its methods
-    /// never run on a CPU without AVX-512F.
-    #[derive(Clone, Copy)]
-    struct V(__m512d);
-
-    impl LaneMath for V {
-        #[inline(always)]
-        fn splat(x: f64) -> Self {
-            // SAFETY: see the type's documentation.
-            V(unsafe { _mm512_set1_pd(x) })
-        }
-        #[inline(always)]
-        fn load(x: &Lanes) -> Self {
-            // SAFETY: `x` is eight readable doubles; see the type's
-            // documentation for the feature.
-            V(unsafe { _mm512_loadu_pd(x.as_ptr()) })
-        }
-        #[inline(always)]
-        fn store(self, out: &mut Lanes) {
-            // SAFETY: `out` is eight writable doubles; see the type's
-            // documentation for the feature.
-            unsafe { _mm512_storeu_pd(out.as_mut_ptr(), self.0) }
-        }
-        #[inline(always)]
-        fn add(self, rhs: Self) -> Self {
-            // SAFETY: see the type's documentation.
-            V(unsafe { _mm512_add_pd(self.0, rhs.0) })
-        }
-        #[inline(always)]
-        fn sub(self, rhs: Self) -> Self {
-            // SAFETY: see the type's documentation.
-            V(unsafe { _mm512_sub_pd(self.0, rhs.0) })
-        }
-        #[inline(always)]
-        fn mul(self, rhs: Self) -> Self {
-            // SAFETY: see the type's documentation.
-            V(unsafe { _mm512_mul_pd(self.0, rhs.0) })
-        }
-        #[inline(always)]
-        fn neg(self) -> Self {
-            // SAFETY: see the type's documentation.
-            V(unsafe {
-                let sign = _mm512_set1_epi64(i64::MIN);
-                _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(self.0), sign))
-            })
-        }
-    }
-
-    /// [`DctTile::analyze_with`] on AVX-512F.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `avx512f`.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn analyze(
-        tile: &mut DctTile,
-        load: impl Fn(usize) -> Lanes,
-        store: impl FnMut(usize, Lanes),
-    ) {
-        tile.analyze_body::<V>(load, store);
-    }
-
-    /// [`DctTile::cosine_with`] on AVX-512F.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `avx512f`.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn cosine(
-        tile: &mut DctTile,
-        load: impl Fn(usize) -> Lanes,
-        store: impl FnMut(usize, Lanes),
-    ) {
-        tile.cosine_body::<V>(load, store);
-    }
-
-    /// [`DctTile::sine_with`] on AVX-512F.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `avx512f`.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn sine(
-        tile: &mut DctTile,
-        load: impl Fn(usize) -> Lanes,
-        store: impl FnMut(usize, Lanes),
-    ) {
-        tile.sine_body::<V>(load, store);
     }
 }
 
@@ -650,7 +505,7 @@ mod tests {
                 let input: Vec<f64> = (0..n * TILE_LANES)
                     .map(|i| sample(&mut rng, classes[i % TILE_LANES]))
                     .collect();
-                let want = transforms(LanePath::Scalar, n, &input);
+                let want = transforms(LanePath::scalar(), n, &input);
                 let got = transforms(LanePath::detect(), n, &input);
                 for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                     // NaN payloads are not fixed by Rust; NaN only has to
@@ -668,11 +523,11 @@ mod tests {
     fn dispatch_takes_avx512_whenever_the_cpu_has_it() {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx512f") {
-            assert_eq!(DctTile::new(64).unwrap().path, LanePath::Avx512);
-            assert_eq!(DctTile::cached(64).unwrap().path, LanePath::Avx512);
+            assert_ne!(DctTile::new(64).unwrap().path, LanePath::scalar());
+            assert_ne!(DctTile::cached(64).unwrap().path, LanePath::scalar());
             return;
         }
-        assert_eq!(DctTile::new(64).unwrap().path, LanePath::Scalar);
+        assert_eq!(DctTile::new(64).unwrap().path, LanePath::scalar());
     }
 
     #[test]

@@ -18,45 +18,59 @@ use std::ops::Range;
 use crate::{OpsError, PlacementModel};
 use xplace_device::{Device, KernelInfo};
 use xplace_fft::{ElectrostaticSolver, FieldSolution, Grid2};
+use xplace_parallel::lanes::{first_lanes, LaneKernel, LaneMath, LanePath, Lanes, Mask, LANES};
 
 const SQRT2: f64 = std::f64::consts::SQRT_2;
 
 /// Fixed node-block size for the blocked parallel density accumulation.
 ///
 /// Like `xplace_ops::wirelength::NET_BLOCK`, the block grid depends only on
-/// the model's node ranges — never the thread count. Each block produces a
-/// sparse partial, the `(bin, value)` pairs its nodes touched, and the
-/// partials merge into the map in block order, so every bin receives the
-/// same additions in the same order for every `threads` value. Designs
-/// whose ranges all fit in a single block take the direct serial
-/// accumulation path (no partials at all).
+/// the model's node ranges — never the thread count. Every bin receives one
+/// sum per block that touches it, summed over the block's nodes in index
+/// order, and the block sums are added into the map in block order, so
+/// every bin receives the same additions in the same order for every
+/// `threads` value. A pass whose ranges all fit in a single block is one
+/// block: it accumulates straight into the map, serially.
 pub const NODE_BLOCK: usize = 2048;
 
-/// `v.floor().max(0.0) as usize` without the libm call: `as` truncates
-/// toward zero and saturates (NaN and negatives to 0, overflow to
-/// `usize::MAX`), which gives the same index for every `f64`.
-#[inline]
-fn floor_idx(v: f64) -> usize {
-    v as usize
+/// `2^52`: adding and then subtracting it rounds a value in `[0, 2^52)` to
+/// the nearest integer, exactly.
+const ROUND: f64 = 4_503_599_627_370_496.0;
+
+/// `v` clamped to `[0, n]`, with NaN mapped to 0 (like a saturating
+/// cast), and that value rounded to the nearest integer: `(clamped,
+/// rounded)`, both exact.
+#[inline(always)]
+fn clamp_round<V: LaneMath>(v: V, n: V) -> (V, V) {
+    let zero = V::splat(0.0);
+    let c = V::select(v.gt(zero), v, zero);
+    let c = V::select(c.lt(n), c, n);
+    (c, c.add(V::splat(ROUND)).sub(V::splat(ROUND)))
 }
 
-/// `v.ceil() as usize` without the libm call: the saturating truncation,
-/// plus one (saturating) when it dropped a positive fraction.
-#[inline]
-fn ceil_idx(v: f64) -> usize {
-    let t = v as usize;
-    if (t as f64) < v {
-        t.saturating_add(1)
-    } else {
-        t
-    }
+/// `min(v.floor().max(0.0) as usize, n)` on every lane, as an exact
+/// integer: the first bin a footprint starting at `v` (in bins) overlaps,
+/// clipped to a grid side `n`.
+#[inline(always)]
+fn bin_floor<V: LaneMath>(v: V, n: V) -> V {
+    let (c, r) = clamp_round(v, n);
+    V::select(r.gt(c), r.sub(V::splat(1.0)), r)
+}
+
+/// `min(v.ceil() as usize, n)` on every lane, as an exact integer: one past
+/// the last bin a footprint ending at `v` overlaps, clipped to `n`.
+#[inline(always)]
+fn bin_ceil<V: LaneMath>(v: V, n: V) -> V {
+    let (c, r) = clamp_round(v, n);
+    V::select(r.lt(c), r.add(V::splat(1.0)), r)
 }
 
 /// The loop-invariant inputs of one accumulation pass over a model.
 struct Stamp<'a> {
     model: &'a PlacementModel,
-    /// Movable nodes, which are smoothed (fillers are too).
-    smooth: Range<usize>,
+    /// End of the movable nodes `0..movable_end`, which are smoothed
+    /// (fillers are too).
+    movable_end: usize,
     filler_start: usize,
     target: f64,
     region: xplace_db::Rect,
@@ -67,13 +81,55 @@ struct Stamp<'a> {
     ny: usize,
 }
 
+/// The part of a node's stamp that does not depend on the bin: its
+/// (smoothed) extent, its charge scale and the bins it may overlap.
+#[derive(Debug, Clone, Copy)]
+struct Footprint {
+    lx: f64,
+    ux: f64,
+    ly: f64,
+    uy: f64,
+    scale: f64,
+    /// Grid columns `cols[0]..cols[1]`, a non-empty range inside the grid.
+    cols: [u32; 2],
+    /// Grid rows `rows[0]..rows[1]`, a non-empty range inside the grid.
+    rows: [u32; 2],
+}
+
+/// Eight nodes' footprints, as computed on lanes by [`Stamp::footprints`].
+struct Footprints {
+    /// The lanes of the nodes that overlap a bin.
+    hit: Mask,
+    /// `[lx, ux, ly, uy, scale, bx0, bx1, by0, by1]`, one row per lane, the
+    /// bin bounds as exact integers.
+    lanes: [Lanes; 9],
+}
+
+impl Footprints {
+    /// The footprint of lane `l`, a lane of `hit`.
+    #[inline(always)]
+    fn get(&self, l: usize) -> Footprint {
+        let v = &self.lanes;
+        // The bin bounds are integers in `0..=grid side`, exact in a `u32`.
+        Footprint {
+            lx: v[0][l],
+            ux: v[1][l],
+            ly: v[2][l],
+            uy: v[3][l],
+            scale: v[4][l],
+            cols: [v[5][l] as u32, v[6][l] as u32],
+            rows: [v[7][l] as u32, v[8][l] as u32],
+        }
+    }
+}
+
 impl<'a> Stamp<'a> {
     fn new(model: &'a PlacementModel, nx: usize, ny: usize) -> Self {
         let (bin_w, bin_h) = (model.bin_w(), model.bin_h());
         let ranges = model.ranges();
         Stamp {
             model,
-            smooth: ranges.movable,
+            movable_end: ranges.movable.end,
             filler_start: ranges.filler.start,
             target: model.target_density(),
             region: model.region(),
@@ -85,136 +141,266 @@ impl<'a> Stamp<'a> {
         }
     }
 
-    /// Accumulates node `i`'s (smoothed) footprint, calling `add(bin,
-    /// value)` for every bin it overlaps, where `bin = bx * ny + by` is the
-    /// [`Grid2`] sample index.
+    /// The footprints of nodes `i..i + LANES` (those below `end`) that
+    /// overlap a bin of grid columns `cols`, computed on `V` lanes, or
+    /// `None` when no node does (see [`Footprints`]).
     ///
     /// ePlace cell smoothing for movable cells and fillers: inflate to at
     /// least sqrt(2) x bin size, scale the charge so area is conserved.
     /// Fixed macros keep their footprint but contribute exactly the target
     /// density (DREAMPlace's convention) — otherwise every macro bin sits
     /// at density 1 > D_t and creates an irreducible overflow floor.
-    #[inline]
-    fn accumulate_node(&self, i: usize, mut add: impl FnMut(usize, f64)) {
-        let model = self.model;
-        let (w, h) = (model.w[i], model.h[i]);
-        if w <= 0.0 || h <= 0.0 {
-            return; // terminals
+    /// Terminals (zero width or height) overlap nothing.
+    #[inline(always)]
+    fn footprints<V: LaneMath>(
+        &self,
+        i: usize,
+        end: usize,
+        cols: &Range<usize>,
+    ) -> Option<Footprints> {
+        let m = self.model;
+        let (zero, half) = (V::splat(0.0), V::splat(0.5));
+        let live = first_lanes(end - i);
+        let smooth = first_lanes(self.movable_end.saturating_sub(i))
+            | !first_lanes(self.filler_start.saturating_sub(i));
+        // The x extent first: a stripe skips the rest for nodes outside
+        // its columns. No closure here: a closure would not inherit the
+        // AVX-512 feature.
+        let x = V::load_masked(&m.x[i..], live);
+        let w = V::load_masked(&m.w[i..], live);
+        let we = V::select(smooth, w.max(V::splat(SQRT2 * self.bin_w)), w);
+        let (lx, ux) = (x.sub(we.mul(half)), x.add(we.mul(half)));
+        let (left, bin_w, nx) = (
+            V::splat(self.region.lx),
+            V::splat(self.bin_w),
+            V::splat(self.nx as f64),
+        );
+        let bx0 = bin_floor(lx.sub(left).div(bin_w), nx);
+        let bx1 = bin_ceil(ux.sub(left).div(bin_w), nx);
+        let (first, last) = (V::splat(cols.start as f64), V::splat(cols.end as f64));
+        let mine = live & !w.le(zero) & bx0.lt(bx1) & bx0.lt(last) & bx1.gt(first);
+        if mine == 0 {
+            return None;
         }
-        let (bin_w, bin_h, region) = (self.bin_w, self.bin_h, self.region);
-        let smoothed = self.smooth.contains(&i) || i >= self.filler_start;
-        let (we, he, scale) = if smoothed {
-            let we = w.max(SQRT2 * bin_w);
-            let he = h.max(SQRT2 * bin_h);
-            (we, he, (w * h) / (we * he))
-        } else {
-            (w, h, self.target)
-        };
-        let lx = model.x[i] - we * 0.5;
-        let ux = model.x[i] + we * 0.5;
-        let ly = model.y[i] - he * 0.5;
-        let uy = model.y[i] + he * 0.5;
-        let bx0 = floor_idx((lx - region.lx) / bin_w);
-        let bx1 = ceil_idx((ux - region.lx) / bin_w).min(self.nx);
-        let by0 = floor_idx((ly - region.ly) / bin_h);
-        let by1 = ceil_idx((uy - region.ly) / bin_h).min(self.ny);
-        for bx in bx0..bx1 {
-            let b_lx = region.lx + bx as f64 * bin_w;
-            let ox = (ux.min(b_lx + bin_w) - lx.max(b_lx)).max(0.0);
-            if ox == 0.0 {
-                continue;
+        let y = V::load_masked(&m.y[i..], live);
+        let h = V::load_masked(&m.h[i..], live);
+        let he = V::select(smooth, h.max(V::splat(SQRT2 * self.bin_h)), h);
+        let scale = V::select(smooth, w.mul(h).div(we.mul(he)), V::splat(self.target));
+        let (ly, uy) = (y.sub(he.mul(half)), y.add(he.mul(half)));
+        let (bottom, bin_h, ny) = (
+            V::splat(self.region.ly),
+            V::splat(self.bin_h),
+            V::splat(self.ny as f64),
+        );
+        let by0 = bin_floor(ly.sub(bottom).div(bin_h), ny);
+        let by1 = bin_ceil(uy.sub(bottom).div(bin_h), ny);
+        let hit = mine & !h.le(zero) & by0.lt(by1);
+        if hit == 0 {
+            return None;
+        }
+        let mut lanes = [[0.0; LANES]; 9];
+        for (out, v) in lanes
+            .iter_mut()
+            .zip([lx, ux, ly, uy, scale, bx0, bx1, by0, by1])
+        {
+            v.store(out);
+        }
+        Some(Footprints { hit, lanes })
+    }
+
+    /// Adds footprint `f`'s charge to columns `cols` of `dst`, the samples
+    /// of the grid columns from `base` on (`bin = (bx - base) * ny + by`).
+    ///
+    /// The node's rows go eight at a time on `V` lanes: their overlaps `oy`
+    /// are computed once, then every column, whose overlap `ox` is a scalar,
+    /// takes one masked read-modify-write, each lane adding
+    /// `((ox * oy) * scale) * inv_bin_area` to its bin, in the scalar order
+    /// and only where `oy > 0`. Every bin the node overlaps thus receives
+    /// exactly the scalar value.
+    #[inline(always)]
+    fn stamp<V: LaneMath>(&self, f: &Footprint, cols: Range<usize>, base: usize, dst: &mut [f64]) {
+        let (bin_w, region, ny) = (self.bin_w, self.region, self.ny);
+        let (rows, scale) = (f.rows[0] as usize..f.rows[1] as usize, V::splat(f.scale));
+        let (inv_area, zero) = (V::splat(self.inv_bin_area), V::splat(0.0));
+        let (uy, ly, bin_h) = (V::splat(f.uy), V::splat(f.ly), V::splat(self.bin_h));
+        let iota = V::load(&std::array::from_fn(|l| l as f64));
+        for by in rows.clone().step_by(LANES) {
+            // Row indices are below the grid side, so `by + l` is exact.
+            let b_ly = V::splat(region.ly).add(V::splat(by as f64).add(iota).mul(bin_h));
+            let oy = uy.min(b_ly.add(bin_h)).sub(ly.max(b_ly)).max(zero);
+            let live = first_lanes(rows.end - by) & oy.gt(zero);
+            for bx in cols.clone() {
+                let b_lx = region.lx + bx as f64 * bin_w;
+                let ox = (f.ux.min(b_lx + bin_w) - f.lx.max(b_lx)).max(0.0);
+                if ox == 0.0 {
+                    continue;
+                }
+                let value = V::splat(ox).mul(oy).mul(scale).mul(inv_area);
+                let bins = &mut dst[(bx - base) * ny + by..];
+                V::load_masked(bins, live)
+                    .add(value)
+                    .store_masked(bins, live);
             }
-            for by in by0..by1 {
-                let b_ly = region.ly + by as f64 * bin_h;
-                let oy = (uy.min(b_ly + bin_h) - ly.max(b_ly)).max(0.0);
-                if oy > 0.0 {
-                    add(bx * self.ny + by, ox * oy * scale * self.inv_bin_area);
+        }
+    }
+}
+
+/// The rectangle of stripe bins one block may have touched: columns
+/// `cols[0]..cols[1]` (stripe-relative) by rows `rows[0]..rows[1]`.
+#[derive(Debug, Clone, Copy)]
+struct Touched {
+    cols: [usize; 2],
+    rows: [usize; 2],
+}
+
+impl Touched {
+    const NONE: Touched = Touched {
+        cols: [usize::MAX, 0],
+        rows: [usize::MAX, 0],
+    };
+
+    fn extend(&mut self, cols: [usize; 2], rows: [u32; 2]) {
+        self.cols = [self.cols[0].min(cols[0]), self.cols[1].max(cols[1])];
+        self.rows = [
+            self.rows[0].min(rows[0] as usize),
+            self.rows[1].max(rows[1] as usize),
+        ];
+    }
+}
+
+/// One bin stripe of an accumulation pass, as a [`LaneKernel`]: the grid
+/// columns `cols`, whose samples are `map`, accumulated over every block
+/// in order.
+///
+/// A block's nodes are summed into `scratch` (the stripe's size, all
+/// `+0.0` between blocks) over the columns of the stripe, and the block
+/// sums are then added into `map` over the rectangle the block touched,
+/// re-zeroing it. Until a block touches the stripe, `map` is all `+0.0`,
+/// so that block stamps straight into `map`: `+0.0 + s` is `s`, since a
+/// sum started from `+0.0` is never `-0.0`. An untouched bin inside the
+/// rectangle adds `+0.0` to a bin that is not `-0.0`, which changes no bit.
+struct Stripe<'a> {
+    stamp: &'a Stamp<'a>,
+    blocks: &'a [Range<usize>],
+    cols: Range<usize>,
+    map: &'a mut [f64],
+    scratch: &'a mut [f64],
+}
+
+impl LaneKernel for &mut Stripe<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: LaneMath>(self) {
+        let Stripe {
+            stamp,
+            blocks,
+            cols,
+            map,
+            scratch,
+        } = self;
+        let cols = cols.clone();
+        let ny = stamp.ny;
+        let mut direct = true;
+        for block in blocks.iter() {
+            let dst = if direct { &mut *map } else { &mut *scratch };
+            let mut touched = Touched::NONE;
+            for i in block.clone().step_by(LANES) {
+                let Some(lanes) = stamp.footprints::<V>(i, block.end, &cols) else {
+                    continue;
+                };
+                let mut hit = lanes.hit;
+                while hit != 0 {
+                    let f = lanes.get(hit.trailing_zeros() as usize);
+                    hit &= hit - 1;
+                    let mine =
+                        (f.cols[0] as usize).max(cols.start)..(f.cols[1] as usize).min(cols.end);
+                    stamp.stamp::<V>(&f, mine.clone(), cols.start, dst);
+                    touched.extend([mine.start - cols.start, mine.end - cols.start], f.rows);
                 }
             }
+            let Touched {
+                cols: [c0, c1],
+                rows: [r0, r1],
+            } = touched;
+            if c0 >= c1 {
+                continue;
+            }
+            if !direct {
+                for c in c0..c1 {
+                    let at = c * ny + r0..c * ny + r1;
+                    for (m, s) in map[at.clone()].iter_mut().zip(&mut scratch[at]) {
+                        *m += *s;
+                        *s = 0.0;
+                    }
+                }
+            }
+            direct = false;
         }
     }
 }
 
-/// Accumulates the nodes of `block` into `scratch` and moves the sums out
-/// as the block's sparse partial: each bin the block touched, in
-/// first-touch order, with the block's sum for it.
-///
-/// `scratch` must be all `+0.0` on entry and is all `+0.0` again on return.
-/// A bin is recorded when it goes from zero to non-zero. An unrecorded bin
-/// only ever summed to `+0.0`, which a full-grid partial would have merged
-/// for nothing: a map bin starts at `+0.0` and, summed from there, is never
-/// `-0.0`, so adding `+0.0` changes no bit. The same argument covers a bin
-/// recorded twice (its second entry reads `+0.0`).
-fn sparse_partial(
-    stamp: &Stamp,
-    block: Range<usize>,
-    scratch: &mut [f64],
-    partial: &mut Vec<(usize, f64)>,
-) {
-    partial.clear();
-    for i in block {
-        stamp.accumulate_node(i, |k, v| {
-            let old = scratch[k];
-            scratch[k] = old + v;
-            if old == 0.0 && scratch[k] != 0.0 {
-                partial.push((k, 0.0));
-            }
-        });
-    }
-    for (k, v) in partial.iter_mut() {
-        *v = std::mem::replace(&mut scratch[*k], 0.0);
-    }
-}
-
-/// The reusable state of the blocked accumulation, grown on first use and
-/// kept across calls so a launch allocates no grid.
+/// One scratch per stripe of the striped accumulation, the stripe's size
+/// and all `+0.0` between blocks, grown on first use and kept across calls
+/// so a launch allocates no grid.
 #[derive(Debug, Default)]
 struct BlockWorkspace {
-    /// One dense `nx * ny` scratch grid per task, all `+0.0` between
-    /// blocks.
     scratch: Vec<Vec<f64>>,
-    /// One sparse partial per node block (see [`sparse_partial`]).
-    partials: Vec<Vec<(usize, f64)>>,
 }
 
 impl BlockWorkspace {
-    /// Accumulates `blocks` into `cells` (the map's samples): each of at
-    /// most `threads` tasks turns a fixed contiguous run of blocks into
-    /// sparse partials on its own scratch grid, then the partials merge in
-    /// block order. Every bin thus receives the same additions in the same
-    /// order as merging one full-grid partial per block, for any `threads`.
+    /// Accumulates `blocks` into `cells`, the map's samples, which must be
+    /// all `+0.0`.
+    ///
+    /// Each of at most `threads` tasks owns a contiguous stripe of grid
+    /// columns and runs every block over it ([`Stripe`]), computing the
+    /// footprints eight nodes at a time on lanes and stamping those that
+    /// overlap its columns. A single block keeps one stripe and launches
+    /// nothing (its stamps go straight into the map).
     fn accumulate(
         &mut self,
         stamp: &Stamp,
+        lanes: LanePath,
         blocks: &[Range<usize>],
         threads: usize,
         cells: &mut [f64],
     ) {
-        let tasks = threads.min(blocks.len()).max(1);
-        let run = blocks.len().div_ceil(tasks);
-        if self.scratch.len() < tasks {
-            self.scratch.resize_with(tasks, || vec![0.0; cells.len()]);
+        let (nx, ny) = (stamp.nx, stamp.ny);
+        let stripes = if blocks.len() > 1 {
+            threads.min(nx).max(1)
+        } else {
+            1
+        };
+        if blocks.len() > 1 && self.scratch.len() < stripes {
+            self.scratch.resize_with(stripes, Vec::new);
         }
-        if self.partials.len() < blocks.len() {
-            self.partials.resize_with(blocks.len(), Vec::new);
+        let mut states = Vec::with_capacity(stripes);
+        let mut rest = cells;
+        let mut scratch = self.scratch.iter_mut();
+        for s in 0..stripes {
+            let cols = s * nx / stripes..(s + 1) * nx / stripes;
+            let (map, tail) = rest.split_at_mut(cols.len() * ny);
+            rest = tail;
+            let scratch = match scratch.next() {
+                Some(v) => {
+                    // The values a scratch holds already are `+0.0`.
+                    if v.len() < map.len() {
+                        v.resize(map.len(), 0.0);
+                    }
+                    &mut v[..map.len()]
+                }
+                None => &mut [][..],
+            };
+            states.push(Stripe {
+                stamp,
+                blocks,
+                cols,
+                map,
+                scratch,
+            });
         }
-        let partials = &mut self.partials[..blocks.len()];
-        let mut states: Vec<_> = self
-            .scratch
-            .iter_mut()
-            .zip(blocks.chunks(run).zip(partials.chunks_mut(run)))
-            .collect();
-        xplace_parallel::global().run_mut(&mut states, tasks, |_, state| {
-            let (scratch, (blocks, partials)) = state;
-            for (block, partial) in blocks.iter().zip(partials.iter_mut()) {
-                sparse_partial(stamp, block.clone(), scratch, partial);
-            }
-        });
-        for partial in partials.iter() {
-            for &(k, v) in partial {
-                cells[k] += v;
-            }
-        }
+        // One stripe runs inline on the calling thread.
+        xplace_parallel::global().run_mut(&mut states, stripes, |_, stripe| lanes.dispatch(stripe));
     }
 }
 
@@ -240,8 +426,10 @@ pub struct DensityOp {
     /// Node-block size of the blocked decomposition (normally
     /// [`NODE_BLOCK`]; overridable for tests/benches).
     node_block: usize,
-    /// Scratch grids and sparse partials of the blocked path.
+    /// Stripe scratch of the blocked path.
     blocked: BlockWorkspace,
+    /// The lane arithmetic of the stamp.
+    lanes: LanePath,
 }
 
 /// Which node classes an accumulation pass covers.
@@ -272,6 +460,7 @@ impl DensityOp {
             threads: 1,
             node_block: NODE_BLOCK,
             blocked: BlockWorkspace::default(),
+            lanes: LanePath::detect(),
         })
     }
 
@@ -348,27 +537,27 @@ impl DensityOp {
             Subset::Fillers => vec![ranges.filler],
             Subset::All => vec![ranges.movable, ranges.fixed, ranges.filler],
         };
+        // Chop every range into fixed node_block-sized blocks (empty ranges
+        // contribute none). A pass that fits one block is one block: its
+        // ranges are adjacent (movable, fixed, fillers). The block grid is
+        // independent of `threads`, so the summation order — and the
+        // result — is bit-identical for any width.
         let node_block = self.node_block;
-        if node_range.iter().all(|r| r.len() <= node_block) {
-            for i in node_range.into_iter().flatten() {
-                stamp.accumulate_node(i, |k, v| cells[k] += v);
-            }
-            return;
-        }
-        // Blocked: chop every range into fixed node_block-sized blocks
-        // (empty ranges contribute none, so no worker ever runs over an
-        // empty slice). The block grid is independent of `threads`, so the
-        // summation order — and the result — is bit-identical for any width.
-        let blocks: Vec<Range<usize>> = node_range
-            .into_iter()
-            .flat_map(|r| {
-                let end = r.end;
-                r.step_by(node_block)
-                    .map(move |lo| lo..(lo + node_block).min(end))
-            })
-            .collect();
+        let blocks: Vec<Range<usize>> = if node_range.iter().all(|r| r.len() <= node_block) {
+            let pass = node_range[0].start..node_range[node_range.len() - 1].end;
+            vec![pass]
+        } else {
+            node_range
+                .into_iter()
+                .flat_map(|r| {
+                    let end = r.end;
+                    r.step_by(node_block)
+                        .map(move |lo| lo..(lo + node_block).min(end))
+                })
+                .collect()
+        };
         self.blocked
-            .accumulate(&stamp, &blocks, self.threads, cells);
+            .accumulate(&stamp, self.lanes, &blocks, self.threads, cells);
     }
 
     fn accumulation_kernel(name: &'static str, nodes: usize) -> KernelInfo {
@@ -660,7 +849,7 @@ mod tests {
         model.clamp_to_region();
     }
 
-    /// Inputs where the libm expressions and the index helpers could part:
+    /// Inputs where the libm expressions and the bin bounds could part:
     /// signed zeros, halves, exact integers, the edges of `f64` integer
     /// precision and of `usize`, huge, infinite, NaN and subnormal values.
     fn index_probes() -> Vec<f64> {
@@ -694,17 +883,102 @@ mod tests {
         probes
     }
 
-    #[test]
-    fn floor_idx_matches_libm_floor() {
-        for v in index_probes() {
-            assert_eq!(floor_idx(v), v.floor().max(0.0) as usize, "v = {v:e}");
+    /// `bin_floor` and `bin_ceil` of every probe on `path`, against a
+    /// grid side `n`.
+    struct BinBounds<'a> {
+        probes: &'a [f64],
+        n: f64,
+    }
+
+    impl LaneKernel for BinBounds<'_> {
+        type Output = Vec<(f64, f64)>;
+        #[inline(always)]
+        fn run<V: LaneMath>(self) -> Vec<(f64, f64)> {
+            let mut out = Vec::new();
+            for chunk in self.probes.chunks(LANES) {
+                let v = V::load_masked(chunk, first_lanes(chunk.len()));
+                let (mut lo, mut hi) = ([0.0; LANES], [0.0; LANES]);
+                bin_floor(v, V::splat(self.n)).store(&mut lo);
+                bin_ceil(v, V::splat(self.n)).store(&mut hi);
+                out.extend(lo.into_iter().zip(hi).take(chunk.len()));
+            }
+            out
         }
     }
 
     #[test]
-    fn ceil_idx_matches_libm_ceil() {
-        for v in index_probes() {
-            assert_eq!(ceil_idx(v), v.ceil() as usize, "v = {v:e}");
+    fn bin_bounds_match_libm_floor_and_ceil() {
+        let probes = index_probes();
+        for n in [1usize, 16, 256, 65_536] {
+            for path in [LanePath::scalar(), LanePath::detect()] {
+                let got = path.dispatch(BinBounds {
+                    probes: &probes,
+                    n: n as f64,
+                });
+                for (&v, (lo, hi)) in probes.iter().zip(got) {
+                    let floor = (v.floor().max(0.0) as usize).min(n);
+                    assert_eq!(
+                        lo.to_bits(),
+                        (floor as f64).to_bits(),
+                        "floor v = {v:e} n = {n}"
+                    );
+                    let ceil = (v.ceil() as usize).min(n);
+                    assert_eq!(
+                        hi.to_bits(),
+                        (ceil as f64).to_bits(),
+                        "ceil v = {v:e} n = {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The scalar lane instantiation of the map (the fallback without
+    /// AVX-512F) returns the bits of the detected one, for every pass,
+    /// block size and width, on a model with coincident, signed-zero, NaN
+    /// and ±inf positions, a NaN-width cell and a macro taller than eight
+    /// bins. On a CPU without AVX-512F both sides run scalar lanes.
+    #[test]
+    fn scalar_lanes_match_detected_lanes_bitwise() {
+        let (mut model, _, device) = setup();
+        spread(&mut model);
+        let r = model.region();
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let positions = [
+            (1.0, 1.0),
+            (1.0, 1.0),
+            (-0.0, -0.0),
+            (0.0, -0.0),
+            (nan, 2.0),
+            (2.0, -inf),
+        ];
+        for (i, (x, y)) in positions.into_iter().enumerate() {
+            (model.x[i], model.y[i]) = (x, y);
+        }
+        let filler = model.ranges().filler.start;
+        (model.x[filler], model.y[filler], model.w[10]) = (inf, nan, nan);
+        let fixed = model.ranges().fixed;
+        let tall = fixed.clone().find(|&i| model.w[i] > 0.0).expect("a macro");
+        (model.h[tall], model.y[tall]) = (12.5 * model.bin_h(), r.ly + 0.5 * r.height());
+        for node_block in [7, 64, NODE_BLOCK] {
+            for threads in 1..=3 {
+                let maps = [LanePath::scalar(), LanePath::detect()].map(|lanes| {
+                    let mut op = DensityOp::new(&model).unwrap();
+                    (op.lanes, op.node_block, op.threads) = (lanes, node_block, threads);
+                    op.accumulate_movable(&device, &model);
+                    op.accumulate_fillers(&device, &model);
+                    op.accumulate_all(&device, &model);
+                    [op.movable_map, op.filler_map, op.total_map]
+                });
+                for (want, got) in maps[0].iter().zip(&maps[1]) {
+                    for (k, (w, g)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+                        assert!(
+                            w.to_bits() == g.to_bits() || (w.is_nan() && g.is_nan()),
+                            "node_block {node_block} threads {threads} bin {k}: {w} vs {g}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -5,6 +5,13 @@ use std::ops::Range;
 use xplace_db::{CellKind, Design, FenceRegion, Point, Rect};
 use xplace_testkit::Rng;
 
+/// Most fillers a model holds per density bin. Fillers take an average
+/// movable cell's size, so a design with far more whitespace than cell
+/// area (tiny cells in a wide region) would otherwise ask for fillers
+/// without bound; the most any test, CI or benchmark design places is
+/// under one per bin.
+const MAX_FILLERS_PER_BIN: usize = 16;
+
 /// Index ranges of the three node classes inside a [`PlacementModel`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeRange {
@@ -80,7 +87,7 @@ impl PlacementModel {
     ///
     /// Returns [`OpsError::InvalidModel`] when the design has no movable
     /// cells, a degenerate region, or more fillers than a `u32` node index
-    /// holds.
+    /// holds or than 16 per density bin.
     pub fn from_design(design: &Design) -> Result<Self, OpsError> {
         Self::from_design_with(design, None, true, 0x5eed)
     }
@@ -93,8 +100,8 @@ impl PlacementModel {
     ///
     /// Returns [`OpsError::InvalidModel`] for designs with no movable
     /// cells, degenerate regions, more fillers than the `u32` node index
-    /// holds, or grid overrides that are not a power of two or exceed
-    /// [`xplace_fft::MAX_GRID_SIDE`].
+    /// holds or than 16 per density bin, or grid overrides that are not a
+    /// power of two or exceed [`xplace_fft::MAX_GRID_SIDE`].
     pub fn from_design_with(
         design: &Design,
         grid: Option<usize>,
@@ -208,6 +215,13 @@ impl PlacementModel {
                     return Err(OpsError::InvalidModel(format!(
                         "filler count {count:.3e} exceeds the u32 node index \
                          (mean cell {filler_w:e} x {filler_h:e})"
+                    )));
+                }
+                let most = MAX_FILLERS_PER_BIN * nx * ny;
+                if count > most as f64 {
+                    return Err(OpsError::InvalidModel(format!(
+                        "filler count {count:.3e} exceeds {most} \
+                         ({MAX_FILLERS_PER_BIN} per bin of the {nx}x{ny} density grid)"
                     )));
                 }
                 num_fillers = count as usize;
@@ -507,23 +521,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn filler_count_past_the_node_index_is_refused_before_allocating() {
-        // Two 1e-9 x 1e-9 cells in one 20-site row ask for ~1.8e19 fillers.
+    /// Two movable cells of `size` x `size` in one row of `sites` unit
+    /// sites.
+    fn two_cell_row(size: f64, sites: f64) -> Design {
         let mut b = xplace_db::netlist::NetlistBuilder::new();
         for name in ["a", "b"] {
-            b.add_cell(name, 1e-9, 1e-9, CellKind::Movable);
+            b.add_cell(name, size, size, CellKind::Movable);
         }
         let row = xplace_db::Row {
             y: 0.0,
             height: 1.0,
             x_min: 0.0,
-            x_max: 20.0,
+            x_max: sites,
             site_width: 1.0,
         };
-        let region = Rect::new(0.0, 0.0, 20.0, 1.0);
+        let region = Rect::new(0.0, 0.0, sites, 1.0);
         let positions = vec![region.center(); 2];
-        let design = Design::new(
+        Design::new(
             "tiny",
             b.finish().unwrap(),
             region,
@@ -531,7 +545,13 @@ mod tests {
             0.9,
             positions,
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn filler_count_past_the_node_index_is_refused_before_allocating() {
+        // Two 1e-9 x 1e-9 cells in one 20-site row ask for ~1.8e19 fillers.
+        let design = two_cell_row(1e-9, 20.0);
         let err = PlacementModel::from_design(&design).unwrap_err();
         assert!(
             err.to_string().starts_with(
@@ -541,6 +561,24 @@ mod tests {
         );
         let m = PlacementModel::from_design_with(&design, None, false, 0).unwrap();
         assert_eq!(m.num_fillers(), 0);
+    }
+
+    #[test]
+    fn filler_count_past_sixteen_per_bin_is_refused_before_allocating() {
+        // Two 1 x 1 cells in one row of 2e7 sites ask for ~1.8e7 fillers on
+        // a 16 x 16 grid.
+        let err = PlacementModel::from_design(&two_cell_row(1.0, 2e7)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid placement model: filler count 1.800e7 exceeds 4096 \
+             (16 per bin of the 16x16 density grid)"
+        );
+        // A larger grid makes room for more fillers: 256 x 256 bins hold
+        // 1,048,576, enough for the fillers of a 1e6-site row.
+        let design = two_cell_row(1.0, 1e6);
+        assert!(PlacementModel::from_design(&design).is_err());
+        let m = PlacementModel::from_design_with(&design, Some(256), true, 0).unwrap();
+        assert_eq!(m.num_fillers(), 899_998);
     }
 
     #[test]

@@ -413,31 +413,216 @@ impl Pass {
     }
 }
 
-/// Reference for the blocked path: the full-grid per-block merge that the
-/// sparse partials replaced. Block `b`'s full-grid partial is the serial
-/// map of a copy of `m` in which every node outside the block is a
-/// zero-width terminal (the kernel skips those), and the partials are added
-/// to a zeroed grid in block order.
-fn full_grid_reference(m: &PlacementModel, pass: Pass, node_block: usize) -> Grid2 {
-    let device = Device::new(DeviceConfig::instant());
-    let mut serial = DensityOp::new(m).expect("density op");
-    serial.set_node_block(usize::MAX);
-    let ranges = pass.ranges(m);
-    if ranges.iter().all(|r| r.len() <= node_block) {
-        return pass.run(&mut serial, &device, m);
+/// The density map as accumulated before bin stripes: per node, the scalar
+/// footprint stamp; per node block, a sparse partial of the `(bin, value)`
+/// pairs the block touched, in first-touch order; the partials merged into
+/// a zeroed map in block order; a pass that fits one block accumulated
+/// straight into the map. Kept as a test-only copy so the striped map is
+/// pinned to the bits the code had before it, not only to itself.
+mod sparse_reference {
+    use super::Pass;
+    use std::ops::Range;
+    use xplace_fft::Grid2;
+    use xplace_ops::PlacementModel;
+
+    fn floor_idx(v: f64) -> usize {
+        v as usize
     }
-    let (nx, ny) = m.grid_dims();
-    let mut map = Grid2::new(nx, ny);
-    let mut masked = m.clone();
-    for r in ranges {
-        for lo in r.clone().step_by(node_block) {
-            let block = lo..(lo + node_block).min(r.end);
-            masked.w.fill(0.0);
-            masked.w[block.clone()].copy_from_slice(&m.w[block]);
-            map.add_assign_grid(&pass.run(&mut serial, &device, &masked));
+
+    fn ceil_idx(v: f64) -> usize {
+        let t = v as usize;
+        if (t as f64) < v {
+            t.saturating_add(1)
+        } else {
+            t
         }
     }
-    map
+
+    /// Calls `add(bx * ny + by, value)` for every bin node `i` overlaps.
+    fn accumulate_node(m: &PlacementModel, i: usize, mut add: impl FnMut(usize, f64)) {
+        let (w, h) = (m.w[i], m.h[i]);
+        if w <= 0.0 || h <= 0.0 {
+            return;
+        }
+        let (bin_w, bin_h, region) = (m.bin_w(), m.bin_h(), m.region());
+        let (nx, ny) = m.grid_dims();
+        let ranges = m.ranges();
+        let smoothed = ranges.movable.contains(&i) || i >= ranges.filler.start;
+        let (we, he, scale) = if smoothed {
+            let we = w.max(std::f64::consts::SQRT_2 * bin_w);
+            let he = h.max(std::f64::consts::SQRT_2 * bin_h);
+            (we, he, (w * h) / (we * he))
+        } else {
+            (w, h, m.target_density())
+        };
+        let inv_bin_area = 1.0 / (bin_w * bin_h);
+        let lx = m.x[i] - we * 0.5;
+        let ux = m.x[i] + we * 0.5;
+        let ly = m.y[i] - he * 0.5;
+        let uy = m.y[i] + he * 0.5;
+        let bx0 = floor_idx((lx - region.lx) / bin_w);
+        let bx1 = ceil_idx((ux - region.lx) / bin_w).min(nx);
+        let by0 = floor_idx((ly - region.ly) / bin_h);
+        let by1 = ceil_idx((uy - region.ly) / bin_h).min(ny);
+        for bx in bx0..bx1 {
+            let b_lx = region.lx + bx as f64 * bin_w;
+            let ox = (ux.min(b_lx + bin_w) - lx.max(b_lx)).max(0.0);
+            if ox == 0.0 {
+                continue;
+            }
+            for by in by0..by1 {
+                let b_ly = region.ly + by as f64 * bin_h;
+                let oy = (uy.min(b_ly + bin_h) - ly.max(b_ly)).max(0.0);
+                if oy > 0.0 {
+                    add(bx * ny + by, ox * oy * scale * inv_bin_area);
+                }
+            }
+        }
+    }
+
+    /// Block `block`'s sparse partial, summed on `scratch` (all `+0.0` on
+    /// entry and on return).
+    fn sparse_partial(
+        m: &PlacementModel,
+        block: Range<usize>,
+        scratch: &mut [f64],
+    ) -> Vec<(usize, f64)> {
+        let mut partial = Vec::new();
+        for i in block {
+            accumulate_node(m, i, |k, v| {
+                let old = scratch[k];
+                scratch[k] = old + v;
+                if old == 0.0 && scratch[k] != 0.0 {
+                    partial.push((k, 0.0));
+                }
+            });
+        }
+        for (k, v) in partial.iter_mut() {
+            *v = std::mem::replace(&mut scratch[*k], 0.0);
+        }
+        partial
+    }
+
+    /// The map of `pass` at node-block size `node_block`.
+    pub fn map(m: &PlacementModel, pass: Pass, node_block: usize) -> Grid2 {
+        let (nx, ny) = m.grid_dims();
+        let mut map = Grid2::new(nx, ny);
+        let cells = map.as_mut_slice();
+        let ranges = pass.ranges(m);
+        if ranges.iter().all(|r| r.len() <= node_block) {
+            for i in ranges.into_iter().flatten() {
+                accumulate_node(m, i, |k, v| cells[k] += v);
+            }
+            return map;
+        }
+        let mut scratch = vec![0.0; nx * ny];
+        for r in ranges {
+            for lo in r.clone().step_by(node_block) {
+                for (k, v) in sparse_partial(m, lo..(lo + node_block).min(r.end), &mut scratch) {
+                    cells[k] += v;
+                }
+            }
+        }
+        map
+    }
+}
+
+/// [`edge_model`] with hostile positions and shapes: a run of coincident
+/// movable cells, signed-zero and region-corner positions, NaN and ±inf
+/// coordinates on movable cells and fillers, a NaN-width cell on a column
+/// it overlaps by zero (see [`zero_overlap_x`]), and the second fixed macro
+/// made taller than eight bins (twelve and a half) and moved inside.
+fn hostile_model(cells: usize, seed: u64) -> PlacementModel {
+    let mut m = edge_model(cells, seed);
+    let r = m.region();
+    let ranges = m.ranges();
+    let (mv, fl) = (ranges.movable.start, ranges.filler.start);
+    for i in mv + 1..mv + 5 {
+        (m.x[i], m.y[i]) = (m.x[mv], m.y[mv]);
+    }
+    (m.x[mv + 5], m.y[mv + 5]) = (-0.0, -0.0);
+    (m.x[mv + 6], m.y[mv + 6]) = (0.0, -0.0);
+    (m.x[mv + 7], m.y[mv + 7]) = (r.lx, r.ly);
+    (m.x[fl], m.y[fl]) = (-0.0, r.uy);
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    for (k, (x, y)) in [
+        (nan, 1.0),
+        (1.0, nan),
+        (inf, 1.0),
+        (1.0, -inf),
+        (-inf, inf),
+        (nan, nan),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        (m.x[mv + 10 + k], m.y[mv + 10 + k]) = (r.lx + x * r.width(), r.ly + y * r.height());
+        (m.x[fl + 1 + k], m.y[fl + 1 + k]) = (r.lx + y * r.width(), r.ly + x * r.height());
+    }
+    if let Some(x) = zero_overlap_x(&m) {
+        (m.x[mv + 20], m.w[mv + 20]) = (x, f64::NAN);
+    }
+    let tall = m
+        .ranges()
+        .fixed
+        .filter(|&i| m.w[i] > 0.0 && m.h[i] > 0.0)
+        .nth(1)
+        .expect("a second fixed macro");
+    (m.w[tall], m.h[tall]) = (3.3 * m.bin_w(), 12.5 * m.bin_h());
+    (m.x[tall], m.y[tall]) = (r.lx + 0.37 * r.width(), r.ly + 0.55 * r.height());
+    m
+}
+
+/// An `x` for a movable cell of width NaN (so its charge scale is NaN) at
+/// which its smoothed footprint's first or last column overlaps it by
+/// `ox == 0`: the bin index of an edge rounds past the edge. The stamp
+/// skips such a column; stamping it would add `0 * NaN` there. Bin widths
+/// that round exactly have no such `x`.
+fn zero_overlap_x(m: &PlacementModel) -> Option<f64> {
+    let (lx0, bin_w) = (m.region().lx, m.bin_w());
+    let we = f64::NAN.max(std::f64::consts::SQRT_2 * bin_w);
+    let nx = m.grid_dims().0;
+    let overlap = |bx: usize, lx: f64, ux: f64| {
+        let b_lx = lx0 + bx as f64 * bin_w;
+        (ux.min(b_lx + bin_w) - lx.max(b_lx)).max(0.0)
+    };
+    for k in 2..nx - 2 {
+        let edge = lx0 + k as f64 * bin_w;
+        for t in -64i64..=64 {
+            for x in [edge - we * 0.5, edge + we * 0.5] {
+                let x = f64::from_bits((x.to_bits() as i64 + t) as u64);
+                let (lx, ux) = (x - we * 0.5, x + we * 0.5);
+                let bx0 = ((lx - lx0) / bin_w) as usize;
+                let bx1 = ((ux - lx0) / bin_w).ceil() as usize;
+                if bx0 < bx1 && (overlap(bx0, lx, ux) == 0.0 || overlap(bx1 - 1, lx, ux) == 0.0) {
+                    return Some(x);
+                }
+            }
+        }
+    }
+    None
+}
+
+/// [`scattered_model`] with every movable cell and filler squeezed into two
+/// grid columns, so wide launches have more stripes than occupied columns.
+fn narrow_model(cells: usize, seed: u64) -> PlacementModel {
+    let mut m = scattered_model(cells, seed, seed ^ 0x6d);
+    let (r, bin_w) = (m.region(), m.bin_w());
+    let ranges = m.ranges();
+    for i in ranges.movable.chain(ranges.filler) {
+        m.x[i] = r.lx + 5.0 * bin_w + (m.x[i] - r.lx) / r.width() * 1.5 * bin_w;
+    }
+    m
+}
+
+/// Whether two grids agree sample for sample: the same bits, or NaN on
+/// both sides (Rust fixes no NaN payload).
+fn same_bits_or_nan(a: &Grid2, b: &Grid2) -> Option<usize> {
+    assert_eq!(a.dims(), b.dims());
+    a.as_slice()
+        .iter()
+        .zip(b.as_slice())
+        .position(|(x, y)| x.to_bits() != y.to_bits() && !(x.is_nan() && y.is_nan()))
 }
 
 /// Historic proptest counterexample (`seed = 963, spread = 896`, from the
@@ -675,34 +860,6 @@ props! {
         prop_assert!(bits_equal(&mt_op.total_map, &one_op.total_map));
     }
 
-    /// The sparse per-block partials reproduce the full-grid per-block
-    /// merge bit for bit, for every pass, width and block size, on models
-    /// with fixed macros and footprints overhanging the region edge. One
-    /// operator serves every run, so its reused scratch grids must come
-    /// back all zero after each block.
-    fn density_sparse_partials_match_full_grid_merge(seed in 0u64..500) {
-        let m = edge_model(150, seed);
-        let device = Device::new(DeviceConfig::instant());
-        let mut op = DensityOp::new(&m).expect("density op");
-        for pass in [Pass::Movable, Pass::Fillers, Pass::All] {
-            for node_block in [1, 7, 64, 2048] {
-                let reference = full_grid_reference(&m, pass, node_block);
-                for threads in 1..=5 {
-                    op.set_node_block(node_block);
-                    op.set_threads(threads);
-                    let got = pass.run(&mut op, &device, &m);
-                    prop_assert!(
-                        bits_equal(&got, &reference),
-                        "{:?} node_block {} threads {}",
-                        pass,
-                        node_block,
-                        threads
-                    );
-                }
-            }
-        }
-    }
-
     /// omega is monotone in lambda for every design.
     fn omega_monotone(seed in 0u64..1000) {
         let m = scattered_model(80, seed, 0);
@@ -712,6 +869,46 @@ props! {
             prop_assert!((0.0..=1.0).contains(&w));
             prop_assert!(w >= prev);
             prev = w;
+        }
+    }
+}
+
+props! {
+    // A sign-of-zero or ordering fault can hide in a few cases of this
+    // test: it runs more of them than the other density tests.
+    config = Config::with_cases(256);
+
+    /// The striped map reproduces the pre-stripe sparse-partial map bit for
+    /// bit, for every pass, node-block size (1, 7, 64 and a single block of
+    /// 2048), launch width 1 to 5, on models with fixed macros taller than
+    /// eight bins, footprints overhanging the region edge, coincident,
+    /// signed-zero, NaN and ±inf positions, and on one whose nodes occupy
+    /// fewer columns than the widest launch has stripes. One operator
+    /// serves every run, so its reused stripe scratch must come back all
+    /// zero after each block.
+    fn density_map_matches_sparse_partial_reference(seed in 0u64..500) {
+        let device = Device::new(DeviceConfig::instant());
+        for m in [hostile_model(150, seed), narrow_model(120, seed)] {
+            let mut op = DensityOp::new(&m).expect("density op");
+            for pass in [Pass::Movable, Pass::Fillers, Pass::All] {
+                for node_block in [1, 7, 64, 2048] {
+                    let reference = sparse_reference::map(&m, pass, node_block);
+                    for threads in 1..=5 {
+                        op.set_node_block(node_block);
+                        op.set_threads(threads);
+                        let got = pass.run(&mut op, &device, &m);
+                        let diff = same_bits_or_nan(&got, &reference);
+                        prop_assert!(
+                            diff.is_none(),
+                            "{:?} node_block {} threads {}: bin {:?}",
+                            pass,
+                            node_block,
+                            threads,
+                            diff
+                        );
+                    }
+                }
+            }
         }
     }
 }

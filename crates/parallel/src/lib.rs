@@ -31,11 +31,19 @@
 //! Cilk or rayon's `join`). The caller waits only for tasks a worker claimed,
 //! so a worker busy elsewhere (say, on a sibling batch job) never stalls it.
 //!
+//! # Vector lanes
+//!
+//! [`lanes`] holds the eight-lane `f64` arithmetic the vector kernels are
+//! written in (the DCT tiles, the density stamp), with a scalar and an
+//! AVX-512 instantiation that return the same bits.
+//!
 //! # Hermetic policy
 //!
 //! Zero registry dependencies: the queueing, claiming and lifetime management
 //! are built from `std` primitives only (`Mutex`, `Condvar`, `VecDeque`,
 //! atomics).
+
+pub mod lanes;
 
 use std::any::Any;
 use std::cell::Cell;

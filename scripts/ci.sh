@@ -29,8 +29,10 @@ echo "==> multithreaded leg: pool, ops + fft suites, golden flow with threads > 
 cargo test -q -p xplace-parallel
 cargo test -q -p xplace-ops --test properties
 # Optimized codegen too: the benchmark and users run release builds, and
-# the WA kernels' bitwise match against the reference must hold there, as
-# must the vector DCT tiles' bitwise match against the scalar plan.
+# the WA kernels' and the density map's bitwise match against their
+# references must hold there, as must the shared AVX-512 lane layer's and
+# the vector DCT tiles' bitwise match against their scalar paths.
+cargo test -q --release -p xplace-parallel
 cargo test -q --release -p xplace-ops --test properties
 cargo test -q --release -p xplace-fft
 cargo test -q -p xplace-fft --test parallel
@@ -58,6 +60,13 @@ if ./target/release/xplace place "$SMOKE/ci-smoke.aux" --max-iters 30 --multilev
 fi
 grep -q "unknown flag --multilevle" "$SMOKE/misspelt.err" \
     || { echo "FAIL: a misspelt flag was rejected without naming it" >&2; cat "$SMOKE/misspelt.err" >&2; exit 1; }
+if ./target/release/xplace place "$SMOKE/ci-smoke.aux" --max-iters 30 -O "$SMOKE/misspelt-O.pl" \
+    >/dev/null 2>"$SMOKE/misspelt-O.err"; then
+    echo "FAIL: a misspelt single-dash flag was accepted" >&2
+    exit 1
+fi
+grep -q "unknown flag -O" "$SMOKE/misspelt-O.err" \
+    || { echo "FAIL: a misspelt single-dash flag was rejected without naming it" >&2; cat "$SMOKE/misspelt-O.err" >&2; exit 1; }
 
 echo "==> blocked density leg: a 5000-cell place spans several NODE_BLOCK blocks"
 ./target/release/xplace synth ci-blocked 5000 --seed 3 --out "$SMOKE" >/dev/null
@@ -114,9 +123,10 @@ if grep -q "panicked at" "$SMOKE/batch-fail.err"; then
     cat "$SMOKE/batch-fail.err" >&2
     exit 1
 fi
-# An oversized grid override, and a design whose 1e-9-sized cells would
-# need ~1.8e19 fillers, each fail their own job with a named error; neither
-# may abort the process on the allocation.
+# An oversized grid override, a design whose 1e-9-sized cells would need
+# ~1.8e19 fillers, and one whose two unit cells in a 2e7-site row would
+# need ~1.8e7 fillers on a 16x16 grid, each fail their own job with a
+# named error; none may abort the process on the allocation.
 cat > "$SMOKE/tiny.aux" <<EOF
 RowBasedPlacement : tiny.nodes tiny.nets tiny.pl tiny.scl
 EOF
@@ -145,11 +155,18 @@ CoreRow Horizontal
  SubrowOrigin : 0 NumSites : 20
 End
 EOF
+mkdir "$SMOKE/wide"
+sed 's/tiny\./wide./g' "$SMOKE/tiny.aux" > "$SMOKE/wide/wide.aux"
+sed 's/1e-9 1e-9/1 1/' "$SMOKE/tiny.nodes" > "$SMOKE/wide/wide.nodes"
+cp "$SMOKE/tiny.nets" "$SMOKE/wide/wide.nets"
+cp "$SMOKE/tiny.pl" "$SMOKE/wide/wide.pl"
+sed 's/NumSites : 20$/NumSites : 20000000/' "$SMOKE/tiny.scl" > "$SMOKE/wide/wide.scl"
 cat > "$SMOKE/huge-suite.json" <<EOF
 {"jobs": [
   {"name": "fine", "aux": "$SMOKE/ci-smoke.aux", "max_iters": 120},
   {"name": "huge", "aux": "$SMOKE/ci-smoke.aux", "max_iters": 120, "grid": 65536},
-  {"name": "tiny", "aux": "$SMOKE/tiny.aux", "max_iters": 120}
+  {"name": "tiny", "aux": "$SMOKE/tiny.aux", "max_iters": 120},
+  {"name": "wide", "aux": "$SMOKE/wide/wide.aux", "max_iters": 120}
 ]}
 EOF
 set +e
@@ -163,6 +180,9 @@ grep -q "huge .*FAILED .*grid override 65536 exceeds the maximum" "$SMOKE/batch-
     || { echo "FAIL: the oversized grid job did not fail by name" >&2; exit 1; }
 grep -q "tiny .*FAILED .*filler count .* exceeds the u32 node index" "$SMOKE/batch-huge.out" \
     || { echo "FAIL: the tiny-cell job did not fail by name" >&2; exit 1; }
+grep -q "wide .*FAILED .*filler count 1.800e7 exceeds 4096 (16 per bin of the 16x16 density grid)" \
+    "$SMOKE/batch-huge.out" \
+    || { echo "FAIL: the wide-row job did not fail by name" >&2; exit 1; }
 grep -q "fine .*completed" "$SMOKE/batch-huge.out" \
     || { echo "FAIL: the sibling of the oversized grid job did not complete" >&2; exit 1; }
 

@@ -12,8 +12,9 @@
 //! * `--threads 0` is rejected up front: the worker pool needs at least
 //!   one lane, and silently clamping would misreport the run's
 //!   configuration in telemetry.
-//! * A `--flag` outside the subcommand's own list is a hard error naming
-//!   it ([`only_flags`]): a misspelt flag must not run with the default.
+//! * A flag outside the subcommand's own list is a hard error naming it
+//!   ([`only_flags`]): a misspelt flag, `--multilevle` or `-O`, must not
+//!   run with the default.
 
 /// Returns the value following `flag`, `Ok(None)` when the flag is absent,
 /// or an error when the flag is present without a usable value.
@@ -36,13 +37,14 @@ pub fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String>
     }
 }
 
-/// Rejects the first `--flag` in `args` that is not in `known`, naming it.
-/// No value starts with `--` (see [`flag_value`]), so every such token is
-/// a flag.
+/// Rejects the first flag in `args` that is not in `known`, naming it: a
+/// `--flag`, or a `-` token that does not parse as a number. No value
+/// starts with `--` (see [`flag_value`]), so every such token is a flag; a
+/// single-dash token that parses as an `f64` is a negative value.
 pub fn only_flags(args: &[String], known: &[&str]) -> Result<(), String> {
     match args
         .iter()
-        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+        .find(|a| a.starts_with('-') && !known.contains(&a.as_str()) && a.parse::<f64>().is_err())
     {
         Some(flag) => Err(format!(
             "unknown flag {flag} (expected {})",
@@ -514,8 +516,12 @@ mod tests {
             only_flags(&argv(&["d.aux", "-o", "x.pl", "--multilevel"]), &known),
             Ok(())
         );
-        // Single-dash tokens are values (negative numbers) or short flags.
+        // Single-dash numbers are values.
         assert_eq!(only_flags(&argv(&["--max-iters", "-3"]), &known), Ok(()));
+        assert_eq!(
+            only_flags(&argv(&["--max-iters", "-2.5e3", "-inf"]), &known),
+            Ok(())
+        );
         let err =
             only_flags(&argv(&["d.aux", "--multilevle", "--thraeds", "3"]), &known).unwrap_err();
         assert_eq!(
@@ -525,6 +531,19 @@ mod tests {
         // Exact match only: a known flag's prefix or extension is unknown.
         assert!(only_flags(&argv(&["--max-iter"]), &known).is_err());
         assert!(only_flags(&argv(&["--max-iters=30"]), &known).is_err());
+    }
+
+    #[test]
+    fn only_flags_rejects_an_unknown_single_dash_flag_by_name() {
+        let known = ["-o", "--max-iters"];
+        assert_eq!(only_flags(&argv(&["d.aux", "-o", "x.pl"]), &known), Ok(()));
+        assert_eq!(
+            only_flags(&argv(&["d.aux", "-O", "x.pl"]), &known).unwrap_err(),
+            "unknown flag -O (expected -o, --max-iters)"
+        );
+        assert!(only_flags(&argv(&["tiny.aux", "-x"]), &known).is_err());
+        assert!(only_flags(&argv(&["-"]), &known).is_err());
+        assert!(only_flags(&argv(&["-o", "-out.pl"]), &known).is_err());
     }
 
     #[test]
