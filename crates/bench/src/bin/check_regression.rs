@@ -12,8 +12,7 @@
 //! (final HPWL, modeled GP time, kernel launch count, iteration count,
 //! run structure — per job, for batches — and every gated section of a
 //! run report: per-grid modeled transform ns for spectral, per-cell
-//! modeled ns for scaling, winner HPWL, lineage and total modeled cost
-//! for explore) hard-fail beyond fixed bounds — HPWL
+//! modeled ns for scaling) hard-fail beyond fixed bounds — HPWL
 //! [`HPWL_PCT`](xplace_telemetry::HPWL_PCT) 2 %, modeled time
 //! [`MODELED_TIME_PCT`](xplace_telemetry::MODELED_TIME_PCT) 5 %, launches
 //! [`LAUNCHES_PCT`](xplace_telemetry::LAUNCHES_PCT) 2 %; wall-clock drift
@@ -31,7 +30,7 @@
 //! actually fails on a regression: it inflates the current report by PCT
 //! percent *after loading*, through [`inject_regression`]. SECTION `hpwl`
 //! inflates the final HPWL (of every completed job, for a batch);
-//! `spectral`, `scaling` and `explore` apply that section's
+//! `spectral` and `scaling` apply that section's
 //! [`GatedSection::inject`](xplace_telemetry::GatedSection::inject) to a
 //! run report. An unknown SECTION exits 2.
 
@@ -121,7 +120,7 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: check_regression <baseline.json> <current.json> \
-                 [--inject hpwl|spectral|scaling|explore=PCT]"
+                 [--inject hpwl|spectral|scaling=PCT]"
             );
             std::process::exit(2)
         }

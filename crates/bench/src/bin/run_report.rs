@@ -21,11 +21,7 @@
 //! * `spectral` — per-grid modeled transform times (and the fastest of
 //!   [`SPECTRAL_REPS`] wall-clock solves, which only warns);
 //! * `scaling` — the scaling bench's smoke point set, per-cell modeled
-//!   GP costs flat vs multilevel;
-//! * `explore` — the committed case of the exploration suite: the
-//!   population winner's HPWL, lineage and total modeled cost. The whole
-//!   three-design suite runs, and the run exits 1 unless
-//!   [`suite_verdict`] passes.
+//!   GP costs flat vs multilevel.
 //!
 //! Regenerating the committed baseline after an intentional change:
 //! `cargo run --release -p xplace-bench --bin run_report -- --out BENCH_baseline.json`
@@ -34,14 +30,9 @@
 //! [`RunReport`]: xplace_telemetry::RunReport
 
 use std::path::PathBuf;
-use xplace_bench::explore::{
-    measure_explore, suite_cases, suite_verdict, ExploreComparison, EXPLORE_MEMBERS,
-};
 use xplace_bench::scaling::{measure_scaling, smoke_cases};
 use xplace_bench::spectral::{measure_spectral, SPECTRAL_GRIDS};
-use xplace_bench::{
-    argv_flag, argv_only, argv_parse, argv_threads, default_workers, fmt, run_flow, TextTable,
-};
+use xplace_bench::{argv_flag, argv_only, argv_parse, argv_threads, run_flow};
 use xplace_core::XplaceConfig;
 use xplace_db::suites::SuiteEntry;
 use xplace_db::synthesis::SynthesisSpec;
@@ -59,32 +50,6 @@ const SPECTRAL_REPS: usize = 3;
 fn fail(message: impl std::fmt::Display) -> ! {
     eprintln!("error: {message}");
     std::process::exit(1)
-}
-
-/// The per-design exploration comparison, one row per suite case.
-fn explore_table(comparisons: &[ExploreComparison]) -> String {
-    let mut table = TextTable::new(&[
-        "design",
-        "single HPWL",
-        "explore HPWL",
-        "gain %",
-        "single ms",
-        "explore ms",
-        "winner",
-    ]);
-    for c in comparisons {
-        let gain = 100.0 * (c.single_hpwl - c.metrics.winner_hpwl) / c.single_hpwl;
-        table.row(vec![
-            c.name.clone(),
-            fmt(c.single_hpwl, 1),
-            fmt(c.metrics.winner_hpwl, 1),
-            fmt(gain, 2),
-            fmt(c.single_modeled_ns as f64 / 1e6, 2),
-            fmt(c.metrics.total_modeled_ns as f64 / 1e6, 2),
-            format!("{} via {:?}", c.metrics.winner, c.metrics.winner_lineage),
-        ]);
-    }
-    table.render()
 }
 
 fn main() {
@@ -120,22 +85,6 @@ fn main() {
     report.scaling = Some(
         measure_scaling(&cases).unwrap_or_else(|e| fail(format!("scaling bench failed: {e}"))),
     );
-
-    let cases = suite_cases();
-    eprintln!(
-        "measuring the exploration suite ({} designs, {EXPLORE_MEMBERS} members)...",
-        cases.len()
-    );
-    let comparisons: Vec<ExploreComparison> = cases
-        .iter()
-        .map(|case| {
-            measure_explore(case, default_workers())
-                .unwrap_or_else(|e| fail(format!("exploration bench failed: {e}")))
-        })
-        .collect();
-    eprint!("{}", explore_table(&comparisons));
-    suite_verdict(&comparisons).unwrap_or_else(|e| fail(e));
-    report.explore = comparisons.into_iter().next().map(|c| c.metrics);
 
     eprintln!(
         "GP {} iters, HPWL {:.1}, modeled {:.3}s, {} launches; final HPWL {:.1}",

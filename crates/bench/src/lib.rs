@@ -8,7 +8,6 @@
 
 #![warn(missing_docs)]
 
-pub mod explore;
 pub mod scaling;
 pub mod spectral;
 

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::engine::{unit_hash, EngineState};
+use crate::engine::EngineState;
 use crate::{EvalResult, NesterovOptimizer, Parameters, PlaceError, XplaceConfig};
 use xplace_db::Design;
 use xplace_device::ProfileSnapshot;
@@ -36,16 +36,6 @@ use xplace_telemetry::{
 const FORMAT: &str = "xplace-checkpoint";
 /// Payload version; bumped on any layout change.
 const VERSION: usize = 2;
-
-/// [`Checkpoint::perturb`]'s position jitter amplitude, as a fraction of
-/// the snapshot's movable bounding-box span.
-const PERTURB_POSITION_FRAC: f64 = 0.02;
-/// [`Checkpoint::perturb`]'s maximum relative λ rescale (factor in
-/// `[0.8, 1.2)`).
-const PERTURB_LAMBDA_FRAC: f64 = 0.4;
-/// [`Checkpoint::perturb`]'s maximum absolute ω offset (result clamped to
-/// `[0, 1]`).
-const PERTURB_OMEGA_SHIFT: f64 = 0.1;
 
 /// The values the GP loop carries from one iteration to the next, apart
 /// from the positions held in the model and the engine's own state. The
@@ -375,64 +365,6 @@ impl Checkpoint {
             None => Ok(()),
         }
     }
-
-    /// Re-homes this snapshot under another run configuration: a clone
-    /// whose config echo is `config.echo()`, so [`Checkpoint::validate`]
-    /// accepts it for a run using `config`. This is the branch primitive
-    /// of the exploration layer — a population member adopts the best
-    /// snapshot even though its own seed (and hence config echo) differs
-    /// from the member that saved it. Resumed positions come from the
-    /// snapshot, never from the seed's init jitter, so the adopted
-    /// trajectory is a deterministic function of the snapshot alone.
-    pub fn branch_for(&self, config: &XplaceConfig) -> Checkpoint {
-        let mut cp = self.clone();
-        cp.config = config.echo();
-        cp
-    }
-
-    /// Applies a seeded perturbation in place: movable positions receive
-    /// deterministic jitter (clamped into the snapshot's own position
-    /// bounding box — the resume path trusts snapshot positions and does
-    /// not re-clamp), λ is rescaled and ω offset, and the optimizer
-    /// momentum plus best-solution rollback state are reset so the
-    /// branched trajectory genuinely explores from the perturbed point
-    /// instead of being pulled back to the parent's. The cached
-    /// electrostatic field is invalidated so the first branched iteration
-    /// sees the perturbed density. Same snapshot + same `seed` ⇒
-    /// bit-identical branched state.
-    pub fn perturb(&mut self, seed: u64) {
-        if self.movable > 0 {
-            let bounds = |v: &[f64]| {
-                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for &p in v {
-                    lo = lo.min(p);
-                    hi = hi.max(p);
-                }
-                (lo, hi)
-            };
-            let (min_x, max_x) = bounds(&self.x);
-            let (min_y, max_y) = bounds(&self.y);
-            let amp_x = (max_x - min_x) * PERTURB_POSITION_FRAC;
-            let amp_y = (max_y - min_y) * PERTURB_POSITION_FRAC;
-            for i in 0..self.movable.min(self.x.len()) {
-                self.x[i] = (self.x[i] + amp_x * unit_hash(i, seed)).clamp(min_x, max_x);
-                self.y[i] = (self.y[i] + amp_y * unit_hash(i, seed ^ 0xabcd)).clamp(min_y, max_y);
-            }
-        }
-        // λ rescale (multiplicative, strictly positive since the fraction
-        // is below 2) and ω offset: nudge the schedule so the branch walks
-        // a different trade-off path than its parent.
-        let s = &mut self.state;
-        s.params.lambda *= 1.0 + PERTURB_LAMBDA_FRAC * unit_hash(0, seed ^ 0x1a3b);
-        s.omega = (s.omega + PERTURB_OMEGA_SHIFT * unit_hash(1, seed ^ 0x5c7d)).clamp(0.0, 1.0);
-        // Fresh momentum, fresh rollback baseline, fresh field.
-        s.optimizer = None;
-        s.best_overflow = f64::INFINITY;
-        s.best_iter = self.iteration;
-        s.best_u = None;
-        self.engine.has_field = false;
-        self.engine.field_age = 0;
-    }
 }
 
 /// Where checkpoints go. Implementations take `&self` (interior
@@ -549,8 +481,7 @@ pub struct CheckpointOptions<'a> {
     /// into the store and stop there instead of running to completion
     /// (requires a store). The paused run emits no `run_end` and skips
     /// the best-solution rollback, so a later resume from the snapshot
-    /// continues the trace byte-identically — the exploration driver's
-    /// generation barrier.
+    /// continues the trace byte-identically.
     pub stop_at: Option<usize>,
 }
 

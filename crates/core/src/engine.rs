@@ -457,8 +457,8 @@ impl GradientEngine {
 }
 
 /// Deterministic splitmix-style hash of `(i, salt)` into `[-0.5, 0.5)`: the
-/// one source of seeded jitter (the placer's symmetry-breaking noise,
-/// uncoarsening seeds and checkpoint-branch perturbations).
+/// one source of seeded jitter (the placer's symmetry-breaking noise and
+/// uncoarsening seeds).
 pub(crate) fn unit_hash(i: usize, salt: u64) -> f64 {
     let mut h = (i as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h ^= h >> 33;

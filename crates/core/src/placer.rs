@@ -166,8 +166,10 @@ impl GlobalPlacer {
     /// uninterrupted run's trace, with a bit-identical final placement,
     /// at any `--threads`. Resume goes straight to the flat loop: the
     /// snapshot already carries post-coarsening positions, so multilevel
-    /// coarse levels are not replayed (the coarse iteration/profile
-    /// totals are carried inside the snapshot's profile instead).
+    /// coarse levels are not replayed. The snapshot's profile holds the
+    /// finest level's totals only, so a resumed multilevel run reports
+    /// the finest level's iterations and modeled time without the coarse
+    /// levels' share.
     ///
     /// # Errors
     ///
@@ -915,14 +917,12 @@ mod tests {
     /// resumed from its last checkpoint emits a trace whose
     /// post-`run_start` lines are an exact byte suffix of the
     /// uninterrupted run's trace, and lands on a bit-identical placement.
-    fn assert_resume_suffix(threads: usize) {
+    fn assert_resume_suffix(cfg: XplaceConfig, design: impl Fn() -> Design) {
         use crate::MemoryCheckpointStore;
-        let mut cfg = XplaceConfig::xplace().with_threads(threads);
-        cfg.schedule.max_iterations = 90;
 
         // Uninterrupted run, checkpointing every 20 iterations.
         let store = MemoryCheckpointStore::new();
-        let mut full_design = small_design(53);
+        let mut full_design = design();
         let mut full_sink = xplace_telemetry::VecSink::new();
         let full_report = GlobalPlacer::new(cfg.clone())
             .place_traced_opts(
@@ -942,7 +942,7 @@ mod tests {
 
         // Resume from the snapshot ("the machine died" — the design is
         // reloaded from scratch, positions come from the checkpoint).
-        let mut resumed_design = small_design(53);
+        let mut resumed_design = design();
         let mut resumed_sink = xplace_telemetry::VecSink::new();
         let resumed_report = GlobalPlacer::new(cfg)
             .place_traced_opts(
@@ -980,14 +980,30 @@ mod tests {
         assert_eq!(full_design.positions(), resumed_design.positions());
     }
 
+    fn flat_resume_cfg(threads: usize) -> XplaceConfig {
+        let mut cfg = XplaceConfig::xplace().with_threads(threads);
+        cfg.schedule.max_iterations = 90;
+        cfg
+    }
+
     #[test]
     fn resume_replays_a_byte_identical_trace_suffix_single_threaded() {
-        assert_resume_suffix(1);
+        assert_resume_suffix(flat_resume_cfg(1), || small_design(53));
     }
 
     #[test]
     fn resume_replays_a_byte_identical_trace_suffix_multi_threaded() {
-        assert_resume_suffix(4);
+        assert_resume_suffix(flat_resume_cfg(4), || small_design(53));
+    }
+
+    /// Above the hierarchy floor the snapshot is taken on the finest
+    /// level, after the coarse levels ran; resume skips them and still
+    /// lands on the uninterrupted run's trace suffix and placement.
+    #[test]
+    fn resume_above_the_multilevel_floor_replays_a_byte_identical_trace_suffix() {
+        assert_resume_suffix(multilevel_cfg(90).with_threads(2), || {
+            synthesize(&SynthesisSpec::new("ml", 1200, 1300).with_seed(53)).unwrap()
+        });
     }
 
     #[test]
@@ -1115,12 +1131,12 @@ mod tests {
         assert!(matches!(err, PlaceError::InvalidConfig(_)));
     }
 
-    /// The pause contract behind the exploration layer's generation
-    /// barriers: a run stopped at iteration N via `stop_at`, then resumed
-    /// from the pause snapshot, replays the identical remainder — so the
-    /// paused segment's trace plus the resumed trace (minus its repeated
-    /// `run_start`) are byte-for-byte the uninterrupted run's trace, and
-    /// the final placement is bit-identical.
+    /// The pause contract: a run stopped at iteration N via `stop_at`,
+    /// then resumed from the pause snapshot, replays the identical
+    /// remainder — so the paused segment's trace plus the resumed trace
+    /// (minus its repeated `run_start`) are byte-for-byte the
+    /// uninterrupted run's trace, and the final placement is
+    /// bit-identical.
     #[test]
     fn pause_and_resume_stitch_into_the_uninterrupted_trace() {
         use crate::MemoryCheckpointStore;
@@ -1208,57 +1224,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, PlaceError::InvalidConfig(_)));
-    }
-
-    /// Branch determinism: two members branched from the same snapshot
-    /// with the same perturbation seed replay byte-identical traces, and
-    /// a different seed diverges.
-    #[test]
-    fn same_perturbation_seed_branches_byte_identically() {
-        use crate::MemoryCheckpointStore;
-        let mut cfg = XplaceConfig::xplace();
-        cfg.schedule.max_iterations = 80;
-
-        let store = MemoryCheckpointStore::new();
-        let mut design = small_design(67);
-        GlobalPlacer::new(cfg.clone())
-            .place_traced_opts(
-                &mut design,
-                &mut NullSink,
-                CheckpointOptions {
-                    every: 0,
-                    store: Some(&store),
-                    resume: None,
-                    stop_at: Some(30),
-                },
-            )
-            .unwrap();
-        let (_, snapshot) = store.latest().unwrap().unwrap();
-
-        let branch_trace = |seed: u64| {
-            let mut cp = snapshot.branch_for(&cfg);
-            cp.perturb(seed);
-            let mut d = small_design(67);
-            let mut sink = xplace_telemetry::VecSink::new();
-            GlobalPlacer::new(cfg.clone())
-                .place_traced_opts(
-                    &mut d,
-                    &mut sink,
-                    CheckpointOptions {
-                        every: 0,
-                        store: None,
-                        resume: Some(&cp),
-                        stop_at: None,
-                    },
-                )
-                .unwrap();
-            sink.to_jsonl()
-        };
-        let a = branch_trace(77);
-        let b = branch_trace(77);
-        assert_eq!(a, b, "same perturbation seed produced different traces");
-        let c = branch_trace(78);
-        assert_ne!(a, c, "different perturbation seeds did not diversify");
     }
 
     #[test]

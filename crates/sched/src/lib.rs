@@ -36,10 +36,8 @@
 
 pub mod fault;
 mod manifest;
-mod population;
 
 pub use manifest::{BatchManifest, DesignSource, JobSpec};
-pub use population::{run_population, PopulationOptions, PopulationOutcome};
 
 use fault::{FaultPlan, INJECTED_GP_PANIC, INJECTED_WRITE_ERROR};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,8 +94,8 @@ pub struct BatchOutcome {
 /// The back half every placement flow shares: legalize → detailed place →
 /// legality check → congestion estimate on the globally placed `design`,
 /// assembled with `gp` into the run's [`RunReport`] (`config` supplies
-/// the echo and thread count). `xplace place`, batch jobs, the
-/// exploration winner and the bench harness all finish through here.
+/// the echo and thread count). `xplace place`, batch jobs and the bench
+/// harness all finish through here.
 ///
 /// # Errors
 ///
@@ -127,7 +125,6 @@ pub fn finish_flow(
         }),
         spectral: None,
         scaling: None,
-        explore: None,
         trace_error: None,
     })
 }

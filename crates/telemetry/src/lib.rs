@@ -56,8 +56,7 @@ pub use regression::{
     MODELED_TIME_PCT, WALL_WARN_PCT,
 };
 pub use report::{
-    ExploreGeneration, ExploreMember, ExploreMetrics, GpMetrics, RouteMetrics, RunReport,
-    ScalingMetrics, ScalingPoint, SpectralGrid, SpectralMetrics,
+    GpMetrics, RouteMetrics, RunReport, ScalingMetrics, ScalingPoint, SpectralGrid, SpectralMetrics,
 };
 pub use sink::{parse_trace, JsonLinesSink, NullSink, TelemetrySink, VecSink};
 // Serialization traits re-exported so downstream binaries can render and

@@ -10,7 +10,7 @@
 //! (warn past [`WALL_WARN_PCT`]) and `same` (fail on any change, for
 //! structure and iteration counts), so a new gated quantity is one call.
 
-use crate::{ExploreMetrics, RunReport, ScalingMetrics, SpectralMetrics};
+use crate::{RunReport, ScalingMetrics, SpectralMetrics};
 use std::fmt::Debug;
 
 /// Maximum final-HPWL regression (%).
@@ -108,8 +108,8 @@ fn num(v: f64) -> String {
     s.trim_end_matches('0').trim_end_matches('.').to_string()
 }
 
-/// A report section the regression gate compares as a unit. Spectral,
-/// scaling and explore sections implement it; `visit_sections` lists
+/// A report section the regression gate compares as a unit. The
+/// spectral and scaling sections implement it; `visit_sections` lists
 /// them, so [`compare_reports`] gates every impl the same way and
 /// [`inject_regression`] resolves its `--inject` name.
 pub trait GatedSection: Sized {
@@ -142,7 +142,6 @@ trait SectionVisitor {
 fn visit_sections(visitor: &mut impl SectionVisitor) {
     visitor.visit::<SpectralMetrics>();
     visitor.visit::<ScalingMetrics>();
-    visitor.visit::<ExploreMetrics>();
 }
 
 /// Gates each section of two run reports: compared when both carry it, a
@@ -415,58 +414,6 @@ impl GatedSection for ScalingMetrics {
     }
 }
 
-impl GatedSection for ExploreMetrics {
-    const KEY: &'static str = "explore";
-    const LABEL: &'static str = "exploration section";
-
-    fn of(report: &RunReport) -> Option<&Self> {
-        report.explore.as_ref()
-    }
-
-    fn of_mut(report: &mut RunReport) -> &mut Option<Self> {
-        &mut report.explore
-    }
-
-    /// Compares two exploration sections into `cmp`.
-    ///
-    /// The population shape — (members, keep, generation count, winner,
-    /// winner lineage) — is deterministic output of the seeded culling
-    /// schedule and must match exactly. The winner's HPWL hard-gates at
-    /// [`HPWL_PCT`] and the total modeled exploration cost at
-    /// [`MODELED_TIME_PCT`].
-    fn compare(baseline: &Self, current: &Self, cmp: &mut Comparison) {
-        let shape = |s: &Self| {
-            (
-                s.members,
-                s.keep,
-                s.generations.len(),
-                s.winner,
-                s.winner_lineage.clone(),
-            )
-        };
-        if !cmp.same("exploration structure", &shape(baseline), &shape(current)) {
-            return;
-        }
-        cmp.bound(
-            "exploration winner HPWL",
-            baseline.winner_hpwl,
-            current.winner_hpwl,
-            HPWL_PCT,
-        );
-        cmp.bound(
-            "exploration total modeled time",
-            baseline.total_modeled_ns as f64,
-            current.total_modeled_ns as f64,
-            MODELED_TIME_PCT,
-        );
-    }
-
-    /// Inflates the population winner's HPWL.
-    fn inject(&mut self, factor: f64) {
-        self.winner_hpwl *= factor;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,7 +499,7 @@ mod tests {
             compare_reports(&base, &cur)
         };
         // Every `bound` call: its label, its bound and how to scale it.
-        let gated: [(&str, f64, Scale); 7] = [
+        let gated: [(&str, f64, Scale); 5] = [
             ("HPWL", HPWL_PCT, |r, f| {
                 r.dp.as_mut().unwrap().final_hpwl *= f
             }),
@@ -578,17 +525,6 @@ mod tests {
                     for point in &mut r.scaling.as_mut().unwrap().points {
                         point.modeled_ns = (point.modeled_ns as f64 * f) as u64;
                     }
-                },
-            ),
-            ("exploration winner HPWL", HPWL_PCT, |r, f| {
-                r.explore.as_mut().unwrap().winner_hpwl *= f
-            }),
-            (
-                "exploration total modeled time",
-                MODELED_TIME_PCT,
-                |r, f| {
-                    let explore = r.explore.as_mut().unwrap();
-                    explore.total_modeled_ns = (explore.total_modeled_ns as f64 * f) as u64;
                 },
             ),
         ];
@@ -793,70 +729,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn explore_winner_hpwl_regression_fails() {
-        let base = sample_report();
-        let mut cur = base.clone();
-        cur.explore.as_mut().unwrap().winner_hpwl *= 1.10;
-        let cmp = compare_reports(&base, &cur);
-        assert!(!cmp.passed());
-        assert!(
-            cmp.failures
-                .iter()
-                .any(|f| f.contains("exploration winner HPWL regressed")),
-            "{:?}",
-            cmp.failures
-        );
-    }
-
-    #[test]
-    fn explore_improvement_is_a_note() {
-        let base = sample_report();
-        let mut cur = base.clone();
-        {
-            let explore = cur.explore.as_mut().unwrap();
-            explore.winner_hpwl *= 0.9;
-            explore.total_modeled_ns = (explore.total_modeled_ns as f64 * 0.8) as u64;
-        }
-        let cmp = compare_reports(&base, &cur);
-        assert!(cmp.passed(), "{:?}", cmp.failures);
-        assert!(cmp
-            .notes
-            .iter()
-            .any(|n| n.contains("exploration winner HPWL improved")));
-        assert!(cmp
-            .notes
-            .iter()
-            .any(|n| n.contains("exploration total modeled time improved")));
-    }
-
-    #[test]
-    fn explore_modeled_time_regression_fails() {
-        let base = sample_report();
-        let mut cur = base.clone();
-        let explore = cur.explore.as_mut().unwrap();
-        explore.total_modeled_ns = (explore.total_modeled_ns as f64 * 1.2) as u64;
-        let cmp = compare_reports(&base, &cur);
-        assert!(!cmp.passed());
-        assert!(cmp
-            .failures
-            .iter()
-            .any(|f| f.contains("exploration total modeled time regressed")));
-    }
-
-    #[test]
-    fn explore_structure_change_fails() {
-        let base = sample_report();
-        let mut cur = base.clone();
-        cur.explore.as_mut().unwrap().winner_lineage = vec![0, 1];
-        let cmp = compare_reports(&base, &cur);
-        assert!(!cmp.passed());
-        assert!(cmp
-            .failures
-            .iter()
-            .any(|f| f.contains("exploration structure changed")));
-    }
-
     /// The contract every [`GatedSection`] impl shares, checked through
     /// [`compare_reports`] on the sample report.
     fn gated_section_contract<S: GatedSection>() {
@@ -904,7 +776,7 @@ mod tests {
         }
         let mut checked = Contract(Vec::new());
         visit_sections(&mut checked);
-        assert_eq!(checked.0, ["spectral", "scaling", "explore"]);
+        assert_eq!(checked.0, ["spectral", "scaling"]);
     }
 
     #[test]
@@ -918,7 +790,7 @@ mod tests {
         let err = inject_regression(&mut base.clone(), "wirelength", 1.10).unwrap_err();
         assert_eq!(
             err,
-            "unknown --inject section 'wirelength' (hpwl|spectral|scaling|explore)"
+            "unknown --inject section 'wirelength' (hpwl|spectral|scaling)"
         );
     }
 }

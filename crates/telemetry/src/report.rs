@@ -139,68 +139,6 @@ impl ScalingMetrics {
     }
 }
 
-/// One population member's standing at an exploration generation
-/// barrier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExploreMember {
-    /// Member slot index (slot 0 carries the unperturbed base seed).
-    pub member: usize,
-    /// HPWL at the generation boundary — deterministic.
-    pub hpwl: f64,
-    /// Density overflow at the boundary — deterministic.
-    pub overflow: f64,
-    /// Selection score (lower is better); ties resolve to the lower
-    /// member index.
-    pub score: f64,
-    /// Whether this member was culled at this barrier.
-    pub culled: bool,
-    /// When this slot was refilled at the start of the generation: the
-    /// member whose snapshot it branched from.
-    pub branched_from: Option<usize>,
-    /// Perturbation seed of the branch (lineage replay needs it).
-    pub perturbation_seed: Option<u64>,
-}
-
-/// One generation of the exploration loop: the population evaluated at a
-/// fixed checkpoint barrier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExploreGeneration {
-    /// Generation number, 0-based.
-    pub generation: usize,
-    /// GP iteration of the barrier (members paused/finished here).
-    pub iteration: usize,
-    /// Every member's standing, ascending by slot index.
-    pub members: Vec<ExploreMember>,
-    /// Best member at this barrier.
-    pub best: usize,
-}
-
-/// The exploration section of a report: the full population history of a
-/// `--explore K` run. Everything here is deterministic (same seed ⇒ same
-/// lineage at any thread count), so the regression gate compares it
-/// hard. The lineage — which member branched from which snapshot with
-/// which perturbation seed at which generation — is replayable from
-/// this section alone.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExploreMetrics {
-    /// Population size K.
-    pub members: usize,
-    /// Survivors kept at each cull.
-    pub keep: usize,
-    /// Per-generation population history.
-    pub generations: Vec<ExploreGeneration>,
-    /// Winning member slot.
-    pub winner: usize,
-    /// The winner's ancestor slot at each generation, oldest first —
-    /// the trace-stitching path.
-    pub winner_lineage: Vec<usize>,
-    /// Final GP HPWL of the winner — deterministic, gated.
-    pub winner_hpwl: f64,
-    /// Total modeled device time across every member and generation —
-    /// the exploration budget actually spent, deterministic, gated.
-    pub total_modeled_ns: u64,
-}
-
 /// The single-JSON report of one full GP → LG → DP run: the artifact
 /// `xplace place --report` and the bench binaries write, and the unit
 /// `scripts/check_regression.sh` compares.
@@ -232,9 +170,6 @@ pub struct RunReport {
     /// Scaling bench (absent unless the run recorded it). Reports written
     /// before this field existed parse as `None`.
     pub scaling: Option<ScalingMetrics>,
-    /// Exploration section (absent unless the run used `--explore`).
-    /// Reports written before this field existed parse as `None`.
-    pub explore: Option<ExploreMetrics>,
     /// A trace-sink I/O failure observed during the run (e.g. the disk
     /// behind `--trace` filled up). The placement result is still valid
     /// but the trace file is incomplete, so drivers must treat this as a
@@ -294,33 +229,6 @@ json_struct!(ScalingPoint {
 
 json_struct!(ScalingMetrics { points });
 
-json_struct!(ExploreMember {
-    member,
-    hpwl,
-    overflow,
-    score,
-    culled,
-    branched_from,
-    perturbation_seed,
-});
-
-json_struct!(ExploreGeneration {
-    generation,
-    iteration,
-    members,
-    best,
-});
-
-json_struct!(ExploreMetrics {
-    members,
-    keep,
-    generations,
-    winner,
-    winner_lineage,
-    winner_hpwl,
-    total_modeled_ns,
-});
-
 // The gated sections and `trace_error` arrived after the first reports
 // were written; an absent key reads as `None`. Each section's key is its
 // `GatedSection::KEY`.
@@ -336,7 +244,6 @@ json_struct!(RunReport {
     route,
     spectral = None,
     scaling = None,
-    explore = None,
     trace_error = None,
 });
 
@@ -433,66 +340,6 @@ pub(crate) mod tests {
                     },
                 ],
             }),
-            explore: Some(ExploreMetrics {
-                members: 4,
-                keep: 2,
-                generations: vec![
-                    ExploreGeneration {
-                        generation: 0,
-                        iteration: 100,
-                        members: vec![
-                            ExploreMember {
-                                member: 0,
-                                hpwl: 15000.0,
-                                overflow: 0.42,
-                                score: 21300.0,
-                                culled: false,
-                                branched_from: None,
-                                perturbation_seed: None,
-                            },
-                            ExploreMember {
-                                member: 1,
-                                hpwl: 15400.0,
-                                overflow: 0.55,
-                                score: 23870.0,
-                                culled: true,
-                                branched_from: None,
-                                perturbation_seed: None,
-                            },
-                        ],
-                        best: 0,
-                    },
-                    ExploreGeneration {
-                        generation: 1,
-                        iteration: 200,
-                        members: vec![
-                            ExploreMember {
-                                member: 0,
-                                hpwl: 14300.0,
-                                overflow: 0.25,
-                                score: 17875.0,
-                                culled: false,
-                                branched_from: None,
-                                perturbation_seed: None,
-                            },
-                            ExploreMember {
-                                member: 1,
-                                hpwl: 14200.0,
-                                overflow: 0.27,
-                                score: 18034.0,
-                                culled: false,
-                                branched_from: Some(0),
-                                perturbation_seed: Some(11),
-                            },
-                        ],
-                        best: 0,
-                    },
-                ],
-                winner: 0,
-                winner_lineage: vec![0, 0],
-                winner_hpwl: 14026.78,
-                total_modeled_ns: 3_950_617_284,
-            }),
             trace_error: None,
         }
     }
@@ -558,24 +405,6 @@ pub(crate) mod tests {
     fn reports_without_a_gated_section_key_still_parse() {
         parses_without_the_key::<SpectralMetrics>();
         parses_without_the_key::<ScalingMetrics>();
-        parses_without_the_key::<ExploreMetrics>();
-    }
-
-    #[test]
-    fn explore_section_round_trips_with_lineage() {
-        let report = sample_report();
-        let text = report.to_json_string();
-        let back = RunReport::from_json_str(&text).unwrap();
-        let explore = back.explore.expect("fixture has an explore section");
-        assert_eq!(explore.members, 4);
-        assert_eq!(explore.generations.len(), 2);
-        assert_eq!(explore.generations[1].members[1].branched_from, Some(0));
-        assert_eq!(
-            explore.generations[1].members[1].perturbation_seed,
-            Some(11)
-        );
-        assert!(explore.generations[0].members[1].culled);
-        assert_eq!(explore.winner_lineage, vec![0, 0]);
     }
 
     #[test]

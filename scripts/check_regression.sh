@@ -3,7 +3,7 @@
 # diffs the fresh RunReport against the committed BENCH_baseline.json.
 #
 # run_report is the only producer of the report's gated sections
-# (spectral, scaling, explore); check_regression reads only run and
+# (spectral, scaling); check_regression reads only run and
 # batch reports. Deterministic quantities (final HPWL, modeled GP time,
 # kernel launch count, iteration count, run structure, and each gated
 # section's modeled metrics) hard-fail beyond tolerance; wall-clock drift

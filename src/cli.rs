@@ -159,54 +159,6 @@ pub fn parse_place_robust_args(args: &[String]) -> Result<PlaceRobustArgs, Strin
     })
 }
 
-/// Exploration flags of the `place` subcommand (`--explore K`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExploreArgs {
-    /// Population size `K` (`--explore`).
-    pub members: usize,
-    /// Generation count (`--explore-generations`, default 4).
-    pub generations: usize,
-    /// Survivors per cull (`--explore-keep`, default `max(1, K/2)`).
-    pub keep: usize,
-}
-
-/// Parses the exploration flags. `Ok(None)` when `--explore` is absent;
-/// the satellite flags without `--explore` are a hard error (they would
-/// silently do nothing).
-///
-/// # Errors
-///
-/// Rejects `--explore 0`, a keep count outside `1..=K`, zero
-/// generations, orphaned satellite flags, and garbage values.
-pub fn parse_explore_args(args: &[String]) -> Result<Option<ExploreArgs>, String> {
-    let Some(members) = parse_optional_flag::<usize>(args, "--explore")? else {
-        for orphan in ["--explore-generations", "--explore-keep"] {
-            if has_flag(args, orphan) {
-                return Err(format!("{orphan} requires --explore"));
-            }
-        }
-        return Ok(None);
-    };
-    if members == 0 {
-        return Err("--explore must be at least 1".into());
-    }
-    let generations: usize = parse_flag(args, "--explore-generations", 4)?;
-    if generations == 0 {
-        return Err("--explore-generations must be at least 1".into());
-    }
-    let keep: usize = parse_flag(args, "--explore-keep", (members / 2).max(1))?;
-    if keep == 0 || keep > members {
-        return Err(format!(
-            "--explore-keep must be in 1..={members}, got {keep}"
-        ));
-    }
-    Ok(Some(ExploreArgs {
-        members,
-        generations,
-        keep,
-    }))
-}
-
 /// Parsed arguments of the `batch` subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchArgs {
@@ -635,68 +587,6 @@ mod tests {
                 "--checkpoint-file requires a non-zero --checkpoint-every"
             );
         }
-    }
-
-    #[test]
-    fn explore_args_parse_with_defaults_and_flags() {
-        assert_eq!(parse_explore_args(&argv(&[])).unwrap(), None);
-
-        let parsed = parse_explore_args(&argv(&["--explore", "8"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(parsed.members, 8);
-        assert_eq!(parsed.generations, 4);
-        assert_eq!(parsed.keep, 4, "default keep is half the population");
-
-        let parsed = parse_explore_args(&argv(&[
-            "--explore",
-            "5",
-            "--explore-generations",
-            "3",
-            "--explore-keep",
-            "2",
-        ]))
-        .unwrap()
-        .unwrap();
-        assert_eq!(parsed.members, 5);
-        assert_eq!(parsed.generations, 3);
-        assert_eq!(parsed.keep, 2);
-
-        // K=1 keeps at least one member.
-        let parsed = parse_explore_args(&argv(&["--explore", "1"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(parsed.keep, 1);
-    }
-
-    #[test]
-    fn explore_args_reject_degenerate_populations() {
-        let err = parse_explore_args(&argv(&["--explore", "0"])).unwrap_err();
-        assert!(err.contains("--explore must be at least 1"), "{err}");
-        let err =
-            parse_explore_args(&argv(&["--explore", "4", "--explore-keep", "5"])).unwrap_err();
-        assert!(err.contains("--explore-keep must be in 1..=4"), "{err}");
-        let err =
-            parse_explore_args(&argv(&["--explore", "4", "--explore-keep", "0"])).unwrap_err();
-        assert!(err.contains("--explore-keep must be in 1..=4"), "{err}");
-        let err = parse_explore_args(&argv(&["--explore", "4", "--explore-generations", "0"]))
-            .unwrap_err();
-        assert!(
-            err.contains("--explore-generations must be at least 1"),
-            "{err}"
-        );
-        assert!(parse_explore_args(&argv(&["--explore", "many"])).is_err());
-    }
-
-    #[test]
-    fn orphaned_explore_satellite_flags_are_rejected() {
-        let err = parse_explore_args(&argv(&["--explore-keep", "2"])).unwrap_err();
-        assert!(err.contains("--explore-keep requires --explore"), "{err}");
-        let err = parse_explore_args(&argv(&["--explore-generations", "2"])).unwrap_err();
-        assert!(
-            err.contains("--explore-generations requires --explore"),
-            "{err}"
-        );
     }
 
     #[test]

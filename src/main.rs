@@ -26,8 +26,8 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use xplace::cli::{
-    flag_value, has_flag, load_manifest, only_flags, parse_batch_args, parse_explore_args,
-    parse_flag, parse_place_robust_args, parse_positional, parse_serve_args, parse_servectl_args,
+    flag_value, has_flag, load_manifest, only_flags, parse_batch_args, parse_flag,
+    parse_place_robust_args, parse_positional, parse_serve_args, parse_servectl_args,
     parse_submit_args, parse_threads, positional, ServeCtl,
 };
 use xplace::core::{
@@ -42,8 +42,7 @@ fn usage() -> ! {
         "usage:\n  xplace place <design.aux> [-o out.pl] [--density D] [--baseline] \
          [--max-iters N] [--seed N] [--threads N] [--multilevel] [--coarse-iters N] \
          [--trace out.jsonl] [--report out.json] [--checkpoint-every N \
-         --checkpoint-file F] [--resume-from F] [--deadline-ns N] \
-         [--explore K [--explore-generations N] [--explore-keep N]]\n  \
+         --checkpoint-file F] [--resume-from F] [--deadline-ns N]\n  \
          xplace batch <manifest.json> [--threads N] [--trace-dir DIR] [--report out.json] \
          [--retries N]\n  \
          xplace serve [--addr HOST:PORT] [--threads N] [--queue-depth N] \
@@ -96,9 +95,6 @@ fn cmd_place(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--checkpoint-file",
             "--resume-from",
             "--deadline-ns",
-            "--explore",
-            "--explore-generations",
-            "--explore-keep",
         ],
     )?;
     let aux = positional(args, 0).unwrap_or_else(|| usage());
@@ -131,25 +127,6 @@ fn cmd_place(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "multilevel: enabled (floor {} movable cells, {} coarse iters/level)",
             config.multilevel.min_cells, config.multilevel.coarse_max_iterations
-        );
-    }
-
-    if let Some(explore) = parse_explore_args(args)? {
-        if robust.checkpoint_every > 0 || robust.resume_from.is_some() {
-            return Err(
-                "--explore drives its own checkpoint schedule; drop --checkpoint-every/\
-                 --resume-from"
-                    .into(),
-            );
-        }
-        return place_population(
-            design,
-            &config,
-            &explore,
-            &robust,
-            &trace_path,
-            &report_path,
-            &out,
         );
     }
 
@@ -253,86 +230,6 @@ fn cmd_place(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         let modeled = gp.profile.modeled_ns();
         if modeled > deadline {
             return Err(format!("deadline exceeded: {modeled} modeled ns > {deadline} ns").into());
-        }
-    }
-    Ok(())
-}
-
-/// The `--explore` arm of `place`: runs a perturbed-restart population
-/// over the worker pool and writes the winner's artifacts (trace,
-/// report, `.pl`) in exactly the shapes a plain run would.
-fn place_population(
-    design: xplace::db::Design,
-    config: &XplaceConfig,
-    explore: &xplace::cli::ExploreArgs,
-    robust: &xplace::cli::PlaceRobustArgs,
-    trace_path: &Option<PathBuf>,
-    report_path: &Option<PathBuf>,
-    out: &Path,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let options = xplace::sched::PopulationOptions {
-        members: explore.members,
-        generations: explore.generations,
-        keep: explore.keep,
-        threads: config.threads,
-    };
-    println!(
-        "explore: {} member(s), {} generation(s), keep {}",
-        options.members, options.generations, options.keep
-    );
-    let outcome = xplace::sched::run_population(&design, config, &options)?;
-    let metrics = outcome
-        .report
-        .explore
-        .as_ref()
-        .expect("population reports carry an explore section");
-    for generation in &metrics.generations {
-        let best = &generation.members[generation.best];
-        let culled = generation.members.iter().filter(|m| m.culled).count();
-        println!(
-            "  gen {} @ iter {}: best member {} (HPWL {:.0}, overflow {:.3}), {} culled",
-            generation.generation,
-            generation.iteration,
-            generation.best,
-            best.hpwl,
-            best.overflow,
-            culled
-        );
-    }
-    println!(
-        "winner: member {} (lineage {:?}), GP HPWL {:.0}, total modeled {:.3}s",
-        metrics.winner,
-        metrics.winner_lineage,
-        metrics.winner_hpwl,
-        metrics.total_modeled_ns as f64 / 1e9
-    );
-    if let Some(lg) = &outcome.report.lg {
-        println!("LG: HPWL {:.0} -> {:.0}", lg.initial_hpwl, lg.final_hpwl);
-    }
-    if let Some(dp) = &outcome.report.dp {
-        println!("DP: HPWL {:.0} -> {:.0}", dp.initial_hpwl, dp.final_hpwl);
-    }
-
-    if let Some(p) = trace_path {
-        std::fs::write(p, &outcome.trace)?;
-        println!(
-            "winner trace written to {} ({} events)",
-            p.display(),
-            outcome.trace.lines().count()
-        );
-    }
-    if let Some(p) = report_path {
-        std::fs::write(p, outcome.report.to_json_string())?;
-        println!("report written to {}", p.display());
-    }
-    bookshelf::write_pl(&outcome.design, out)?;
-    println!("placement written to {}", out.display());
-    if let Some(deadline) = robust.deadline_ns {
-        let modeled = metrics.total_modeled_ns;
-        if modeled > deadline {
-            return Err(
-                format!("deadline exceeded: {modeled} total modeled ns > {deadline} ns").into(),
-            );
         }
     }
     Ok(())

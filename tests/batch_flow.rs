@@ -334,16 +334,23 @@ fn batch_cli_fails_an_oversized_grid_job_by_name() {
 #[test]
 fn place_cli_rejects_a_misspelt_flag_by_name() {
     // The flag is checked before the design is read, so no file is needed.
-    let output = std::process::Command::new(xplace_bin())
-        .args(["place", "missing.aux", "--max-iters", "30", "--multilevle"])
-        .output()
-        .expect("spawn xplace place");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("unknown flag --multilevle"),
-        "stderr must name the flag: {stderr}"
-    );
+    // `place` has no population-exploration mode, so `--explore` is unknown.
+    for (args, flag) in [
+        (&["--max-iters", "30", "--multilevle"][..], "--multilevle"),
+        (&["--explore", "4"][..], "--explore"),
+    ] {
+        let output = std::process::Command::new(xplace_bin())
+            .args(["place", "missing.aux"])
+            .args(args)
+            .output()
+            .expect("spawn xplace place");
+        assert_eq!(output.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} ")),
+            "stderr must name the flag: {stderr}"
+        );
+    }
 }
 
 #[test]

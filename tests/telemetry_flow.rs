@@ -121,7 +121,6 @@ fn comparator_passes_identical_runs_and_fails_injected_regressions() {
             route: None,
             spectral: None,
             scaling: None,
-            explore: None,
             trace_error: None,
         }
     };
